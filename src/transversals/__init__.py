@@ -39,7 +39,6 @@ from .ict_formulas import (
     ict_cyclic,
     ict_sym,
     ict_theorem6,
-    ict_upper_bound_cyclic,
     report_to_json,
     report_to_text,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "ict_cyclic",
     "ict_sym",
     "ict_theorem6",
-    "ict_upper_bound_cyclic",
     "report_to_json",
     "report_to_text",
     "ClassificationResult",

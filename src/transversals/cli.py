@@ -286,16 +286,11 @@ def _crosscheck_rows(family, params, build, caps, jobs):
     pair = build()
     n = pair.degree
     rows = []
-    if family == "sym":
-        rows.append(("sym_closed", ict_sym(params.n).value))
-    if family == "alt" and params.n >= 4:
-        rows.append(("alt_closed", ict_alt(params.n).value))
-    if family == "dihedral":
-        rows.append(("cyclic_closed", ict_cyclic(params.n, 2, pair=pair,
-                                                 cap=caps.stab).value))
-    if family == "pq":
-        rows.append(("cyclic_closed", ict_cyclic(params.q, params.p, pair=pair,
-                                                 cap=caps.stab).value))
+    # auto picks the family's closed form, or theorem6 (its own row below)
+    method = _resolve_method(family, "auto", params, caps)
+    if method != "theorem6":
+        value = _compute_report(family, method, params, lambda: pair, caps).value
+        rows.append((f"{method}_closed", value))
     if factorial(n - 1) <= caps.stab:
         rows.append(("theorem6", ict_theorem6(pair, cap=caps.stab).value))
     conj = classify_by_conjugation(pair, cap=caps.transversals,
@@ -356,6 +351,8 @@ def _sweep_fixtures(args):
             lo, hi = int(lo), int(hi or lo)
         except ValueError:
             raise ValueError(f"bad range {args.dihedral!r}, expected A..B") from None
+        if lo > hi:
+            raise ValueError(f"bad range {args.dihedral!r}, expected A..B with A <= B")
         ns = range(lo, hi + 1)
     else:
         ns = range(3, 11)

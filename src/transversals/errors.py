@@ -27,7 +27,7 @@ class DisagreementError(RuntimeError):
 
     def __init__(self, message: str, values=None):
         super().__init__(message)
-        self.values = values or {}
+        self.values = values or ()
 
 
 CAP_GROUP_ORDER = 10_000_000

@@ -179,11 +179,14 @@ class PermGroup:
             assert cls <= self.elements
             remaining -= cls
             classes.append(sorted(cls))
-        def movekey(c):
-            rep = c[0]
-            moved = sum(1 for i in range(1, rep.degree + 1) if rep(i) != i)
-            return (moved, rep.images)
-        return sorted(classes, key=movekey)
+        return sorted(classes, key=lambda c: _class_order_key(c[0]))
+
+
+def _class_order_key(rep: Permutation):
+    """Presentation order of conjugacy classes by representative: fewest
+    moved symbols first, then by images, so the identity class leads."""
+    moved = sum(1 for i in range(1, rep.degree + 1) if rep(i) != i)
+    return (moved, rep.images)
 
 
 def symmetric_generators(n: int):
@@ -413,15 +416,21 @@ def make_alt(n: int, cap: int = CAP_GROUP_ORDER) -> PairGH:
     return PairGH(G, G.stabilizer_of_1(), name=f"alt({n})")
 
 
+def _cycle_and_multiplier(n: int, r: int, order: int, name: str) -> PairGH:
+    """Group generated by the n-cycle (1, ..., n) and the multiplier
+    i - 1 -> r * (i - 1) mod n, over the stabilizer of 1."""
+    a = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+    b = Permutation((r * (i - 1)) % n + 1 for i in range(1, n + 1))
+    G = PermGroup.from_generators([a, b], degree=n)
+    assert G.order == order
+    return PairGH(G, G.stabilizer_of_1(), name=name)
+
+
 def make_dihedral(n: int) -> PairGH:
     """Dihedral group of order 2n acting on the n cosets of a reflection."""
     if n < 3:
         raise ValueError("need n >= 3 for a core-free dihedral pair")
-    a = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
-    b = Permutation((2 - i - 1) % n + 1 for i in range(1, n + 1))
-    G = PermGroup.from_generators([a, b], degree=n)
-    assert G.order == 2 * n
-    return PairGH(G, G.stabilizer_of_1(), name=f"dihedral({n})")
+    return _cycle_and_multiplier(n, n - 1, 2 * n, f"dihedral({n})")
 
 
 def make_pq(p: int, q: int) -> PairGH:
@@ -434,11 +443,7 @@ def make_pq(p: int, q: int) -> PairGH:
     if (q - 1) % p != 0:
         raise ValueError(f"no nonabelian group of order {p}*{q}: {p} does not divide {q - 1}")
     r = _primitive_root_of_unity(p, q)
-    a = Permutation.from_cycles(q, [tuple(range(1, q + 1))])
-    b = Permutation((r * (i - 1)) % q + 1 for i in range(1, q + 1))
-    G = PermGroup.from_generators([a, b], degree=q)
-    assert G.order == p * q
-    return PairGH(G, G.stabilizer_of_1(), name=f"pq({p},{q})")
+    return _cycle_and_multiplier(q, r, p * q, f"pq({p},{q})")
 
 
 def _is_prime(n: int) -> bool:
@@ -474,14 +479,22 @@ def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM):
 
 def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
     """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}, by brute sweep."""
-    G = pair.group
-    gens = G.generators or tuple(G.elements)
-    found = [
-        a
-        for a in stabilizer_candidates(pair.degree, cap=cap)
-        if all(conjugate(g, a) in G.elements for g in gens)
-    ]
+    found = _normalizers(pair.group, stabilizer_candidates(pair.degree, cap=cap))
     return PermGroup(found, degree=pair.degree)
+
+
+def _normalizers(group: PermGroup, alphas) -> list:
+    """The alphas with alpha G alpha^-1 = G, in the order given.  Takes the
+    whole candidate stream at once: the sweep runs (n-1)! candidates."""
+    elems = group.elements
+    gens = group.generators or tuple(elems)
+    return [a for a in alphas if all(conjugate(g, a) in elems for g in gens)]
+
+
+def _is_subgroup(members) -> bool:
+    """Is the finite set of permutations closed under composition?"""
+    members = set(members)
+    return all(compose(p, q) in members for p in members for q in members)
 
 
 def centralizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:

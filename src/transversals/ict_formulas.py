@@ -27,14 +27,15 @@ from .errors import CAP_STAB_ENUM, DisagreementError, HypothesisViolation
 from .groups import (
     PairGH,
     PermGroup,
+    _class_order_key,
+    _is_subgroup,
+    _normalizers,
     enumerate_transversals,
     generates,
     normalizer_in_stab,
 )
 from .perm import Permutation, compose, conjugate, format_cycles, parse_cycles
 from .symclasses import class_representative, class_size, multiplicities, partitions
-
-METHODS = ("theorem6", "sym_closed", "alt_closed", "cyclic_closed", "oracle")
 
 # Transversal sets larger than this are not swept for non-generators during
 # cyclic hypothesis validation; the report notes the skip instead.
@@ -133,12 +134,6 @@ def _commuting_in_coset(coset, z: Permutation) -> int:
     return sum(1 for q in coset if compose(q, z) == compose(z, q))
 
 
-def _presentation_key(c: ClassContribution):
-    rep = c.representative
-    moved = sum(1 for i in range(1, rep.degree + 1) if rep(i) != i)
-    return (moved, rep.images)
-
-
 def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None, justification: str = "",
                  cap: int = CAP_STAB_ENUM) -> IctReport:
     """Burnside count of gamma-conjugation orbits on the pair's transversals.
@@ -157,11 +152,9 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None, justification: st
             f"acting group degree {gamma.degree} does not match pair degree {n}")
     if any(g(1) != 1 for g in gamma):
         raise HypothesisViolation("acting group must fix symbol 1")
-    group_elems = pair.group.elements
-    group_gens = pair.group.generators or tuple(group_elems)
-    for g0 in gamma.generators or tuple(gamma):
-        if any(conjugate(g, g0) not in group_elems for g in group_gens):
-            raise HypothesisViolation("acting group must normalize the group")
+    gamma_gens = gamma.generators or tuple(gamma)
+    if len(_normalizers(pair.group, gamma_gens)) != len(gamma_gens):
+        raise HypothesisViolation("acting group must normalize the group")
 
     cosets = pair.cosets()
     contributions = []
@@ -275,7 +268,7 @@ def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
             _contribution(class_representative(parts, m), class_size(parts, m),
                           a_factors, orbit_factors)
         )
-    contributions.sort(key=_presentation_key)
+    contributions.sort(key=lambda c: _class_order_key(c.representative))
     justification = ("the acting group is the whole stabilizer of symbol 1, "
                      "which contains every relabeling that could link classes")
     return _assemble(method, factorial(m), contributions, label, justification, True)
@@ -408,7 +401,9 @@ def _perm_order(p: Permutation) -> int:
 
 def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     """Machine-check the structural hypotheses behind the cyclic closed form
-    against a concrete pair.  Returns (gamma, notes)."""
+    against a concrete pair.  Returns (a, gamma, notes): the n-cycle
+    generating the normal regular cyclic transversal, the affine group it
+    determines, and what was checked."""
     notes = []
     if pair.degree != n or pair.subgroup_order != h:
         raise HypothesisViolation(
@@ -416,15 +411,9 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
             f"{pair.subgroup_order}, not ({n}, {h})")
     a = _find_regular_normal_cycle(pair)
     notes.append(f"normal regular cyclic transversal generated by {format_cycles(a)}")
-    affine = _affine_elements(n, a)
-    gamma = PermGroup.from_generators([g for _, g in affine], degree=n)
-    assert gamma.order == len(affine), "affine family failed to close"
-    assert gamma.is_abelian()
-    group_elems = pair.group.elements
-    group_gens = pair.group.generators or tuple(group_elems)
-    for g0 in gamma:
-        if any(conjugate(g, g0) not in group_elems for g in group_gens):
-            raise HypothesisViolation("affine relabelings do not normalize the group")
+    gamma = cyclic_gamma(n, a)
+    if len(_normalizers(pair.group, gamma)) != gamma.order:
+        raise HypothesisViolation("affine relabelings do not normalize the group")
     if factorial(n - 1) <= cap:
         brute = normalizer_in_stab(pair, cap=cap)
         if brute.elements != gamma.elements:
@@ -438,11 +427,8 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     count = pair.transversal_count()
     if count <= NONGENERATOR_SCAN_CAP:
         nongen = [T for T in enumerate_transversals(pair) if not generates(pair, T)]
-        for T in nongen:
-            members = set(T)
-            if any(compose(p, q) not in members for p in members for q in members):
-                raise HypothesisViolation(
-                    "a non-generating transversal is not a subgroup")
+        if not all(_is_subgroup(T) for T in nongen):
+            raise HypothesisViolation("a non-generating transversal is not a subgroup")
         profiles = [tuple(sorted(_perm_order(p) for p in T)) for T in nongen]
         if len(set(profiles)) != len(profiles):
             raise HypothesisViolation(
@@ -454,7 +440,7 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     else:
         notes.append(
             f"non-generator scan skipped ({count} transversals exceed the cap)")
-    return affine, gamma, notes
+    return a, gamma, notes
 
 
 def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
@@ -474,18 +460,19 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
     if h < 1:
         raise ValueError("need h >= 1")
     if pair is None:
-        affine = _affine_elements(n, _standard_cycle(n))
+        a = _standard_cycle(n)
         label = f"cyclic(n={n}, h={h})"
         justification = ("formula-only: structural hypotheses not checked "
                          "against a concrete pair")
         validated = False
         gamma = None
     else:
-        affine, gamma, notes = _validate_cyclic_pair(pair, n, h, cap)
+        a, gamma, notes = _validate_cyclic_pair(pair, n, h, cap)
         label = pair.name
         justification = "; ".join(notes)
         validated = True
 
+    affine = _affine_elements(n, a)
     contributions = []
     for j, g in affine:
         k, t = cyclic_fixed_and_orbit_data(n, j)
@@ -513,26 +500,6 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
                 "closed form and direct engine disagree",
                 values=(report.value, direct.value))
     return report
-
-
-def ict_upper_bound_cyclic(n: int, h: int) -> int:
-    """Upper bound for the class count of any pair with a regular cyclic
-    transversal of order n and subgroup order h: conjugation orbits refine
-    isomorphism classes, so the Burnside average bounds the class count from
-    above even when the distinct-classes hypothesis is unchecked."""
-    if n < 1 or h < 1:
-        raise ValueError("need n >= 1 and h >= 1")
-    total = 0
-    units = 0
-    for j in range(1, n + 1):
-        if gcd(j, n) != 1:
-            continue
-        k, t = cyclic_fixed_and_orbit_data(n, j)
-        total += h ** (t + k - 1)
-        units += 1
-    value, rem = divmod(total, units)
-    assert rem == 0
-    return value
 
 
 def report_to_text(report: IctReport) -> str:

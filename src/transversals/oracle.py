@@ -19,12 +19,14 @@ from .errors import CAP_RELABELINGS, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceede
 from .groups import (
     PairGH,
     Transversal,
+    _is_subgroup,
+    _normalizers,
     closure,
     enumerate_transversals,
     generates,
     stabilizer_candidates,
 )
-from .perm import Permutation, compose, conjugate, format_cycles
+from .perm import Permutation, format_cycles
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def _tables_array(pair: PairGH, transversals) -> np.ndarray:
     return out
 
 
-def _result_from_canonical(transversals, canon: np.ndarray, make_table,
+def _result_from_canonical(canon: np.ndarray, make_table,
                            generating_test) -> ClassificationResult:
     _, first, inverse, counts = np.unique(
         canon, axis=0, return_index=True, return_inverse=True, return_counts=True)
@@ -192,7 +194,6 @@ def classify_by_table_iso(pair: PairGH, jobs: int = 1,
     tables = _tables_array(pair, transversals)
     canon = _canonical_forms(tables, pair.degree, jobs=jobs, cap=relabel_cap)
     result = _result_from_canonical(
-        transversals,
         canon,
         make_table=lambda i: induced_table(pair, transversals[i]),
         generating_test=lambda i: generates(pair, transversals[i]),
@@ -241,14 +242,6 @@ def _conjugate_key(key, a_img, a_inv, n: int) -> tuple:
     return tuple(slots)
 
 
-def _stab_normalizes_group(pair: PairGH, alphas) -> bool:
-    """Does the group generated by `alphas` normalize G?  Then conjugation
-    never leads outside the transversal family."""
-    G = pair.group
-    gens = G.generators or tuple(G.elements)
-    return all(conjugate(g, alpha) in G for alpha in alphas for g in gens)
-
-
 def _candidate_relabelings(pair: PairGH, stab_cap: int):
     """(images, inverse images) of every identity-fixing alpha that could
     map some transversal back into the family.
@@ -262,9 +255,7 @@ def _candidate_relabelings(pair: PairGH, stab_cap: int):
     total = factorial(n - 1)
     if total > stab_cap:
         raise CapExceeded("stabilizer_enum", stab_cap, total)
-    A = np.empty((total, n), dtype=np.uint8 if n <= 255 else np.int64)
-    for k, alpha in enumerate(stabilizer_candidates(n, cap=max(stab_cap, total))):
-        A[k] = [v - 1 for v in alpha.images]
+    A = _identity_fixing_relabelings(n, cap=total)
     Ainv = _invert_rows(A)
 
     void = np.dtype((np.void, n * A.dtype.itemsize))
@@ -321,7 +312,7 @@ def classify_by_conjugation(pair: PairGH, sweep: str = "auto",
         gens.append(Permutation.from_cycles(n, [(2, 3)]))
         gens.append(Permutation.from_cycles(n, [tuple(range(2, n + 1))]))
     if sweep == "auto":
-        mode = "walk" if _stab_normalizes_group(pair, gens) else "all"
+        mode = "walk" if len(_normalizers(pair.group, gens)) == len(gens) else "all"
     elif sweep == "all":
         mode = "all"
     else:
@@ -408,7 +399,7 @@ def census_left_loops(n: int, jobs: int = 1,
         members = make_table(i).members()
         return len(closure(members, degree=n, cap=order_cap)) == factorial(n)
 
-    result = _result_from_canonical(None, canon, make_table, generating_test)
+    result = _result_from_canonical(canon, make_table, generating_test)
     assert sum(result.class_sizes) == total
     return result
 
@@ -416,12 +407,7 @@ def census_left_loops(n: int, jobs: int = 1,
 def subgroup_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
     """All transversals that are subgroups of G (closed under composition),
     in enumeration order."""
-    out = []
-    for T in enumerate_transversals(pair, cap=cap):
-        members = set(T)
-        if all(compose(p, q) in members for p in members for q in members):
-            out.append(T)
-    return out
+    return [T for T in enumerate_transversals(pair, cap=cap) if _is_subgroup(T)]
 
 
 def _right_transversals(pair: PairGH, cap: int):

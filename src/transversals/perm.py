@@ -123,11 +123,6 @@ class CycleType:
     def moved(self) -> int:
         return sum(l * m for l, m in self.pairs)
 
-    @property
-    def size(self) -> int:
-        """Total number of symbols accounted for."""
-        return self.moved + self.fixed
-
     def counts(self) -> dict:
         """Cycle counts by length, fixed points under key 1."""
         d = {l: m for l, m in self.pairs}

@@ -247,15 +247,20 @@ def test_crosscheck_sym3(capsys):
     assert "agreement: yes" in out
 
 
-def test_crosscheck_dihedral_json(capsys):
-    code, out, _ = run(capsys, "crosscheck", "--dihedral", "4", "--format", "json")
+@pytest.mark.parametrize("pair, closed, value", [
+    (["--dihedral", "4"], "cyclic_closed", 6),
+    (["--alt", "4"], "alt_closed", 7),
+    (["--pq", "2", "5"], "cyclic_closed", 6),
+], ids=["dihedral4", "alt4", "pq2_5"])
+def test_crosscheck_json(capsys, pair, closed, value):
+    code, out, _ = run(capsys, "crosscheck", *pair, "--format", "json")
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["agreement"] is True
     methods = [r["method"] for r in data["results"]]
-    assert methods == ["cyclic_closed", "theorem6", "oracle_conjugation",
+    assert methods == [closed, "theorem6", "oracle_conjugation",
                        "oracle_table_iso"]
-    assert {r["value"] for r in data["results"]} == {6}
+    assert {r["value"] for r in data["results"]} == {value}
 
 
 def test_crosscheck_disagreement_exit(capsys, monkeypatch):
@@ -299,6 +304,10 @@ def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--dihedral", "3-6")
     assert code == EXIT_USAGE
     assert "bad range" in err
+    code, out, err = run(capsys, "sweep", "--dihedral", "5..3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: bad range '5..3', expected A..B with A <= B\n"
 
 
 def test_sweep_violation_exit(capsys, monkeypatch):

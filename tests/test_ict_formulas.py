@@ -12,7 +12,7 @@ from math import factorial, gcd, prod
 
 import pytest
 
-from transversals.errors import CapExceeded, HypothesisViolation
+from transversals.errors import CapExceeded, DisagreementError, HypothesisViolation
 from transversals.groups import (
     PairGH,
     PermGroup,
@@ -32,7 +32,6 @@ from transversals.ict_formulas import (
     ict_cyclic,
     ict_sym,
     ict_theorem6,
-    ict_upper_bound_cyclic,
     orbit_profile,
     power_cycle_counts,
     report_from_json,
@@ -251,8 +250,15 @@ def test_theorem6_rejects_bad_gamma():
     )
     with pytest.raises(HypothesisViolation, match="normalize"):
         ict_theorem6(pair, gamma=full_stab)
+    swap = PermGroup.from_generators([parse_cycles(5, "(2,3)")])
+    with pytest.raises(HypothesisViolation, match="acting group must normalize the group"):
+        ict_theorem6(make_dihedral(5), gamma=swap)
     with pytest.raises(HypothesisViolation, match="degree"):
         ict_theorem6(pair, gamma=PermGroup.trivial(5))
+
+
+def test_disagreement_error_values_default_to_empty_tuple():
+    assert DisagreementError("engines differ").values == ()
 
 
 def test_theorem6_respects_stabilizer_cap():
@@ -294,7 +300,7 @@ def test_cyclic_formula_only_is_flagged():
     report = ict_cyclic(12, 5)
     assert not report.validated
     assert "formula-only" in report.justification
-    assert report.value == ict_upper_bound_cyclic(12, 5)
+    assert report.value == 12_328_125
 
 
 def test_cyclic_large_degree_skips_brute_normalizer():
@@ -302,7 +308,7 @@ def test_cyclic_large_degree_skips_brute_normalizer():
     report = ict_cyclic(11, 2, pair=pair, cap=1000)
     assert report.validated
     assert "not brute-checked" in report.justification
-    assert report.value == ict_upper_bound_cyclic(11, 2)
+    assert report.value == 108
 
 
 def test_cyclic_rejects_wrong_pairs():
@@ -318,7 +324,7 @@ def test_cyclic_rejects_wrong_pairs():
 
 def test_cyclic_trivial_subgroup_always_one():
     for n in range(1, 40):
-        assert ict_upper_bound_cyclic(n, 1) == 1
+        assert ict_cyclic(n, 1).value == 1
     assert ict_cyclic(9, 1).value == 1
 
 
