@@ -204,7 +204,7 @@ def _cache_store(path: Path, entries: dict):
 
 # ---------------------------------------------------------------- commands
 
-def _resolve_method(family: str, requested: str, params, caps) -> str:
+def _resolve_method(family: str, requested: str, params) -> str:
     if requested == "auto":
         if family == "sym":
             return "sym"
@@ -256,7 +256,7 @@ def _compute_report(family, method, params, build, caps) -> IctReport:
 def cmd_ict(args) -> int:
     caps = _caps(args)
     family, identity, params, build = _pair_source(args)
-    method = _resolve_method(family, args.method, params, caps)
+    method = _resolve_method(family, args.method, params)
 
     cache_path = _cache_file(args)
     key = f"{identity}|{method}"
@@ -287,7 +287,7 @@ def _crosscheck_rows(family, params, build, caps, jobs):
     n = pair.degree
     rows = []
     # auto picks the family's closed form, or theorem6 (its own row below)
-    method = _resolve_method(family, "auto", params, caps)
+    method = _resolve_method(family, "auto", params)
     if method != "theorem6":
         value = _compute_report(family, method, params, lambda: pair, caps).value
         rows.append((f"{method}_closed", value))
@@ -378,7 +378,7 @@ def cmd_sweep(args) -> int:
     violations = []
     for family, params, build in _sweep_fixtures(args):
         pair = build()
-        method = _resolve_method(family, "auto", params, caps)
+        method = _resolve_method(family, "auto", params)
         value = _compute_report(family, method, params, lambda: pair, caps).value
         normal = pair.stabilizer.is_normal_in(pair.group)
         index = pair.degree

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import permutations as _itpermutations
 from itertools import product as _itproduct
-from math import factorial
+from math import factorial, prod
 
 from .errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
 from .perm import Permutation, compose, conjugate, format_cycles, identity, parse_cycles
@@ -314,16 +314,23 @@ class Transversal:
         return "Transversal[" + ", ".join(format_cycles(m) for m in self.members) + "]"
 
 
+def _sections(buckets, degree: int, cap: int = CAP_TRANSVERSALS):
+    """Yield the identity followed by one element of each bucket, for every
+    choice in Cartesian-product order (first bucket slowest).  The product
+    of the bucket sizes is capped before anything is yielded."""
+    total = prod(len(bucket) for bucket in buckets)
+    if total > cap:
+        raise CapExceeded("transversals", cap, total)
+    e = identity(degree)
+    for choice in _itproduct(*buckets):
+        yield (e,) + choice
+
+
 def enumerate_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
     """Yield every transversal of the pair in a fixed order: the Cartesian
     product of the non-identity cosets' sorted element lists."""
-    total = pair.transversal_count()
-    if total > cap:
-        raise CapExceeded("transversals", cap, total)
-    cosets = pair.cosets()
-    e = identity(pair.degree)
-    for choice in _itproduct(*cosets[1:]):
-        yield Transversal((e,) + choice)
+    for members in _sections(pair.cosets()[1:], pair.degree, cap):
+        yield Transversal(members)
 
 
 def left_cosets(G: PermGroup, H: PermGroup):
@@ -346,13 +353,7 @@ def left_cosets(G: PermGroup, H: PermGroup):
 def subgroup_transversal_sets(G: PermGroup, H: PermGroup, cap: int = CAP_TRANSVERSALS):
     """All transversals of an arbitrary subgroup H <= G (identity included),
     as tuples of elements, one per left coset."""
-    cosets = left_cosets(G, H)
-    count = H.order ** (len(cosets) - 1)
-    if count > cap:
-        raise CapExceeded("transversals", cap, count)
-    e = identity(G.degree)
-    for choice in _itproduct(*cosets[1:]):
-        yield (e,) + choice
+    yield from _sections(left_cosets(G, H)[1:], G.degree, cap)
 
 
 def coset_representation(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:

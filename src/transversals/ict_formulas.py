@@ -134,7 +134,7 @@ def _commuting_in_coset(coset, z: Permutation) -> int:
     return sum(1 for q in coset if compose(q, z) == compose(z, q))
 
 
-def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None, justification: str = "",
+def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
                  cap: int = CAP_STAB_ENUM) -> IctReport:
     """Burnside count of gamma-conjugation orbits on the pair's transversals.
 
@@ -167,8 +167,7 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None, justification: st
             _commuting_in_coset(cosets[i0 - 1], x ** m) for (i0, m) in long_orbits
         ]
         contributions.append(_contribution(x, len(cls), a_factors, orbit_factors))
-    return _assemble("theorem6", gamma.order, contributions, pair.name,
-                     justification, True)
+    return _assemble("theorem6", gamma.order, contributions, pair.name, "", True)
 
 
 def power_cycle_counts(cycle_counts: dict, m: int) -> dict:
@@ -487,7 +486,7 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
                        justification, validated)
 
     if pair is not None:
-        direct = ict_theorem6(pair, gamma=gamma, justification=report.justification)
+        direct = ict_theorem6(pair, gamma=gamma)
         for c in direct.contributions:
             bad = [f for f in c.a_factors[1:] if f != h]
             bad += [f for f in c.orbit_factors if f != h]

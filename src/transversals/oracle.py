@@ -11,7 +11,7 @@ out the module.  Nothing here trusts the counting formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .groups import (
     Transversal,
     _is_subgroup,
     _normalizers,
+    _sections,
     closure,
     enumerate_transversals,
     generates,
@@ -161,26 +162,37 @@ def _canonical_forms(tables: np.ndarray, n: int, jobs: int = 1,
     return sweep(0, m)
 
 
-def _tables_array(pair: PairGH, transversals) -> np.ndarray:
-    n = pair.degree
+def _table_classes(slots, n: int, order: int, jobs: int,
+                   relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
+    """Classify every table with identity row 1 whose row s + 2 is one of
+    the 0-based rows in slots[s], classes sorted by canonical form.
+
+    Tables are numbered in Cartesian-product order of the slots, first slot
+    slowest; a class is generating when the rows of its first table
+    generate a group of `order` elements.
+    """
     dtype = np.uint8 if n <= 255 else np.int64
-    out = np.empty((len(transversals), n, n), dtype=dtype)
-    for i, T in enumerate(transversals):
-        out[i] = [[v - 1 for v in p.images] for p in T]
-    return out
+    slots = [np.asarray(rows, dtype=dtype) for rows in slots]
+    total = prod(len(rows) for rows in slots)
+    tables = np.empty((total, n, n), dtype=dtype)
+    tables[:, 0, :] = np.arange(n)
+    idx = np.arange(total)
+    stride = total
+    for s, rows in enumerate(slots):
+        stride //= len(rows)
+        tables[:, s + 1, :] = rows[(idx // stride) % len(rows)]
 
-
-def _result_from_canonical(canon: np.ndarray, make_table,
-                           generating_test) -> ClassificationResult:
+    canon = _canonical_forms(tables, n, jobs=jobs, cap=relabel_cap)
     _, first, inverse, counts = np.unique(
         canon, axis=0, return_index=True, return_inverse=True, return_counts=True)
-    reps = tuple(make_table(int(i)) for i in first)
-    flags = tuple(bool(generating_test(int(i))) for i in first)
+    reps = tuple(LoopTable(n, tuple(tuple(int(v) + 1 for v in row) for row in tables[i]))
+                 for i in first)
     return ClassificationResult(
         class_count=len(counts),
         representatives=reps,
         class_sizes=tuple(int(c) for c in counts),
-        generating_flags=flags,
+        generating_flags=tuple(
+            len(closure(rep.members(), degree=n, cap=order + 1)) == order for rep in reps),
         labels=tuple(int(x) for x in inverse),
     )
 
@@ -189,17 +201,13 @@ def classify_by_table_iso(pair: PairGH, jobs: int = 1,
                           cap: int = CAP_TRANSVERSALS,
                           relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
     """Classes of induced tables under identity-fixing relabeling, decided by
-    canonical form.  Classes come out sorted by canonical form."""
-    transversals = list(enumerate_transversals(pair, cap=cap))
-    tables = _tables_array(pair, transversals)
-    canon = _canonical_forms(tables, pair.degree, jobs=jobs, cap=relabel_cap)
-    result = _result_from_canonical(
-        canon,
-        make_table=lambda i: induced_table(pair, transversals[i]),
-        generating_test=lambda i: generates(pair, transversals[i]),
-    )
-    assert sum(result.class_sizes) == pair.transversal_count()
-    return result
+    canonical form.  Classes come out sorted by canonical form; labels
+    follow `enumerate_transversals` order."""
+    total = pair.transversal_count()
+    if total > cap:
+        raise CapExceeded("transversals", cap, total)
+    slots = [[[v - 1 for v in p.images] for p in coset] for coset in pair.cosets()[1:]]
+    return _table_classes(slots, pair.degree, pair.group.order, jobs, relabel_cap)
 
 
 class UnionFind:
@@ -365,43 +373,17 @@ def census_left_loops(n: int, jobs: int = 1,
     the generating flag is taken there."""
     if n < 1:
         raise ValueError("need n >= 1")
-    r = factorial(n - 1)
-    total = r ** (n - 1)
+    total = factorial(n - 1) ** (n - 1)
     if total > cap:
         raise CapExceeded("transversals", cap, total)
 
     from itertools import permutations as itpermutations
 
-    dtype = np.uint8 if n <= 255 else np.int64
-    options = []  # options[s] = all 0-based rows for slot a = s + 2
-    for a in range(2, n + 1):
-        rest = [x for x in range(1, n + 1) if x != a]
-        rows = np.array(
-            [[a - 1] + [v - 1 for v in tail] for tail in itpermutations(rest)],
-            dtype=dtype,
-        ).reshape(r, n)
-        options.append(rows)
-
-    tables = np.empty((total, n, n), dtype=dtype)
-    tables[:, 0, :] = np.arange(n)
-    idx = np.arange(total)
-    for s in range(n - 1):
-        digit = (idx // r ** (n - 2 - s)) % r
-        tables[:, s + 1, :] = options[s][digit]
-
-    canon = _canonical_forms(tables, n, jobs=jobs)
-    order_cap = factorial(n) + 1
-
-    def make_table(i: int) -> LoopTable:
-        return LoopTable(n, tuple(tuple(int(v) + 1 for v in row) for row in tables[i]))
-
-    def generating_test(i: int) -> bool:
-        members = make_table(i).members()
-        return len(closure(members, degree=n, cap=order_cap)) == factorial(n)
-
-    result = _result_from_canonical(canon, make_table, generating_test)
-    assert sum(result.class_sizes) == total
-    return result
+    # slots[a - 1]: every 0-based row sending 0 to a, in itertools order
+    slots = [[[a, *tail]
+              for tail in itpermutations([x for x in range(n) if x != a])]
+             for a in range(1, n)]
+    return _table_classes(slots, n, factorial(n), jobs)
 
 
 def subgroup_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
@@ -412,22 +394,11 @@ def subgroup_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
 
 def _right_transversals(pair: PairGH, cap: int):
     """Right coset sections with identity: member over slot i sends i to 1."""
-    from itertools import product
-
     n = pair.degree
     buckets = [[] for _ in range(n)]
     for g in pair.group.elements:
         buckets[g.inverse()(1) - 1].append(g)
-    buckets = [sorted(b) for b in buckets]
-    ident = [g for g in buckets[0] if g.is_identity()]
-    assert len(ident) == 1
-    total = 1
-    for b in buckets[1:]:
-        total *= len(b)
-    if total > cap:
-        raise CapExceeded("transversals", cap, total)
-    for tail in product(*buckets[1:]):
-        yield (ident[0],) + tail
+    yield from _sections([sorted(b) for b in buckets[1:]], n, cap)
 
 
 def left_right_agreement(pair: PairGH, cap: int = CAP_TRANSVERSALS) -> bool:
@@ -436,10 +407,7 @@ def left_right_agreement(pair: PairGH, cap: int = CAP_TRANSVERSALS) -> bool:
     member-wise inversion map carries left classes onto right classes
     one-to-one."""
     n = pair.degree
-    lefts = list(enumerate_transversals(pair, cap=cap))
-    left_tables = _tables_array(pair, lefts)
-    left_labels = np.unique(
-        _canonical_forms(left_tables, n), axis=0, return_inverse=True)[1]
+    left = classify_by_table_iso(pair, cap=cap)
 
     rights = list(_right_transversals(pair, cap))
     right_index = {tuple(p.images for p in R[1:]): i for i, R in enumerate(rights)}
@@ -450,47 +418,39 @@ def left_right_agreement(pair: PairGH, cap: int = CAP_TRANSVERSALS) -> bool:
     right_labels = np.unique(
         _canonical_forms(right_tables, n), axis=0, return_inverse=True)[1]
 
-    count_left = int(left_labels.max()) + 1 if len(lefts) else 0
     count_right = int(right_labels.max()) + 1 if len(rights) else 0
-    if count_left != count_right:
+    if left.class_count != count_right:
         return False
 
     pairing = {}
-    for i, T in enumerate(lefts):
+    for T, left_label in zip(enumerate_transversals(pair, cap=cap), left.labels):
         # member over left slot k inverts to the member over right slot k
         inv_key = tuple(p.inverse().images for p in tuple(T)[1:])
         j = right_index.get(inv_key)
         if j is None:
             return False
-        lab = int(left_labels[i]), int(right_labels[j])
+        lab = left_label, int(right_labels[j])
         if lab[0] in pairing and pairing[lab[0]] != lab[1]:
             return False
         pairing[lab[0]] = lab[1]
-    return len(set(pairing.values())) == count_left
+    return len(set(pairing.values())) == left.class_count
 
 
 def render_classes_dump(result: ClassificationResult, heading: str = "") -> str:
-    """One block per class, sorted by canonical table form: size, generating
-    flag, members in cycle notation, table rows."""
-    n = result.representatives[0].order if result.representatives else 0
-    order = range(result.class_count)
-    if result.class_count and n:
-        reps_np = np.array(
-            [[[v - 1 for v in row] for row in rep.table] for rep in result.representatives],
-            dtype=np.int64,
-        )
-        canon = _canonical_forms(reps_np, n)
-        order = sorted(range(result.class_count), key=lambda c: tuple(canon[c]))
+    """One block per class, in the result's class order (sorted by canonical
+    table form for classify_by_table_iso and census_left_loops, first seen
+    for classify_by_conjugation): size, generating flag, members in cycle
+    notation, table rows."""
     lines = []
     if heading:
         lines.append(heading)
     lines.append(f"classes: {result.class_count}")
     lines.append(f"transversals: {len(result.labels)}")
-    for pos, c in enumerate(order, start=1):
-        rep = result.representatives[c]
-        flag = "yes" if result.generating_flags[c] else "no"
+    for pos, (rep, size, generating) in enumerate(zip(
+            result.representatives, result.class_sizes, result.generating_flags), start=1):
+        flag = "yes" if generating else "no"
         lines.append("")
-        lines.append(f"class {pos}: size {result.class_sizes[c]}, generates: {flag}")
+        lines.append(f"class {pos}: size {size}, generates: {flag}")
         members = ", ".join(format_cycles(p) for p in rep.members())
         lines.append(f"members: {members}")
         lines.append("table:")

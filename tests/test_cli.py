@@ -1,12 +1,15 @@
 """Command line behavior: subcommands, formats, caching, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import transversals
 from transversals import __version__
 from transversals.cli import (
     EXIT_CAP,
@@ -386,11 +389,16 @@ def test_cap_override_flag(capsys):
 
 # ------------------------------------------------------------- subprocess
 
+# the child interpreter imports the same package as this test run
+SRC = str(Path(transversals.__file__).resolve().parent.parent)
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
 
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "transversals.cli", "--sym", "4", "--no-cache"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=ENV,
     )
     assert proc.returncode == 0
     assert "value: 44" in proc.stdout
@@ -399,8 +407,8 @@ def test_module_entry_point():
 def test_module_entry_point_json_determinism(tmp_path):
     cmd = [sys.executable, "-m", "transversals.cli", "crosscheck",
            "--dihedral", "3", "--format", "json"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=ENV)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=ENV)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     data = json.loads(a.stdout)
@@ -410,7 +418,7 @@ def test_module_entry_point_json_determinism(tmp_path):
 def test_module_entry_point_cap_exit():
     proc = subprocess.run(
         [sys.executable, "-m", "transversals.cli", "census", "6"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=ENV,
     )
     assert proc.returncode == 2
     assert "cap exceeded" in proc.stderr

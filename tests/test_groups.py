@@ -145,6 +145,9 @@ def test_enumerate_transversals_cap():
         list(enumerate_transversals(make_sym(5), cap=100))
     assert exc.value.cap_name == "transversals"
     assert exc.value.required == 24 ** 4
+    with pytest.raises(CapExceeded) as exc:
+        list(subgroup_transversal_sets(*order18_example(), cap=1))
+    assert str(exc.value) == "cap 'transversals' exceeded: requires 36, limit is 1"
 
 
 def test_left_cosets_and_subgroup_transversals():

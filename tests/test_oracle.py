@@ -251,6 +251,15 @@ def test_classifier_caps():
     with pytest.raises(CapExceeded) as exc:
         classify_by_conjugation(make_dihedral(5), stab_cap=2)
     assert exc.value.cap_name == "stabilizer_enum"
+    # the transversal cap is checked before the relabeling cap
+    with pytest.raises(CapExceeded) as exc:
+        classify_by_table_iso(make_sym(5), cap=100, relabel_cap=5)
+    assert str(exc.value) == "cap 'transversals' exceeded: requires 331776, limit is 100"
+    from transversals.oracle import _right_transversals
+
+    with pytest.raises(CapExceeded) as exc:
+        list(_right_transversals(make_sym(4), cap=10))
+    assert str(exc.value) == "cap 'transversals' exceeded: requires 216, limit is 10"
 
 
 # ----------------------------------------------------------- census
@@ -363,6 +372,15 @@ def test_render_classes_dump():
     assert "members: (), (1,2,3), (1,3,2)" in text
     # deterministic
     assert text == render_classes_dump(result, heading="pair: sym(3)")
+    # blocks follow the result's class order
+    result = classify_by_table_iso(make_dihedral(6))
+    blocks = render_classes_dump(result).split("\n\n")[1:]
+    assert result.class_count == len(blocks) == 20
+    for k, block in enumerate(blocks, start=1):
+        assert block.startswith(f"class {k}: size")
+        rows = block.split("table:\n")[1].splitlines()
+        assert tuple(tuple(map(int, row.split())) for row in rows) == \
+            result.representatives[k - 1].table
 
 
 def test_classification_to_json():
