@@ -6,16 +6,120 @@ object the counting engines work on: G transitive on {1..n}, H the full
 stabilizer of symbol 1, and H core-free, i.e. the coset representation has
 already been applied.  coset_representation() turns an arbitrary (G, H <= G)
 into that normal form.
+
+The hot paths (generation tests, the normalizer sweep, conjugacy classes and
+commuting counts) run on a group's array view, _ElementArrays, built once per
+group on first use.
 """
 
 from __future__ import annotations
 
+from itertools import chain as _chain
+from itertools import compress as _compress
+from itertools import islice as _islice
 from itertools import permutations as _itpermutations
 from itertools import product as _itproduct
 from math import factorial, prod
 
+import numpy as np
+
 from .errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
-from .perm import Permutation, compose, conjugate, format_cycles, identity, parse_cycles
+from .perm import (
+    Permutation,
+    _trusted,
+    compose,
+    conjugate,
+    format_cycles,
+    identity,
+    parse_cycles,
+)
+
+# Candidates conjugated per gather in the normalizer sweep: large enough to
+# amortize numpy's per-call cost, small enough that an (n-1)! stream is
+# never held whole.
+NORMALIZER_CHUNK = 4096
+
+
+def _row_dtype(degree: int) -> np.dtype:
+    """Image dtype whose bytes compare in the same order as the images:
+    one byte per image below degree 256, big-endian words beyond."""
+    return np.dtype(np.uint8) if degree < 256 else np.dtype(">u4")
+
+
+def _perm_rows(perms, degree: int) -> np.ndarray:
+    """0-based image rows of permutations of the given degree, one
+    (len(perms), degree) array; `perms` is streamed, not held."""
+    flat = np.fromiter(_chain.from_iterable(p.images for p in perms),
+                       dtype=_row_dtype(degree))
+    flat -= 1
+    return flat.reshape(-1, degree)
+
+
+def _invert_rows(perms: np.ndarray) -> np.ndarray:
+    """Row-wise inverses of a (m, n) array of 0-based permutations."""
+    inv = np.empty_like(perms)
+    m, n = perms.shape
+    rows = np.arange(m)[:, None]
+    inv[rows, perms.astype(np.intp)] = np.arange(n, dtype=perms.dtype)[None, :]
+    return inv
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row: the row's bytes, which sort like the row."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+class _ElementArrays:
+    """A group's sorted elements as arrays.  rows[i] holds the 0-based
+    images of the i-th element and keys[i] that row's key; the keys come out
+    sorted, so a binary search maps any row back to its element index.  The
+    identity, lexicographically least, is element 0."""
+
+    __slots__ = ("rows", "keys", "_left")
+
+    def __init__(self, elements, degree: int):
+        self.rows = _perm_rows(elements, degree)
+        self.keys = _row_keys(self.rows)
+        self._left = {}
+
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of each row, -1 where the row is not an element."""
+        keys = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, pos, -1)
+
+    def left_row(self, i: int) -> list:
+        """Index of g x for every element x, g the i-th element (built on
+        first use, one gather)."""
+        row = self._left.get(i)
+        if row is None:
+            row = self._left[i] = self.locate(self.rows[i][self.rows]).tolist()
+        return row
+
+    def generated_by(self, indices) -> bool:
+        """Do the elements with these indices generate the whole group?
+        Breadth-first search from the identity over element indices."""
+        order = len(self.keys)
+        gens = [self.left_row(i) for i in set(indices)]
+        seen = bytearray(order)
+        seen[0] = 1
+        count = 1
+        frontier = [0]
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for row in gens:
+                    y = row[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        fresh.append(y)
+            count += len(fresh)
+            # Lagrange: a subgroup with more than half the elements is all of them
+            if 2 * count > order:
+                return True
+            frontier = fresh
+        return False
 
 
 def closure(generators, degree: int | None = None, cap: int = CAP_GROUP_ORDER):
@@ -53,7 +157,7 @@ def closure(generators, degree: int | None = None, cap: int = CAP_GROUP_ORDER):
 class PermGroup:
     """Explicit finite permutation group of a fixed degree."""
 
-    __slots__ = ("degree", "elements", "generators", "_sorted")
+    __slots__ = ("degree", "elements", "generators", "_sorted", "_view")
 
     def __init__(self, elements, generators=(), degree: int | None = None):
         elems = frozenset(elements)
@@ -69,6 +173,7 @@ class PermGroup:
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PermGroup is immutable")
@@ -86,7 +191,7 @@ class PermGroup:
     def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
         if factorial(n) > cap:
             raise CapExceeded("group_order", cap, factorial(n))
-        elems = [Permutation(p) for p in _itpermutations(range(1, n + 1))]
+        elems = [_trusted(p) for p in _itpermutations(range(1, n + 1))]
         gens = symmetric_generators(n)
         return cls(elems, gens, n)
 
@@ -99,7 +204,7 @@ class PermGroup:
         elems = [
             q
             for p in _itpermutations(range(1, n + 1))
-            if (q := Permutation(p)).parity() == 1
+            if (q := _trusted(p)).parity() == 1
         ]
         gens = alternating_generators(n)
         return cls(elems, gens, n)
@@ -115,6 +220,13 @@ class PermGroup:
         if self._sorted is None:
             object.__setattr__(self, "_sorted", sorted(self.elements))
         return iter(self._sorted)
+
+    def _arrays(self) -> _ElementArrays:
+        """The array view of the sorted elements, built on first use and
+        kept (and freed) with the group."""
+        if self._view is None:
+            object.__setattr__(self, "_view", _ElementArrays(self, self.degree))
+        return self._view
 
     def __len__(self):
         return len(self.elements)
@@ -169,16 +281,23 @@ class PermGroup:
 
     def conjugacy_classes(self):
         """Conjugacy classes as sorted element lists; classes ordered by
-        (moved points of min rep, min rep), so the identity class comes first."""
-        remaining = set(self.elements)
-        elems = list(self.elements)
+        (moved points of min rep, min rep), so the identity class comes first.
+        Each class is one gather: x conjugated by every element at once."""
+        view = self._arrays()
+        rows, inverses = view.rows, _invert_rows(view.rows)
+        elems = list(self)
+        unseen = np.ones(len(elems), dtype=bool)
         classes = []
-        while remaining:
-            x = next(iter(remaining))
-            cls = {conjugate(x, g) for g in elems}
-            assert cls <= self.elements
-            remaining -= cls
-            classes.append(sorted(cls))
+        for i in range(len(elems)):
+            if not unseen[i]:
+                continue
+            # row k: g_k x g_k^-1, i.e. g_k[x[g_k^-1[j]]]
+            index = view.locate(np.take_along_axis(rows, rows[i][inverses], axis=1))
+            assert (index >= 0).all()
+            members = np.zeros(len(elems), dtype=bool)
+            members[index] = True
+            unseen &= ~members
+            classes.append([elems[k] for k in np.flatnonzero(members)])
         return sorted(classes, key=lambda c: _class_order_key(c[0]))
 
 
@@ -217,7 +336,7 @@ def alternating_generators(n: int):
 class PairGH:
     """Normalized pair: G transitive on {1..n}, H = stabilizer of 1, core-free."""
 
-    __slots__ = ("group", "stabilizer", "name")
+    __slots__ = ("group", "stabilizer", "name", "_normalizer")
 
     def __init__(self, group: PermGroup, stabilizer: PermGroup, name: str = ""):
         if not group.is_transitive():
@@ -228,15 +347,16 @@ class PairGH:
         n = group.degree
         if group.order != n * stabilizer.order:
             raise ValueError("orbit-stabilizer mismatch")  # unreachable given the above
-        core = _core_in(group, stabilizer)
-        if len(core) != 1:
+        core = _core_order(group, stabilizer)
+        if core != 1:
             raise ValueError(
-                f"H contains a normal subgroup of G of order {len(core)}; "
+                f"H contains a normal subgroup of G of order {core}; "
                 "apply coset_representation first"
             )
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "stabilizer", stabilizer)
         object.__setattr__(self, "name", name or f"pair(degree={n}, order={group.order})")
+        object.__setattr__(self, "_normalizer", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PairGH is immutable")
@@ -263,13 +383,25 @@ class PairGH:
         return f"PairGH({self.name})"
 
 
-def _core_in(group: PermGroup, sub: PermGroup):
-    """Largest normal subgroup of `group` contained in `sub`, as a set."""
-    return {
-        h
-        for h in sub.elements
-        if all(conjugate(h, g) in sub.elements for g in group.elements)
-    }
+def _core_order(group: PermGroup, sub: PermGroup) -> int:
+    """Order of the largest normal subgroup of `group` contained in `sub`:
+    the union of the conjugacy classes of `group` that lie in `sub`.  Starts
+    from all of sub and drops every element that some generator conjugates
+    outside what is left, until nothing changes; each pass is one gather
+    per generator over the remaining rows."""
+    view = sub._arrays()
+    rows = view.rows
+    gens = _perm_rows(group.generators or group, group.degree)
+    gens = list(zip(gens, _invert_rows(gens)))
+    keep = np.ones(len(rows), dtype=bool)
+    while True:
+        kept = keep.copy()
+        for g, g_inv in gens:
+            # row k: g h_k g^-1, i.e. g[h_k[g^-1[j]]]
+            index = view.locate(g[rows[:, g_inv]])
+            keep &= (index >= 0) & keep[index]
+        if (keep == kept).all():
+            return int(keep.sum())
 
 
 class Transversal:
@@ -475,21 +607,41 @@ def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM):
     if total > cap:
         raise CapExceeded("stabilizer_enum", cap, total)
     for tail in _itpermutations(range(2, n + 1)):
-        yield Permutation((1,) + tail)
+        yield _trusted((1,) + tail)
 
 
 def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
-    """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}, by brute sweep."""
-    found = _normalizers(pair.group, stabilizer_candidates(pair.degree, cap=cap))
-    return PermGroup(found, degree=pair.degree)
+    """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}, by brute sweep.
+
+    The sweep runs once per pair and its result is kept on the pair; the
+    cap is checked on every call."""
+    total = factorial(pair.degree - 1)
+    if total > cap:
+        raise CapExceeded("stabilizer_enum", cap, total)
+    if pair._normalizer is None:
+        found = _normalizers(pair.group, stabilizer_candidates(pair.degree, cap=cap))
+        object.__setattr__(pair, "_normalizer", PermGroup(found, degree=pair.degree))
+    return pair._normalizer
 
 
 def _normalizers(group: PermGroup, alphas) -> list:
     """The alphas with alpha G alpha^-1 = G, in the order given.  Takes the
-    whole candidate stream at once: the sweep runs (n-1)! candidates."""
-    elems = group.elements
-    gens = group.generators or tuple(elems)
-    return [a for a in alphas if all(conjugate(g, a) in elems for g in gens)]
+    whole candidate stream (the sweep runs (n-1)! candidates) and conjugates
+    G's generators by NORMALIZER_CHUNK candidates at a time, one gather per
+    generator."""
+    view = group._arrays()
+    gens = _perm_rows(group.generators or group, group.degree)
+    alphas = iter(alphas)
+    found = []
+    while chunk := list(_islice(alphas, NORMALIZER_CHUNK)):
+        A = _perm_rows(chunk, group.degree)
+        A_inv = _invert_rows(A)
+        keep = np.ones(len(chunk), dtype=bool)
+        for g in gens:
+            # row k: alpha_k g alpha_k^-1, i.e. alpha_k[g[alpha_k^-1[j]]]
+            keep &= view.locate(np.take_along_axis(A, g[A_inv], axis=1)) >= 0
+        found += _compress(chunk, keep)
+    return found
 
 
 def _is_subgroup(members) -> bool:
@@ -520,9 +672,19 @@ def aut_fixing_H_order(pair: PairGH, cap: int = CAP_STAB_ENUM) -> int:
 
 
 def generates(pair: PairGH, transversal) -> bool:
-    """Does the transversal generate G?"""
+    """Does the transversal generate G?  A member outside G never does."""
     members = list(transversal)
-    return len(closure(members, degree=pair.degree, cap=pair.group.order + 1)) == pair.group.order
+    for p in members:
+        if p.degree != pair.degree:
+            raise ValueError(f"generator degree {p.degree} != {pair.degree}")
+    return _generates(pair.group, _perm_rows(members, pair.degree))
+
+
+def _generates(group: PermGroup, rows: np.ndarray) -> bool:
+    """Do the permutations with these 0-based image rows generate `group`?"""
+    view = group._arrays()
+    indices = view.locate(rows)
+    return bool((indices >= 0).all()) and view.generated_by(indices.tolist())
 
 
 def pair_isomorphic(p1: PairGH, p2: PairGH, cap: int = CAP_STAB_ENUM) -> bool:

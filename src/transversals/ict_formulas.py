@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from math import factorial, gcd
 
+import numpy as np
+
 from ._version import __version__
 from .errors import CAP_STAB_ENUM, DisagreementError, HypothesisViolation
 from .groups import (
@@ -130,8 +132,10 @@ def orbit_profile(x: Permutation):
     return tuple(fixed), tuple(long_orbits)
 
 
-def _commuting_in_coset(coset, z: Permutation) -> int:
-    return sum(1 for q in coset if compose(q, z) == compose(z, q))
+def _commuting_in_coset(coset: np.ndarray, z: Permutation) -> int:
+    """Members q of the coset (0-based image rows) with q z = z q."""
+    zrow = np.array(z.images) - 1
+    return int((coset[:, zrow] == zrow[coset]).all(axis=1).sum())
 
 
 def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
@@ -156,7 +160,11 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
     if len(_normalizers(pair.group, gamma_gens)) != len(gamma_gens):
         raise HypothesisViolation("acting group must normalize the group")
 
-    cosets = pair.cosets()
+    rows = pair.group._arrays().rows
+    # the elements sort by image of 1, so coset j is the block of rows
+    # bounds[j - 1]:bounds[j]
+    bounds = np.searchsorted(rows[:, 0], np.arange(n + 1))
+    cosets = [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     contributions = []
     for cls in gamma.conjugacy_classes():
         x = cls[0]

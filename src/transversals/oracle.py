@@ -18,11 +18,16 @@ import numpy as np
 from .errors import CAP_RELABELINGS, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
 from .groups import (
     PairGH,
+    PermGroup,
     Transversal,
+    _generates,
+    _invert_rows,
     _is_subgroup,
     _normalizers,
+    _perm_rows,
+    _row_dtype,
+    _row_keys,
     _sections,
-    closure,
     enumerate_transversals,
     generates,
     stabilizer_candidates,
@@ -100,18 +105,7 @@ def _identity_fixing_relabelings(n: int, cap: int = CAP_RELABELINGS):
     total = factorial(n - 1) if n else 1
     if total > cap:
         raise CapExceeded("relabelings", cap, total)
-    out = np.empty((total, n), dtype=np.uint8 if n <= 255 else np.int64)
-    for k, alpha in enumerate(stabilizer_candidates(n, cap=max(cap, total))):
-        out[k] = [v - 1 for v in alpha.images]
-    return out
-
-
-def _invert_rows(perms: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perms)
-    m, n = perms.shape
-    rows = np.arange(m)[:, None]
-    inv[rows, perms.astype(np.intp)] = np.arange(n, dtype=perms.dtype)[None, :]
-    return inv
+    return _perm_rows(stabilizer_candidates(n, cap=max(cap, total)), n)
 
 
 def _lexmin_update(best: np.ndarray, flat: np.ndarray, rows: np.ndarray):
@@ -162,16 +156,16 @@ def _canonical_forms(tables: np.ndarray, n: int, jobs: int = 1,
     return sweep(0, m)
 
 
-def _table_classes(slots, n: int, order: int, jobs: int,
+def _table_classes(slots, n: int, group: PermGroup, jobs: int,
                    relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
     """Classify every table with identity row 1 whose row s + 2 is one of
     the 0-based rows in slots[s], classes sorted by canonical form.
 
     Tables are numbered in Cartesian-product order of the slots, first slot
     slowest; a class is generating when the rows of its first table
-    generate a group of `order` elements.
+    generate `group`.
     """
-    dtype = np.uint8 if n <= 255 else np.int64
+    dtype = _row_dtype(n)
     slots = [np.asarray(rows, dtype=dtype) for rows in slots]
     total = prod(len(rows) for rows in slots)
     tables = np.empty((total, n, n), dtype=dtype)
@@ -183,16 +177,16 @@ def _table_classes(slots, n: int, order: int, jobs: int,
         tables[:, s + 1, :] = rows[(idx // stride) % len(rows)]
 
     canon = _canonical_forms(tables, n, jobs=jobs, cap=relabel_cap)
+    # row keys sort like the rows, so classes come out by canonical form
     _, first, inverse, counts = np.unique(
-        canon, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        _row_keys(canon), return_index=True, return_inverse=True, return_counts=True)
     reps = tuple(LoopTable(n, tuple(tuple(int(v) + 1 for v in row) for row in tables[i]))
                  for i in first)
     return ClassificationResult(
         class_count=len(counts),
         representatives=reps,
         class_sizes=tuple(int(c) for c in counts),
-        generating_flags=tuple(
-            len(closure(rep.members(), degree=n, cap=order + 1)) == order for rep in reps),
+        generating_flags=tuple(_generates(group, tables[i]) for i in first),
         labels=tuple(int(x) for x in inverse),
     )
 
@@ -207,7 +201,7 @@ def classify_by_table_iso(pair: PairGH, jobs: int = 1,
     if total > cap:
         raise CapExceeded("transversals", cap, total)
     slots = [[[v - 1 for v in p.images] for p in coset] for coset in pair.cosets()[1:]]
-    return _table_classes(slots, pair.degree, pair.group.order, jobs, relabel_cap)
+    return _table_classes(slots, pair.degree, pair.group, jobs, relabel_cap)
 
 
 class UnionFind:
@@ -265,22 +259,14 @@ def _candidate_relabelings(pair: PairGH, stab_cap: int):
         raise CapExceeded("stabilizer_enum", stab_cap, total)
     A = _identity_fixing_relabelings(n, cap=total)
     Ainv = _invert_rows(A)
-
-    void = np.dtype((np.void, n * A.dtype.itemsize))
-    gset = np.array(sorted(tuple(v - 1 for v in g.images)
-                           for g in pair.group.elements), dtype=A.dtype)
-    gvoid = np.ascontiguousarray(gset).view(void).ravel()
+    view = pair.group._arrays()
 
     useful = np.ones(total, dtype=bool)
     for coset in pair.cosets()[1:]:
         covered = np.zeros(total, dtype=bool)
-        for q in coset:
-            qrow = np.array([v - 1 for v in q.images], dtype=A.dtype)
-            conj = np.take_along_axis(A, qrow[Ainv.astype(np.intp)], axis=1)
-            vals = np.ascontiguousarray(conj).view(void).ravel()
-            pos = np.searchsorted(gvoid, vals)
-            pos_c = np.minimum(pos, len(gvoid) - 1)
-            covered |= (gvoid[pos_c] == vals) & (pos < len(gvoid))
+        for qrow in _perm_rows(coset, n):
+            conj = np.take_along_axis(A, qrow[Ainv], axis=1)
+            covered |= view.locate(conj) >= 0
         useful &= covered
         if not useful.any():
             break
@@ -308,6 +294,9 @@ def classify_by_conjugation(pair: PairGH, sweep: str = "auto",
     takes the cheap walk, falling back to the full sweep otherwise.
     """
     n = pair.degree
+    total = pair.transversal_count()
+    if total > cap:
+        raise CapExceeded("transversals", cap, total)
     transversals = list(enumerate_transversals(pair, cap=cap))
     index = {}
     uf = UnionFind()
@@ -383,7 +372,7 @@ def census_left_loops(n: int, jobs: int = 1,
     slots = [[[a, *tail]
               for tail in itpermutations([x for x in range(n) if x != a])]
              for a in range(1, n)]
-    return _table_classes(slots, n, factorial(n), jobs)
+    return _table_classes(slots, n, PermGroup.symmetric(n), jobs)
 
 
 def subgroup_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):

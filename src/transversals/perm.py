@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 
 class Permutation:
-    """Immutable permutation; `images[i-1]` is the image of symbol i."""
+    """Immutable permutation; `images[i-1]` is the image of symbol i.
+
+    The constructor, from_cycles and parse_cycles are the public entry
+    points and validate their input.  Results of operations on valid
+    permutations are valid by construction and skip the check (_trusted).
+    """
 
     __slots__ = ("images",)
 
@@ -29,7 +34,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return _trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
@@ -70,7 +75,7 @@ class Permutation:
         inv = [0] * self.degree
         for i, v in enumerate(self.images):
             inv[v - 1] = i + 1
-        return Permutation(inv)
+        return _trusted(tuple(inv))
 
     def parity(self) -> int:
         """+1 for even, -1 for odd."""
@@ -131,27 +136,38 @@ class CycleType:
         return d
 
 
+_new_permutation = object.__new__
+
+
+def _trusted(images: tuple) -> Permutation:
+    """Permutation whose image tuple is already known to be valid: the
+    result of an operation on valid permutations, never outside input."""
+    p = _new_permutation(Permutation)
+    p.images = images
+    return p
+
+
 def identity(n: int) -> Permutation:
     return Permutation.identity(n)
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """p after q: compose(p, q).images[i] == p.images[q.images[i]] (1-based)."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    pi = p.images
-    return Permutation(pi[v - 1] for v in q.images)
+    pi, qi = p.images, q.images
+    if len(pi) != len(qi):
+        raise ValueError(f"degree mismatch: {len(pi)} vs {len(qi)}")
+    return _trusted(tuple([pi[v - 1] for v in qi]))
 
 
 def conjugate(p: Permutation, a: Permutation) -> Permutation:
     """a p a^-1."""
-    if p.degree != a.degree:
-        raise ValueError(f"degree mismatch: {p.degree} vs {a.degree}")
-    ai = a.images
-    out = [0] * p.degree
-    for i, v in enumerate(p.images):
+    pi, ai = p.images, a.images
+    if len(pi) != len(ai):
+        raise ValueError(f"degree mismatch: {len(pi)} vs {len(ai)}")
+    out = [0] * len(pi)
+    for i, v in enumerate(pi):
         out[ai[i] - 1] = ai[v - 1]
-    return Permutation(out)
+    return _trusted(tuple(out))
 
 
 def parity(p: Permutation) -> int:

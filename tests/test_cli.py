@@ -266,6 +266,25 @@ def test_crosscheck_json(capsys, pair, closed, value):
     assert {r["value"] for r in data["results"]} == {value}
 
 
+def test_crosscheck_sweeps_the_normalizer_once(capsys, monkeypatch):
+    """The cyclic row's normalizer check and the theorem6 row share one
+    (n-1)! sweep."""
+    import transversals.groups as groups
+
+    sweeps = []
+    candidates = groups.stabilizer_candidates
+
+    def counted(n, cap):
+        sweeps.append(n)
+        return candidates(n, cap=cap)
+
+    monkeypatch.setattr(groups, "stabilizer_candidates", counted)
+    code, out, _ = run(capsys, "crosscheck", "--dihedral", "8")
+    assert code == EXIT_OK
+    assert "cyclic_closed" in out and "theorem6" in out
+    assert sweeps == [8]
+
+
 def test_crosscheck_disagreement_exit(capsys, monkeypatch):
     monkeypatch.setattr("transversals.cli.ict_sym",
                         lambda n: SimpleNamespace(value=999))

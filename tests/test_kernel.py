@@ -1,0 +1,225 @@
+"""The array kernel against plain-Python references.
+
+The references below are the element-by-element versions the kernel
+replaced: a breadth-first closure over Permutation objects, the per-alpha
+conjugation filter, set-based conjugacy classes, the per-element commuting
+filter and the set-based core.  Every permutation they build goes through
+the validating public constructor.  The kernel must give equal results
+(same sets, same lists in the same order, same counts) on the standard
+pairs of degree <= 8 and on seeded relabelings of them.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+import transversals.groups as groups
+from transversals.groups import (
+    PairGH,
+    PermGroup,
+    _core_order,
+    _normalizers,
+    _perm_rows,
+    closure,
+    coset_representation,
+    enumerate_transversals,
+    generates,
+    make_alt,
+    make_dihedral,
+    make_pq,
+    make_sym,
+    order18_example,
+    stabilizer_candidates,
+)
+from transversals.ict_formulas import _commuting_in_coset, cyclic_gamma
+from transversals.perm import Permutation, compose, parse_cycles
+
+# ------------------------------------------------------------ references
+
+
+def ref_compose(p, q):
+    return Permutation([p.images[v - 1] for v in q.images])
+
+
+def ref_conjugate(p, a):
+    out = [0] * p.degree
+    for i, v in enumerate(p.images):
+        out[a.images[i] - 1] = a.images[v - 1]
+    return Permutation(out)
+
+
+def ref_closure(generators, degree):
+    e = Permutation(range(1, degree + 1))
+    elements = {e}
+    frontier = [e]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in generators:
+                y = ref_compose(g, x)
+                if y not in elements:
+                    elements.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return sorted(elements)
+
+
+def ref_normalizers(group, alphas):
+    gens = group.generators or tuple(group.elements)
+    return [a for a in alphas
+            if all(ref_conjugate(g, a) in group.elements for g in gens)]
+
+
+def ref_conjugacy_classes(group):
+    remaining = set(group.elements)
+    classes = []
+    while remaining:
+        x = min(remaining)
+        cls = {ref_conjugate(x, g) for g in group.elements}
+        remaining -= cls
+        classes.append(sorted(cls))
+
+    def key(c):
+        rep = c[0]
+        return (sum(1 for i, v in enumerate(rep.images, 1) if v != i), rep.images)
+    return sorted(classes, key=key)
+
+
+def ref_commuting(coset, z):
+    return sum(1 for q in coset if ref_compose(q, z) == ref_compose(z, q))
+
+
+def ref_core_order(group, sub):
+    return sum(1 for h in sub.elements
+               if all(ref_conjugate(h, g) in sub.elements for g in group.elements))
+
+
+# ------------------------------------------------------------ fixtures
+
+# Every standard pair of degree <= 8 but Sym(8) and Alt(8), whose
+# set-based reference conjugacy classes alone take seconds.
+FIXTURES = {
+    **{f"sym{n}": (lambda n=n: make_sym(n)) for n in range(2, 8)},
+    **{f"alt{n}": (lambda n=n: make_alt(n)) for n in range(4, 8)},
+    **{f"dihedral{n}": (lambda n=n: make_dihedral(n)) for n in range(3, 9)},
+    **{f"pq{p}_{q}": (lambda p=p, q=q: make_pq(p, q))
+       for p, q in ((2, 3), (2, 5), (2, 7), (3, 7))},
+    "order18": lambda: coset_representation(*order18_example()),
+}
+
+def sample_transversals(pair, rng):
+    """Every transversal, or a seeded sample sized so that the reference
+    closures stay near 20,000 element products per pair."""
+    size = max(5, 20_000 // pair.group.order)
+    if pair.transversal_count() <= size:
+        return [tuple(T) for T in enumerate_transversals(pair)]
+    cosets = pair.cosets()
+    return [(cosets[0][0],) + tuple(rng.choice(c) for c in cosets[1:])
+            for _ in range(size)]
+
+
+def check_kernel(pair, rng, monkeypatch):
+    G, n = pair.group, pair.degree
+
+    assert closure(G.generators, degree=n) == ref_closure(G.generators, n) == list(G)
+
+    for T in sample_transversals(pair, rng):
+        assert generates(pair, T) == (len(ref_closure(T, n)) == G.order), T
+
+    candidates = list(stabilizer_candidates(n))
+    want = ref_normalizers(G, candidates)
+    assert _normalizers(G, candidates) == want
+    monkeypatch.setattr(groups, "NORMALIZER_CHUNK", 7)  # many chunk boundaries
+    assert _normalizers(G, iter(candidates)) == want
+    monkeypatch.undo()
+
+    gamma = PermGroup(want, degree=n)
+    for group in (G, gamma):
+        assert group.conjugacy_classes() == ref_conjugacy_classes(group)
+
+    # theorem6 asks for the class representatives of gamma and their powers
+    zs = {x ** m for cls in gamma.conjugacy_classes() for x in cls[:1]
+          for m in range(1, n)}
+    for coset in pair.cosets()[1:]:
+        rows = _perm_rows(coset, n)
+        for z in zs:
+            assert _commuting_in_coset(rows, z) == ref_commuting(coset, z)
+
+    assert _core_order(G, pair.stabilizer) == ref_core_order(G, pair.stabilizer) == 1
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_kernel_matches_reference(name, monkeypatch):
+    check_kernel(FIXTURES[name](), random.Random(name), monkeypatch)
+
+
+def relabel(pair, sigma):
+    """The pair conjugated by sigma, which fixes 1."""
+    gens = [ref_conjugate(g, sigma) for g in pair.group.generators]
+    G = PermGroup.from_generators(gens, degree=pair.degree)
+    return PairGH(G, G.stabilizer_of_1(), name=f"{pair.name} relabeled")
+
+
+SMALL = ["sym3", "sym4", "sym5", "alt4", "alt5", "dihedral5", "dihedral6",
+         "dihedral7", "dihedral8", "pq2_5", "pq2_7", "pq3_7", "order18"]
+
+
+@seed(20261018)
+@settings(max_examples=20, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(SMALL), data=st.data())
+def test_kernel_matches_reference_on_relabelings(name, data, monkeypatch):
+    pair = FIXTURES[name]()
+    tail = data.draw(st.permutations(range(2, pair.degree + 1)))
+    relabeled = relabel(pair, Permutation((1, *tail)))
+    check_kernel(relabeled, random.Random(f"{name}{tail}"), monkeypatch)
+
+
+def test_kernel_matches_reference_beyond_one_byte_images():
+    """Degree 257 stores images as big-endian words, not bytes."""
+    pair = make_dihedral(257)
+    G, n = pair.group, pair.degree
+    assert G._arrays().rows.dtype.itemsize > 1
+    a, b = G.generators
+    for members in ([a, b], [a], [b, compose(a, b)], [a, a]):
+        assert generates(pair, members) == (len(ref_closure(members, n)) == G.order)
+    gamma = list(cyclic_gamma(n, G.generators[0]))
+    assert _normalizers(G, gamma) == ref_normalizers(G, gamma) == gamma
+    cosets = pair.cosets()
+    for z in gamma[:5]:
+        assert _commuting_in_coset(_perm_rows(cosets[1], n), z) == ref_commuting(cosets[1], z)
+    assert _core_order(G, pair.stabilizer) == 1
+
+
+def test_core_order_of_non_core_free_subgroups():
+    S4 = make_sym(4).group
+    V4 = PermGroup.from_generators(
+        [parse_cycles(4, "(1,2)(3,4)"), parse_cycles(4, "(1,3)(2,4)")], degree=4)
+    G18, H6 = order18_example()
+    C3 = PermGroup.from_generators([parse_cycles(3, "(1,2,3)")])
+    for group, sub in ((S4, V4), (S4, S4), (G18, H6), (C3, PermGroup.trivial(3))):
+        assert _core_order(group, sub) == ref_core_order(group, sub)
+    assert _core_order(S4, V4) == 4
+
+
+def test_generates_is_false_for_a_member_outside_the_group():
+    pair = make_dihedral(4)
+    T = next(enumerate_transversals(pair))
+    outside = parse_cycles(4, "(1,2)")
+    assert outside not in pair.group
+    assert not generates(pair, (T[0], outside, T[2], T[3]))
+
+
+@pytest.mark.parametrize("images", [(1, 1, 2), (0, 1, 2), (2, 3), (1, 2, 4)])
+def test_public_constructor_still_validates(images):
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation(images)
+
+
+def test_public_cycle_entry_points_still_validate():
+    with pytest.raises(ValueError):
+        Permutation.from_cycles(3, [(1, 4)])
+    with pytest.raises(ValueError):
+        parse_cycles(3, "(1,2)(2,3)")

@@ -262,6 +262,17 @@ def test_classifier_caps():
     assert str(exc.value) == "cap 'transversals' exceeded: requires 216, limit is 10"
 
 
+def test_conjugation_cap_precedes_cosets(monkeypatch):
+    """An over-cap pair fails on its transversal count alone."""
+    def no_cosets(self):
+        raise AssertionError("cosets built before the cap check")
+
+    monkeypatch.setattr(PairGH, "cosets", no_cosets)
+    with pytest.raises(CapExceeded) as exc:
+        classify_by_conjugation(make_sym(5), cap=100)
+    assert str(exc.value) == "cap 'transversals' exceeded: requires 331776, limit is 100"
+
+
 # ----------------------------------------------------------- census
 
 
