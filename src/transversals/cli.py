@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ict.add_argument("--method", choices=METHOD_CHOICES, default="auto")
     p_ict.add_argument("--cache-dir", metavar="DIR",
                        default=os.environ.get("ICT_CACHE_DIR"),
-                       help="cache directory (default $ICT_CACHE_DIR or "
-                            "~/.cache/ict)")
+                       help="cache directory (default $ICT_CACHE_DIR, else "
+                            "$XDG_CACHE_HOME/ict, else ~/.cache/ict)")
     p_ict.add_argument("--no-cache", action="store_true")
     _add_common_options(p_ict)
 
@@ -171,35 +171,44 @@ def _dump_json(obj: dict) -> str:
 
 # ---------------------------------------------------------------- caching
 
-def _cache_file(args) -> Path | None:
+def _cache_file(args, key: str) -> Path | None:
+    """The file that holds `key`'s report for this tool version: one file per
+    (version, key), so a hit reads and a miss writes only its own entry."""
     if args.no_cache:
         return None
     base = args.cache_dir or os.path.join(
         os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache")), "ict")
-    return Path(base) / "cache.json"
+    digest = hashlib.sha256(f"{__version__}|{key}".encode()).hexdigest()
+    return Path(base) / f"{digest}.json"
 
 
-def _cache_load(path: Path) -> dict:
-    """Entries for the current tool version; corrupt or stale files degrade
-    to an empty cache (with a warning for corruption)."""
+def _cache_load(path: Path, key: str) -> dict | None:
+    """The stored entry for `key`; None when absent or stale, and after a
+    warning when the file is corrupt."""
     try:
         payload = json.loads(path.read_text())
     except FileNotFoundError:
-        return {}
+        return None
     except (json.JSONDecodeError, OSError, UnicodeDecodeError):
         sys.stderr.write(f"warning: unreadable cache at {path}, recomputing\n")
-        return {}
-    if not isinstance(payload, dict) or payload.get("tool") != __version__:
-        return {}
-    entries = payload.get("entries")
-    return entries if isinstance(entries, dict) else {}
+        return None
+    if (not isinstance(payload, dict) or payload.get("tool") != __version__
+            or payload.get("key") != key):
+        return None
+    return payload
 
 
-def _cache_store(path: Path, entries: dict):
+def _cache_store(path: Path, key: str, report: dict):
+    """Write one entry through a temp file unique to this process, renamed
+    over the entry's file, so concurrent writers never lose or tear one."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(_dump_json({"tool": __version__, "entries": entries}))
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps({"tool": __version__, "key": key,
+                                   "report": report}, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------- commands
@@ -258,23 +267,20 @@ def cmd_ict(args) -> int:
     family, identity, params, build = _pair_source(args)
     method = _resolve_method(family, args.method, params)
 
-    cache_path = _cache_file(args)
     key = f"{identity}|{method}"
-    entries = _cache_load(cache_path) if cache_path else {}
-    if key in entries:
+    cache_path = _cache_file(args, key)
+    stored = _cache_load(cache_path, key) if cache_path else None
+    report = None
+    if stored is not None:
         try:
-            report = report_from_json(entries[key])
+            report = report_from_json(stored.get("report"))
         except (ValueError, KeyError, TypeError):
             sys.stderr.write("warning: malformed cache entry, recomputing\n")
-            report = None
-    else:
-        report = None
 
     if report is None:
         report = _compute_report(family, method, params, build, caps)
         if cache_path:
-            entries[key] = report_to_json(report)
-            _cache_store(cache_path, entries)
+            _cache_store(cache_path, key, report_to_json(report))
 
     if args.format == "json":
         return _emit(_dump_json(report_to_json(report)), args)

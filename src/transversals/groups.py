@@ -336,7 +336,7 @@ def alternating_generators(n: int):
 class PairGH:
     """Normalized pair: G transitive on {1..n}, H = stabilizer of 1, core-free."""
 
-    __slots__ = ("group", "stabilizer", "name", "_normalizer")
+    __slots__ = ("group", "stabilizer", "name", "_normalizer", "_cosets")
 
     def __init__(self, group: PermGroup, stabilizer: PermGroup, name: str = ""):
         if not group.is_transitive():
@@ -357,6 +357,7 @@ class PairGH:
         object.__setattr__(self, "stabilizer", stabilizer)
         object.__setattr__(self, "name", name or f"pair(degree={n}, order={group.order})")
         object.__setattr__(self, "_normalizer", None)
+        object.__setattr__(self, "_cosets", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PairGH is immutable")
@@ -373,11 +374,14 @@ class PairGH:
         return self.subgroup_order ** (self.degree - 1)
 
     def cosets(self):
-        """cosets()[i] = sorted list of elements mapping 1 to i+1."""
-        buckets = [[] for _ in range(self.degree)]
-        for g in self.group.elements:
-            buckets[g(1) - 1].append(g)
-        return [sorted(b) for b in buckets]
+        """cosets()[i] = sorted tuple of the elements mapping 1 to i+1; built
+        on the first call and kept on the pair."""
+        if self._cosets is None:
+            buckets = [[] for _ in range(self.degree)]
+            for g in self.group.elements:
+                buckets[g(1) - 1].append(g)
+            object.__setattr__(self, "_cosets", tuple(tuple(sorted(b)) for b in buckets))
+        return self._cosets
 
     def __repr__(self):
         return f"PairGH({self.name})"

@@ -570,6 +570,8 @@ def report_to_json(report: IctReport) -> dict:
 
 
 def report_from_json(data: dict) -> IctReport:
+    if not isinstance(data, dict):
+        raise ValueError(f"report is not a JSON object: {data!r}")
     if data.get("schema") != REPORT_SCHEMA:
         raise ValueError(f"unknown report schema: {data.get('schema')!r}")
     degree = data.get("degree")

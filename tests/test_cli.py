@@ -121,14 +121,22 @@ def test_ict_output_file(tmp_path, capsys):
 # ---------------------------------------------------------------- caching
 
 
+def entry_file(cache: Path, key: str) -> Path:
+    """The cache file that records `key`, found by content, not by name."""
+    found = [f for f in cache.glob("*.json")
+             if json.loads(f.read_text()).get("key") == key]
+    assert len(found) == 1, f"{len(found)} files record {key!r}"
+    return found[0]
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = ("--sym", "4", "--format", "json", "--cache-dir", str(cache))
     code, cold, err = run(capsys, *args)
     assert code == EXIT_OK and err == ""
-    stored = json.loads((cache / "cache.json").read_text())
+    stored = json.loads(entry_file(cache, "sym:4|sym").read_text())
     assert stored["tool"] == __version__
-    assert "sym:4|sym" in stored["entries"]
+    assert json.loads(cold) == stored["report"]
     code, warm, err = run(capsys, *args)
     assert code == EXIT_OK and err == ""
     assert warm == cold
@@ -138,46 +146,74 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = ("--sym", "3", "--cache-dir", str(cache))
     run(capsys, *args)
-    (cache / "cache.json").write_text("{not json")
+    path = entry_file(cache, "sym:3|sym")
+    path.write_text("{not json")
     code, out, err = run(capsys, *args)
     assert code == EXIT_OK
     assert "value: 3" in out
-    assert "unreadable cache" in err
+    assert f"unreadable cache at {path}" in err
     # the rewritten file is valid again
-    assert json.loads((cache / "cache.json").read_text())["tool"] == __version__
+    assert json.loads(path.read_text())["tool"] == __version__
 
 
 def test_cache_version_mismatch_recomputes_silently(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = ("--sym", "3", "--format", "json", "--cache-dir", str(cache))
     _, cold, _ = run(capsys, *args)
-    stale = json.loads((cache / "cache.json").read_text())
+    path = entry_file(cache, "sym:3|sym")
+    stale = json.loads(path.read_text())
     stale["tool"] = "0.0.0-old"
-    (cache / "cache.json").write_text(json.dumps(stale))
+    stale["report"]["value"] = 999
+    path.write_text(json.dumps(stale))
     code, out, err = run(capsys, *args)
     assert code == EXIT_OK
     assert out == cold
     assert err == ""
+    assert json.loads(path.read_text())["tool"] == __version__
 
 
 def test_cache_malformed_entry_recomputes(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = ("--sym", "3", "--cache-dir", str(cache))
     run(capsys, *args)
-    stored = json.loads((cache / "cache.json").read_text())
-    stored["entries"]["sym:3|sym"] = {"schema": "ict-report/1", "value": 3}
-    (cache / "cache.json").write_text(json.dumps(stored))
+    path = entry_file(cache, "sym:3|sym")
+    stored = json.loads(path.read_text())
+    stored["report"] = {"schema": "ict-report/1", "value": 3}
+    path.write_text(json.dumps(stored))
     code, out, err = run(capsys, *args)
     assert code == EXIT_OK
     assert "value: 3" in out
     assert "malformed cache entry" in err
 
 
+@pytest.mark.parametrize("report", [5, None, "sym", [1, 2]])
+def test_cache_non_object_report_recomputes(tmp_path, capsys, report):
+    cache = tmp_path / "cache"
+    args = ("--sym", "3", "--cache-dir", str(cache))
+    _, cold, _ = run(capsys, *args)
+    path = entry_file(cache, "sym:3|sym")
+    stored = json.loads(path.read_text())
+    stored["report"] = report
+    path.write_text(json.dumps(stored))
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_OK
+    assert out == cold
+    assert err == "warning: malformed cache entry, recomputing\n"
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ICT_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = run(capsys, "--dihedral", "4")
     assert code == EXIT_OK
-    assert (tmp_path / "envcache" / "cache.json").exists()
+    assert entry_file(tmp_path / "envcache", "dihedral:4|cyclic").exists()
+
+
+def test_cache_xdg_fallback(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ICT_CACHE_DIR", raising=False)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    code, _, _ = run(capsys, "--sym", "3")
+    assert code == EXIT_OK
+    assert entry_file(tmp_path / "xdg" / "ict", "sym:3|sym").exists()
 
 
 def test_no_cache_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -191,8 +227,22 @@ def test_cache_separates_methods(tmp_path, capsys):
     cache = tmp_path / "cache"
     run(capsys, "--sym", "3", "--cache-dir", str(cache))
     run(capsys, "--sym", "3", "--method", "oracle", "--cache-dir", str(cache))
-    entries = json.loads((cache / "cache.json").read_text())["entries"]
-    assert set(entries) == {"sym:3|sym", "sym:3|oracle"}
+    keys = {json.loads(f.read_text())["key"] for f in cache.iterdir()}
+    assert keys == {"sym:3|sym", "sym:3|oracle"}
+    assert entry_file(cache, "sym:3|sym") != entry_file(cache, "sym:3|oracle")
+
+
+def test_cache_ignores_legacy_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    legacy = json.dumps({"tool": __version__,
+                         "entries": {"sym:3|sym": {"schema": "ict-report/1"}}})
+    (cache / "cache.json").write_text(legacy)
+    code, out, err = run(capsys, "--sym", "3", "--cache-dir", str(cache))
+    assert code == EXIT_OK and err == ""
+    assert "value: 3" in out
+    assert (cache / "cache.json").read_text() == legacy
+    assert entry_file(cache, "sym:3|sym") != cache / "cache.json"
 
 
 # ---------------------------------------------------------------- census
@@ -441,3 +491,22 @@ def test_module_entry_point_cap_exit():
     )
     assert proc.returncode == 2
     assert "cap exceeded" in proc.stderr
+
+
+def test_concurrent_writers_keep_every_entry(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    sizes = range(3, 11)  # eight processes, no more
+    procs = [subprocess.Popen([sys.executable, "-m", "transversals.cli", "--dihedral",
+                               str(n), "--cache-dir", str(cache)], env=ENV,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+             for n in sizes]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and err == ""
+    assert not list(cache.glob("*.tmp"))
+    for n in sizes:
+        stored = json.loads(entry_file(cache, f"dihedral:{n}|cyclic").read_text())
+        assert stored["tool"] == __version__
+        warm = run(capsys, "--dihedral", str(n), "--cache-dir", str(cache))
+        assert warm == run(capsys, "--dihedral", str(n), "--no-cache")
+        assert warm[0] == EXIT_OK and warm[2] == ""

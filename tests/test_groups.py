@@ -116,6 +116,15 @@ def test_pair_arithmetic():
         assert all(g(1) == i for g in coset)
 
 
+def test_pair_cosets_built_once_and_immutable():
+    pair = make_dihedral(8)
+    cosets = pair.cosets()
+    assert pair.cosets() is cosets
+    assert isinstance(cosets, tuple) and all(isinstance(c, tuple) for c in cosets)
+    assert all(list(c) == sorted(c) for c in cosets)
+    assert sorted(g for c in cosets for g in c) == sorted(pair.group.elements)
+
+
 def test_transversal_validation():
     e = identity(3)
     t = Transversal([e, parse_cycles(3, "(1,2)"), parse_cycles(3, "(1,3)")])

@@ -484,6 +484,12 @@ def test_report_from_json_rejects_unknown_schema():
         report_from_json(data)
 
 
+@pytest.mark.parametrize("data", [5, None, "ict-report/1", [1, 2]])
+def test_report_from_json_rejects_non_object(data):
+    with pytest.raises(ValueError, match="not a JSON object"):
+        report_from_json(data)
+
+
 def test_report_text_rendering():
     text = report_to_text(ict_sym(4))
     assert "pair: sym(4)" in text
