@@ -306,9 +306,11 @@ def _crosscheck_rows(family, params, build, caps, jobs):
         tab = classify_by_table_iso(pair, jobs=jobs, cap=caps.transversals,
                                     relabel_cap=caps.relabel)
         rows.append(("oracle_table_iso", tab.class_count))
-    if family == "sym" and factorial(n - 1) ** (n - 1) <= caps.transversals:
-        rows.append(("census", census_left_loops(n, jobs=jobs,
-                                                 cap=caps.transversals).class_count))
+    if (family == "sym" and factorial(n - 1) ** (n - 1) <= caps.transversals
+            and factorial(n - 1) <= caps.relabel):
+        rows.append(("census", census_left_loops(
+            n, jobs=jobs, cap=caps.transversals,
+            relabel_cap=caps.relabel).class_count))
     return pair, rows
 
 
@@ -425,7 +427,7 @@ def cmd_sweep(args) -> int:
 def cmd_census(args) -> int:
     caps = _caps(args)
     result = census_left_loops(args.order, jobs=args.jobs,
-                               cap=caps.transversals)
+                               cap=caps.transversals, relabel_cap=caps.relabel)
     total = len(result.labels)
     generating = sum(1 for f in result.generating_flags if f)
     distribution = {}

@@ -1,21 +1,21 @@
 """Finite permutation groups, subgroup pairs, and transversal enumeration.
 
-Groups are stored as explicit element sets (generators kept alongside), which
-keeps every downstream count a direct filter.  A PairGH is the normalized
-object the counting engines work on: G transitive on {1..n}, H the full
-stabilizer of symbol 1, and H core-free, i.e. the coset representation has
-already been applied.  coset_representation() turns an arbitrary (G, H <= G)
-into that normal form.
+A group is stored once, as the sorted (order, degree) array of its elements'
+0-based image rows, generators kept alongside; every downstream count is a
+filter or a gather over these rows.  A row's key is its bytes, which sort
+like the row, so a binary search maps rows to element indices.  The rows
+sort by the image of 1, so the stabilizer of 1 and its cosets are slices.
+Permutation objects are built from rows only where a caller reads them.
 
-The hot paths (generation tests, the normalizer sweep, conjugacy classes and
-commuting counts) run on a group's array view, _ElementArrays, built once per
-group on first use.
+A PairGH is the normalized object the counting engines work on: G
+transitive on {1..n}, H the full stabilizer of symbol 1, and H core-free,
+i.e. the coset representation has already been applied.
+coset_representation() turns an arbitrary (G, H <= G) into that normal form.
 """
 
 from __future__ import annotations
 
 from itertools import chain as _chain
-from itertools import compress as _compress
 from itertools import islice as _islice
 from itertools import permutations as _itpermutations
 from itertools import product as _itproduct
@@ -28,7 +28,6 @@ from .perm import (
     Permutation,
     _trusted,
     compose,
-    conjugate,
     format_cycles,
     identity,
     parse_cycles,
@@ -41,9 +40,8 @@ NORMALIZER_CHUNK = 4096
 
 
 def _row_dtype(degree: int) -> np.dtype:
-    """Image dtype whose bytes compare in the same order as the images:
-    one byte per image below degree 256, big-endian words beyond."""
-    return np.dtype(np.uint8) if degree < 256 else np.dtype(">u4")
+    """Image dtype: one byte per image below degree 256, words beyond."""
+    return np.dtype(np.uint8) if degree < 256 else np.dtype(np.uint32)
 
 
 def _perm_rows(perms, degree: int) -> np.ndarray:
@@ -65,43 +63,233 @@ def _invert_rows(perms: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row: the row's bytes, which sort like the row."""
-    rows = np.ascontiguousarray(rows)
+    """One key per row: the row's bytes, big-endian so that they sort like
+    the row (a view of the rows themselves when the images are bytes)."""
+    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-class _ElementArrays:
-    """A group's sorted elements as arrays.  rows[i] holds the 0-based
-    images of the i-th element and keys[i] that row's key; the keys come out
-    sorted, so a binary search maps any row back to its element index.  The
-    identity, lexicographically least, is element 0."""
+def _perms(rows: np.ndarray) -> list:
+    """The permutations with these 0-based image rows, unchecked (_trusted):
+    only the kernel's own valid rows come here."""
+    return [_trusted(tuple(row)) for row in (rows + 1).tolist()]
 
-    __slots__ = ("rows", "keys", "_left")
 
-    def __init__(self, elements, degree: int):
-        self.rows = _perm_rows(elements, degree)
-        self.keys = _row_keys(self.rows)
-        self._left = {}
+def _all_rows(n: int) -> np.ndarray:
+    """Every permutation of degree n as 0-based rows, in sorted order, which
+    is the order itertools.permutations yields them in."""
+    return np.fromiter(_chain.from_iterable(_itpermutations(range(n))),
+                       dtype=_row_dtype(n), count=factorial(n) * n).reshape(-1, n)
 
-    def locate(self, rows: np.ndarray) -> np.ndarray:
+
+def _even(rows: np.ndarray) -> np.ndarray:
+    """Mask of the even permutations among the rows: the parity of each
+    row's inversion count, accumulated one position at a time."""
+    odd = np.zeros(len(rows), dtype=bool)
+    for i in range(rows.shape[1] - 1):
+        odd ^= np.logical_xor.reduce(rows[:, i, None] > rows[:, i + 1:], axis=1)
+    return ~odd
+
+
+def closure(generators, degree: int | None = None, cap: int = CAP_GROUP_ORDER):
+    """Subgroup generated by `generators`, as the sorted (order, degree)
+    array of its elements' 0-based image rows.
+
+    Breadth-first search from the identity: each level is one gather per
+    generator over the frontier, and a row is new when its key has not been
+    seen.  Empty generator lists give the trivial group, which is why
+    `degree` is then required.  Raises CapExceeded the moment the element
+    count passes `cap`.
+    """
+    gens = list(generators)
+    if degree is None:
+        if not gens:
+            raise ValueError("degree required for an empty generating set")
+        degree = gens[0].degree
+    for g in gens:
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} != {degree}")
+    gen_rows = _perm_rows(gens, degree)
+    frontier = np.arange(degree, dtype=_row_dtype(degree))[None, :]
+    seen = set(_row_keys(frontier).tolist())
+    levels = [frontier]
+    while gens and len(frontier):
+        # compose(g, x) is g[x], for every frontier row x at once
+        images = np.concatenate([g[frontier] for g in gen_rows])
+        fresh = []
+        for k, key in enumerate(_row_keys(images).tolist()):
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise CapExceeded("group_order", cap, len(seen) + 1)
+                seen.add(key)
+                fresh.append(k)
+        frontier = images[fresh]
+        levels.append(frontier)
+    rows = np.concatenate(levels)
+    return rows[np.argsort(_row_keys(rows))]
+
+
+class PermGroup:
+    """Finite permutation group of a fixed degree, stored as the sorted,
+    read-only 0-based image rows of its elements: row i is the i-th element
+    in sorted order, so the identity is row 0."""
+
+    __slots__ = ("degree", "generators", "_rows", "_keys", "_left")
+
+    def __init__(self, elements, generators=(), degree: int | None = None):
+        """The group with these elements, Permutations in any order; one
+        degree and the identity are checked, closure is not."""
+        elems = list(elements)
+        if not elems:
+            raise ValueError("a group needs at least the identity")
+        deg = degree if degree is not None else elems[0].degree
+        if any(g.degree != deg for g in elems):
+            raise ValueError("mixed degrees in element set")
+        rows = _perm_rows(elems, deg)
+        rows = rows[np.unique(_row_keys(rows), return_index=True)[1]]
+        # the identity is the least permutation, so it comes first if present
+        if (rows[0] != np.arange(deg)).any():
+            raise ValueError("element set lacks the identity")
+        self._store(rows, generators)
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, generators=()) -> "PermGroup":
+        """The group whose elements are these rows, already sorted."""
+        group = cls.__new__(cls)
+        group._store(rows, generators)
+        return group
+
+    def _store(self, rows: np.ndarray, generators):
+        rows.flags.writeable = False
+        object.__setattr__(self, "degree", rows.shape[1])
+        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_keys", _row_keys(rows))
+        object.__setattr__(self, "_left", {})
+
+    def __setattr__(self, *a):
+        raise AttributeError("PermGroup is immutable")
+
+    @classmethod
+    def from_generators(cls, generators, degree=None, cap=CAP_GROUP_ORDER):
+        gens = tuple(generators)
+        return cls._from_rows(closure(gens, degree=degree, cap=cap), gens)
+
+    @classmethod
+    def trivial(cls, n: int):
+        return cls._from_rows(np.arange(n, dtype=_row_dtype(n))[None, :])
+
+    @classmethod
+    def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
+        if factorial(n) > cap:
+            raise CapExceeded("group_order", cap, factorial(n))
+        return cls._from_rows(_all_rows(n), symmetric_generators(n))
+
+    @classmethod
+    def alternating(cls, n: int, cap=CAP_GROUP_ORDER):
+        if n < 3:
+            raise ValueError("alternating group needs degree >= 3")
+        if factorial(n) // 2 > cap:
+            raise CapExceeded("group_order", cap, factorial(n) // 2)
+        rows = _all_rows(n)
+        return cls._from_rows(rows[_even(rows)], alternating_generators(n))
+
+    @property
+    def order(self) -> int:
+        return len(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(_perms(self._rows))
+
+    def __contains__(self, p) -> bool:
+        return (isinstance(p, Permutation) and p.degree == self.degree
+                and self._locate(_perm_rows([p], self.degree))[0] >= 0)
+
+    def __eq__(self, other):
+        return (isinstance(other, PermGroup) and self.degree == other.degree
+                and np.array_equal(self._keys, other._keys))
+
+    def __hash__(self):
+        return hash(self._rows.tobytes())
+
+    def __repr__(self):
+        return f"PermGroup(order={self.order}, degree={self.degree})"
+
+    def _locate(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each row, -1 where the row is not an element."""
         keys = _row_keys(rows)
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[pos] == keys, pos, -1)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, pos, -1)
 
-    def left_row(self, i: int) -> list:
+    def _blocks(self) -> list:
+        """The rows split by image of 1: block i holds the elements mapping
+        1 to i + 1, a slice because the rows sort by that image."""
+        bounds = np.searchsorted(self._rows[:, 0], np.arange(self.degree + 1))
+        return [self._rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def _generator_rows(self) -> np.ndarray:
+        """Rows of the generators, or of every element when none are kept."""
+        if self.generators:
+            return _perm_rows(self.generators, self.degree)
+        return self._rows
+
+    def is_subgroup_of(self, other: "PermGroup") -> bool:
+        return (self.degree == other.degree
+                and bool((other._locate(self._rows) >= 0).all()))
+
+    def is_normal_in(self, other: "PermGroup") -> bool:
+        if not self.is_subgroup_of(other):
+            return False
+        gens, subgens = other._generator_rows(), self._generator_rows()
+        # row k: g h_k g^-1, i.e. g[h_k[g^-1[j]]]
+        return all((self._locate(g[subgens[:, g_inv]]) >= 0).all()
+                   for g, g_inv in zip(gens, _invert_rows(gens)))
+
+    def is_abelian(self) -> bool:
+        """Do the generators commute pairwise?  compose(a, b) is a[b]."""
+        gens = self._generator_rows()
+        return all((a[gens] == gens[:, a]).all() for a in gens)
+
+    def is_transitive(self) -> bool:
+        return all(len(block) for block in self._blocks())
+
+    def stabilizer_of_1(self) -> "PermGroup":
+        return PermGroup._from_rows(self._blocks()[0])
+
+    def conjugacy_classes(self):
+        """Conjugacy classes as sorted element lists; classes ordered by
+        (moved points of min rep, min rep), so the identity class comes first.
+        Each class is one gather: x conjugated by every element at once."""
+        rows, inverses = self._rows, _invert_rows(self._rows)
+        unseen = np.ones(len(rows), dtype=bool)
+        classes = []
+        while unseen.any():
+            x = rows[unseen.argmax()]
+            # row k: g_k x g_k^-1, i.e. g_k[x[g_k^-1[j]]]
+            index = self._locate(np.take_along_axis(rows, x[inverses], axis=1))
+            assert (index >= 0).all()
+            members = np.zeros(len(rows), dtype=bool)
+            members[index] = True
+            unseen &= ~members
+            classes.append(_perms(rows[members]))
+        return sorted(classes, key=lambda c: _class_order_key(c[0]))
+
+    def _left_row(self, i: int) -> list:
         """Index of g x for every element x, g the i-th element (built on
         first use, one gather)."""
         row = self._left.get(i)
         if row is None:
-            row = self._left[i] = self.locate(self.rows[i][self.rows]).tolist()
+            row = self._left[i] = self._locate(self._rows[i][self._rows]).tolist()
         return row
 
-    def generated_by(self, indices) -> bool:
+    def _generated_by(self, indices) -> bool:
         """Do the elements with these indices generate the whole group?
         Breadth-first search from the identity over element indices."""
-        order = len(self.keys)
-        gens = [self.left_row(i) for i in set(indices)]
+        order = len(self._keys)
+        gens = [self._left_row(i) for i in set(indices)]
         seen = bytearray(order)
         seen[0] = 1
         count = 1
@@ -120,185 +308,6 @@ class _ElementArrays:
                 return True
             frontier = fresh
         return False
-
-
-def closure(generators, degree: int | None = None, cap: int = CAP_GROUP_ORDER):
-    """Subgroup generated by `generators`, as a sorted element list (BFS).
-
-    Empty generator lists give the trivial group, which is why `degree` is
-    then required.  Raises CapExceeded the moment the element count passes
-    `cap`.
-    """
-    gens = list(generators)
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required for an empty generating set")
-        degree = gens[0].degree
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} != {degree}")
-    e = identity(degree)
-    elements = {e}
-    frontier = [e]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = compose(g, x)
-                if y not in elements:
-                    if len(elements) >= cap:
-                        raise CapExceeded("group_order", cap, len(elements) + 1)
-                    elements.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return sorted(elements)
-
-
-class PermGroup:
-    """Explicit finite permutation group of a fixed degree."""
-
-    __slots__ = ("degree", "elements", "generators", "_sorted", "_view")
-
-    def __init__(self, elements, generators=(), degree: int | None = None):
-        elems = frozenset(elements)
-        if not elems:
-            raise ValueError("a group needs at least the identity")
-        deg = degree if degree is not None else next(iter(elems)).degree
-        for g in elems:
-            if g.degree != deg:
-                raise ValueError("mixed degrees in element set")
-        if identity(deg) not in elems:
-            raise ValueError("element set lacks the identity")
-        object.__setattr__(self, "degree", deg)
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_view", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PermGroup is immutable")
-
-    @classmethod
-    def from_generators(cls, generators, degree=None, cap=CAP_GROUP_ORDER):
-        gens = tuple(generators)
-        return cls(closure(gens, degree=degree, cap=cap), gens, degree)
-
-    @classmethod
-    def trivial(cls, n: int):
-        return cls([identity(n)], (), n)
-
-    @classmethod
-    def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
-        if factorial(n) > cap:
-            raise CapExceeded("group_order", cap, factorial(n))
-        elems = [_trusted(p) for p in _itpermutations(range(1, n + 1))]
-        gens = symmetric_generators(n)
-        return cls(elems, gens, n)
-
-    @classmethod
-    def alternating(cls, n: int, cap=CAP_GROUP_ORDER):
-        if n < 3:
-            raise ValueError("alternating group needs degree >= 3")
-        if factorial(n) // 2 > cap:
-            raise CapExceeded("group_order", cap, factorial(n) // 2)
-        elems = [
-            q
-            for p in _itpermutations(range(1, n + 1))
-            if (q := _trusted(p)).parity() == 1
-        ]
-        gens = alternating_generators(n)
-        return cls(elems, gens, n)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p) -> bool:
-        return p in self.elements
-
-    def __iter__(self):
-        if self._sorted is None:
-            object.__setattr__(self, "_sorted", sorted(self.elements))
-        return iter(self._sorted)
-
-    def _arrays(self) -> _ElementArrays:
-        """The array view of the sorted elements, built on first use and
-        kept (and freed) with the group."""
-        if self._view is None:
-            object.__setattr__(self, "_view", _ElementArrays(self, self.degree))
-        return self._view
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __eq__(self, other):
-        return isinstance(other, PermGroup) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __repr__(self):
-        return f"PermGroup(order={self.order}, degree={self.degree})"
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.elements <= other.elements
-
-    def is_normal_in(self, other: "PermGroup") -> bool:
-        if not self.is_subgroup_of(other):
-            return False
-        return all(
-            conjugate(h, g) in self.elements
-            for g in other.generators or other.elements
-            for h in self.generators or self.elements
-        )
-
-    def is_abelian(self) -> bool:
-        elems = list(self.elements)
-        return all(
-            compose(a, b) == compose(b, a)
-            for i, a in enumerate(elems)
-            for b in elems[i + 1 :]
-        )
-
-    def is_transitive(self) -> bool:
-        reached = {1}
-        frontier = [1]
-        gens = self.generators or tuple(self.elements)
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g in gens:
-                    t = g(s)
-                    if t not in reached:
-                        reached.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        return len(reached) == self.degree
-
-    def stabilizer_of_1(self) -> "PermGroup":
-        elems = [g for g in self.elements if g(1) == 1]
-        return PermGroup(elems, degree=self.degree)
-
-    def conjugacy_classes(self):
-        """Conjugacy classes as sorted element lists; classes ordered by
-        (moved points of min rep, min rep), so the identity class comes first.
-        Each class is one gather: x conjugated by every element at once."""
-        view = self._arrays()
-        rows, inverses = view.rows, _invert_rows(view.rows)
-        elems = list(self)
-        unseen = np.ones(len(elems), dtype=bool)
-        classes = []
-        for i in range(len(elems)):
-            if not unseen[i]:
-                continue
-            # row k: g_k x g_k^-1, i.e. g_k[x[g_k^-1[j]]]
-            index = view.locate(np.take_along_axis(rows, rows[i][inverses], axis=1))
-            assert (index >= 0).all()
-            members = np.zeros(len(elems), dtype=bool)
-            members[index] = True
-            unseen &= ~members
-            classes.append([elems[k] for k in np.flatnonzero(members)])
-        return sorted(classes, key=lambda c: _class_order_key(c[0]))
 
 
 def _class_order_key(rep: Permutation):
@@ -334,28 +343,23 @@ def alternating_generators(n: int):
 
 
 class PairGH:
-    """Normalized pair: G transitive on {1..n}, H = stabilizer of 1, core-free."""
+    """Normalized pair: G transitive on {1..n}, H = stabilizer of 1.
+
+    H is core-free without a check: its core, the intersection of its
+    conjugates, is the intersection of the stabilizers of all n symbols,
+    and only the identity permutation fixes every symbol."""
 
     __slots__ = ("group", "stabilizer", "name", "_normalizer", "_cosets")
 
     def __init__(self, group: PermGroup, stabilizer: PermGroup, name: str = ""):
         if not group.is_transitive():
             raise ValueError("G must be transitive on 1..n")
-        stab = {g for g in group.elements if g(1) == 1}
-        if stabilizer.elements != stab:
+        if stabilizer != group.stabilizer_of_1():
             raise ValueError("H must be exactly the stabilizer of symbol 1 in G")
-        n = group.degree
-        if group.order != n * stabilizer.order:
-            raise ValueError("orbit-stabilizer mismatch")  # unreachable given the above
-        core = _core_order(group, stabilizer)
-        if core != 1:
-            raise ValueError(
-                f"H contains a normal subgroup of G of order {core}; "
-                "apply coset_representation first"
-            )
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "stabilizer", stabilizer)
-        object.__setattr__(self, "name", name or f"pair(degree={n}, order={group.order})")
+        object.__setattr__(self, "name",
+                           name or f"pair(degree={group.degree}, order={group.order})")
         object.__setattr__(self, "_normalizer", None)
         object.__setattr__(self, "_cosets", None)
 
@@ -374,38 +378,15 @@ class PairGH:
         return self.subgroup_order ** (self.degree - 1)
 
     def cosets(self):
-        """cosets()[i] = sorted tuple of the elements mapping 1 to i+1; built
-        on the first call and kept on the pair."""
+        """cosets()[i] = the sorted, read-only rows of the elements mapping 1
+        to i+1, a slice of G's rows; built on the first call and kept on the
+        pair."""
         if self._cosets is None:
-            buckets = [[] for _ in range(self.degree)]
-            for g in self.group.elements:
-                buckets[g(1) - 1].append(g)
-            object.__setattr__(self, "_cosets", tuple(tuple(sorted(b)) for b in buckets))
+            object.__setattr__(self, "_cosets", tuple(self.group._blocks()))
         return self._cosets
 
     def __repr__(self):
         return f"PairGH({self.name})"
-
-
-def _core_order(group: PermGroup, sub: PermGroup) -> int:
-    """Order of the largest normal subgroup of `group` contained in `sub`:
-    the union of the conjugacy classes of `group` that lie in `sub`.  Starts
-    from all of sub and drops every element that some generator conjugates
-    outside what is left, until nothing changes; each pass is one gather
-    per generator over the remaining rows."""
-    view = sub._arrays()
-    rows = view.rows
-    gens = _perm_rows(group.generators or group, group.degree)
-    gens = list(zip(gens, _invert_rows(gens)))
-    keep = np.ones(len(rows), dtype=bool)
-    while True:
-        kept = keep.copy()
-        for g, g_inv in gens:
-            # row k: g h_k g^-1, i.e. g[h_k[g^-1[j]]]
-            index = view.locate(g[rows[:, g_inv]])
-            keep &= (index >= 0) & keep[index]
-        if (keep == kept).all():
-            return int(keep.sum())
 
 
 class Transversal:
@@ -450,46 +431,51 @@ class Transversal:
         return "Transversal[" + ", ".join(format_cycles(m) for m in self.members) + "]"
 
 
-def _sections(buckets, degree: int, cap: int = CAP_TRANSVERSALS):
-    """Yield the identity followed by one element of each bucket, for every
-    choice in Cartesian-product order (first bucket slowest).  The product
-    of the bucket sizes is capped before anything is yielded."""
-    total = prod(len(bucket) for bucket in buckets)
+def _sections(blocks, degree: int, cap: int = CAP_TRANSVERSALS):
+    """Yield the identity followed by one element of each block of sorted
+    rows, as permutations, for every choice in Cartesian-product order
+    (first block slowest).  The product of the block sizes is capped before
+    any permutation is built."""
+    total = prod(len(block) for block in blocks)
     if total > cap:
         raise CapExceeded("transversals", cap, total)
     e = identity(degree)
-    for choice in _itproduct(*buckets):
+    for choice in _itproduct(*map(_perms, blocks)):
         yield (e,) + choice
 
 
 def enumerate_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
     """Yield every transversal of the pair in a fixed order: the Cartesian
-    product of the non-identity cosets' sorted element lists."""
+    product of the non-identity cosets' sorted rows."""
     for members in _sections(pair.cosets()[1:], pair.degree, cap):
         yield Transversal(members)
 
 
-def left_cosets(G: PermGroup, H: PermGroup):
-    """Left cosets gH of H in G as sorted element lists, identity's coset first."""
+def _least_in_coset(G: PermGroup, H: PermGroup) -> np.ndarray:
+    """For each element g of G, the index of the least element of gH."""
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    seen = set()
-    cosets = []
-    for g in G:
-        if g in seen:
-            continue
-        cos = sorted(compose(g, h) for h in H.elements)
-        seen.update(cos)
-        cosets.append(cos)
-    first = [c for c in cosets if identity(G.degree) in c]
-    rest = [c for c in cosets if identity(G.degree) not in c]
-    return first + rest
+    least = np.arange(G.order)
+    for h in H._rows:  # compose(g, h) is g[h]
+        least = np.minimum(least, G._locate(G._rows[:, h]))
+    return least
+
+
+def _left_coset_blocks(G: PermGroup, H: PermGroup) -> list:
+    """Sorted rows of each left coset gH, by least element: H comes first."""
+    least = _least_in_coset(G, H)
+    return [G._rows[least == i] for i in np.unique(least)]
+
+
+def left_cosets(G: PermGroup, H: PermGroup):
+    """Left cosets gH of H in G as sorted element lists, identity's coset first."""
+    return [_perms(block) for block in _left_coset_blocks(G, H)]
 
 
 def subgroup_transversal_sets(G: PermGroup, H: PermGroup, cap: int = CAP_TRANSVERSALS):
     """All transversals of an arbitrary subgroup H <= G (identity included),
     as tuples of elements, one per left coset."""
-    yield from _sections(left_cosets(G, H)[1:], G.degree, cap)
+    yield from _sections(_left_coset_blocks(G, H)[1:], G.degree, cap)
 
 
 def coset_representation(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
@@ -497,44 +483,31 @@ def coset_representation(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
     first-discovery order under a breadth-first sweep over the generators
     (coset H is 1).  The kernel is quotiented away by construction, so the
     result is always a valid core-free PairGH."""
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not a subgroup of G")
-    gens = list(G.generators) or sorted(G.elements)
-    hset = H.elements
-    e = identity(G.degree)
-
-    def coset_key(g):
-        return min(compose(g, h).images for h in hset)
-
-    numbering = {coset_key(e): 1}
-    reps = [e]
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for g in gens:
-                gr = compose(g, r)
-                key = coset_key(gr)
-                if key not in numbering:
-                    numbering[key] = len(reps) + 1
-                    reps.append(gr)
-                    nxt.append(gr)
-        frontier = nxt
+    coset = _least_in_coset(G, H)
+    gens = G._generator_rows()
+    # number[c]: 0-based number of the coset whose least element is c; H's
+    # least element is the identity, element 0
+    number = np.full(G.order, -1)
+    number[0] = 0
+    reps = [0]
+    for r in reps:  # breadth-first: reps grows as it is swept
+        for gr in G._locate(gens[:, G._rows[r]]).tolist():
+            if number[coset[gr]] < 0:
+                number[coset[gr]] = len(reps)
+                reps.append(gr)
     n = len(reps)
     if n * H.order != G.order:
         raise ValueError("generators do not generate G")  # cosets unreachable
 
-    def chi(g):
-        return Permutation(numbering[coset_key(compose(g, r))] for r in reps)
-
+    # chi(g) sends the coset of r to the coset of g r
+    images = number[coset[G._locate(gens[:, G._rows[reps]].reshape(-1, G.degree))]]
     image_gens = []
-    for g in gens:
-        cg = chi(g)
+    for cg in _perms(images.reshape(len(gens), n)):
         if not cg.is_identity() and cg not in image_gens:
             image_gens.append(cg)
-    image = PermGroup(sorted({chi(g) for g in G.elements}), tuple(image_gens), n)
-    stab = image.stabilizer_of_1()
-    return PairGH(image, stab, name=name)
+    # chi is a homomorphism, so the images of G's generators generate chi(G)
+    image = PermGroup.from_generators(image_gens, degree=n)
+    return PairGH(image, image.stabilizer_of_1(), name=name)
 
 
 def make_sym(n: int, cap: int = CAP_GROUP_ORDER) -> PairGH:
@@ -623,56 +596,41 @@ def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
     if total > cap:
         raise CapExceeded("stabilizer_enum", cap, total)
     if pair._normalizer is None:
+        # the candidates come sorted, so the rows kept from them are too
         found = _normalizers(pair.group, stabilizer_candidates(pair.degree, cap=cap))
-        object.__setattr__(pair, "_normalizer", PermGroup(found, degree=pair.degree))
+        object.__setattr__(pair, "_normalizer", PermGroup._from_rows(found))
     return pair._normalizer
 
 
-def _normalizers(group: PermGroup, alphas) -> list:
-    """The alphas with alpha G alpha^-1 = G, in the order given.  Takes the
-    whole candidate stream (the sweep runs (n-1)! candidates) and conjugates
-    G's generators by NORMALIZER_CHUNK candidates at a time, one gather per
-    generator."""
-    view = group._arrays()
-    gens = _perm_rows(group.generators or group, group.degree)
+def _normalizing(group: PermGroup, alphas: np.ndarray, target=None) -> np.ndarray:
+    """Mask of the rows alpha with alpha G alpha^-1 inside `target`, by
+    default G itself (then alpha normalizes G): G's generators conjugated
+    by every alpha at once, one gather per generator."""
+    target = group if target is None else target
+    alphas_inv = _invert_rows(alphas)
+    keep = np.ones(len(alphas), dtype=bool)
+    for g in group._generator_rows():
+        # row k: alpha_k g alpha_k^-1, i.e. alpha_k[g[alpha_k^-1[j]]]
+        keep &= target._locate(np.take_along_axis(alphas, g[alphas_inv], axis=1)) >= 0
+    return keep
+
+
+def _normalizers(group: PermGroup, alphas) -> np.ndarray:
+    """Rows of the alphas with alpha G alpha^-1 = G, in the order given.
+    Takes the whole candidate stream (the sweep runs (n-1)! candidates) and
+    tests NORMALIZER_CHUNK candidates at a time."""
     alphas = iter(alphas)
-    found = []
+    found = [group._rows[:0]]
     while chunk := list(_islice(alphas, NORMALIZER_CHUNK)):
-        A = _perm_rows(chunk, group.degree)
-        A_inv = _invert_rows(A)
-        keep = np.ones(len(chunk), dtype=bool)
-        for g in gens:
-            # row k: alpha_k g alpha_k^-1, i.e. alpha_k[g[alpha_k^-1[j]]]
-            keep &= view.locate(np.take_along_axis(A, g[A_inv], axis=1)) >= 0
-        found += _compress(chunk, keep)
-    return found
+        rows = _perm_rows(chunk, group.degree)
+        found.append(rows[_normalizing(group, rows)])
+    return np.concatenate(found)
 
 
 def _is_subgroup(members) -> bool:
     """Is the finite set of permutations closed under composition?"""
     members = set(members)
     return all(compose(p, q) in members for p in members for q in members)
-
-
-def centralizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
-    """{alpha in Sym(n) : alpha(1) = 1, alpha g = g alpha for all g in G}."""
-    gens = pair.group.generators or tuple(pair.group.elements)
-    found = [
-        a
-        for a in stabilizer_candidates(pair.degree, cap=cap)
-        if all(conjugate(g, a) == g for g in gens)
-    ]
-    return PermGroup(found, degree=pair.degree)
-
-
-def aut_fixing_H_order(pair: PairGH, cap: int = CAP_STAB_ENUM) -> int:
-    """Number of automorphisms of G that map H onto itself, computed as
-    |normalizer| / |centralizer| on the stabilizer side."""
-    nz = normalizer_in_stab(pair, cap=cap).order
-    cz = centralizer_in_stab(pair, cap=cap).order
-    q, r = divmod(nz, cz)
-    assert r == 0
-    return q
 
 
 def generates(pair: PairGH, transversal) -> bool:
@@ -686,9 +644,8 @@ def generates(pair: PairGH, transversal) -> bool:
 
 def _generates(group: PermGroup, rows: np.ndarray) -> bool:
     """Do the permutations with these 0-based image rows generate `group`?"""
-    view = group._arrays()
-    indices = view.locate(rows)
-    return bool((indices >= 0).all()) and view.generated_by(indices.tolist())
+    indices = group._locate(rows)
+    return bool((indices >= 0).all()) and group._generated_by(indices.tolist())
 
 
 def pair_isomorphic(p1: PairGH, p2: PairGH, cap: int = CAP_STAB_ENUM) -> bool:
@@ -697,11 +654,8 @@ def pair_isomorphic(p1: PairGH, p2: PairGH, cap: int = CAP_STAB_ENUM) -> bool:
     along automatically, both being stabilizers of 1)."""
     if p1.degree != p2.degree or p1.group.order != p2.group.order:
         return False
-    gens = p1.group.generators or tuple(p1.group.elements)
-    for sigma in stabilizer_candidates(p1.degree, cap=cap):
-        if all(conjugate(g, sigma) in p2.group.elements for g in gens):
-            return True
-    return False
+    sigmas = _perm_rows(stabilizer_candidates(p1.degree, cap=cap), p1.degree)
+    return bool(_normalizing(p1.group, sigmas, p2.group).any())
 
 
 def order18_example() -> tuple[PermGroup, PermGroup]:
@@ -743,6 +697,8 @@ def parse_fixture(text: str):
                 degree = int(rest)
             except ValueError:
                 raise ValueError(f"line {lineno}: bad degree {rest!r}") from None
+            if degree < 1:
+                raise ValueError(f"line {lineno}: degree must be at least 1")
         elif key == "gen":
             if degree is None:
                 raise ValueError(f"line {lineno}: degree must come before generators")
@@ -769,19 +725,14 @@ def format_fixture(name: str, degree: int, generators) -> str:
 def pair_from_fixture(text: str, cap: int = CAP_GROUP_ORDER):
     """Build a normalized pair from fixture text.
 
-    If the generated group is already transitive with a core-free stabilizer
-    it is used as-is (symbol numbering preserved); otherwise the coset
-    representation over the stabilizer of 1 is applied.  Returns
-    (pair, normalized_flag) where the flag says a renumbering happened.
+    If the generated group is transitive it is used as-is (symbol numbering
+    preserved); otherwise the coset representation over the stabilizer of 1
+    is applied.  Returns (pair, normalized_flag) where the flag says a
+    renumbering happened.
     """
     name, degree, gens = parse_fixture(text)
     G = PermGroup.from_generators(gens, degree=degree, cap=cap)
     label = name or f"fixture(degree={degree})"
-    try:
-        pair = PairGH(G, G.stabilizer_of_1(), name=label)
-        return pair, False
-    except ValueError:
-        pass
-    H = G.stabilizer_of_1()
-    pair = coset_representation(G, H, name=label)
-    return pair, True
+    if G.is_transitive():
+        return PairGH(G, G.stabilizer_of_1(), name=label), False
+    return coset_representation(G, G.stabilizer_of_1(), name=label), True

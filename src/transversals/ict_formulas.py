@@ -31,12 +31,12 @@ from .groups import (
     PermGroup,
     _class_order_key,
     _is_subgroup,
-    _normalizers,
+    _normalizing,
     enumerate_transversals,
     generates,
     normalizer_in_stab,
 )
-from .perm import Permutation, compose, conjugate, format_cycles, parse_cycles
+from .perm import Permutation, conjugate, format_cycles, parse_cycles
 from .symclasses import class_representative, class_size, multiplicities, partitions
 
 # Transversal sets larger than this are not swept for non-generators during
@@ -44,6 +44,10 @@ from .symclasses import class_representative, class_size, multiplicities, partit
 NONGENERATOR_SCAN_CAP = 100_000
 
 REPORT_SCHEMA = "ict-report/1"
+
+# Why an orbit count is ict when the acting group is all of Sym(n)_1.
+WHOLE_STABILIZER = ("the acting group is the whole stabilizer of symbol 1, "
+                    "which contains every relabeling that could link classes")
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,10 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
     transversals are counted orbit by orbit with a direct filter over G's
     elements; no formula is assumed.  The quotient must come out exact, and
     gamma itself must fix 1 and normalize G, else HypothesisViolation.
+
+    The report is validated only when gamma is all of Sym(n)_1: two
+    transversals generating a proper subgroup of G may be linked only by a
+    relabeling outside a smaller gamma, which then overcounts.
     """
     n = pair.degree
     if gamma is None:
@@ -154,17 +162,12 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
     if gamma.degree != n:
         raise HypothesisViolation(
             f"acting group degree {gamma.degree} does not match pair degree {n}")
-    if any(g(1) != 1 for g in gamma):
+    if gamma._rows[:, 0].any():
         raise HypothesisViolation("acting group must fix symbol 1")
-    gamma_gens = gamma.generators or tuple(gamma)
-    if len(_normalizers(pair.group, gamma_gens)) != len(gamma_gens):
+    if not _normalizing(pair.group, gamma._generator_rows()).all():
         raise HypothesisViolation("acting group must normalize the group")
 
-    rows = pair.group._arrays().rows
-    # the elements sort by image of 1, so coset j is the block of rows
-    # bounds[j - 1]:bounds[j]
-    bounds = np.searchsorted(rows[:, 0], np.arange(n + 1))
-    cosets = [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    cosets = pair.cosets()
     contributions = []
     for cls in gamma.conjugacy_classes():
         x = cls[0]
@@ -175,7 +178,11 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
             _commuting_in_coset(cosets[i0 - 1], x ** m) for (i0, m) in long_orbits
         ]
         contributions.append(_contribution(x, len(cls), a_factors, orbit_factors))
-    return _assemble("theorem6", gamma.order, contributions, pair.name, "", True)
+    whole = gamma.order == factorial(n - 1)
+    justification = WHOLE_STABILIZER if whole else (
+        f"the acting group has order {gamma.order}, not (n-1)! = {factorial(n - 1)}; "
+        "its orbit count can exceed ict when some transversal generates a proper subgroup")
+    return _assemble("theorem6", gamma.order, contributions, pair.name, justification, whole)
 
 
 def power_cycle_counts(cycle_counts: dict, m: int) -> dict:
@@ -276,9 +283,7 @@ def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
                           a_factors, orbit_factors)
         )
     contributions.sort(key=lambda c: _class_order_key(c.representative))
-    justification = ("the acting group is the whole stabilizer of symbol 1, "
-                     "which contains every relabeling that could link classes")
-    return _assemble(method, factorial(m), contributions, label, justification, True)
+    return _assemble(method, factorial(m), contributions, label, WHOLE_STABILIZER, True)
 
 
 def ict_sym(n: int) -> IctReport:
@@ -386,17 +391,9 @@ def cyclic_fixed_and_orbit_data(n: int, j: int):
 
 
 def _find_regular_normal_cycle(pair: PairGH) -> Permutation:
-    n = pair.degree
-    gens = pair.group.generators or tuple(pair.group.elements)
-    for x in sorted(pair.group.elements):
-        if len(x.orbits()) != 1:
-            continue
-        powers = set()
-        acc = x
-        while acc not in powers:
-            powers.add(acc)
-            acc = compose(x, acc)
-        if all(conjugate(x, g) in powers for g in gens):
+    """The least n-cycle of G generating a normal subgroup."""
+    for x in pair.group:
+        if len(x.orbits()) == 1 and PermGroup.from_generators([x]).is_normal_in(pair.group):
             return x
     raise HypothesisViolation(
         f"{pair.name or 'pair'}: no normal regular cyclic transversal found")
@@ -419,11 +416,11 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     a = _find_regular_normal_cycle(pair)
     notes.append(f"normal regular cyclic transversal generated by {format_cycles(a)}")
     gamma = cyclic_gamma(n, a)
-    if len(_normalizers(pair.group, gamma)) != gamma.order:
+    if not _normalizing(pair.group, gamma._rows).all():
         raise HypothesisViolation("affine relabelings do not normalize the group")
     if factorial(n - 1) <= cap:
         brute = normalizer_in_stab(pair, cap=cap)
-        if brute.elements != gamma.elements:
+        if brute != gamma:
             raise HypothesisViolation(
                 f"normalizer has order {brute.order}, affine family has "
                 f"order {gamma.order}; they differ")

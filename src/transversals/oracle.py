@@ -23,7 +23,7 @@ from .groups import (
     _generates,
     _invert_rows,
     _is_subgroup,
-    _normalizers,
+    _normalizing,
     _perm_rows,
     _row_dtype,
     _row_keys,
@@ -165,10 +165,8 @@ def _table_classes(slots, n: int, group: PermGroup, jobs: int,
     slowest; a class is generating when the rows of its first table
     generate `group`.
     """
-    dtype = _row_dtype(n)
-    slots = [np.asarray(rows, dtype=dtype) for rows in slots]
     total = prod(len(rows) for rows in slots)
-    tables = np.empty((total, n, n), dtype=dtype)
+    tables = np.empty((total, n, n), dtype=_row_dtype(n))
     tables[:, 0, :] = np.arange(n)
     idx = np.arange(total)
     stride = total
@@ -200,8 +198,7 @@ def classify_by_table_iso(pair: PairGH, jobs: int = 1,
     total = pair.transversal_count()
     if total > cap:
         raise CapExceeded("transversals", cap, total)
-    slots = [[[v - 1 for v in p.images] for p in coset] for coset in pair.cosets()[1:]]
-    return _table_classes(slots, pair.degree, pair.group, jobs, relabel_cap)
+    return _table_classes(pair.cosets()[1:], pair.degree, pair.group, jobs, relabel_cap)
 
 
 class UnionFind:
@@ -259,14 +256,13 @@ def _candidate_relabelings(pair: PairGH, stab_cap: int):
         raise CapExceeded("stabilizer_enum", stab_cap, total)
     A = _identity_fixing_relabelings(n, cap=total)
     Ainv = _invert_rows(A)
-    view = pair.group._arrays()
 
     useful = np.ones(total, dtype=bool)
     for coset in pair.cosets()[1:]:
         covered = np.zeros(total, dtype=bool)
-        for qrow in _perm_rows(coset, n):
+        for qrow in coset:
             conj = np.take_along_axis(A, qrow[Ainv], axis=1)
-            covered |= view.locate(conj) >= 0
+            covered |= pair.group._locate(conj) >= 0
         useful &= covered
         if not useful.any():
             break
@@ -309,7 +305,7 @@ def classify_by_conjugation(pair: PairGH, sweep: str = "auto",
         gens.append(Permutation.from_cycles(n, [(2, 3)]))
         gens.append(Permutation.from_cycles(n, [tuple(range(2, n + 1))]))
     if sweep == "auto":
-        mode = "walk" if len(_normalizers(pair.group, gens)) == len(gens) else "all"
+        mode = "walk" if _normalizing(pair.group, _perm_rows(gens, n)).all() else "all"
     elif sweep == "all":
         mode = "all"
     else:
@@ -353,8 +349,8 @@ def classify_by_conjugation(pair: PairGH, sweep: str = "auto",
     return result
 
 
-def census_left_loops(n: int, jobs: int = 1,
-                      cap: int = CAP_TRANSVERSALS) -> ClassificationResult:
+def census_left_loops(n: int, jobs: int = 1, cap: int = CAP_TRANSVERSALS,
+                      relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
     """Every left-loop table of order n, classified up to identity-fixing
     isomorphism.  Row a ranges over all permutations sending 1 to a, rows
     independent, so there are ((n-1)!)^(n-1) tables; each is the induced
@@ -365,14 +361,9 @@ def census_left_loops(n: int, jobs: int = 1,
     total = factorial(n - 1) ** (n - 1)
     if total > cap:
         raise CapExceeded("transversals", cap, total)
-
-    from itertools import permutations as itpermutations
-
-    # slots[a - 1]: every 0-based row sending 0 to a, in itertools order
-    slots = [[[a, *tail]
-              for tail in itpermutations([x for x in range(n) if x != a])]
-             for a in range(1, n)]
-    return _table_classes(slots, n, PermGroup.symmetric(n), jobs)
+    # row a + 1 of a table ranges over the block of Sym(n) sending 1 to a + 1
+    group = PermGroup.symmetric(n)
+    return _table_classes(group._blocks()[1:], n, group, jobs, relabel_cap)
 
 
 def subgroup_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
@@ -383,11 +374,10 @@ def subgroup_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
 
 def _right_transversals(pair: PairGH, cap: int):
     """Right coset sections with identity: member over slot i sends i to 1."""
-    n = pair.degree
-    buckets = [[] for _ in range(n)]
-    for g in pair.group.elements:
-        buckets[g.inverse()(1) - 1].append(g)
-    yield from _sections([sorted(b) for b in buckets[1:]], n, cap)
+    rows = pair.group._rows
+    # g sends s to 1 when its 0-based row holds 0 at position s - 1
+    yield from _sections([rows[rows[:, s - 1] == 0] for s in range(2, pair.degree + 1)],
+                         pair.degree, cap)
 
 
 def left_right_agreement(pair: PairGH, cap: int = CAP_TRANSVERSALS) -> bool:
@@ -400,10 +390,8 @@ def left_right_agreement(pair: PairGH, cap: int = CAP_TRANSVERSALS) -> bool:
 
     rights = list(_right_transversals(pair, cap))
     right_index = {tuple(p.images for p in R[1:]): i for i, R in enumerate(rights)}
-    right_tables = np.empty((len(rights), n, n), dtype=np.int64)
-    for i, R in enumerate(rights):
-        right_tables[i] = np.array(
-            [[v - 1 for v in p.inverse().images] for p in R], dtype=np.int64).T
+    # row i of a right table is column i of its members' inverse rows
+    right_tables = np.stack([_invert_rows(_perm_rows(R, n)).T for R in rights])
     right_labels = np.unique(
         _canonical_forms(right_tables, n), axis=0, return_inverse=True)[1]
 

@@ -288,6 +288,19 @@ def test_census_cap_exit(capsys):
     assert "transversals" in err
 
 
+def test_census_relabeling_cap_exit(capsys):
+    code, out, err = run(capsys, "census", "4", "--cap-relabelings", "1")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "cap 'relabelings' exceeded: requires 6, limit is 1" in err
+
+
+def test_crosscheck_skips_census_over_the_relabeling_cap(capsys):
+    code, out, _ = run(capsys, "crosscheck", "--sym", "3", "--cap-relabelings", "1")
+    assert code == EXIT_OK
+    assert "census" not in out and "oracle_table_iso" not in out
+
+
 # ------------------------------------------------------------ crosscheck
 
 
@@ -491,6 +504,18 @@ def test_module_entry_point_cap_exit():
     )
     assert proc.returncode == 2
     assert "cap exceeded" in proc.stderr
+
+
+def test_degree_zero_fixture_is_an_input_error(tmp_path):
+    path = tmp_path / "empty.group"
+    path.write_text("degree 0\ngen ()\n")
+    for argv in (["ict", "--no-cache"], ["classes"], ["crosscheck"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "transversals.cli", *argv, "--fixture", str(path)],
+            capture_output=True, text=True, env=ENV)
+        assert proc.returncode == EXIT_USAGE, argv
+        assert proc.stderr == "error: line 1: degree must be at least 1\n", argv
+        assert "Traceback" not in proc.stderr
 
 
 def test_concurrent_writers_keep_every_entry(tmp_path, capsys):

@@ -22,6 +22,7 @@ from transversals.groups import (
     make_dihedral,
     make_pq,
     make_sym,
+    pair_from_fixture,
 )
 from transversals.ict_formulas import (
     all_even_centralizer,
@@ -40,6 +41,7 @@ from transversals.ict_formulas import (
     sym_commuting_count,
     _affine_elements,
 )
+from transversals.oracle import classify_by_table_iso
 from transversals.perm import Permutation, conjugate, identity, parse_cycles
 from transversals.symclasses import class_representative
 
@@ -150,7 +152,8 @@ def _fixed_count_from_scratch(pair, x):
     Each candidate is assembled explicitly and re-checked as a set, so the
     count leans on nothing beyond the definition.
     """
-    cosets = pair.cosets()
+    cosets = [[Permutation([int(v) + 1 for v in row]) for row in block]
+              for block in pair.cosets()]
     n = pair.degree
     orbs = [o for o in x.orbits() if 1 not in o]
     per_orbit = []
@@ -264,6 +267,32 @@ def test_disagreement_error_values_default_to_empty_tuple():
 def test_theorem6_respects_stabilizer_cap():
     with pytest.raises(CapExceeded):
         ict_theorem6(make_dihedral(5), cap=10)
+
+
+def test_theorem6_validates_only_the_whole_stabilizer():
+    for pair in (make_sym(4), make_alt(5)):
+        report = ict_theorem6(pair)
+        assert report.gamma_order == factorial(pair.degree - 1)
+        assert report.validated
+        assert report.justification == ict_sym(4).justification
+    report = ict_theorem6(make_dihedral(6))
+    assert not report.validated
+    assert "order 2, not (n-1)! = 120" in report.justification
+    assert "hypothesis (unvalidated): the acting group has order 2" in report_to_text(report)
+
+
+def test_theorem6_does_not_validate_the_psl25_orbit_count():
+    """PSL(2,5) on the projective line over F5.  Its normalizer in Sym(6)_1
+    has order 20, not 120: the 160 transversals lying in transitive A4
+    subgroups form 10 orbits under it but only 5 isomorphism classes."""
+    pair, normalized = pair_from_fixture("degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n")
+    assert not normalized and pair.group.order == 60
+    truth = classify_by_table_iso(pair).class_count
+    assert truth == 5047
+    report = ict_theorem6(pair)
+    assert report.gamma_order == 20
+    assert report.validated is False or report.value == truth
+    assert not report.validated
 
 
 # ------------------------------------------------------ cyclic engine

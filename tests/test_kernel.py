@@ -1,15 +1,19 @@
 """The array kernel against plain-Python references.
 
-The references below are the element-by-element versions the kernel
-replaced: a breadth-first closure over Permutation objects, the per-alpha
-conjugation filter, set-based conjugacy classes, the per-element commuting
-filter and the set-based core.  Every permutation they build goes through
-the validating public constructor.  The kernel must give equal results
-(same sets, same lists in the same order, same counts) on the standard
-pairs of degree <= 8 and on seeded relabelings of them.
+The references below are element-by-element, set-based versions of what
+the kernel does on rows: a breadth-first closure over Permutation objects,
+the symmetric and alternating groups by closure and parity, the stabilizer
+of 1 and its cosets by filtering, transitivity, commutativity and normality
+by definition, the per-alpha conjugation filter, set-based conjugacy
+classes, the per-element commuting filter and the set-based core.  Every
+permutation they build goes through the validating public constructor, and
+the kernel's rows are read back through it too.  The kernel must give equal
+results (same sets, same lists in the same order, same counts) on the
+standard pairs of degree <= 8 and on seeded relabelings of them.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -19,9 +23,7 @@ import transversals.groups as groups
 from transversals.groups import (
     PairGH,
     PermGroup,
-    _core_order,
     _normalizers,
-    _perm_rows,
     closure,
     coset_representation,
     enumerate_transversals,
@@ -37,6 +39,11 @@ from transversals.ict_formulas import _commuting_in_coset, cyclic_gamma
 from transversals.perm import Permutation, compose, parse_cycles
 
 # ------------------------------------------------------------ references
+
+
+def perms(rows):
+    """Permutations from 0-based image rows, through the checked constructor."""
+    return [Permutation([int(v) + 1 for v in row]) for row in rows]
 
 
 def ref_compose(p, q):
@@ -66,18 +73,59 @@ def ref_closure(generators, degree):
     return sorted(elements)
 
 
+def ref_symmetric(n):
+    gens = [Permutation.from_cycles(n, [(1, 2)]),
+            Permutation.from_cycles(n, [tuple(range(1, n + 1))])] if n > 1 else []
+    return ref_closure(gens, n)
+
+
+def ref_is_even(p):
+    inversions = sum(1 for i, j in combinations(range(p.degree), 2)
+                     if p.images[i] > p.images[j])
+    return inversions % 2 == 0
+
+
+def ref_stabilizer(group):
+    return sorted(g for g in set(group) if g(1) == 1)
+
+
+def ref_cosets(group):
+    elements = set(group)
+    return [sorted(g for g in elements if g(1) == i)
+            for i in range(1, group.degree + 1)]
+
+
+def ref_is_transitive(group):
+    return {g(1) for g in set(group)} == set(range(1, group.degree + 1))
+
+
+def ref_is_abelian(group):
+    elements = set(group)
+    return all(ref_compose(a, b) == ref_compose(b, a)
+               for a in elements for b in elements)
+
+
+def ref_is_normal_in(sub, group):
+    members = set(sub)
+    return members <= set(group) and all(
+        ref_conjugate(h, g) in members
+        for g in group.generators or set(group) for h in members)
+
+
 def ref_normalizers(group, alphas):
-    gens = group.generators or tuple(group.elements)
+    elements = set(group)
+    gens = group.generators or tuple(elements)
     return [a for a in alphas
-            if all(ref_conjugate(g, a) in group.elements for g in gens)]
+            if all(ref_conjugate(g, a) in elements for g in gens)]
 
 
 def ref_conjugacy_classes(group):
-    remaining = set(group.elements)
+    elements = set(group)
+    remaining = set(elements)
     classes = []
     while remaining:
         x = min(remaining)
-        cls = {ref_conjugate(x, g) for g in group.elements}
+        cls = {ref_conjugate(x, g) for g in elements}
         remaining -= cls
         classes.append(sorted(cls))
 
@@ -92,8 +140,9 @@ def ref_commuting(coset, z):
 
 
 def ref_core_order(group, sub):
-    return sum(1 for h in sub.elements
-               if all(ref_conjugate(h, g) in sub.elements for g in group.elements))
+    members, elements = set(sub), set(group)
+    return sum(1 for h in members
+               if all(ref_conjugate(h, g) in members for g in elements))
 
 
 # ------------------------------------------------------------ fixtures
@@ -115,7 +164,7 @@ def sample_transversals(pair, rng):
     size = max(5, 20_000 // pair.group.order)
     if pair.transversal_count() <= size:
         return [tuple(T) for T in enumerate_transversals(pair)]
-    cosets = pair.cosets()
+    cosets = [perms(block) for block in pair.cosets()]
     return [(cosets[0][0],) + tuple(rng.choice(c) for c in cosets[1:])
             for _ in range(size)]
 
@@ -123,19 +172,34 @@ def sample_transversals(pair, rng):
 def check_kernel(pair, rng, monkeypatch):
     G, n = pair.group, pair.degree
 
-    assert closure(G.generators, degree=n) == ref_closure(G.generators, n) == list(G)
+    assert perms(closure(G.generators, degree=n)) == ref_closure(G.generators, n) == list(G)
+
+    H = G.stabilizer_of_1()
+    assert list(H) == ref_stabilizer(G) == list(pair.stabilizer)
+    assert [perms(block) for block in pair.cosets()] == ref_cosets(G)
+    # the subgroup of the first generator: normal in the dihedral and pq
+    # pairs, not in the others
+    C = PermGroup.from_generators(G.generators[:1], degree=n)
+    for group in (G, H, C):
+        assert group.is_transitive() == ref_is_transitive(group)
+        assert group.is_abelian() == ref_is_abelian(group)
+        assert group.is_normal_in(G) == ref_is_normal_in(group, G)
+    # the core check PairGH no longer makes: it can never fail
+    assert ref_core_order(G, pair.stabilizer) == 1
 
     for T in sample_transversals(pair, rng):
         assert generates(pair, T) == (len(ref_closure(T, n)) == G.order), T
 
     candidates = list(stabilizer_candidates(n))
     want = ref_normalizers(G, candidates)
-    assert _normalizers(G, candidates) == want
+    assert perms(_normalizers(G, candidates)) == want
     monkeypatch.setattr(groups, "NORMALIZER_CHUNK", 7)  # many chunk boundaries
-    assert _normalizers(G, iter(candidates)) == want
+    assert perms(_normalizers(G, iter(candidates))) == want
     monkeypatch.undo()
 
     gamma = PermGroup(want, degree=n)
+    assert gamma.is_abelian() == ref_is_abelian(gamma)
+    assert gamma.is_normal_in(G) == ref_is_normal_in(gamma, G)
     for group in (G, gamma):
         assert group.conjugacy_classes() == ref_conjugacy_classes(group)
 
@@ -143,11 +207,8 @@ def check_kernel(pair, rng, monkeypatch):
     zs = {x ** m for cls in gamma.conjugacy_classes() for x in cls[:1]
           for m in range(1, n)}
     for coset in pair.cosets()[1:]:
-        rows = _perm_rows(coset, n)
         for z in zs:
-            assert _commuting_in_coset(rows, z) == ref_commuting(coset, z)
-
-    assert _core_order(G, pair.stabilizer) == ref_core_order(G, pair.stabilizer) == 1
+            assert _commuting_in_coset(coset, z) == ref_commuting(perms(coset), z)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -178,30 +239,55 @@ def test_kernel_matches_reference_on_relabelings(name, data, monkeypatch):
 
 
 def test_kernel_matches_reference_beyond_one_byte_images():
-    """Degree 257 stores images as big-endian words, not bytes."""
+    """Degree 257 stores images as words, not bytes, keyed big-endian."""
     pair = make_dihedral(257)
     G, n = pair.group, pair.degree
-    assert G._arrays().rows.dtype.itemsize > 1
+    assert G._rows.dtype.itemsize > 1
+    assert perms(closure(G.generators, degree=n)) == ref_closure(G.generators, n) == list(G)
+    assert [perms(block) for block in pair.cosets()] == ref_cosets(G)
+    assert list(G.stabilizer_of_1()) == ref_stabilizer(G)
     a, b = G.generators
     for members in ([a, b], [a], [b, compose(a, b)], [a, a]):
         assert generates(pair, members) == (len(ref_closure(members, n)) == G.order)
     gamma = list(cyclic_gamma(n, G.generators[0]))
-    assert _normalizers(G, gamma) == ref_normalizers(G, gamma) == gamma
+    assert perms(_normalizers(G, gamma)) == ref_normalizers(G, gamma) == gamma
     cosets = pair.cosets()
     for z in gamma[:5]:
-        assert _commuting_in_coset(_perm_rows(cosets[1], n), z) == ref_commuting(cosets[1], z)
-    assert _core_order(G, pair.stabilizer) == 1
+        assert _commuting_in_coset(cosets[1], z) == ref_commuting(perms(cosets[1]), z)
 
 
-def test_core_order_of_non_core_free_subgroups():
+@pytest.mark.parametrize("n", range(1, 8))
+def test_symmetric_and_alternating_rows_match_reference(n):
+    every = ref_symmetric(n)
+    assert list(PermGroup.symmetric(n)) == every
+    if n >= 3:
+        assert list(PermGroup.alternating(n)) == [p for p in every if ref_is_even(p)]
+
+
+def test_flags_on_intransitive_and_non_core_free_subgroups():
     S4 = make_sym(4).group
-    V4 = PermGroup.from_generators(
+    normal_V4 = PermGroup.from_generators(
         [parse_cycles(4, "(1,2)(3,4)"), parse_cycles(4, "(1,3)(2,4)")], degree=4)
+    intransitive_V4 = PermGroup.from_generators(
+        [parse_cycles(4, "(1,2)"), parse_cycles(4, "(3,4)")], degree=4)
     G18, H6 = order18_example()
     C3 = PermGroup.from_generators([parse_cycles(3, "(1,2,3)")])
-    for group, sub in ((S4, V4), (S4, S4), (G18, H6), (C3, PermGroup.trivial(3))):
-        assert _core_order(group, sub) == ref_core_order(group, sub)
-    assert _core_order(S4, V4) == 4
+    cases = ((S4, normal_V4), (S4, intransitive_V4), (S4, S4), (G18, H6),
+             (G18, G18), (C3, PermGroup.trivial(3)))
+    for group, sub in cases:
+        assert sub.is_subgroup_of(group)
+        assert sub.is_normal_in(group) == ref_is_normal_in(sub, group)
+        for g in (group, sub):
+            assert g.is_transitive() == ref_is_transitive(g)
+            assert g.is_abelian() == ref_is_abelian(g)
+            assert list(g.stabilizer_of_1()) == ref_stabilizer(g)
+    assert normal_V4.is_normal_in(S4) and not intransitive_V4.is_normal_in(S4)
+    # closed under conjugation by V4, but not inside it
+    A4 = PermGroup.alternating(4)
+    assert not A4.is_subgroup_of(normal_V4)
+    assert A4.is_normal_in(normal_V4) is ref_is_normal_in(A4, normal_V4) is False
+    assert not intransitive_V4.is_transitive() and not G18.is_transitive()
+    assert ref_core_order(S4, normal_V4) == 4
 
 
 def test_generates_is_false_for_a_member_outside_the_group():
