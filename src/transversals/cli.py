@@ -77,15 +77,27 @@ def _add_pair_options(sub):
                      help="group fixture file (degree/gen lines)")
 
 
+def _at_least(least: int):
+    """argparse type: an integer no less than `least`."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer keeps argparse's "invalid int value"
+    return parse
+
+
 def _add_common_options(sub):
     sub.add_argument("--format", choices=("human", "json"), default="human")
     sub.add_argument("--output", metavar="PATH",
                      help="write the report here instead of stdout")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker bound for parallel classification")
-    sub.add_argument("--cap-transversals", type=int, default=CAP_TRANSVERSALS)
-    sub.add_argument("--cap-stab-enum", type=int, default=CAP_STAB_ENUM)
-    sub.add_argument("--cap-relabelings", type=int, default=CAP_RELABELINGS)
+    sub.add_argument("--jobs", type=_at_least(1), default=1,
+                     help="accepted for compatibility; classification runs "
+                          "in one thread")
+    sub.add_argument("--cap-transversals", type=_at_least(0), default=CAP_TRANSVERSALS)
+    sub.add_argument("--cap-stab-enum", type=_at_least(0), default=CAP_STAB_ENUM)
+    sub.add_argument("--cap-relabelings", type=_at_least(0), default=CAP_RELABELINGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,7 +299,7 @@ def cmd_ict(args) -> int:
     return _emit(report_to_text(report), args)
 
 
-def _crosscheck_rows(family, params, build, caps, jobs):
+def _crosscheck_rows(family, params, build, caps):
     """(label, value) for every engine applicable to the pair."""
     pair = build()
     n = pair.degree
@@ -303,21 +315,19 @@ def _crosscheck_rows(family, params, build, caps, jobs):
                                    stab_cap=caps.stab)
     rows.append(("oracle_conjugation", conj.class_count))
     if factorial(n - 1) <= caps.relabel:
-        tab = classify_by_table_iso(pair, jobs=jobs, cap=caps.transversals,
-                                    relabel_cap=caps.relabel)
+        tab = classify_by_table_iso(pair, cap=caps.transversals, relabel_cap=caps.relabel)
         rows.append(("oracle_table_iso", tab.class_count))
     if (family == "sym" and factorial(n - 1) ** (n - 1) <= caps.transversals
             and factorial(n - 1) <= caps.relabel):
         rows.append(("census", census_left_loops(
-            n, jobs=jobs, cap=caps.transversals,
-            relabel_cap=caps.relabel).class_count))
+            n, cap=caps.transversals, relabel_cap=caps.relabel).class_count))
     return pair, rows
 
 
 def cmd_crosscheck(args) -> int:
     caps = _caps(args)
     family, _, params, build = _pair_source(args)
-    pair, rows = _crosscheck_rows(family, params, build, caps, args.jobs)
+    pair, rows = _crosscheck_rows(family, params, build, caps)
     agreement = len({v for _, v in rows}) == 1
 
     if args.format == "json":
@@ -426,8 +436,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_census(args) -> int:
     caps = _caps(args)
-    result = census_left_loops(args.order, jobs=args.jobs,
-                               cap=caps.transversals, relabel_cap=caps.relabel)
+    result = census_left_loops(args.order, cap=caps.transversals,
+                               relabel_cap=caps.relabel)
     total = len(result.labels)
     generating = sum(1 for f in result.generating_flags if f)
     distribution = {}
@@ -462,8 +472,7 @@ def cmd_classes(args) -> int:
     caps = _caps(args)
     _, _, _, build = _pair_source(args)
     pair = build()
-    result = classify_by_table_iso(pair, jobs=args.jobs, cap=caps.transversals,
-                                   relabel_cap=caps.relabel)
+    result = classify_by_table_iso(pair, cap=caps.transversals, relabel_cap=caps.relabel)
     if args.format == "json":
         payload = classification_to_json(result)
         payload["pair"] = pair.name

@@ -1,9 +1,9 @@
 """Independent ground truth by exhaustive enumeration.
 
 Transversals are enumerated outright and classified two ways that must agree:
-by conjugation with identity-fixing permutations (union-find over the orbit
-graph) and by canonical forms of the induced multiplication tables
-(lexicographic minimum over all identity-fixing relabelings).  A census of
+by conjugation with identity-fixing permutations (the least index in each
+transversal's orbit) and by canonical forms of the induced multiplication
+tables (lexicographic minimum over all identity-fixing relabelings).  A census of
 all left-loop tables of a given order and a left/right symmetry check round
 out the module.  Nothing here trusts the counting formulas.
 """
@@ -25,6 +25,7 @@ from .groups import (
     _is_subgroup,
     _normalizing,
     _perm_rows,
+    _perms,
     _row_dtype,
     _row_keys,
     _sections,
@@ -108,55 +109,59 @@ def _identity_fixing_relabelings(n: int, cap: int = CAP_RELABELINGS):
     return _perm_rows(stabilizer_candidates(n, cap=max(cap, total)), n)
 
 
-def _lexmin_update(best: np.ndarray, flat: np.ndarray, rows: np.ndarray):
-    """best[i] = lexicographic min(best[i], flat[i]), row-wise, in place."""
-    neq = flat != best
-    any_neq = neq.any(axis=1)
-    first = neq.argmax(axis=1)
-    better = any_neq & (flat[rows, first] < best[rows, first])
-    best[better] = flat[better]
+# Candidate (table, relabeling) pairs, conjugated rows or transversal images
+# handled per numpy batch: enough to amortize numpy's per-call cost, few
+# enough to keep the working arrays at a few MB.
+BATCH = 65536
 
 
-def _canonical_forms(tables: np.ndarray, n: int, jobs: int = 1,
-                     cap: int = CAP_RELABELINGS) -> np.ndarray:
+def _canonical_forms(tables: np.ndarray, n: int, cap: int = CAP_RELABELINGS) -> np.ndarray:
     """Lexicographically minimal flattened relabeling of each table.
 
     tables is (N, n, n), 0-based entries.  A relabeling f rewrites a table T
     to f[T[finv[i], finv[j]]]; the minimum over all identity-fixing f is a
-    complete isomorphism invariant for tables with our invariants.  Each
-    relabeling costs one positional gather (precomputed source indices) and
-    one value remap over all N tables at once.
+    complete isomorphism invariant for tables with our invariants.  It is
+    found by refinement: every (table, relabeling) pair starts as a
+    candidate, and the cells are visited in row-major order, each keeping
+    only the pairs that reach their table's least value there, until every
+    table has one candidate left.  Candidates still tied after the last
+    cell give the same table.  Row 1 and column 1 are skipped: every
+    relabeling fixes them.
     """
-    N = tables.shape[0]
-    flat_tables = np.ascontiguousarray(tables.reshape(N, n * n))
+    flat = tables.reshape(len(tables), n * n)
     F = _identity_fixing_relabelings(n, cap=cap)
-    Finv = _invert_rows(F).astype(np.uint16 if n <= 255 else np.int64)
-    # source position of flattened cell (i, j) after relabeling by F[k]
-    positions = (Finv[:, :, None] * n + Finv[:, None, :]).reshape(len(F), n * n)
-    rows = np.arange(N)
-
-    def sweep(lo: int, hi: int) -> np.ndarray:
-        best = flat_tables.copy()
-        for k in range(max(lo, 1), hi):
-            _lexmin_update(best, F[k][flat_tables[:, positions[k]]], rows)
-        return best
-
     m = len(F)
-    if jobs and jobs > 1 and m > 64:
-        from concurrent.futures import ThreadPoolExecutor
+    Finv = _invert_rows(F).T.astype(np.uint16 if n <= 255 else np.int64)
+    # by_cell[c, k]: source position of flattened cell c after relabeling by F[k]
+    by_cell = (Finv[:, None, :] * n + Finv[None, :, :]).reshape(n * n, m)
+    cells = [i * n + j for i in range(1, n) for j in range(1, n)]
+    canon = flat.copy()
+    if not cells:
+        return canon
+    offsets = np.arange(0, m * n, n)[None, :]
+    step = max(1, BATCH // m)
+    for lo in range(0, len(flat), step):
+        block = flat[lo:lo + step]
+        # the first cell for every pair at once: v[t, k] = F[k, block[t, by_cell[c, k]]]
+        v = F.ravel()[offsets + block[:, by_cell[cells[0]]]]
+        t, k = np.nonzero(v == v.min(axis=1, keepdims=True))
+        for c in cells[1:]:
+            if len(t) == len(block):
+                break
+            v = F[k, block[t, by_cell[c][k]]]
+            least = np.full(len(block), n, dtype=v.dtype)
+            np.minimum.at(least, t, v)
+            keep = v == least[t]
+            t, k = t[keep], k[keep]
+        # pairs are table-major: keep each table's first survivor
+        first = np.concatenate(([True], t[1:] != t[:-1]))
+        t, k = t[first], k[first]
+        sources = by_cell[:, k].T
+        canon[lo:lo + step] = np.take_along_axis(F[k], block[t[:, None], sources], axis=1)
+    return canon
 
-        workers = min(jobs, 32)
-        bounds = np.linspace(0, m, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: sweep(*b), zip(bounds, bounds[1:])))
-        best = parts[0]
-        for part in parts[1:]:
-            _lexmin_update(best, part, rows)
-        return best
-    return sweep(0, m)
 
-
-def _table_classes(slots, n: int, group: PermGroup, jobs: int,
+def _table_classes(slots, n: int, group: PermGroup,
                    relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
     """Classify every table with identity row 1 whose row s + 2 is one of
     the 0-based rows in slots[s], classes sorted by canonical form.
@@ -174,7 +179,7 @@ def _table_classes(slots, n: int, group: PermGroup, jobs: int,
         stride //= len(rows)
         tables[:, s + 1, :] = rows[(idx // stride) % len(rows)]
 
-    canon = _canonical_forms(tables, n, jobs=jobs, cap=relabel_cap)
+    canon = _canonical_forms(tables, n, cap=relabel_cap)
     # row keys sort like the rows, so classes come out by canonical form
     _, first, inverse, counts = np.unique(
         _row_keys(canon), return_index=True, return_inverse=True, return_counts=True)
@@ -189,8 +194,7 @@ def _table_classes(slots, n: int, group: PermGroup, jobs: int,
     )
 
 
-def classify_by_table_iso(pair: PairGH, jobs: int = 1,
-                          cap: int = CAP_TRANSVERSALS,
+def classify_by_table_iso(pair: PairGH, cap: int = CAP_TRANSVERSALS,
                           relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
     """Classes of induced tables under identity-fixing relabeling, decided by
     canonical form.  Classes come out sorted by canonical form; labels
@@ -198,18 +202,15 @@ def classify_by_table_iso(pair: PairGH, jobs: int = 1,
     total = pair.transversal_count()
     if total > cap:
         raise CapExceeded("transversals", cap, total)
-    return _table_classes(pair.cosets()[1:], pair.degree, pair.group, jobs, relabel_cap)
+    return _table_classes(pair.cosets()[1:], pair.degree, pair.group, relabel_cap)
 
 
 class UnionFind:
-    """Disjoint sets over a growable index range."""
+    """Disjoint sets over the index range 0..size-1; each set's root is its
+    least index."""
 
-    def __init__(self, size: int = 0):
+    def __init__(self, size: int):
         self.parent = list(range(size))
-
-    def add(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
 
     def find(self, i: int) -> int:
         p = self.parent
@@ -226,53 +227,61 @@ class UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _transversal_key(members) -> tuple:
-    """Members beyond the identity, in slot order, as image tuples."""
-    return tuple(p.images for p in members[1:])
+def _conjugates(pair: PairGH, alphas: np.ndarray) -> np.ndarray:
+    """Entry [k, s, c]: the element index of alphas[k] p alphas[k]^-1 for
+    the c-th member p over slot s + 2, or -1 when it is not in G."""
+    n, h = pair.degree, pair.subgroup_order
+    inverses = _invert_rows(alphas)
+    index = np.empty((len(alphas), (n - 1) * h), dtype=np.int64)
+    # G's rows past H's are the cosets over slots 2..n, in order
+    for e, p in enumerate(pair.group._rows[h:]):
+        # alpha p alpha^-1 is alpha[p[alpha^-1]]
+        index[:, e] = pair.group._locate(np.take_along_axis(alphas, p[inverses], axis=1))
+    return index.reshape(len(alphas), n - 1, h)
 
 
-def _conjugate_key(key, a_img, a_inv, n: int) -> tuple:
-    """Key of alpha T alpha^-1: member p goes to q with q(i) =
-    alpha(p(alpha^-1(i))), landing in slot q(1) = alpha(p(1))."""
-    slots = [None] * (n - 1)
-    for images in key:
-        q = tuple(a_img[images[a_inv[i] - 1] - 1] for i in range(n))
-        slots[q[0] - 2] = q
-    return tuple(slots)
+def _transversal_images(pair: PairGH, index: np.ndarray) -> np.ndarray:
+    """The index of every transversal's image, one row per alpha, from the
+    alpha's _conjugates; negative where the image leaves the family.
+
+    Transversals are numbered in mixed radix by their members' positions in
+    their cosets, first coset slowest (the `enumerate_transversals` order),
+    and element e is position e % h of coset e // h.  A member outside G
+    adds -transversal_count(), so a sum over the slots is negative exactly
+    when one is outside G."""
+    n, h = pair.degree, pair.subgroup_order
+    weight = h ** np.arange(n - 1, -1, -1)  # of each coset's digit
+    digits = np.where(index >= 0, index % h * weight[index // h], -pair.transversal_count())
+    out = np.zeros((len(index), 1), dtype=np.int64)
+    for s in range(n - 1):
+        out = (out[:, :, None] + digits[:, s, None, :]).reshape(len(index), out.shape[1] * h)
+    return out
 
 
-def _candidate_relabelings(pair: PairGH, stab_cap: int):
-    """(images, inverse images) of every identity-fixing alpha that could
-    map some transversal back into the family.
-
-    alpha T alpha^-1 lying in G requires, coset by coset, that at least one
-    coset member conjugates into G; alphas failing that for any coset can
-    never produce a union, so they are filtered out wholesale (vectorized)
-    before the exact per-transversal sweep.
-    """
+def _candidate_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
+    """_conjugates of every identity-fixing alpha that could map some
+    transversal back into the family: one that conjugates some member of
+    each coset into G.  The others are dropped before the per-transversal
+    sweep."""
     n = pair.degree
     total = factorial(n - 1)
     if total > stab_cap:
         raise CapExceeded("stabilizer_enum", stab_cap, total)
     A = _identity_fixing_relabelings(n, cap=total)
-    Ainv = _invert_rows(A)
+    step = max(1, BATCH // pair.group.order)
+    kept = [np.empty((0, n - 1, pair.subgroup_order), dtype=np.int64)]
+    for lo in range(0, total, step):
+        index = _conjugates(pair, A[lo:lo + step])
+        kept.append(index[(index >= 0).any(axis=2).all(axis=1)])
+    return np.concatenate(kept)
 
-    useful = np.ones(total, dtype=bool)
-    for coset in pair.cosets()[1:]:
-        covered = np.zeros(total, dtype=bool)
-        for qrow in coset:
-            conj = np.take_along_axis(A, qrow[Ainv], axis=1)
-            covered |= pair.group._locate(conj) >= 0
-        useful &= covered
-        if not useful.any():
-            break
 
-    out = []
-    for k in np.nonzero(useful)[0]:
-        a_img = tuple(int(v) + 1 for v in A[k])
-        a_inv = tuple(int(v) + 1 for v in Ainv[k])
-        out.append((a_img, a_inv))
-    return out
+def _transversal(pair: PairGH, index: int) -> Transversal:
+    """The transversal with this index in enumeration order."""
+    cosets = pair.cosets()
+    digits = np.unravel_index(index, (pair.subgroup_order,) * (pair.degree - 1))
+    rows = [cosets[0][0]] + [coset[c] for coset, c in zip(cosets[1:], digits)]
+    return Transversal(_perms(np.array(rows)))
 
 
 def classify_by_conjugation(pair: PairGH, sweep: str = "auto",
@@ -281,75 +290,55 @@ def classify_by_conjugation(pair: PairGH, sweep: str = "auto",
     """Classes under: T is equivalent to L when some identity-fixing
     permutation alpha has alpha T alpha^-1 = L as sets.
 
-    The relation is a group action restricted to the family, so it is
-    already an equivalence; sweep="all" applies every identity-fixing alpha
-    to every transversal and unions the hits.  When the whole relabeling
-    group normalizes G (symmetric and alternating pairs), conjugation can
-    never leave the family and the orbit graph of two generators of the
-    relabeling group has the same components; sweep="auto" detects that and
-    takes the cheap walk, falling back to the full sweep otherwise.
+    The relation is a group action restricted to the family, so a class is
+    an orbit met with the family.  sweep="all" labels each transversal with
+    the least index among its images under the alphas
+    `_candidate_relabelings` keeps: the least index of its class.  When the
+    whole relabeling group normalizes G (symmetric and alternating pairs),
+    no image leaves the family and union-find over the images under two
+    generators of that group finds the same classes; sweep="auto" takes
+    that walk when it applies.  Classes come out in order of first member.
     """
     n = pair.degree
     total = pair.transversal_count()
     if total > cap:
         raise CapExceeded("transversals", cap, total)
-    transversals = list(enumerate_transversals(pair, cap=cap))
-    index = {}
-    uf = UnionFind()
-    for T in transversals:
-        index[_transversal_key(tuple(T))] = uf.add()
-    family = len(transversals)
 
-    gens = []
-    if n >= 3:
-        gens.append(Permutation.from_cycles(n, [(2, 3)]))
-        gens.append(Permutation.from_cycles(n, [tuple(range(2, n + 1))]))
-    if sweep == "auto":
-        mode = "walk" if _normalizing(pair.group, _perm_rows(gens, n)).all() else "all"
-    elif sweep == "all":
-        mode = "all"
-    else:
+    if sweep not in ("auto", "all"):
         raise ValueError(f"unknown sweep mode: {sweep!r}")
-
-    if mode == "all":
-        keys = list(index.items())
-        for a_img, a_inv in _candidate_relabelings(pair, stab_cap):
-            for key, i in keys:
-                other = index.get(_conjugate_key(key, a_img, a_inv, n))
-                if other is not None:
-                    uf.union(i, other)
+    # (2,3) and (2,3,...,n) generate the relabeling group
+    gens = [Permutation.from_cycles(n, [(2, 3)]),
+            Permutation.from_cycles(n, [tuple(range(2, n + 1))])] if n >= 3 else []
+    gen_rows = _perm_rows(gens, n)
+    if sweep == "all" or not _normalizing(pair.group, gen_rows).all():
+        least = np.arange(total)
+        conjugates = _candidate_relabelings(pair, stab_cap)
+        step = max(1, BATCH // total)
+        for lo in range(0, len(conjugates), step):
+            image = _transversal_images(pair, conjugates[lo:lo + step])
+            image[image < 0] = total
+            np.minimum(least, image.min(axis=0), out=least)
     else:
-        pairs = [(g.images, g.inverse().images) for g in gens]
-        keys = list(index.keys())
-        for i in range(family):
-            for a_img, a_inv in pairs:
-                uf.union(i, index[_conjugate_key(keys[i], a_img, a_inv, n)])
+        uf = UnionFind(total)
+        for image in _transversal_images(pair, _conjugates(pair, gen_rows)):
+            for i, j in enumerate(image.tolist()):
+                if i != j:
+                    uf.union(i, j)
+        least = np.array([uf.find(i) for i in range(total)], dtype=np.int64)
 
-    roots = {}
-    labels = []
-    for i in range(family):
-        r = uf.find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels.append(roots[r])
-    sizes = [0] * len(roots)
-    first = [None] * len(roots)
-    for i, lab in enumerate(labels):
-        sizes[lab] += 1
-        if first[lab] is None:
-            first[lab] = i
-    result = ClassificationResult(
-        class_count=len(roots),
-        representatives=tuple(induced_table(pair, transversals[i]) for i in first),
-        class_sizes=tuple(sizes),
-        generating_flags=tuple(generates(pair, transversals[i]) for i in first),
-        labels=tuple(labels),
+    # the least index of a class is its first member in enumeration order
+    first, labels, sizes = np.unique(least, return_inverse=True, return_counts=True)
+    reps = [_transversal(pair, int(i)) for i in first]
+    return ClassificationResult(
+        class_count=len(first),
+        representatives=tuple(induced_table(pair, T) for T in reps),
+        class_sizes=tuple(sizes.tolist()),
+        generating_flags=tuple(generates(pair, T) for T in reps),
+        labels=tuple(labels.tolist()),
     )
-    assert sum(result.class_sizes) == pair.transversal_count()
-    return result
 
 
-def census_left_loops(n: int, jobs: int = 1, cap: int = CAP_TRANSVERSALS,
+def census_left_loops(n: int, cap: int = CAP_TRANSVERSALS,
                       relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
     """Every left-loop table of order n, classified up to identity-fixing
     isomorphism.  Row a ranges over all permutations sending 1 to a, rows
@@ -363,7 +352,7 @@ def census_left_loops(n: int, jobs: int = 1, cap: int = CAP_TRANSVERSALS,
         raise CapExceeded("transversals", cap, total)
     # row a + 1 of a table ranges over the block of Sym(n) sending 1 to a + 1
     group = PermGroup.symmetric(n)
-    return _table_classes(group._blocks()[1:], n, group, jobs, relabel_cap)
+    return _table_classes(group._blocks()[1:], n, group, relabel_cap)
 
 
 def subgroup_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):

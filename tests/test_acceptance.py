@@ -99,9 +99,7 @@ def test_criterion_04_oracle_reproduction():
     assert result.class_count == 897 and len(result.labels) == 20736
     assert elapsed < 300.0
 
-    import os
-
-    result, elapsed = timed(census_left_loops, 5, jobs=os.cpu_count() or 1)
+    result, elapsed = timed(census_left_loops, 5)
     assert result.class_count == 14022 and len(result.labels) == 331776
     assert elapsed < 600.0
 

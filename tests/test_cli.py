@@ -456,6 +456,45 @@ def test_usage_errors_exit_one(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value, least", [
+    ("--jobs", "-3", 1), ("--jobs", "0", 1), ("--cap-transversals", "-5", 0),
+    ("--cap-stab-enum", "-1", 0), ("--cap-relabelings", "-2", 0)])
+@pytest.mark.parametrize("command", ["ict", "census", "crosscheck", "classes"])
+def test_out_of_range_counts_are_usage_errors(capsys, command, flag, value, least):
+    pair = ["3"] if command == "census" else ["--sym", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *pair, flag, value])
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: ict {command} ")
+    assert err.endswith(f"error: argument {flag}: must be at least {least}, got {value}\n")
+    assert "Traceback" not in err
+
+
+def test_out_of_range_jobs_exits_one_in_a_child_process():
+    proc = subprocess.run(
+        [sys.executable, "-m", "transversals.cli", "classes", "--sym", "3", "--jobs", "-3"],
+        capture_output=True, text=True, env=ENV)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.endswith("error: argument --jobs: must be at least 1, got -3\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_jobs_and_zero_caps_still_accepted(capsys):
+    plain = run(capsys, "classes", "--sym", "3")
+    assert plain[0] == EXIT_OK
+    assert run(capsys, "classes", "--sym", "3", "--jobs", "2") == plain
+    code, out, err = run(capsys, "classes", "--sym", "3", "--cap-transversals", "0")
+    assert code == EXIT_CAP and out == ""
+    assert err == "cap exceeded: cap 'transversals' exceeded: requires 4, limit is 0\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "--sym", "3", "--jobs", "x"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("argument --jobs: invalid int value: 'x'\n")
+
+
 def test_oracle_cap_exit(capsys):
     code, _, err = run(capsys, "--sym", "9", "--method", "oracle", "--no-cache")
     assert code == EXIT_CAP

@@ -8,6 +8,7 @@ factorization assumed, and then hold the engines to those numbers.
 """
 
 import random
+import time
 from math import factorial, gcd, prod
 
 import pytest
@@ -41,7 +42,7 @@ from transversals.ict_formulas import (
     sym_commuting_count,
     _affine_elements,
 )
-from transversals.oracle import classify_by_table_iso
+from transversals.oracle import classify_by_conjugation, classify_by_table_iso
 from transversals.perm import Permutation, conjugate, identity, parse_cycles
 from transversals.symclasses import class_representative
 
@@ -287,8 +288,17 @@ def test_theorem6_does_not_validate_the_psl25_orbit_count():
     subgroups form 10 orbits under it but only 5 isomorphism classes."""
     pair, normalized = pair_from_fixture("degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n")
     assert not normalized and pair.group.order == 60
-    truth = classify_by_table_iso(pair).class_count
+    tables = classify_by_table_iso(pair)
+    truth = tables.class_count
     assert truth == 5047
+    # the conjugation oracle sweeps all 100,000 transversals under the
+    # relabelings that can keep one in the family
+    start = time.perf_counter()
+    conj = classify_by_conjugation(pair)
+    assert time.perf_counter() - start < 10.0
+    assert conj.class_count == 5047
+    # the same partition: the label pairs match classes one to one
+    assert len(set(zip(conj.labels, tables.labels))) == 5047
     report = ict_theorem6(pair)
     assert report.gamma_order == 20
     assert report.validated is False or report.value == truth

@@ -1,19 +1,30 @@
 """Exhaustive classification oracle: the two classifiers must agree with
 each other, with the counting engines, and with hand-checkable small cases.
+
+Both classifiers are also checked against reference copies of the
+implementations they replaced: canonical forms as a lexicographic-minimum
+sweep over every relabeling, and conjugation classes as union-find over
+transversals keyed by Python tuples.
 """
 
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 
+import transversals.oracle as oracle
 from transversals.errors import CapExceeded
 from transversals.groups import (
     PairGH,
     PermGroup,
     Transversal,
+    _invert_rows,
+    _normalizing,
+    _perm_rows,
     coset_representation,
     enumerate_transversals,
+    generates,
     make_alt,
     make_dihedral,
     make_pq,
@@ -22,7 +33,10 @@ from transversals.groups import (
 )
 from transversals.ict_formulas import ict_alt, ict_sym, ict_theorem6
 from transversals.oracle import (
+    ClassificationResult,
     LoopTable,
+    _canonical_forms,
+    _identity_fixing_relabelings,
     census_left_loops,
     classification_to_json,
     classify_by_conjugation,
@@ -60,6 +74,119 @@ def a4_pair():
     G = PermGroup.alternating(4)
     H = PermGroup.from_generators([parse_cycles(4, "(1,2)(3,4)")])
     return coset_representation(G, H, name="alt(4) over an involution")
+
+
+def relabel(pair, sigma):
+    """The pair conjugated by sigma, which fixes 1."""
+    gens = [conjugate(g, sigma) for g in pair.group.generators]
+    G = PermGroup.from_generators(gens, degree=pair.degree)
+    return PairGH(G, G.stabilizer_of_1(), name=f"{pair.name} relabeled")
+
+
+# ------------------------------------------------------- references
+
+
+def ref_canonical_forms(tables, n):
+    """The lexicographic minimum of each flattened table over every
+    identity-fixing relabeling, one relabeling at a time."""
+    N = tables.shape[0]
+    flat_tables = np.ascontiguousarray(tables.reshape(N, n * n))
+    F = _identity_fixing_relabelings(n)
+    Finv = _invert_rows(F).astype(np.int64)
+    positions = (Finv[:, :, None] * n + Finv[:, None, :]).reshape(len(F), n * n)
+    rows = np.arange(N)
+    best = flat_tables.copy()
+    for k in range(1, len(F)):
+        flat = F[k][flat_tables[:, positions[k]]]
+        neq = flat != best
+        first = neq.argmax(axis=1)
+        better = neq.any(axis=1) & (flat[rows, first] < best[rows, first])
+        best[better] = flat[better]
+    return best
+
+
+class RefUnionFind:
+    def __init__(self):
+        self.parent = []
+
+    def add(self):
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
+
+    def find(self, i):
+        while self.parent[i] != i:
+            i = self.parent[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+def ref_conjugate_key(key, a_img, a_inv, n):
+    """Key of alpha T alpha^-1 from the key of T: its members beyond the
+    identity as image tuples, in slot order."""
+    slots = [None] * (n - 1)
+    for images in key:
+        q = tuple(a_img[images[a_inv[i] - 1] - 1] for i in range(n))
+        slots[q[0] - 2] = q
+    return tuple(slots)
+
+
+def ref_candidate_relabelings(pair):
+    """(images, inverse images) of every identity-fixing alpha that
+    conjugates at least one member of each coset into G."""
+    n = pair.degree
+    A = _identity_fixing_relabelings(n, cap=factorial(n - 1))
+    Ainv = _invert_rows(A)
+    useful = np.ones(len(A), dtype=bool)
+    for coset in pair.cosets()[1:]:
+        covered = np.zeros(len(A), dtype=bool)
+        for qrow in coset:
+            covered |= pair.group._locate(np.take_along_axis(A, qrow[Ainv], axis=1)) >= 0
+        useful &= covered
+    return [(tuple(int(v) + 1 for v in A[k]), tuple(int(v) + 1 for v in Ainv[k]))
+            for k in np.nonzero(useful)[0]]
+
+
+def ref_classify_by_conjugation(pair, sweep="auto"):
+    """Union-find over the transversals keyed by tuples: every candidate
+    alpha applied to every transversal ("all"), or the two generators of
+    the relabeling group ("walk") when they normalize G."""
+    n = pair.degree
+    transversals = list(enumerate_transversals(pair))
+    index, uf = {}, RefUnionFind()
+    for T in transversals:
+        index[tuple(p.images for p in tuple(T)[1:])] = uf.add()
+    gens = []
+    if n >= 3:
+        gens = [Permutation.from_cycles(n, [(2, 3)]),
+                Permutation.from_cycles(n, [tuple(range(2, n + 1))])]
+    walk = sweep == "auto" and _normalizing(pair.group, _perm_rows(gens, n)).all()
+    if walk:
+        moves = [(g.images, g.inverse().images) for g in gens]
+    else:
+        moves = ref_candidate_relabelings(pair)
+    for key, i in list(index.items()):
+        for a_img, a_inv in moves:
+            other = index.get(ref_conjugate_key(key, a_img, a_inv, n))
+            if other is not None:
+                uf.union(i, other)
+    roots, labels = {}, []
+    for i in range(len(transversals)):
+        labels.append(roots.setdefault(uf.find(i), len(roots)))
+    sizes, first = [0] * len(roots), {}
+    for i, label in enumerate(labels):
+        sizes[label] += 1
+        first.setdefault(label, i)
+    return ClassificationResult(
+        class_count=len(roots),
+        representatives=tuple(induced_table(pair, transversals[i]) for i in first.values()),
+        class_sizes=tuple(sizes),
+        generating_flags=tuple(generates(pair, transversals[i]) for i in first.values()),
+        labels=tuple(labels),
+    )
 
 
 # ----------------------------------------------------------- tables
@@ -232,8 +359,6 @@ def test_classes_separate_inequivalent_transversals():
 
 
 def test_generating_flag_is_a_class_invariant():
-    from transversals.groups import generates
-
     pair = make_alt(4)
     result = classify_by_conjugation(pair)
     ts = list(enumerate_transversals(pair))
@@ -403,3 +528,138 @@ def test_classification_to_json():
     assert len(data["representatives"]) == 7
     assert all(row[0] == i + 1 for rep in data["representatives"] for i, row in enumerate(rep))
     assert "labels" not in data
+
+
+# ------------------------------------------- against the references
+
+# Every standard pair of tests/test_kernel.py's FIXTURES with at most
+# 20,736 transversals (Sym(5) and up, Alt(6) and up have millions), and the
+# two hand-built pairs above.
+FAMILIES = {
+    **{f"sym{n}": (lambda n=n: make_sym(n)) for n in (2, 3, 4)},
+    **{f"alt{n}": (lambda n=n: make_alt(n)) for n in (4, 5)},
+    **{f"dihedral{n}": (lambda n=n: make_dihedral(n)) for n in range(3, 9)},
+    **{f"pq{p}_{q}": (lambda p=p, q=q: make_pq(p, q))
+       for p, q in ((2, 3), (2, 5), (2, 7), (3, 7))},
+    "order18": lambda: coset_representation(*order18_example()),
+    "order18_involution": involution_pair,
+    "alt4_involution": a4_pair,
+}
+
+# degree 9: the reference sweeps 40,320 relabelings for seconds
+SLOW_REFERENCE_TABLES = {"order18_involution"}
+
+
+def transversal_tables(pair):
+    """Induced tables of every transversal, 0-based, in enumeration order."""
+    return np.array([[p.images for p in T] for T in enumerate_transversals(pair)],
+                    dtype=np.uint8) - 1
+
+
+def ref_table_classes(pair):
+    """classify_by_table_iso from the reference canonical forms."""
+    tables = transversal_tables(pair)
+    canon = ref_canonical_forms(tables, pair.degree)
+    forms, first, labels, sizes = np.unique(
+        canon, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    transversals = list(enumerate_transversals(pair))
+    return ClassificationResult(
+        class_count=len(forms),
+        representatives=tuple(induced_table(pair, transversals[i]) for i in first),
+        class_sizes=tuple(sizes.tolist()),
+        generating_flags=tuple(generates(pair, transversals[i]) for i in first),
+        labels=tuple(labels.ravel().tolist()),
+    )
+
+
+def random_relabeling(rng, n):
+    return Permutation((1, *rng.sample(range(2, n + 1), n - 1)))
+
+
+@pytest.mark.parametrize("sweep", ["auto", "all"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_conjugation_matches_reference(name, sweep):
+    pair = FAMILIES[name]()
+    want = ref_classify_by_conjugation(pair, sweep)
+    assert classify_by_conjugation(pair, sweep=sweep) == want
+
+
+@pytest.mark.parametrize("name", sorted(set(FAMILIES) - SLOW_REFERENCE_TABLES))
+def test_table_classes_match_reference(name):
+    pair = FAMILIES[name]()
+    ref = ref_table_classes(pair)
+    assert classify_by_table_iso(pair) == ref
+    tables = transversal_tables(pair)
+    assert np.array_equal(_canonical_forms(tables, pair.degree),
+                          ref_canonical_forms(tables, pair.degree))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_census_matches_reference(n):
+    """The order-n census is the table classification of Sym(n)'s pair."""
+    assert census_left_loops(n) == ref_table_classes(make_sym(n))
+
+
+@pytest.mark.parametrize("name", ["sym4", "alt4", "dihedral6", "dihedral7", "pq3_7",
+                                  "alt4_involution"])
+def test_classifiers_match_reference_on_relabelings(name, monkeypatch):
+    """Seeded relabelings of the fixtures, with batches of a few rows, so
+    that every batch loop crosses many boundaries."""
+    rng = random.Random(name)
+    pair = relabel(FAMILIES[name](), random_relabeling(rng, FAMILIES[name]().degree))
+    monkeypatch.setattr(oracle, "BATCH", 5)
+    for sweep in ("auto", "all"):
+        assert classify_by_conjugation(pair, sweep=sweep) == \
+            ref_classify_by_conjugation(pair, sweep)
+    assert classify_by_table_iso(pair) == ref_table_classes(pair)
+
+
+def table_with_automorphism(rng, n, d):
+    """A random 0-based left-loop table fixed by relabeling with f, and f:
+    f fixes 0 and moves the other symbols in d-cycles.  Row f(i) is
+    f row_i f^-1, which is what relabeling row i by f gives."""
+    others = rng.sample(range(1, n), n - 1)
+    f = list(range(n))
+    for c in range(0, n - 1, d):
+        cycle = others[c:c + d]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            f[a] = b
+    finv = [f.index(j) for j in range(n)]
+    table = [list(range(n))] + [None] * (n - 1)
+    for c in range(0, n - 1, d):
+        i = others[c]
+        row = [i] + rng.sample([v for v in range(n) if v != i], n - 1)
+        for _ in range(d):
+            table[i] = row
+            row = [f[row[finv[j]]] for j in range(n)]
+            i = f[i]
+    return np.array(table, dtype=np.uint8), np.array(f)
+
+
+def relabeled_table(table, g):
+    """g[T[ginv[i], ginv[j]]] for a 0-based relabeling g."""
+    ginv = np.argsort(g)
+    return g[table[np.ix_(ginv, ginv)]].astype(table.dtype)
+
+
+@pytest.mark.parametrize("batch", [1, 50, oracle.BATCH])
+@pytest.mark.parametrize("n, d", [(5, 2), (5, 4), (7, 2), (7, 3), (7, 6)])
+def test_canonical_forms_on_tables_with_automorphisms(n, d, batch, monkeypatch):
+    """Tables with a nontrivial automorphism keep several relabelings tied
+    to the last cell; each comes with relabeled copies, which must share its
+    canonical form."""
+    rng = random.Random(f"{n} {d}")
+    tables = []
+    for _ in range(6):
+        table, f = table_with_automorphism(rng, n, d)
+        assert np.array_equal(relabeled_table(table, f), table)
+        tables.append(table)
+        for _ in range(3):
+            g = np.array([0] + rng.sample(range(1, n), n - 1))
+            tables.append(relabeled_table(table, g))
+    tables = np.array(tables)
+    monkeypatch.setattr(oracle, "BATCH", batch)
+    canon = _canonical_forms(tables, n)
+    assert np.array_equal(canon, ref_canonical_forms(tables, n))
+    assert all(np.array_equal(canon[4 * i], canon[4 * i + j])
+               for i in range(6) for j in range(1, 4))
