@@ -49,9 +49,7 @@ from .oracle import (
     classify_by_conjugation,
     classify_by_table_iso,
     induced_table,
-    left_right_agreement,
     render_classes_dump,
-    subgroup_transversals,
 )
 
 __all__ = [
@@ -93,7 +91,5 @@ __all__ = [
     "classify_by_conjugation",
     "classify_by_table_iso",
     "induced_table",
-    "left_right_agreement",
     "render_classes_dump",
-    "subgroup_transversals",
 ]

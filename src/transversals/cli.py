@@ -92,9 +92,6 @@ def _add_common_options(sub):
     sub.add_argument("--format", choices=("human", "json"), default="human")
     sub.add_argument("--output", metavar="PATH",
                      help="write the report here instead of stdout")
-    sub.add_argument("--jobs", type=_at_least(1), default=1,
-                     help="accepted for compatibility; classification runs "
-                          "in one thread")
     sub.add_argument("--cap-transversals", type=_at_least(0), default=CAP_TRANSVERSALS)
     sub.add_argument("--cap-stab-enum", type=_at_least(0), default=CAP_STAB_ENUM)
     sub.add_argument("--cap-relabelings", type=_at_least(0), default=CAP_RELABELINGS)
@@ -199,7 +196,7 @@ def _cache_load(path: Path, key: str) -> dict | None:
     warning when the file is corrupt."""
     try:
         payload = json.loads(path.read_text())
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None
     except (json.JSONDecodeError, OSError, UnicodeDecodeError):
         sys.stderr.write(f"warning: unreadable cache at {path}, recomputing\n")
@@ -212,15 +209,19 @@ def _cache_load(path: Path, key: str) -> dict | None:
 
 def _cache_store(path: Path, key: str, report: dict):
     """Write one entry through a temp file unique to this process, renamed
-    over the entry's file, so concurrent writers never lose or tear one."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    over the entry's file, so concurrent writers never lose or tear one.
+    A location that cannot be written costs a warning, not the report."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps({"tool": __version__, "key": key,
-                                   "report": report}, sort_keys=True))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(json.dumps({"tool": __version__, "key": key,
+                                       "report": report}, sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError:
+        sys.stderr.write(f"warning: cannot write cache at {path}\n")
 
 
 # ---------------------------------------------------------------- commands

@@ -461,23 +461,6 @@ def _least_in_coset(G: PermGroup, H: PermGroup) -> np.ndarray:
     return least
 
 
-def _left_coset_blocks(G: PermGroup, H: PermGroup) -> list:
-    """Sorted rows of each left coset gH, by least element: H comes first."""
-    least = _least_in_coset(G, H)
-    return [G._rows[least == i] for i in np.unique(least)]
-
-
-def left_cosets(G: PermGroup, H: PermGroup):
-    """Left cosets gH of H in G as sorted element lists, identity's coset first."""
-    return [_perms(block) for block in _left_coset_blocks(G, H)]
-
-
-def subgroup_transversal_sets(G: PermGroup, H: PermGroup, cap: int = CAP_TRANSVERSALS):
-    """All transversals of an arbitrary subgroup H <= G (identity included),
-    as tuples of elements, one per left coset."""
-    yield from _sections(_left_coset_blocks(G, H)[1:], G.degree, cap)
-
-
 def coset_representation(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
     """Action of G on the left cosets of H, cosets numbered 1..n in
     first-discovery order under a breadth-first sweep over the generators
@@ -646,29 +629,6 @@ def _generates(group: PermGroup, rows: np.ndarray) -> bool:
     """Do the permutations with these 0-based image rows generate `group`?"""
     indices = group._locate(rows)
     return bool((indices >= 0).all()) and group._generated_by(indices.tolist())
-
-
-def pair_isomorphic(p1: PairGH, p2: PairGH, cap: int = CAP_STAB_ENUM) -> bool:
-    """Brute-force simultaneous-conjugation isomorphism of two normalized
-    pairs: some sigma in Sym(n) fixing 1 with sigma G1 sigma^-1 = G2 (H maps
-    along automatically, both being stabilizers of 1)."""
-    if p1.degree != p2.degree or p1.group.order != p2.group.order:
-        return False
-    sigmas = _perm_rows(stabilizer_candidates(p1.degree, cap=cap), p1.degree)
-    return bool(_normalizing(p1.group, sigmas, p2.group).any())
-
-
-def order18_example() -> tuple[PermGroup, PermGroup]:
-    """Order-18 group (elementary-abelian 3x3 extended by an inverting
-    involution) with a subgroup of order 6 whose transversals never generate;
-    returned abstract, i.e. before coset_representation."""
-    x1 = parse_cycles(6, "(1,2,3)")
-    x2 = parse_cycles(6, "(4,5,6)")
-    y = parse_cycles(6, "(2,3)(5,6)")
-    G = PermGroup.from_generators([x1, x2, y], degree=6)
-    H = PermGroup.from_generators([x1, y], degree=6)
-    assert G.order == 18 and H.order == 6
-    return G, H
 
 
 def parse_fixture(text: str):

@@ -37,7 +37,8 @@ from .groups import (
     normalizer_in_stab,
 )
 from .perm import Permutation, conjugate, format_cycles, parse_cycles
-from .symclasses import class_representative, class_size, multiplicities, partitions
+from .symclasses import (centralizer_order, class_representative, class_size,
+                         multiplicities, partitions)
 
 # Transversal sets larger than this are not swept for non-generators during
 # cyclic hypothesis validation; the report notes the skip instead.
@@ -207,16 +208,12 @@ def sym_commuting_count(cycle_counts: dict) -> int:
     cycle_counts is z's cycle type on the full domain (fixed points under
     key 1; symbol 1 itself must be fixed).  The centralizer of z permutes
     z's fixed symbols transitively, so the count is its order divided by the
-    number of fixed symbols: (f-1)! times prod over l > 1 of mult! * l^mult.
+    number f of fixed symbols: (f-1)! times centralizer_order.
     """
     f = cycle_counts.get(1, 0)
     if f < 1:
         raise ValueError("symbol 1 must be fixed")
-    out = factorial(f - 1)
-    for l, mult in cycle_counts.items():
-        if l > 1:
-            out *= factorial(mult) * l ** mult
-    return out
+    return factorial(f - 1) * centralizer_order(cycle_counts)
 
 
 def alt_commuting_count(cycle_counts: dict) -> int:
@@ -225,26 +222,20 @@ def alt_commuting_count(cycle_counts: dict) -> int:
     The candidates form a coset of the centralizer's stabilizer of 1 by the
     odd transposition (1, i), so the count is half of sym_commuting_count
     when that stabilizer contains an odd permutation and zero when it is
-    all-even.  An odd element exists exactly when there are at least two
-    fixed symbols besides 1, or a cycle of even length, or a repeated odd
-    length > 1.
+    all-even.  With f >= 3 fixed symbols it never is (it holds the odd
+    transposition of two fixed symbols other than 1); with f = 2 it is the
+    centralizer of z on its moved symbols, which all_even_centralizer
+    decides.
     """
     f = cycle_counts.get(1, 0)
     if f < 2:
         raise ValueError("symbols 1 and i must both be fixed")
-    total = sym_commuting_count(cycle_counts)
-    has_odd = f >= 3
-    if not has_odd:
-        for l, mult in cycle_counts.items():
-            if l > 1 and mult >= 1 and l % 2 == 0:
-                has_odd = True
-                break
-            if l > 1 and mult >= 2 and l % 2 == 1:
-                has_odd = True
-                break
-    if not has_odd:
-        return 0
-    half, rem = divmod(total, 2)
+    if f < 3:
+        moved = [l for l, mult in cycle_counts.items() if l > 1 for _ in range(mult)]
+        # no moved symbols: the centralizer is trivial, so all-even
+        if not moved or all_even_centralizer(moved):
+            return 0
+    half, rem = divmod(sym_commuting_count(cycle_counts), 2)
     assert rem == 0
     return half
 
@@ -347,7 +338,12 @@ def cyclic_gamma(n: int, a: Permutation | None = None) -> PermGroup:
     order is phi(n) and every element fixes symbol 1."""
     if a is None:
         a = _standard_cycle(n)
-    elems = [g for _, g in _affine_elements(n, a)]
+    return _affine_group(n, _affine_elements(n, a))
+
+
+def _affine_group(n: int, affine) -> PermGroup:
+    """The group of the (j, permutation) pairs from _affine_elements."""
+    elems = [g for _, g in affine]
     grp = PermGroup.from_generators(elems, degree=n)
     assert grp.order == len(elems), "affine family failed to close"
     assert grp.is_abelian()
@@ -405,9 +401,9 @@ def _perm_order(p: Permutation) -> int:
 
 def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     """Machine-check the structural hypotheses behind the cyclic closed form
-    against a concrete pair.  Returns (a, gamma, notes): the n-cycle
-    generating the normal regular cyclic transversal, the affine group it
-    determines, and what was checked."""
+    against a concrete pair.  Returns (affine, gamma, notes): the affine
+    family of the n-cycle generating the normal regular cyclic transversal,
+    the group it forms, and what was checked."""
     notes = []
     if pair.degree != n or pair.subgroup_order != h:
         raise HypothesisViolation(
@@ -415,7 +411,8 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
             f"{pair.subgroup_order}, not ({n}, {h})")
     a = _find_regular_normal_cycle(pair)
     notes.append(f"normal regular cyclic transversal generated by {format_cycles(a)}")
-    gamma = cyclic_gamma(n, a)
+    affine = _affine_elements(n, a)
+    gamma = _affine_group(n, affine)
     if not _normalizing(pair.group, gamma._rows).all():
         raise HypothesisViolation("affine relabelings do not normalize the group")
     if factorial(n - 1) <= cap:
@@ -444,7 +441,7 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     else:
         notes.append(
             f"non-generator scan skipped ({count} transversals exceed the cap)")
-    return a, gamma, notes
+    return affine, gamma, notes
 
 
 def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
@@ -464,19 +461,18 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
     if h < 1:
         raise ValueError("need h >= 1")
     if pair is None:
-        a = _standard_cycle(n)
+        affine = _affine_elements(n, _standard_cycle(n))
         label = f"cyclic(n={n}, h={h})"
         justification = ("formula-only: structural hypotheses not checked "
                          "against a concrete pair")
         validated = False
         gamma = None
     else:
-        a, gamma, notes = _validate_cyclic_pair(pair, n, h, cap)
+        affine, gamma, notes = _validate_cyclic_pair(pair, n, h, cap)
         label = pair.name
         justification = "; ".join(notes)
         validated = True
 
-    affine = _affine_elements(n, a)
     contributions = []
     for j, g in affine:
         k, t = cyclic_fixed_and_orbit_data(n, j)

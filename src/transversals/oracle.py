@@ -4,8 +4,8 @@ Transversals are enumerated outright and classified two ways that must agree:
 by conjugation with identity-fixing permutations (the least index in each
 transversal's orbit) and by canonical forms of the induced multiplication
 tables (lexicographic minimum over all identity-fixing relabelings).  A census of
-all left-loop tables of a given order and a left/right symmetry check round
-out the module.  Nothing here trusts the counting formulas.
+all left-loop tables of a given order rounds out the module.  Nothing here
+trusts the counting formulas.
 """
 
 from __future__ import annotations
@@ -22,14 +22,11 @@ from .groups import (
     Transversal,
     _generates,
     _invert_rows,
-    _is_subgroup,
     _normalizing,
     _perm_rows,
     _perms,
     _row_dtype,
     _row_keys,
-    _sections,
-    enumerate_transversals,
     generates,
     stabilizer_candidates,
 )
@@ -353,53 +350,6 @@ def census_left_loops(n: int, cap: int = CAP_TRANSVERSALS,
     # row a + 1 of a table ranges over the block of Sym(n) sending 1 to a + 1
     group = PermGroup.symmetric(n)
     return _table_classes(group._blocks()[1:], n, group, relabel_cap)
-
-
-def subgroup_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
-    """All transversals that are subgroups of G (closed under composition),
-    in enumeration order."""
-    return [T for T in enumerate_transversals(pair, cap=cap) if _is_subgroup(T)]
-
-
-def _right_transversals(pair: PairGH, cap: int):
-    """Right coset sections with identity: member over slot i sends i to 1."""
-    rows = pair.group._rows
-    # g sends s to 1 when its 0-based row holds 0 at position s - 1
-    yield from _sections([rows[rows[:, s - 1] == 0] for s in range(2, pair.degree + 1)],
-                         pair.degree, cap)
-
-
-def left_right_agreement(pair: PairGH, cap: int = CAP_TRANSVERSALS) -> bool:
-    """Right coset sections induce tables i*j = (member over j, inverted,
-    read at i); classify both sides by canonical form and confirm the
-    member-wise inversion map carries left classes onto right classes
-    one-to-one."""
-    n = pair.degree
-    left = classify_by_table_iso(pair, cap=cap)
-
-    rights = list(_right_transversals(pair, cap))
-    right_index = {tuple(p.images for p in R[1:]): i for i, R in enumerate(rights)}
-    # row i of a right table is column i of its members' inverse rows
-    right_tables = np.stack([_invert_rows(_perm_rows(R, n)).T for R in rights])
-    right_labels = np.unique(
-        _canonical_forms(right_tables, n), axis=0, return_inverse=True)[1]
-
-    count_right = int(right_labels.max()) + 1 if len(rights) else 0
-    if left.class_count != count_right:
-        return False
-
-    pairing = {}
-    for T, left_label in zip(enumerate_transversals(pair, cap=cap), left.labels):
-        # member over left slot k inverts to the member over right slot k
-        inv_key = tuple(p.inverse().images for p in tuple(T)[1:])
-        j = right_index.get(inv_key)
-        if j is None:
-            return False
-        lab = left_label, int(right_labels[j])
-        if lab[0] in pairing and pairing[lab[0]] != lab[1]:
-            return False
-        pairing[lab[0]] = lab[1]
-    return len(set(pairing.values())) == left.class_count
 
 
 def render_classes_dump(result: ClassificationResult, heading: str = "") -> str:

@@ -13,7 +13,6 @@ pins it against a worked degree-3 dihedral instance.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class Permutation:
@@ -84,9 +83,6 @@ class Permutation:
     def orbits(self):
         return orbits(self)
 
-    def cycle_type(self, domain=None) -> "CycleType":
-        return cycle_type(self, domain)
-
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
@@ -107,33 +103,6 @@ class Permutation:
 
     def __str__(self):
         return format_cycles(self)
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """Multiset of cycle lengths > 1 as (length, multiplicity), plus fixed-point count.
-
-    `pairs` is sorted by descending length, so equal types compare equal.
-    """
-
-    pairs: tuple
-    fixed: int
-
-    @property
-    def cycle_count(self) -> int:
-        """Number of cycles of length > 1."""
-        return sum(m for _, m in self.pairs)
-
-    @property
-    def moved(self) -> int:
-        return sum(l * m for l, m in self.pairs)
-
-    def counts(self) -> dict:
-        """Cycle counts by length, fixed points under key 1."""
-        d = {l: m for l, m in self.pairs}
-        if self.fixed:
-            d[1] = self.fixed
-        return d
 
 
 _new_permutation = object.__new__
@@ -192,34 +161,6 @@ def orbits(p: Permutation):
             t = p(t)
         out.append(tuple(orb))
     return out
-
-
-def cycle_type(p: Permutation, domain=None) -> CycleType:
-    """Cycle type of p restricted to `domain` (default: the whole domain).
-
-    `domain` must be p-invariant; anything else is a hard error, never a
-    silent restriction.
-    """
-    if domain is None:
-        dom = set(range(1, p.degree + 1))
-    else:
-        dom = set(domain)
-        for s in dom:
-            if not 1 <= s <= p.degree:
-                raise ValueError(f"symbol {s} outside 1..{p.degree}")
-            if p(s) not in dom:
-                raise ValueError(f"domain not invariant: {s} -> {p(s)} leaves it")
-    lengths = {}
-    fixed = 0
-    for orb in orbits(p):
-        if orb[0] not in dom:
-            continue
-        if len(orb) == 1:
-            fixed += 1
-        else:
-            lengths[len(orb)] = lengths.get(len(orb), 0) + 1
-    pairs = tuple(sorted(lengths.items(), key=lambda lm: -lm[0]))
-    return CycleType(pairs, fixed)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -45,28 +45,27 @@ def multiplicities(parts) -> dict:
     return mult
 
 
+def centralizer_order(counts: dict) -> int:
+    """Order of the centralizer, in the symmetric group on its moved
+    symbols, of a permutation with cycle type `counts` (length ->
+    multiplicity): prod over l > 1 of mult! * l^mult.  Fixed points (key 1)
+    are ignored."""
+    out = 1
+    for l, mult in counts.items():
+        if l > 1:
+            out *= factorial(mult) * l ** mult
+    return out
+
+
 def class_size(parts, m: int) -> int:
-    """Number of elements of Sym(m) with cycle type `parts` (1s included)."""
+    """Number of elements of Sym(m) with cycle type `parts` (1s included):
+    m! over the centralizer order, f! * centralizer_order for f fixed points."""
     if sum(parts) != m:
         raise ValueError(f"partition {parts} does not sum to {m}")
-    denom = 1
-    for l, mu in multiplicities(parts).items():
-        denom *= (l ** mu) * factorial(mu)
-    q, r = divmod(factorial(m), denom)
+    counts = multiplicities(parts)
+    q, r = divmod(factorial(m), factorial(counts.get(1, 0)) * centralizer_order(counts))
     assert r == 0
     return q
-
-
-def centralizer_order_moved(parts) -> int:
-    """Order of the centralizer of a fixed-point-free permutation with the
-    given cycle type, inside the symmetric group on its moved symbols."""
-    for l in parts:
-        if l < 2:
-            raise ValueError(f"part {l} < 2: type must have no fixed points")
-    out = 1
-    for l, mu in multiplicities(parts).items():
-        out *= factorial(mu) * (l ** mu)
-    return out
 
 
 def class_representative(parts, m: int) -> Permutation:

@@ -19,9 +19,7 @@ from transversals.groups import (
     make_pq,
     make_sym,
     normalizer_in_stab,
-    order18_example,
     coset_representation,
-    subgroup_transversal_sets,
     closure,
 )
 from transversals.ict_formulas import (
@@ -35,11 +33,16 @@ from transversals.oracle import (
     census_left_loops,
     classify_by_conjugation,
     classify_by_table_iso,
-    left_right_agreement,
-    subgroup_transversals,
 )
 from transversals.perm import Permutation, parse_cycles
 from transversals.symclasses import class_representative, partitions
+
+from oracles import (
+    left_right_agreement,
+    order18_example,
+    subgroup_transversal_sets,
+    subgroup_transversals,
+)
 
 
 def timed(fn, *args, **kwargs):

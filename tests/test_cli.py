@@ -216,6 +216,26 @@ def test_cache_xdg_fallback(tmp_path, capsys, monkeypatch):
     assert entry_file(tmp_path / "xdg" / "ict", "sym:3|sym").exists()
 
 
+@pytest.mark.parametrize("via", ["--cache-dir", "XDG_CACHE_HOME"])
+def test_unwritable_cache_still_emits_the_report(tmp_path, capsys, monkeypatch, via):
+    """A cache location under a regular file costs one warning, not the
+    report: stdout matches --no-cache and the exit code is 0."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["--sym", "4"]
+    if via == "--cache-dir":
+        args += ["--cache-dir", str(blocker / "sub")]
+    else:
+        monkeypatch.delenv("ICT_CACHE_DIR", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    _, plain, _ = run(capsys, "--sym", "4", "--no-cache")
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_OK
+    assert out == plain
+    assert err.startswith(f"warning: cannot write cache at {blocker}{os.sep}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_no_cache_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ICT_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = run(capsys, "--sym", "3", "--no-cache")
@@ -467,9 +487,12 @@ def test_out_of_range_counts_are_usage_errors(capsys, command, flag, value, leas
     assert exc.value.code == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
+    assert "Traceback" not in err
+    if flag == "--jobs":  # not an option at all: rejected before any range check
+        assert err.endswith(f"error: unrecognized arguments: --jobs {value}\n")
+        return
     assert err.startswith(f"usage: ict {command} ")
     assert err.endswith(f"error: argument {flag}: must be at least {least}, got {value}\n")
-    assert "Traceback" not in err
 
 
 def test_out_of_range_jobs_exits_one_in_a_child_process():
@@ -478,21 +501,24 @@ def test_out_of_range_jobs_exits_one_in_a_child_process():
         capture_output=True, text=True, env=ENV)
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
-    assert proc.stderr.endswith("error: argument --jobs: must be at least 1, got -3\n")
+    assert proc.stderr.endswith("error: unrecognized arguments: --jobs -3\n")
     assert "Traceback" not in proc.stderr
 
 
 def test_jobs_and_zero_caps_still_accepted(capsys):
     plain = run(capsys, "classes", "--sym", "3")
     assert plain[0] == EXIT_OK
-    assert run(capsys, "classes", "--sym", "3", "--jobs", "2") == plain
+    # --jobs is rejected whatever its value
+    for value in ("2", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classes", "--sym", "3", "--jobs", value])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: unrecognized arguments: --jobs {value}\n")
+        assert "Traceback" not in err
     code, out, err = run(capsys, "classes", "--sym", "3", "--cap-transversals", "0")
     assert code == EXIT_CAP and out == ""
     assert err == "cap exceeded: cap 'transversals' exceeded: requires 4, limit is 0\n"
-    with pytest.raises(SystemExit) as exc:
-        main(["classes", "--sym", "3", "--jobs", "x"])
-    assert exc.value.code == EXIT_USAGE
-    assert capsys.readouterr().err.endswith("argument --jobs: invalid int value: 'x'\n")
 
 
 def test_oracle_cap_exit(capsys):

@@ -13,6 +13,7 @@ from math import factorial, gcd, prod
 
 import pytest
 
+import transversals.ict_formulas as ict_formulas
 from transversals.errors import CapExceeded, DisagreementError, HypothesisViolation
 from transversals.groups import (
     PairGH,
@@ -44,7 +45,9 @@ from transversals.ict_formulas import (
 )
 from transversals.oracle import classify_by_conjugation, classify_by_table_iso
 from transversals.perm import Permutation, conjugate, identity, parse_cycles
-from transversals.symclasses import class_representative
+from transversals.symclasses import class_representative, multiplicities
+
+from oracles import cycle_type
 
 
 def _conjugated_members(T, x):
@@ -54,7 +57,7 @@ def _conjugated_members(T, x):
 def _contribution_by_type(report):
     out = {}
     for c in report.contributions:
-        key = c.representative.cycle_type()
+        key = cycle_type(c.representative)
         assert key not in out
         out[key] = c
     return out
@@ -83,7 +86,7 @@ def test_sym4_burnside_breakdown():
     assert report.gamma_order == 6
     assert report.numerator == 264
     by_type = _contribution_by_type(report)
-    ident = by_type[identity(4).cycle_type()]
+    ident = by_type[cycle_type(identity(4))]
     assert ident.fix_count == 216 and ident.class_size == 1
     assert sorted(c.class_size * c.fix_count for c in report.contributions) == [12, 36, 216]
 
@@ -124,7 +127,7 @@ def test_sym4_fixed_counts_by_definition():
     for x in pair.stabilizer:
         fixed = sum(1 for T in transversals if _conjugated_members(T, x) == T)
         total += fixed
-        assert fixed == by_type[x.cycle_type()].fix_count
+        assert fixed == by_type[cycle_type(x)].fix_count
     assert total == 6 * 44
 
 
@@ -140,7 +143,7 @@ def test_alt4_fixed_counts_by_definition():
     for x in sym_stab:
         fixed = sum(1 for T in transversals if _conjugated_members(T, x) == T)
         total += fixed
-        assert fixed == by_type[x.cycle_type()].fix_count
+        assert fixed == by_type[cycle_type(x)].fix_count
     assert total == 6 * 7
 
 
@@ -193,7 +196,7 @@ def test_sym6_forced_class_fix_count():
     x = class_representative((3, 2), 5)
     assert _fixed_count_from_scratch(pair, x) == 72
     by_type = _contribution_by_type(ict_sym(6))
-    assert by_type[x.cycle_type()].fix_count == 72
+    assert by_type[cycle_type(x)].fix_count == 72
 
 
 def test_alt6_forced_class_fix_count():
@@ -201,14 +204,14 @@ def test_alt6_forced_class_fix_count():
     x = class_representative((3, 2), 5)
     assert _fixed_count_from_scratch(pair, x) == 18
     by_type = _contribution_by_type(ict_alt(6))
-    assert by_type[x.cycle_type()].fix_count == 18
+    assert by_type[cycle_type(x)].fix_count == 18
 
 
 # ------------------------------------------------------- direct engine
 
 
 def test_theorem6_matches_closed_forms_term_by_term():
-    for n in range(3, 7):
+    for n in range(3, 9):
         direct = _contribution_by_type(ict_theorem6(make_sym(n)))
         closed = _contribution_by_type(ict_sym(n))
         assert direct.keys() == closed.keys()
@@ -220,7 +223,7 @@ def test_theorem6_matches_closed_forms_term_by_term():
 
 
 def test_theorem6_matches_alt_closed_form_term_by_term():
-    for n in range(4, 7):
+    for n in range(4, 9):
         direct = _contribution_by_type(ict_theorem6(make_alt(n)))
         closed = _contribution_by_type(ict_alt(n))
         assert direct.keys() == closed.keys()
@@ -408,6 +411,18 @@ def test_cyclic_gamma_accepts_any_n_cycle():
         cyclic_gamma(6, parse_cycles(6, "(1,2)(3,4,5)"))
 
 
+def test_ict_cyclic_builds_the_affine_family_once(monkeypatch):
+    builds = []
+
+    def spy(n, a):
+        builds.append(n)
+        return _affine_elements(n, a)
+
+    monkeypatch.setattr(ict_formulas, "_affine_elements", spy)
+    assert ict_cyclic(7, 2, pair=make_dihedral(7)).value == ict_cyclic(7, 2).value
+    assert builds == [7, 7]  # one build per call, validated or not
+
+
 # ------------------------------------------------ commuting counts
 
 
@@ -431,7 +446,7 @@ def test_sym_commuting_count_brute():
     cases = ["()", "(2,3)", "(2,3)(4,5)", "(2,3,4)", "(2,3,4,5)", "(2,3)(4,5,6)"]
     for text in cases:
         z = parse_cycles(6, text)
-        counts = z.cycle_type().counts()
+        counts = multiplicities(cycle_type(z))
         expected = sym_commuting_count(counts)
         fixed = [i for i in range(1, 7) if z(i) == i]
         for i in fixed:
@@ -442,7 +457,7 @@ def test_alt_commuting_count_brute():
     cases = ["()", "(2,3)", "(2,3)(4,5)", "(2,3,4)", "(2,3,4,5)", "(4,5,6)"]
     for text in cases:
         z = parse_cycles(6, text)
-        counts = z.cycle_type().counts()
+        counts = multiplicities(cycle_type(z))
         expected = alt_commuting_count(counts)
         fixed = [i for i in range(2, 7) if z(i) == i]
         for i in fixed:
@@ -453,8 +468,11 @@ def test_alt_commuting_count_zero_case():
     # centralizer of a lone 3-cycle on {3,4,5} is all-even once 1 and 2 are
     # pinned, so no even element can move 1 to 2
     z = parse_cycles(5, "(3,4,5)")
-    assert alt_commuting_count(z.cycle_type().counts()) == 0
+    assert alt_commuting_count(multiplicities(cycle_type(z))) == 0
     assert _brute_commuting(z, 2, even_only=True) == 0
+    # nothing moved: the only element sending 1 to 2 is the odd (1,2)
+    assert alt_commuting_count({1: 2}) == 0
+    assert _brute_commuting(parse_cycles(2, "()"), 2, even_only=True) == 0
 
 
 def test_commuting_count_validation():
@@ -470,34 +488,10 @@ def test_power_cycle_counts_matches_actual_powers():
         n = rng.randrange(2, 10)
         p = Permutation(rng.sample(range(1, n + 1), n))
         m = rng.randrange(1, 13)
-        assert power_cycle_counts(p.cycle_type().counts(), m) == (p ** m).cycle_type().counts()
+        assert (power_cycle_counts(multiplicities(cycle_type(p)), m)
+                == multiplicities(cycle_type(p ** m)))
     with pytest.raises(ValueError):
         power_cycle_counts({2: 1}, 0)
-
-
-def test_all_even_centralizer_brute():
-    """Check the parity rule against a direct scan of every fixed-point-free
-    cycle type with at most 7 moved points."""
-    from itertools import permutations as itp
-
-    from transversals.symclasses import partitions
-
-    for m in range(2, 8):
-        for parts in partitions(m):
-            if any(l < 2 for l in parts):
-                continue
-            rep = class_representative(parts, m)
-            moved = [i for i in range(1, m + 2) if rep(i) != i]
-            assert len(moved) == m
-            all_even = True
-            for img in itp(range(1, m + 2)):
-                q = Permutation(img)
-                if any(q(i) != i for i in range(1, m + 2) if i not in moved):
-                    continue
-                if q * rep == rep * q and q.parity() == -1:
-                    all_even = False
-                    break
-            assert all_even_centralizer(parts) == all_even, parts
 
 
 def test_all_even_centralizer_validation():

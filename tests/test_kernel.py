@@ -32,11 +32,12 @@ from transversals.groups import (
     make_dihedral,
     make_pq,
     make_sym,
-    order18_example,
     stabilizer_candidates,
 )
 from transversals.ict_formulas import _commuting_in_coset, cyclic_gamma
 from transversals.perm import Permutation, compose, parse_cycles
+
+from oracles import order18_example
 
 # ------------------------------------------------------------ references
 

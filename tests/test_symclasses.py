@@ -8,12 +8,14 @@ import pytest
 
 from transversals.perm import Permutation
 from transversals.symclasses import (
-    centralizer_order_moved,
+    centralizer_order,
     class_representative,
     class_size,
     multiplicities,
     partitions,
 )
+
+from oracles import cycle_type
 
 
 def test_partitions_small_values():
@@ -49,10 +51,7 @@ def test_class_size_against_direct_count():
     for m in range(1, 7):
         tally = {}
         for img in itertools_permutations(range(1, m + 1)):
-            p = Permutation(img)
-            t = p.cycle_type()
-            key = tuple(sorted((l for l, mu in t.pairs for _ in range(mu)), reverse=True))
-            key += (1,) * t.fixed
+            key = cycle_type(Permutation(img))
             tally[key] = tally.get(key, 0) + 1
         for parts in partitions(m):
             assert class_size(parts, m) == tally.get(parts, 0)
@@ -75,7 +74,7 @@ def test_centralizer_order_complements_class_size():
         for parts in partitions(m):
             if any(l < 2 for l in parts):
                 continue
-            assert class_size(parts, m) * centralizer_order_moved(parts) == factorial(m)
+            assert class_size(parts, m) * centralizer_order(multiplicities(parts)) == factorial(m)
 
 
 def test_centralizer_order_by_brute_force():
@@ -89,13 +88,14 @@ def test_centralizer_order_by_brute_force():
             a = Permutation(img)
             if a(1) == 1 and a * rep == rep * a:
                 count += 1
-        assert count == centralizer_order_moved(parts), parts
+        assert count == centralizer_order(multiplicities(parts)), parts
     del rng  # cases are exhaustive; no sampling needed at these sizes
 
 
-def test_centralizer_order_rejects_fixed_points():
-    with pytest.raises(ValueError):
-        centralizer_order_moved((2, 1))
+def test_centralizer_order_ignores_fixed_points():
+    assert centralizer_order({2: 1, 1: 3}) == centralizer_order({2: 1}) == 2
+    assert centralizer_order({3: 2, 2: 1}) == 2 * 3 ** 2 * 2
+    assert centralizer_order({1: 4}) == centralizer_order({}) == 1
 
 
 def test_class_representative_shape():
@@ -113,7 +113,5 @@ def test_class_representative_fixes_one_and_has_right_type():
             rep = class_representative(parts, m)
             assert rep.degree == m + 1
             assert rep(1) == 1
-            t = rep.cycle_type(domain=range(2, m + 2))
-            got = tuple(sorted((l for l, mu in t.pairs for _ in range(mu)), reverse=True))
-            got += (1,) * t.fixed
-            assert got == tuple(parts)
+            # symbol 1 adds one fixed point to the type on 2..m+1
+            assert cycle_type(rep) == tuple(parts) + (1,)
