@@ -136,14 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _caps(args) -> SimpleNamespace:
-    return SimpleNamespace(
-        transversals=args.cap_transversals,
-        stab=args.cap_stab_enum,
-        relabel=args.cap_relabelings,
-    )
-
-
 def _pair_source(args):
     """(family, identity, params, build) for the selected pair flags."""
     if args.sym is not None:
@@ -244,9 +236,9 @@ def _resolve_method(family: str, requested: str, params) -> str:
     return requested
 
 
-def _oracle_report(pair, caps) -> IctReport:
-    result = classify_by_conjugation(pair, cap=caps.transversals,
-                                     stab_cap=caps.stab)
+def _oracle_report(pair, args) -> IctReport:
+    result = classify_by_conjugation(pair, cap=args.cap_transversals,
+                                     stab_cap=args.cap_stab_enum)
     return IctReport(
         value=result.class_count,
         method="oracle",
@@ -261,22 +253,21 @@ def _oracle_report(pair, caps) -> IctReport:
     )
 
 
-def _compute_report(family, method, params, build, caps) -> IctReport:
+def _compute_report(family, method, params, build, args) -> IctReport:
     if method == "sym":
         return ict_sym(params.n)
     if method == "alt":
         return ict_alt(params.n)
     if method == "cyclic":
         if family == "dihedral":
-            return ict_cyclic(params.n, 2, pair=build(), cap=caps.stab)
-        return ict_cyclic(params.q, params.p, pair=build(), cap=caps.stab)
+            return ict_cyclic(params.n, 2, pair=build(), cap=args.cap_stab_enum)
+        return ict_cyclic(params.q, params.p, pair=build(), cap=args.cap_stab_enum)
     if method == "theorem6":
-        return ict_theorem6(build(), cap=caps.stab)
-    return _oracle_report(build(), caps)
+        return ict_theorem6(build(), cap=args.cap_stab_enum)
+    return _oracle_report(build(), args)
 
 
 def cmd_ict(args) -> int:
-    caps = _caps(args)
     family, identity, params, build = _pair_source(args)
     method = _resolve_method(family, args.method, params)
 
@@ -291,7 +282,7 @@ def cmd_ict(args) -> int:
             sys.stderr.write("warning: malformed cache entry, recomputing\n")
 
     if report is None:
-        report = _compute_report(family, method, params, build, caps)
+        report = _compute_report(family, method, params, build, args)
         if cache_path:
             _cache_store(cache_path, key, report_to_json(report))
 
@@ -300,7 +291,7 @@ def cmd_ict(args) -> int:
     return _emit(report_to_text(report), args)
 
 
-def _crosscheck_rows(family, params, build, caps):
+def _crosscheck_rows(family, params, build, args):
     """(label, value) for every engine applicable to the pair."""
     pair = build()
     n = pair.degree
@@ -308,27 +299,27 @@ def _crosscheck_rows(family, params, build, caps):
     # auto picks the family's closed form, or theorem6 (its own row below)
     method = _resolve_method(family, "auto", params)
     if method != "theorem6":
-        value = _compute_report(family, method, params, lambda: pair, caps).value
+        value = _compute_report(family, method, params, lambda: pair, args).value
         rows.append((f"{method}_closed", value))
-    if factorial(n - 1) <= caps.stab:
-        rows.append(("theorem6", ict_theorem6(pair, cap=caps.stab).value))
-    conj = classify_by_conjugation(pair, cap=caps.transversals,
-                                   stab_cap=caps.stab)
+    if factorial(n - 1) <= args.cap_stab_enum:
+        rows.append(("theorem6", ict_theorem6(pair, cap=args.cap_stab_enum).value))
+    conj = classify_by_conjugation(pair, cap=args.cap_transversals,
+                                   stab_cap=args.cap_stab_enum)
     rows.append(("oracle_conjugation", conj.class_count))
-    if factorial(n - 1) <= caps.relabel:
-        tab = classify_by_table_iso(pair, cap=caps.transversals, relabel_cap=caps.relabel)
+    if factorial(n - 1) <= args.cap_relabelings:
+        tab = classify_by_table_iso(pair, cap=args.cap_transversals,
+                                    relabel_cap=args.cap_relabelings)
         rows.append(("oracle_table_iso", tab.class_count))
-    if (family == "sym" and factorial(n - 1) ** (n - 1) <= caps.transversals
-            and factorial(n - 1) <= caps.relabel):
+    if (family == "sym" and factorial(n - 1) ** (n - 1) <= args.cap_transversals
+            and factorial(n - 1) <= args.cap_relabelings):
         rows.append(("census", census_left_loops(
-            n, cap=caps.transversals, relabel_cap=caps.relabel).class_count))
+            n, cap=args.cap_transversals, relabel_cap=args.cap_relabelings).class_count))
     return pair, rows
 
 
 def cmd_crosscheck(args) -> int:
-    caps = _caps(args)
     family, _, params, build = _pair_source(args)
-    pair, rows = _crosscheck_rows(family, params, build, caps)
+    pair, rows = _crosscheck_rows(family, params, build, args)
     agreement = len({v for _, v in rows}) == 1
 
     if args.format == "json":
@@ -392,13 +383,12 @@ def _sweep_fixtures(args):
 
 
 def cmd_sweep(args) -> int:
-    caps = _caps(args)
     rows = []
     violations = []
     for family, params, build in _sweep_fixtures(args):
         pair = build()
         method = _resolve_method(family, "auto", params)
-        value = _compute_report(family, method, params, lambda: pair, caps).value
+        value = _compute_report(family, method, params, lambda: pair, args).value
         normal = pair.stabilizer.is_normal_in(pair.group)
         index = pair.degree
         rows.append((pair.name, value, normal, index))
@@ -436,9 +426,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_census(args) -> int:
-    caps = _caps(args)
-    result = census_left_loops(args.order, cap=caps.transversals,
-                               relabel_cap=caps.relabel)
+    result = census_left_loops(args.order, cap=args.cap_transversals,
+                               relabel_cap=args.cap_relabelings)
     total = len(result.labels)
     generating = sum(1 for f in result.generating_flags if f)
     distribution = {}
@@ -470,10 +459,10 @@ def cmd_census(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    caps = _caps(args)
     _, _, _, build = _pair_source(args)
     pair = build()
-    result = classify_by_table_iso(pair, cap=caps.transversals, relabel_cap=caps.relabel)
+    result = classify_by_table_iso(pair, cap=args.cap_transversals,
+                                   relabel_cap=args.cap_relabelings)
     if args.format == "json":
         payload = classification_to_json(result)
         payload["pair"] = pair.name

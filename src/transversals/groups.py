@@ -136,30 +136,9 @@ class PermGroup:
 
     __slots__ = ("degree", "generators", "_rows", "_keys", "_left")
 
-    def __init__(self, elements, generators=(), degree: int | None = None):
-        """The group with these elements, Permutations in any order; one
-        degree and the identity are checked, closure is not."""
-        elems = list(elements)
-        if not elems:
-            raise ValueError("a group needs at least the identity")
-        deg = degree if degree is not None else elems[0].degree
-        if any(g.degree != deg for g in elems):
-            raise ValueError("mixed degrees in element set")
-        rows = _perm_rows(elems, deg)
-        rows = rows[np.unique(_row_keys(rows), return_index=True)[1]]
-        # the identity is the least permutation, so it comes first if present
-        if (rows[0] != np.arange(deg)).any():
-            raise ValueError("element set lacks the identity")
-        self._store(rows, generators)
-
-    @classmethod
-    def _from_rows(cls, rows: np.ndarray, generators=()) -> "PermGroup":
-        """The group whose elements are these rows, already sorted."""
-        group = cls.__new__(cls)
-        group._store(rows, generators)
-        return group
-
-    def _store(self, rows: np.ndarray, generators):
+    def __init__(self, rows: np.ndarray, generators=()):
+        """The group whose elements are these rows, already sorted; closure
+        is not checked."""
         rows.flags.writeable = False
         object.__setattr__(self, "degree", rows.shape[1])
         object.__setattr__(self, "generators", tuple(generators))
@@ -173,17 +152,17 @@ class PermGroup:
     @classmethod
     def from_generators(cls, generators, degree=None, cap=CAP_GROUP_ORDER):
         gens = tuple(generators)
-        return cls._from_rows(closure(gens, degree=degree, cap=cap), gens)
+        return cls(closure(gens, degree=degree, cap=cap), gens)
 
     @classmethod
     def trivial(cls, n: int):
-        return cls._from_rows(np.arange(n, dtype=_row_dtype(n))[None, :])
+        return cls(np.arange(n, dtype=_row_dtype(n))[None, :])
 
     @classmethod
     def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
         if factorial(n) > cap:
             raise CapExceeded("group_order", cap, factorial(n))
-        return cls._from_rows(_all_rows(n), symmetric_generators(n))
+        return cls(_all_rows(n), symmetric_generators(n))
 
     @classmethod
     def alternating(cls, n: int, cap=CAP_GROUP_ORDER):
@@ -192,7 +171,7 @@ class PermGroup:
         if factorial(n) // 2 > cap:
             raise CapExceeded("group_order", cap, factorial(n) // 2)
         rows = _all_rows(n)
-        return cls._from_rows(rows[_even(rows)], alternating_generators(n))
+        return cls(rows[_even(rows)], alternating_generators(n))
 
     @property
     def order(self) -> int:
@@ -257,7 +236,7 @@ class PermGroup:
         return all(len(block) for block in self._blocks())
 
     def stabilizer_of_1(self) -> "PermGroup":
-        return PermGroup._from_rows(self._blocks()[0])
+        return PermGroup(self._blocks()[0])
 
     def conjugacy_classes(self):
         """Conjugacy classes as sorted element lists; classes ordered by
@@ -552,11 +531,10 @@ def _is_prime(n: int) -> bool:
 
 def _primitive_root_of_unity(p: int, q: int) -> int:
     """Smallest r with multiplicative order exactly p mod q."""
+    # p is prime, so r != 1 with r^p = 1 has order exactly p
     for r in range(2, q):
         if pow(r, p, q) == 1:
-            ok = all(pow(r, d, q) != 1 for d in range(1, p) if p % d == 0)
-            if ok and pow(r, 1, q) != 1:
-                return r
+            return r
     raise ValueError(f"no element of order {p} mod {q}")
 
 
@@ -570,6 +548,15 @@ def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM):
         yield _trusted((1,) + tail)
 
 
+def _stabilizer_batches(n: int, size: int, cap: int):
+    """The stabilizer_candidates as 0-based rows, `size` rows per batch
+    (the last may be shorter), in sorted order: the one row source for
+    Sym(n)_1, streamed so that (n-1)! rows are never held at once."""
+    candidates = stabilizer_candidates(n, cap=cap)
+    while batch := list(_islice(candidates, size)):
+        yield _perm_rows(batch, n)
+
+
 def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
     """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}, by brute sweep.
 
@@ -580,8 +567,9 @@ def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
         raise CapExceeded("stabilizer_enum", cap, total)
     if pair._normalizer is None:
         # the candidates come sorted, so the rows kept from them are too
-        found = _normalizers(pair.group, stabilizer_candidates(pair.degree, cap=cap))
-        object.__setattr__(pair, "_normalizer", PermGroup._from_rows(found))
+        found = [rows[_normalizing(pair.group, rows)]
+                 for rows in _stabilizer_batches(pair.degree, NORMALIZER_CHUNK, cap)]
+        object.__setattr__(pair, "_normalizer", PermGroup(np.concatenate(found)))
     return pair._normalizer
 
 
@@ -596,18 +584,6 @@ def _normalizing(group: PermGroup, alphas: np.ndarray, target=None) -> np.ndarra
         # row k: alpha_k g alpha_k^-1, i.e. alpha_k[g[alpha_k^-1[j]]]
         keep &= target._locate(np.take_along_axis(alphas, g[alphas_inv], axis=1)) >= 0
     return keep
-
-
-def _normalizers(group: PermGroup, alphas) -> np.ndarray:
-    """Rows of the alphas with alpha G alpha^-1 = G, in the order given.
-    Takes the whole candidate stream (the sweep runs (n-1)! candidates) and
-    tests NORMALIZER_CHUNK candidates at a time."""
-    alphas = iter(alphas)
-    found = [group._rows[:0]]
-    while chunk := list(_islice(alphas, NORMALIZER_CHUNK)):
-        rows = _perm_rows(chunk, group.degree)
-        found.append(rows[_normalizing(group, rows)])
-    return np.concatenate(found)
 
 
 def _is_subgroup(members) -> bool:

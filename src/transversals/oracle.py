@@ -27,8 +27,8 @@ from .groups import (
     _perms,
     _row_dtype,
     _row_keys,
+    _stabilizer_batches,
     generates,
-    stabilizer_candidates,
 )
 from .perm import Permutation, format_cycles
 
@@ -98,14 +98,6 @@ def induced_table(pair: PairGH, T: Transversal) -> LoopTable:
     return LoopTable(n, tuple(p.images for p in T))
 
 
-def _identity_fixing_relabelings(n: int, cap: int = CAP_RELABELINGS):
-    """All permutations of 1..n fixing 1, 0-based, as one (m, n) array."""
-    total = factorial(n - 1) if n else 1
-    if total > cap:
-        raise CapExceeded("relabelings", cap, total)
-    return _perm_rows(stabilizer_candidates(n, cap=max(cap, total)), n)
-
-
 # Candidate (table, relabeling) pairs, conjugated rows or transversal images
 # handled per numpy batch: enough to amortize numpy's per-call cost, few
 # enough to keep the working arrays at a few MB.
@@ -126,7 +118,10 @@ def _canonical_forms(tables: np.ndarray, n: int, cap: int = CAP_RELABELINGS) -> 
     relabeling fixes them.
     """
     flat = tables.reshape(len(tables), n * n)
-    F = _identity_fixing_relabelings(n, cap=cap)
+    total = factorial(n - 1)
+    if total > cap:
+        raise CapExceeded("relabelings", cap, total)
+    F = np.concatenate(list(_stabilizer_batches(n, BATCH, cap)))
     m = len(F)
     Finv = _invert_rows(F).T.astype(np.uint16 if n <= 255 else np.int64)
     # by_cell[c, k]: source position of flattened cell c after relabeling by F[k]
@@ -264,11 +259,9 @@ def _candidate_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
     total = factorial(n - 1)
     if total > stab_cap:
         raise CapExceeded("stabilizer_enum", stab_cap, total)
-    A = _identity_fixing_relabelings(n, cap=total)
-    step = max(1, BATCH // pair.group.order)
     kept = [np.empty((0, n - 1, pair.subgroup_order), dtype=np.int64)]
-    for lo in range(0, total, step):
-        index = _conjugates(pair, A[lo:lo + step])
+    for alphas in _stabilizer_batches(n, max(1, BATCH // pair.group.order), stab_cap):
+        index = _conjugates(pair, alphas)
         kept.append(index[(index >= 0).any(axis=2).all(axis=1)])
     return np.concatenate(kept)
 

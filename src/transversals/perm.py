@@ -59,9 +59,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
     def __pow__(self, m: int) -> "Permutation":
         if m < 0:
             return self.inverse() ** (-m)
@@ -76,10 +73,6 @@ class Permutation:
             inv[v - 1] = i + 1
         return _trusted(tuple(inv))
 
-    def parity(self) -> int:
-        """+1 for even, -1 for odd."""
-        return parity(self)
-
     def orbits(self):
         return orbits(self)
 
@@ -91,9 +84,6 @@ class Permutation:
 
     def __lt__(self, other):
         return self.images < other.images
-
-    def __le__(self, other):
-        return self.images <= other.images
 
     def __hash__(self):
         return hash(self.images)
@@ -137,11 +127,6 @@ def conjugate(p: Permutation, a: Permutation) -> Permutation:
     for i, v in enumerate(pi):
         out[ai[i] - 1] = ai[v - 1]
     return _trusted(tuple(out))
-
-
-def parity(p: Permutation) -> int:
-    """(-1)^(degree - number of orbits)."""
-    return -1 if (p.degree - len(orbits(p))) % 2 else 1
 
 
 def orbits(p: Permutation):

@@ -2,15 +2,16 @@
 
 Nothing in the package runs these: they are independent checks (left/right
 symmetry of the classification, subgroup transversals, pair isomorphism by
-sweeping every relabeling) and the order-18 example pair behind acceptance
-criterion 10.  Import them as `from oracles import ...`; pytest puts this
-directory on the path.
+sweeping every relabeling, parity by orbit count) and the order-18 example
+pair behind acceptance criterion 10.  Import them as `from oracles import
+...`; pytest puts this directory on the path.
 """
 
 import numpy as np
 
 from transversals.errors import CAP_STAB_ENUM, CAP_TRANSVERSALS
 from transversals.groups import (
+    NORMALIZER_CHUNK,
     PairGH,
     PermGroup,
     _invert_rows,
@@ -19,8 +20,8 @@ from transversals.groups import (
     _normalizing,
     _perm_rows,
     _sections,
+    _stabilizer_batches,
     enumerate_transversals,
-    stabilizer_candidates,
 )
 from transversals.oracle import _canonical_forms, classify_by_table_iso
 from transversals.perm import parse_cycles
@@ -29,6 +30,11 @@ from transversals.perm import parse_cycles
 def cycle_type(p):
     """p's cycle lengths, fixed points included, as a non-increasing partition."""
     return tuple(sorted(map(len, p.orbits()), reverse=True))
+
+
+def parity(p):
+    """+1 for even, -1 for odd: (-1)^(degree - number of orbits)."""
+    return -1 if (p.degree - len(p.orbits())) % 2 else 1
 
 
 def _left_coset_blocks(G: PermGroup, H: PermGroup) -> list:
@@ -49,8 +55,8 @@ def pair_isomorphic(p1: PairGH, p2: PairGH, cap: int = CAP_STAB_ENUM) -> bool:
     along automatically, both being stabilizers of 1)."""
     if p1.degree != p2.degree or p1.group.order != p2.group.order:
         return False
-    sigmas = _perm_rows(stabilizer_candidates(p1.degree, cap=cap), p1.degree)
-    return bool(_normalizing(p1.group, sigmas, p2.group).any())
+    return any(_normalizing(p1.group, sigmas, p2.group).any()
+               for sigmas in _stabilizer_batches(p1.degree, NORMALIZER_CHUNK, cap))
 
 
 def order18_example() -> tuple[PermGroup, PermGroup]:

@@ -34,12 +34,13 @@ from transversals.oracle import (
     classify_by_conjugation,
     classify_by_table_iso,
 )
-from transversals.perm import Permutation, parse_cycles
+from transversals.perm import Permutation, compose, parse_cycles
 from transversals.symclasses import class_representative, partitions
 
 from oracles import (
     left_right_agreement,
     order18_example,
+    parity,
     subgroup_transversal_sets,
     subgroup_transversals,
 )
@@ -181,7 +182,7 @@ def test_criterion_09_centralizer_parity_rule():
                 q = Permutation(img)
                 if any(q(i) != i for i in range(1, m + 2) if i not in moved):
                     continue
-                if q * rep == rep * q and q.parity() == -1:
+                if compose(q, rep) == compose(rep, q) and parity(q) == -1:
                     all_even = False
                     break
             assert all_even_centralizer(parts) == all_even, parts

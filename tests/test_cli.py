@@ -351,17 +351,18 @@ def test_crosscheck_json(capsys, pair, closed, value):
 
 def test_crosscheck_sweeps_the_normalizer_once(capsys, monkeypatch):
     """The cyclic row's normalizer check and the theorem6 row share one
-    (n-1)! sweep."""
+    (n-1)! sweep.  The oracle rows read Sym(n)_1 through their own binding
+    of the row source, so only the normalizer sweep passes the spy."""
     import transversals.groups as groups
 
     sweeps = []
-    candidates = groups.stabilizer_candidates
+    batches = groups._stabilizer_batches
 
-    def counted(n, cap):
+    def counted(n, size, cap):
         sweeps.append(n)
-        return candidates(n, cap=cap)
+        return batches(n, size, cap)
 
-    monkeypatch.setattr(groups, "stabilizer_candidates", counted)
+    monkeypatch.setattr(groups, "_stabilizer_batches", counted)
     code, out, _ = run(capsys, "crosscheck", "--dihedral", "8")
     assert code == EXIT_OK
     assert "cyclic_closed" in out and "theorem6" in out

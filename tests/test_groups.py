@@ -3,13 +3,16 @@
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 
-from transversals.errors import CapExceeded
+from transversals.errors import CAP_STAB_ENUM, CapExceeded
 from transversals.groups import (
+    NORMALIZER_CHUNK,
     PairGH,
     PermGroup,
     Transversal,
+    _stabilizer_batches,
     closure,
     coset_representation,
     enumerate_transversals,
@@ -76,13 +79,6 @@ def test_permgroup_basics():
     assert A.is_normal_in(G)
     assert not G.stabilizer_of_1().is_normal_in(G)
     assert PermGroup.trivial(5).order == 1
-
-
-def test_permgroup_rejects_non_groups():
-    with pytest.raises(ValueError):
-        PermGroup([parse_cycles(3, "(1,2)")])  # no identity
-    with pytest.raises(ValueError):
-        PermGroup([identity(3), identity(4)])
 
 
 def test_abelian_and_transitive_flags():
@@ -236,6 +232,18 @@ def test_stabilizer_candidates():
     assert len(set(cands)) == 6
     with pytest.raises(CapExceeded):
         list(stabilizer_candidates(12))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stabilizer_batches_are_the_stabilizer_of_sym(n):
+    """The batches, concatenated, are the rows of Sym(n)_1 as the stabilizer
+    of 1 in PermGroup.symmetric(n): two independent builders of Sym(n)_1."""
+    want = PermGroup.symmetric(n).stabilizer_of_1()._rows
+    for size in (NORMALIZER_CHUNK, 7):
+        batches = list(_stabilizer_batches(n, size, CAP_STAB_ENUM))
+        assert all(len(b) == size for b in batches[:-1]) and len(batches[-1]) <= size
+        rows = np.concatenate(batches)
+        assert rows.dtype == want.dtype and np.array_equal(rows, want)
 
 
 def test_normalizer_in_stab():

@@ -44,10 +44,10 @@ from transversals.ict_formulas import (
     _affine_elements,
 )
 from transversals.oracle import classify_by_conjugation, classify_by_table_iso
-from transversals.perm import Permutation, conjugate, identity, parse_cycles
+from transversals.perm import Permutation, compose, conjugate, identity, parse_cycles
 from transversals.symclasses import class_representative, multiplicities
 
-from oracles import cycle_type
+from oracles import cycle_type, parity
 
 
 def _conjugated_members(T, x):
@@ -435,9 +435,9 @@ def _brute_commuting(z, target, even_only=False):
         q = Permutation(img)
         if q(1) != target:
             continue
-        if even_only and q.parity() != 1:
+        if even_only and parity(q) != 1:
             continue
-        if q * z == z * q:
+        if compose(q, z) == compose(z, q):
             count += 1
     return count
 

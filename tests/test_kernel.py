@@ -13,7 +13,7 @@ standard pairs of degree <= 8 and on seeded relabelings of them.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -23,7 +23,8 @@ import transversals.groups as groups
 from transversals.groups import (
     PairGH,
     PermGroup,
-    _normalizers,
+    _normalizing,
+    _perm_rows,
     closure,
     coset_representation,
     enumerate_transversals,
@@ -32,7 +33,7 @@ from transversals.groups import (
     make_dihedral,
     make_pq,
     make_sym,
-    stabilizer_candidates,
+    normalizer_in_stab,
 )
 from transversals.ict_formulas import _commuting_in_coset, cyclic_gamma
 from transversals.perm import Permutation, compose, parse_cycles
@@ -191,14 +192,14 @@ def check_kernel(pair, rng, monkeypatch):
     for T in sample_transversals(pair, rng):
         assert generates(pair, T) == (len(ref_closure(T, n)) == G.order), T
 
-    candidates = list(stabilizer_candidates(n))
-    want = ref_normalizers(G, candidates)
-    assert perms(_normalizers(G, candidates)) == want
+    want = ref_normalizers(G, [Permutation((1, *tail))
+                               for tail in permutations(range(2, n + 1))])
+    # a fresh pair for each sweep: the normalizer is kept on the pair
+    assert perms(normalizer_in_stab(PairGH(G, H))._rows) == want
     monkeypatch.setattr(groups, "NORMALIZER_CHUNK", 7)  # many chunk boundaries
-    assert perms(_normalizers(G, iter(candidates))) == want
+    gamma = normalizer_in_stab(PairGH(G, H))
     monkeypatch.undo()
-
-    gamma = PermGroup(want, degree=n)
+    assert perms(gamma._rows) == want
     assert gamma.is_abelian() == ref_is_abelian(gamma)
     assert gamma.is_normal_in(G) == ref_is_normal_in(gamma, G)
     for group in (G, gamma):
@@ -251,7 +252,8 @@ def test_kernel_matches_reference_beyond_one_byte_images():
     for members in ([a, b], [a], [b, compose(a, b)], [a, a]):
         assert generates(pair, members) == (len(ref_closure(members, n)) == G.order)
     gamma = list(cyclic_gamma(n, G.generators[0]))
-    assert perms(_normalizers(G, gamma)) == ref_normalizers(G, gamma) == gamma
+    rows = _perm_rows(gamma, n)
+    assert perms(rows[_normalizing(G, rows)]) == ref_normalizers(G, gamma) == gamma
     cosets = pair.cosets()
     for z in gamma[:5]:
         assert _commuting_in_coset(cosets[1], z) == ref_commuting(perms(cosets[1]), z)

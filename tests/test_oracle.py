@@ -8,7 +8,7 @@ transversals keyed by Python tuples.
 """
 
 import random
-from math import factorial
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -35,7 +35,6 @@ from transversals.oracle import (
     ClassificationResult,
     LoopTable,
     _canonical_forms,
-    _identity_fixing_relabelings,
     census_left_loops,
     classification_to_json,
     classify_by_conjugation,
@@ -91,12 +90,17 @@ def relabel(pair, sigma):
 # ------------------------------------------------------- references
 
 
+def ref_relabelings(n):
+    """Every permutation of 1..n fixing 1, as sorted 0-based rows."""
+    return np.array([(0, *tail) for tail in permutations(range(1, n))], dtype=np.uint8)
+
+
 def ref_canonical_forms(tables, n):
     """The lexicographic minimum of each flattened table over every
     identity-fixing relabeling, one relabeling at a time."""
     N = tables.shape[0]
     flat_tables = np.ascontiguousarray(tables.reshape(N, n * n))
-    F = _identity_fixing_relabelings(n)
+    F = ref_relabelings(n)
     Finv = _invert_rows(F).astype(np.int64)
     positions = (Finv[:, :, None] * n + Finv[:, None, :]).reshape(len(F), n * n)
     rows = np.arange(N)
@@ -143,7 +147,7 @@ def ref_candidate_relabelings(pair):
     """(images, inverse images) of every identity-fixing alpha that
     conjugates at least one member of each coset into G."""
     n = pair.degree
-    A = _identity_fixing_relabelings(n, cap=factorial(n - 1))
+    A = ref_relabelings(n)
     Ainv = _invert_rows(A)
     useful = np.ones(len(A), dtype=bool)
     for coset in pair.cosets()[1:]:

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from transversals.perm import Permutation
+from transversals.perm import Permutation, compose
 from transversals.symclasses import (
     centralizer_order,
     class_representative,
@@ -86,7 +86,7 @@ def test_centralizer_order_by_brute_force():
         count = 0
         for img in itertools_permutations(range(1, m + 2)):
             a = Permutation(img)
-            if a(1) == 1 and a * rep == rep * a:
+            if a(1) == 1 and compose(a, rep) == compose(rep, a):
                 count += 1
         assert count == centralizer_order(multiplicities(parts)), parts
     del rng  # cases are exhaustive; no sampling needed at these sizes
