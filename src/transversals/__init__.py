@@ -34,7 +34,6 @@ from .ict_formulas import (
     IctReport,
     all_even_centralizer,
     cyclic_fixed_and_orbit_data,
-    cyclic_gamma,
     ict_alt,
     ict_cyclic,
     ict_sym,
@@ -48,7 +47,6 @@ from .oracle import (
     census_left_loops,
     classify_by_conjugation,
     classify_by_table_iso,
-    induced_table,
     render_classes_dump,
 )
 
@@ -78,7 +76,6 @@ __all__ = [
     "IctReport",
     "all_even_centralizer",
     "cyclic_fixed_and_orbit_data",
-    "cyclic_gamma",
     "ict_alt",
     "ict_cyclic",
     "ict_sym",
@@ -90,6 +87,5 @@ __all__ = [
     "census_left_loops",
     "classify_by_conjugation",
     "classify_by_table_iso",
-    "induced_table",
     "render_classes_dump",
 ]

@@ -218,12 +218,10 @@ def _cache_store(path: Path, key: str, report: dict):
 
 # ---------------------------------------------------------------- commands
 
-def _resolve_method(family: str, requested: str, params) -> str:
+def _resolve_method(family: str, requested: str) -> str:
     if requested == "auto":
-        if family == "sym":
-            return "sym"
-        if family == "alt":
-            return "alt" if params.n >= 4 else "theorem6"
+        if family in ("sym", "alt"):
+            return family
         if family in ("dihedral", "pq"):
             return "cyclic"
         return "theorem6"
@@ -269,7 +267,7 @@ def _compute_report(family, method, params, build, args) -> IctReport:
 
 def cmd_ict(args) -> int:
     family, identity, params, build = _pair_source(args)
-    method = _resolve_method(family, args.method, params)
+    method = _resolve_method(family, args.method)
 
     key = f"{identity}|{method}"
     cache_path = _cache_file(args, key)
@@ -297,7 +295,7 @@ def _crosscheck_rows(family, params, build, args):
     n = pair.degree
     rows = []
     # auto picks the family's closed form, or theorem6 (its own row below)
-    method = _resolve_method(family, "auto", params)
+    method = _resolve_method(family, "auto")
     if method != "theorem6":
         value = _compute_report(family, method, params, lambda: pair, args).value
         rows.append((f"{method}_closed", value))
@@ -387,7 +385,7 @@ def cmd_sweep(args) -> int:
     violations = []
     for family, params, build in _sweep_fixtures(args):
         pair = build()
-        method = _resolve_method(family, "auto", params)
+        method = _resolve_method(family, "auto")
         value = _compute_report(family, method, params, lambda: pair, args).value
         normal = pair.stabilizer.is_normal_in(pair.group)
         index = pair.degree

@@ -18,20 +18,12 @@ from __future__ import annotations
 from itertools import chain as _chain
 from itertools import islice as _islice
 from itertools import permutations as _itpermutations
-from itertools import product as _itproduct
 from math import factorial, prod
 
 import numpy as np
 
 from .errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
-from .perm import (
-    Permutation,
-    _trusted,
-    compose,
-    format_cycles,
-    identity,
-    parse_cycles,
-)
+from .perm import Permutation, _trusted, compose, format_cycles, parse_cycles
 
 # Candidates conjugated per gather in the normalizer sweep: large enough to
 # amortize numpy's per-call cost, small enough that an (n-1)! stream is
@@ -239,13 +231,15 @@ class PermGroup:
         return PermGroup(self._blocks()[0])
 
     def conjugacy_classes(self):
-        """Conjugacy classes as sorted element lists; classes ordered by
-        (moved points of min rep, min rep), so the identity class comes first.
+        """One (representative, size) pair per conjugacy class, the
+        representative being the class's least element; classes ordered by
+        (moved points, representative), so the identity class comes first.
         Each class is one gather: x conjugated by every element at once."""
         rows, inverses = self._rows, _invert_rows(self._rows)
         unseen = np.ones(len(rows), dtype=bool)
         classes = []
         while unseen.any():
+            # every earlier row is in an earlier class: x is its class's least
             x = rows[unseen.argmax()]
             # row k: g_k x g_k^-1, i.e. g_k[x[g_k^-1[j]]]
             index = self._locate(np.take_along_axis(rows, x[inverses], axis=1))
@@ -253,7 +247,7 @@ class PermGroup:
             members = np.zeros(len(rows), dtype=bool)
             members[index] = True
             unseen &= ~members
-            classes.append(_perms(rows[members]))
+            classes.append((_perms(x[None, :])[0], int(members.sum())))
         return sorted(classes, key=lambda c: _class_order_key(c[0]))
 
     def _left_row(self, i: int) -> list:
@@ -410,24 +404,37 @@ class Transversal:
         return "Transversal[" + ", ".join(format_cycles(m) for m in self.members) + "]"
 
 
-def _sections(blocks, degree: int, cap: int = CAP_TRANSVERSALS):
-    """Yield the identity followed by one element of each block of sorted
-    rows, as permutations, for every choice in Cartesian-product order
-    (first block slowest).  The product of the block sizes is capped before
-    any permutation is built."""
-    total = prod(len(block) for block in blocks)
-    if total > cap:
-        raise CapExceeded("transversals", cap, total)
-    e = identity(degree)
-    for choice in _itproduct(*map(_perms, blocks)):
-        yield (e,) + choice
+def _section_rows(blocks, index, degree: int) -> np.ndarray:
+    """0-based rows of the sections with these indices, shaped
+    (len(index), len(blocks) + 1, degree): the identity row, then one row of
+    each block of sorted rows.  Sections are numbered in mixed radix by the
+    position chosen in each block, first block slowest (Cartesian-product
+    order)."""
+    index = np.asarray(index, dtype=np.int64)
+    rows = np.empty((len(index), len(blocks) + 1, degree), dtype=_row_dtype(degree))
+    rows[:, 0] = np.arange(degree)
+    stride = prod(len(block) for block in blocks)
+    for s, block in enumerate(blocks):
+        stride //= len(block)
+        rows[:, s + 1] = block[index // stride % len(block)]
+    return rows
+
+
+# Transversals built per _section_rows call while enumerating
+SECTION_CHUNK = 4096
 
 
 def enumerate_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
     """Yield every transversal of the pair in a fixed order: the Cartesian
-    product of the non-identity cosets' sorted rows."""
-    for members in _sections(pair.cosets()[1:], pair.degree, cap):
-        yield Transversal(members)
+    product of the non-identity cosets' sorted rows, first coset slowest.
+    The count is capped before any transversal is built."""
+    total = pair.transversal_count()
+    if total > cap:
+        raise CapExceeded("transversals", cap, total)
+    for lo in range(0, total, SECTION_CHUNK):
+        chunk = range(lo, min(lo + SECTION_CHUNK, total))
+        for rows in _section_rows(pair.cosets()[1:], chunk, pair.degree):
+            yield Transversal(_perms(rows))
 
 
 def _least_in_coset(G: PermGroup, H: PermGroup) -> np.ndarray:
@@ -540,21 +547,22 @@ def _primitive_root_of_unity(p: int, q: int) -> int:
 
 def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM):
     """All of the stabilizer of 1 inside Sym(n), i.e. permutations of 2..n,
-    lazily.  The search space has (n-1)! elements; `cap` guards it."""
+    lazily and in sorted order, each as its 0-based image tuple.  The search
+    space has (n-1)! elements; `cap` guards it."""
     total = factorial(n - 1)
     if total > cap:
         raise CapExceeded("stabilizer_enum", cap, total)
-    for tail in _itpermutations(range(2, n + 1)):
-        yield _trusted((1,) + tail)
+    for tail in _itpermutations(range(1, n)):
+        yield (0,) + tail
 
 
 def _stabilizer_batches(n: int, size: int, cap: int):
-    """The stabilizer_candidates as 0-based rows, `size` rows per batch
-    (the last may be shorter), in sorted order: the one row source for
-    Sym(n)_1, streamed so that (n-1)! rows are never held at once."""
+    """The stabilizer_candidates as rows, `size` rows per batch (the last
+    may be shorter): the one row source for Sym(n)_1, streamed so that
+    (n-1)! rows are never held at once."""
     candidates = stabilizer_candidates(n, cap=cap)
     while batch := list(_islice(candidates, size)):
-        yield _perm_rows(batch, n)
+        yield np.array(batch, dtype=_row_dtype(n))
 
 
 def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:

@@ -137,10 +137,17 @@ def orbit_profile(x: Permutation):
     return tuple(fixed), tuple(long_orbits)
 
 
-def _commuting_in_coset(coset: np.ndarray, z: Permutation) -> int:
-    """Members q of the coset (0-based image rows) with q z = z q."""
-    zrow = np.array(z.images) - 1
-    return int((coset[:, zrow] == zrow[coset]).all(axis=1).sum())
+def _commuting_in_coset(coset: np.ndarray, z: np.ndarray) -> int:
+    """Members q of the coset with q z = z q, all as 0-based image rows."""
+    return int((coset[:, z] == z[coset]).all(axis=1).sum())
+
+
+def _row_power(x: np.ndarray, m: int) -> np.ndarray:
+    """x^m for a 0-based image row x and m >= 1: compose(x, y) is x[y]."""
+    power = x
+    for _ in range(m - 1):
+        power = x[power]
+    return power
 
 
 def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
@@ -170,15 +177,14 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
 
     cosets = pair.cosets()
     contributions = []
-    for cls in gamma.conjugacy_classes():
-        x = cls[0]
+    for x, size in gamma.conjugacy_classes():
+        row = np.array(x.images) - 1
         fixed, long_orbits = orbit_profile(x)
         a_factors = [1]
-        a_factors += [_commuting_in_coset(cosets[j - 1], x) for j in fixed]
-        orbit_factors = [
-            _commuting_in_coset(cosets[i0 - 1], x ** m) for (i0, m) in long_orbits
-        ]
-        contributions.append(_contribution(x, len(cls), a_factors, orbit_factors))
+        a_factors += [_commuting_in_coset(cosets[j - 1], row) for j in fixed]
+        orbit_factors = [_commuting_in_coset(cosets[i0 - 1], _row_power(row, m))
+                         for (i0, m) in long_orbits]
+        contributions.append(_contribution(x, size, a_factors, orbit_factors))
     whole = gamma.order == factorial(n - 1)
     justification = WHOLE_STABILIZER if whole else (
         f"the acting group has order {gamma.order}, not (n-1)! = {factorial(n - 1)}; "
@@ -330,15 +336,6 @@ def _affine_elements(n: int, a: Permutation):
         std = Permutation(tuple((x - 1) * jinv % n + 1 for x in range(1, n + 1)))
         out.append((j, conjugate(std, sigma)))
     return out
-
-
-def cyclic_gamma(n: int, a: Permutation | None = None) -> PermGroup:
-    """The abelian group of affine relabelings normalizing a regular cyclic
-    transversal generated by the n-cycle a (default (1, 2, ..., n)); its
-    order is phi(n) and every element fixes symbol 1."""
-    if a is None:
-        a = _standard_cycle(n)
-    return _affine_group(n, _affine_elements(n, a))
 
 
 def _affine_group(n: int, affine) -> PermGroup:

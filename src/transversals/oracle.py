@@ -19,16 +19,13 @@ from .errors import CAP_RELABELINGS, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceede
 from .groups import (
     PairGH,
     PermGroup,
-    Transversal,
     _generates,
     _invert_rows,
     _normalizing,
     _perm_rows,
-    _perms,
-    _row_dtype,
     _row_keys,
+    _section_rows,
     _stabilizer_batches,
-    generates,
 )
 from .perm import Permutation, format_cycles
 
@@ -88,14 +85,22 @@ class ClassificationResult:
         assert sum(self.class_sizes) == len(self.labels)
 
 
-def induced_table(pair: PairGH, T: Transversal) -> LoopTable:
-    """Table of the operation i*j = (member over i, then member over j,
-    read off at 1); with members indexed by their image of 1 this is just
-    row i = images of member i."""
-    n = pair.degree
-    if len(T) != n:
-        raise ValueError(f"transversal has {len(T)} members, pair needs {n}")
-    return LoopTable(n, tuple(p.images for p in T))
+def _classification(tables: np.ndarray, group: PermGroup, sizes: np.ndarray,
+                    labels: np.ndarray) -> ClassificationResult:
+    """The result whose class c has the 0-based induced table tables[c] as
+    its representative and sizes[c] members; a class is generating when the
+    rows of its table, the members of its transversal, generate `group`.
+
+    The induced table of a transversal has row i = the images of the member
+    over coset i: i*j is member i after member j, read off at 1."""
+    return ClassificationResult(
+        class_count=len(sizes),
+        representatives=tuple(LoopTable(tables.shape[2], tuple(map(tuple, table)))
+                              for table in (tables.astype(np.int64) + 1).tolist()),
+        class_sizes=tuple(sizes.tolist()),
+        generating_flags=tuple(_generates(group, table) for table in tables),
+        labels=tuple(labels.tolist()),
+    )
 
 
 # Candidate (table, relabeling) pairs, conjugated rows or transversal images
@@ -162,28 +167,12 @@ def _table_classes(slots, n: int, group: PermGroup,
     slowest; a class is generating when the rows of its first table
     generate `group`.
     """
-    total = prod(len(rows) for rows in slots)
-    tables = np.empty((total, n, n), dtype=_row_dtype(n))
-    tables[:, 0, :] = np.arange(n)
-    idx = np.arange(total)
-    stride = total
-    for s, rows in enumerate(slots):
-        stride //= len(rows)
-        tables[:, s + 1, :] = rows[(idx // stride) % len(rows)]
-
+    tables = _section_rows(slots, np.arange(prod(len(rows) for rows in slots)), n)
     canon = _canonical_forms(tables, n, cap=relabel_cap)
     # row keys sort like the rows, so classes come out by canonical form
     _, first, inverse, counts = np.unique(
         _row_keys(canon), return_index=True, return_inverse=True, return_counts=True)
-    reps = tuple(LoopTable(n, tuple(tuple(int(v) + 1 for v in row) for row in tables[i]))
-                 for i in first)
-    return ClassificationResult(
-        class_count=len(counts),
-        representatives=reps,
-        class_sizes=tuple(int(c) for c in counts),
-        generating_flags=tuple(_generates(group, tables[i]) for i in first),
-        labels=tuple(int(x) for x in inverse),
-    )
+    return _classification(tables[first], group, counts, inverse)
 
 
 def classify_by_table_iso(pair: PairGH, cap: int = CAP_TRANSVERSALS,
@@ -266,66 +255,63 @@ def _candidate_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _transversal(pair: PairGH, index: int) -> Transversal:
-    """The transversal with this index in enumeration order."""
-    cosets = pair.cosets()
-    digits = np.unravel_index(index, (pair.subgroup_order,) * (pair.degree - 1))
-    rows = [cosets[0][0]] + [coset[c] for coset, c in zip(cosets[1:], digits)]
-    return Transversal(_perms(np.array(rows)))
+def _sweep_labels(pair: PairGH, stab_cap: int) -> np.ndarray:
+    """Each transversal's least index among its images under the alphas
+    `_candidate_relabelings` keeps: the least index of its class."""
+    total = pair.transversal_count()
+    least = np.arange(total)
+    conjugates = _candidate_relabelings(pair, stab_cap)
+    step = max(1, BATCH // total)
+    for lo in range(0, len(conjugates), step):
+        image = _transversal_images(pair, conjugates[lo:lo + step])
+        image[image < 0] = total
+        np.minimum(least, image.min(axis=0), out=least)
+    return least
 
 
-def classify_by_conjugation(pair: PairGH, sweep: str = "auto",
-                            cap: int = CAP_TRANSVERSALS,
+def _walk_labels(pair: PairGH, gen_rows: np.ndarray) -> np.ndarray:
+    """The least index of each transversal's class, by union-find over its
+    images under the relabelings gen_rows, which must generate the
+    relabeling group and normalize G, so that no image leaves the family."""
+    total = pair.transversal_count()
+    uf = UnionFind(total)
+    for image in _transversal_images(pair, _conjugates(pair, gen_rows)):
+        for i, j in enumerate(image.tolist()):
+            if i != j:
+                uf.union(i, j)
+    return np.array([uf.find(i) for i in range(total)], dtype=np.int64)
+
+
+def classify_by_conjugation(pair: PairGH, cap: int = CAP_TRANSVERSALS,
                             stab_cap: int = CAP_STAB_ENUM) -> ClassificationResult:
     """Classes under: T is equivalent to L when some identity-fixing
     permutation alpha has alpha T alpha^-1 = L as sets.
 
     The relation is a group action restricted to the family, so a class is
-    an orbit met with the family.  sweep="all" labels each transversal with
-    the least index among its images under the alphas
-    `_candidate_relabelings` keeps: the least index of its class.  When the
-    whole relabeling group normalizes G (symmetric and alternating pairs),
-    no image leaves the family and union-find over the images under two
-    generators of that group finds the same classes; sweep="auto" takes
-    that walk when it applies.  Classes come out in order of first member.
+    an orbit met with the family, and each transversal is labeled with the
+    least index of its class.  When the whole relabeling group normalizes G
+    (symmetric and alternating pairs), union-find over the images under two
+    generators of that group finds it (`_walk_labels`); otherwise every
+    candidate relabeling is swept (`_sweep_labels`).  Classes come out in
+    order of first member.
     """
     n = pair.degree
     total = pair.transversal_count()
     if total > cap:
         raise CapExceeded("transversals", cap, total)
 
-    if sweep not in ("auto", "all"):
-        raise ValueError(f"unknown sweep mode: {sweep!r}")
     # (2,3) and (2,3,...,n) generate the relabeling group
     gens = [Permutation.from_cycles(n, [(2, 3)]),
             Permutation.from_cycles(n, [tuple(range(2, n + 1))])] if n >= 3 else []
     gen_rows = _perm_rows(gens, n)
-    if sweep == "all" or not _normalizing(pair.group, gen_rows).all():
-        least = np.arange(total)
-        conjugates = _candidate_relabelings(pair, stab_cap)
-        step = max(1, BATCH // total)
-        for lo in range(0, len(conjugates), step):
-            image = _transversal_images(pair, conjugates[lo:lo + step])
-            image[image < 0] = total
-            np.minimum(least, image.min(axis=0), out=least)
+    if _normalizing(pair.group, gen_rows).all():
+        least = _walk_labels(pair, gen_rows)
     else:
-        uf = UnionFind(total)
-        for image in _transversal_images(pair, _conjugates(pair, gen_rows)):
-            for i, j in enumerate(image.tolist()):
-                if i != j:
-                    uf.union(i, j)
-        least = np.array([uf.find(i) for i in range(total)], dtype=np.int64)
-
+        least = _sweep_labels(pair, stab_cap)
     # the least index of a class is its first member in enumeration order
     first, labels, sizes = np.unique(least, return_inverse=True, return_counts=True)
-    reps = [_transversal(pair, int(i)) for i in first]
-    return ClassificationResult(
-        class_count=len(first),
-        representatives=tuple(induced_table(pair, T) for T in reps),
-        class_sizes=tuple(sizes.tolist()),
-        generating_flags=tuple(generates(pair, T) for T in reps),
-        labels=tuple(labels.tolist()),
-    )
+    return _classification(_section_rows(pair.cosets()[1:], first, n), pair.group,
+                           sizes, labels)
 
 
 def census_left_loops(n: int, cap: int = CAP_TRANSVERSALS,

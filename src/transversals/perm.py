@@ -59,20 +59,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def __pow__(self, m: int) -> "Permutation":
-        if m < 0:
-            return self.inverse() ** (-m)
-        acc = Permutation.identity(self.degree)
-        for _ in range(m):
-            acc = compose(self, acc)
-        return acc
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return _trusted(tuple(inv))
-
     def orbits(self):
         return orbits(self)
 

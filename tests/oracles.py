@@ -2,14 +2,18 @@
 
 Nothing in the package runs these: they are independent checks (left/right
 symmetry of the classification, subgroup transversals, pair isomorphism by
-sweeping every relabeling, parity by orbit count) and the order-18 example
-pair behind acceptance criterion 10.  Import them as `from oracles import
-...`; pytest puts this directory on the path.
+sweeping every relabeling, parity by orbit count), the permutation algebra
+the package no longer needs (powers, inverses, induced tables of
+Transversal objects), the affine relabeling group of a cyclic pair, and the
+order-18 example pair behind acceptance criterion 10.  Import them as `from
+oracles import ...`; pytest puts this directory on the path.
 """
+
+from math import prod
 
 import numpy as np
 
-from transversals.errors import CAP_STAB_ENUM, CAP_TRANSVERSALS
+from transversals.errors import CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
 from transversals.groups import (
     NORMALIZER_CHUNK,
     PairGH,
@@ -19,12 +23,14 @@ from transversals.groups import (
     _least_in_coset,
     _normalizing,
     _perm_rows,
-    _sections,
+    _perms,
+    _section_rows,
     _stabilizer_batches,
     enumerate_transversals,
 )
-from transversals.oracle import _canonical_forms, classify_by_table_iso
-from transversals.perm import parse_cycles
+from transversals.ict_formulas import _affine_elements, _affine_group, _standard_cycle
+from transversals.oracle import LoopTable, _canonical_forms, classify_by_table_iso
+from transversals.perm import Permutation, compose, identity, parse_cycles
 
 
 def cycle_type(p):
@@ -35,6 +41,53 @@ def cycle_type(p):
 def parity(p):
     """+1 for even, -1 for odd: (-1)^(degree - number of orbits)."""
     return -1 if (p.degree - len(p.orbits())) % 2 else 1
+
+
+def inverse(p):
+    inv = [0] * p.degree
+    for i, v in enumerate(p.images):
+        inv[v - 1] = i + 1
+    return Permutation(inv)
+
+
+def power(p, m):
+    """p composed with itself m times; a negative m powers the inverse."""
+    if m < 0:
+        return power(inverse(p), -m)
+    acc = identity(p.degree)
+    for _ in range(m):
+        acc = compose(p, acc)
+    return acc
+
+
+def induced_table(pair: PairGH, T) -> LoopTable:
+    """Table of the operation i*j = (member over i, then member over j,
+    read off at 1); with members indexed by their image of 1 this is just
+    row i = images of member i."""
+    n = pair.degree
+    if len(T) != n:
+        raise ValueError(f"transversal has {len(T)} members, pair needs {n}")
+    return LoopTable(n, tuple(p.images for p in T))
+
+
+def cyclic_gamma(n: int, a=None) -> PermGroup:
+    """The abelian group of affine relabelings normalizing a regular cyclic
+    transversal generated by the n-cycle a (default (1, 2, ..., n)); its
+    order is phi(n) and every element fixes symbol 1."""
+    if a is None:
+        a = _standard_cycle(n)
+    return _affine_group(n, _affine_elements(n, a))
+
+
+def _sections(blocks, degree: int, cap: int):
+    """The identity followed by one element of each block of sorted rows,
+    as permutations, for every choice in Cartesian-product order (first
+    block slowest); the count is capped before any is built."""
+    total = prod(len(block) for block in blocks)
+    if total > cap:
+        raise CapExceeded("transversals", cap, total)
+    for rows in _section_rows(blocks, np.arange(total), degree):
+        yield tuple(_perms(rows))
 
 
 def _left_coset_blocks(G: PermGroup, H: PermGroup) -> list:
@@ -108,7 +161,7 @@ def left_right_agreement(pair: PairGH, cap: int = CAP_TRANSVERSALS) -> bool:
     pairing = {}
     for T, left_label in zip(enumerate_transversals(pair, cap=cap), left.labels):
         # member over left slot k inverts to the member over right slot k
-        inv_key = tuple(p.inverse().images for p in tuple(T)[1:])
+        inv_key = tuple(inverse(p).images for p in tuple(T)[1:])
         j = right_index.get(inv_key)
         if j is None:
             return False

@@ -118,6 +118,21 @@ def test_ict_output_file(tmp_path, capsys):
     assert "value: 44" in dest.read_text()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_report_bytes_match_golden(capsys, name):
+    """Stdout and exit code of one command per report path, byte for byte:
+    tests/golden/<name>.out holds the stdout, commands.json the argv and
+    exit code."""
+    case = GOLDEN_COMMANDS[name]
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
 # ---------------------------------------------------------------- caching
 
 
@@ -520,6 +535,15 @@ def test_jobs_and_zero_caps_still_accepted(capsys):
     code, out, err = run(capsys, "classes", "--sym", "3", "--cap-transversals", "0")
     assert code == EXIT_CAP and out == ""
     assert err == "cap exceeded: cap 'transversals' exceeded: requires 4, limit is 0\n"
+
+
+@pytest.mark.parametrize("command", ["ict", "crosscheck"])
+def test_alt_below_four_is_an_input_error(capsys, command):
+    argv = [command, "--alt", "3"] + (["--no-cache"] if command == "ict" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "n >= 4" in err
+    assert "Traceback" not in err
 
 
 def test_oracle_cap_exit(capsys):

@@ -93,9 +93,9 @@ def test_abelian_and_transitive_flags():
 def test_conjugacy_classes_of_sym4():
     classes = PermGroup.symmetric(4).conjugacy_classes()
     assert len(classes) == 5
-    assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
-    assert classes[0] == [identity(4)]
-    assert sum(len(c) for c in classes) == 24
+    assert sorted(size for _, size in classes) == [1, 3, 6, 6, 8]
+    assert classes[0] == (identity(4), 1)
+    assert sum(size for _, size in classes) == 24
 
 
 def test_pair_validation():
@@ -228,7 +228,7 @@ def test_family_constructor_errors():
 def test_stabilizer_candidates():
     cands = list(stabilizer_candidates(4))
     assert len(cands) == 6
-    assert all(a(1) == 1 for a in cands)
+    assert all(a[0] == 0 for a in cands)
     assert len(set(cands)) == 6
     with pytest.raises(CapExceeded):
         list(stabilizer_candidates(12))

@@ -15,6 +15,7 @@ standard pairs of degree <= 8 and on seeded relabelings of them.
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
@@ -35,10 +36,10 @@ from transversals.groups import (
     make_sym,
     normalizer_in_stab,
 )
-from transversals.ict_formulas import _commuting_in_coset, cyclic_gamma
+from transversals.ict_formulas import _commuting_in_coset, _row_power
 from transversals.perm import Permutation, compose, parse_cycles
 
-from oracles import order18_example
+from oracles import cyclic_gamma, order18_example, power
 
 # ------------------------------------------------------------ references
 
@@ -46,6 +47,11 @@ from oracles import order18_example
 def perms(rows):
     """Permutations from 0-based image rows, through the checked constructor."""
     return [Permutation([int(v) + 1 for v in row]) for row in rows]
+
+
+def row(p):
+    """The 0-based image row of a permutation."""
+    return np.array(p.images) - 1
 
 
 def ref_compose(p, q):
@@ -203,14 +209,17 @@ def check_kernel(pair, rng, monkeypatch):
     assert gamma.is_abelian() == ref_is_abelian(gamma)
     assert gamma.is_normal_in(G) == ref_is_normal_in(gamma, G)
     for group in (G, gamma):
-        assert group.conjugacy_classes() == ref_conjugacy_classes(group)
+        assert group.conjugacy_classes() == [
+            (cls[0], len(cls)) for cls in ref_conjugacy_classes(group)]
 
     # theorem6 asks for the class representatives of gamma and their powers
-    zs = {x ** m for cls in gamma.conjugacy_classes() for x in cls[:1]
-          for m in range(1, n)}
+    zs = {power(x, m) for x, _ in gamma.conjugacy_classes() for m in range(1, n)}
+    for x, _ in gamma.conjugacy_classes():
+        assert all(np.array_equal(_row_power(row(x), m), row(power(x, m)))
+                   for m in range(1, n))
     for coset in pair.cosets()[1:]:
         for z in zs:
-            assert _commuting_in_coset(coset, z) == ref_commuting(perms(coset), z)
+            assert _commuting_in_coset(coset, row(z)) == ref_commuting(perms(coset), z)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -256,7 +265,7 @@ def test_kernel_matches_reference_beyond_one_byte_images():
     assert perms(rows[_normalizing(G, rows)]) == ref_normalizers(G, gamma) == gamma
     cosets = pair.cosets()
     for z in gamma[:5]:
-        assert _commuting_in_coset(cosets[1], z) == ref_commuting(perms(cosets[1]), z)
+        assert _commuting_in_coset(cosets[1], row(z)) == ref_commuting(perms(cosets[1]), z)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

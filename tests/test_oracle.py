@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import transversals.oracle as oracle
-from transversals.errors import CapExceeded
+from transversals.errors import CAP_STAB_ENUM, CapExceeded
 from transversals.groups import (
     PairGH,
     PermGroup,
@@ -39,7 +39,6 @@ from transversals.oracle import (
     classification_to_json,
     classify_by_conjugation,
     classify_by_table_iso,
-    induced_table,
     render_classes_dump,
 )
 from transversals.perm import Permutation, compose, conjugate, identity, parse_cycles
@@ -47,6 +46,8 @@ from transversals.perm import Permutation, compose, conjugate, identity, parse_c
 from oracles import (
     _right_transversals,
     cycle_type,
+    induced_table,
+    inverse,
     left_right_agreement,
     order18_example,
     subgroup_transversals,
@@ -159,6 +160,14 @@ def ref_candidate_relabelings(pair):
             for k in np.nonzero(useful)[0]]
 
 
+def relabeling_generators(n):
+    """(2,3) and (2,3,...,n), which generate the identity-fixing relabelings."""
+    if n < 3:
+        return []
+    return [Permutation.from_cycles(n, [(2, 3)]),
+            Permutation.from_cycles(n, [tuple(range(2, n + 1))])]
+
+
 def ref_classify_by_conjugation(pair, sweep="auto"):
     """Union-find over the transversals keyed by tuples: every candidate
     alpha applied to every transversal ("all"), or the two generators of
@@ -168,13 +177,10 @@ def ref_classify_by_conjugation(pair, sweep="auto"):
     index, uf = {}, RefUnionFind()
     for T in transversals:
         index[tuple(p.images for p in tuple(T)[1:])] = uf.add()
-    gens = []
-    if n >= 3:
-        gens = [Permutation.from_cycles(n, [(2, 3)]),
-                Permutation.from_cycles(n, [tuple(range(2, n + 1))])]
+    gens = relabeling_generators(n)
     walk = sweep == "auto" and _normalizing(pair.group, _perm_rows(gens, n)).all()
     if walk:
-        moves = [(g.images, g.inverse().images) for g in gens]
+        moves = [(g.images, inverse(g).images) for g in gens]
     else:
         moves = ref_candidate_relabelings(pair)
     for key, i in list(index.items()):
@@ -196,6 +202,13 @@ def ref_classify_by_conjugation(pair, sweep="auto"):
         generating_flags=tuple(generates(pair, transversals[i]) for i in first.values()),
         labels=tuple(labels),
     )
+
+
+def least_members(result):
+    """The least index of each transversal's class, read off its labels:
+    what the conjugation labelers compute."""
+    first = {}
+    return [first.setdefault(label, i) for i, label in enumerate(result.labels)]
 
 
 # ----------------------------------------------------------- tables
@@ -272,15 +285,11 @@ def test_alt4_classes_both_ways():
 
 def test_conjugation_walk_and_full_sweep_agree():
     for pair in (make_sym(4), make_alt(4)):
-        walk = classify_by_conjugation(pair, sweep="auto")
-        full = classify_by_conjugation(pair, sweep="all")
-        assert walk.labels == full.labels
-        assert walk.representatives == full.representatives
-
-
-def test_conjugation_rejects_unknown_sweep():
-    with pytest.raises(ValueError):
-        classify_by_conjugation(make_sym(3), sweep="fast")
+        gens = _perm_rows(relabeling_generators(pair.degree), pair.degree)
+        walk = oracle._walk_labels(pair, gens)
+        full = oracle._sweep_labels(pair, CAP_STAB_ENUM)
+        assert walk.tolist() == full.tolist() == least_members(
+            ref_classify_by_conjugation(pair))
 
 
 def test_dihedral_partitions_match():
@@ -496,7 +505,7 @@ def test_right_and_left_transversal_counts_coincide():
         n = pair.degree
         for R in rights[: 20]:
             assert R[0].is_identity()
-            assert [q.inverse()(1) for q in R] == list(range(1, n + 1))
+            assert [inverse(q)(1) for q in R] == list(range(1, n + 1))
 
 
 # ----------------------------------------------------------- output
@@ -584,9 +593,14 @@ def random_relabeling(rng, n):
 @pytest.mark.parametrize("sweep", ["auto", "all"])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_conjugation_matches_reference(name, sweep):
+    """"auto" is classify_by_conjugation; "all" is its full-sweep labeler,
+    also on the pairs where the classifier takes the walk."""
     pair = FAMILIES[name]()
     want = ref_classify_by_conjugation(pair, sweep)
-    assert classify_by_conjugation(pair, sweep=sweep) == want
+    if sweep == "auto":
+        assert classify_by_conjugation(pair) == want
+    else:
+        assert oracle._sweep_labels(pair, CAP_STAB_ENUM).tolist() == least_members(want)
 
 
 @pytest.mark.parametrize("name", sorted(set(FAMILIES) - SLOW_REFERENCE_TABLES))
@@ -613,9 +627,9 @@ def test_classifiers_match_reference_on_relabelings(name, monkeypatch):
     rng = random.Random(name)
     pair = relabel(FAMILIES[name](), random_relabeling(rng, FAMILIES[name]().degree))
     monkeypatch.setattr(oracle, "BATCH", 5)
-    for sweep in ("auto", "all"):
-        assert classify_by_conjugation(pair, sweep=sweep) == \
-            ref_classify_by_conjugation(pair, sweep)
+    assert classify_by_conjugation(pair) == ref_classify_by_conjugation(pair)
+    assert oracle._sweep_labels(pair, CAP_STAB_ENUM).tolist() == least_members(
+        ref_classify_by_conjugation(pair, "all"))
     assert classify_by_table_iso(pair) == ref_table_classes(pair)
 
 
