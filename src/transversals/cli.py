@@ -152,7 +152,11 @@ def _pair_source(args):
         p, q = args.pq
         return ("pq", f"pq:{p}:{q}", SimpleNamespace(p=p, q=q, n=q),
                 lambda: make_pq(p, q))
-    text = Path(args.fixture).read_text()
+    try:
+        text = Path(args.fixture).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        why = (exc.strerror or exc) if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ValueError(f"cannot read fixture {args.fixture}: {why}") from None
     digest = hashlib.sha256(text.encode()).hexdigest()
     return ("fixture", f"fixture:{digest}", SimpleNamespace(text=text),
             lambda: pair_from_fixture(text)[0])

@@ -561,8 +561,11 @@ def _stabilizer_batches(n: int, size: int, cap: int):
     may be shorter): the one row source for Sym(n)_1, streamed so that
     (n-1)! rows are never held at once."""
     candidates = stabilizer_candidates(n, cap=cap)
-    while batch := list(_islice(candidates, size)):
-        yield np.array(batch, dtype=_row_dtype(n))
+    total = factorial(n - 1)
+    for start in range(0, total, size):
+        count = min(size, total - start)
+        yield np.fromiter(_chain.from_iterable(_islice(candidates, count)),
+                          _row_dtype(n), count=count * n).reshape(count, n)
 
 
 def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
@@ -620,7 +623,7 @@ def parse_fixture(text: str):
 
         # comment
         name <label>          (optional)
-        degree <n>
+        degree <n>            (exactly once)
         gen <cycle notation>  (one or more)
 
     Returns (name, degree, generators).
@@ -637,6 +640,8 @@ def parse_fixture(text: str):
         if key == "name":
             name = rest
         elif key == "degree":
+            if degree is not None:
+                raise ValueError(f"line {lineno}: degree given twice")
             try:
                 degree = int(rest)
             except ValueError:

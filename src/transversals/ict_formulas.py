@@ -29,7 +29,6 @@ from .errors import CAP_STAB_ENUM, DisagreementError, HypothesisViolation
 from .groups import (
     PairGH,
     PermGroup,
-    _class_order_key,
     _is_subgroup,
     _normalizing,
     enumerate_transversals,
@@ -265,21 +264,22 @@ def all_even_centralizer(parts) -> bool:
 def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
     m = n - 1
     contributions = []
-    for parts in partitions(m):
-        counts = dict(multiplicities(parts))
+    # groups._class_order_key order: representatives fill cycles longest-first
+    # on consecutive symbols, so per moved count images order is parts order
+    for parts in sorted(partitions(m), key=lambda p: (m - p.count(1), p)):
+        counts = multiplicities(parts)
         counts[1] = counts.get(1, 0) + 1  # symbol 1 rides along as a fixed point
         k = counts[1]
         a_factors = [1]
         if k > 1:
             a_factors += [factor_fn(counts)] * (k - 1)
-        orbit_factors = [
-            factor_fn(power_cycle_counts(counts, l)) for l in parts if l > 1
-        ]
+        # one factor per cycle length, repeated per cycle, longest first
+        orbit_factors = [f for l, mult in counts.items() if l > 1
+                         for f in [factor_fn(power_cycle_counts(counts, l))] * mult]
         contributions.append(
             _contribution(class_representative(parts, m), class_size(parts, m),
                           a_factors, orbit_factors)
         )
-    contributions.sort(key=lambda c: _class_order_key(c.representative))
     return _assemble(method, factorial(m), contributions, label, WHOLE_STABILIZER, True)
 
 

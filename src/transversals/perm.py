@@ -118,18 +118,17 @@ def conjugate(p: Permutation, a: Permutation) -> Permutation:
 def orbits(p: Permutation):
     """Orbit partition of {1..n} under p, singletons included, each orbit
     listed from its smallest symbol, orbits sorted by smallest symbol."""
-    seen = [False] * p.degree
+    images = p.images
+    seen = [False] * len(images)
     out = []
-    for s in range(1, p.degree + 1):
+    for s, t in enumerate(images, 1):
         if seen[s - 1]:
             continue
         orb = [s]
-        seen[s - 1] = True
-        t = p(s)
         while t != s:
             orb.append(t)
             seen[t - 1] = True
-            t = p(t)
+            t = images[t - 1]
         out.append(tuple(orb))
     return out
 
@@ -167,4 +166,4 @@ def format_cycles(p: Permutation) -> str:
     parts = [orb for orb in orbits(p) if len(orb) > 1]
     if not parts:
         return "()"
-    return "".join("(" + ",".join(str(s) for s in orb) + ")" for orb in parts)
+    return "".join("(" + ",".join(map(str, orb)) + ")" for orb in parts)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .perm import Permutation
+from .perm import Permutation, _trusted
 
 
 def partitions(m: int):
@@ -78,10 +78,10 @@ def class_representative(parts, m: int) -> Permutation:
         raise ValueError(f"partition {parts} does not sum to {m}")
     if any(p < 1 for p in parts):
         raise ValueError(f"invalid partition {parts}")
-    cycles = []
+    images = list(range(1, m + 2))
     nxt = 2
     for l in sorted(parts, reverse=True):
-        if l > 1:
-            cycles.append(range(nxt, nxt + l))
+        if l > 1:  # the cycle (nxt, nxt + 1, ..., nxt + l - 1)
+            images[nxt - 1:nxt + l - 1] = [*range(nxt + 1, nxt + l), nxt]
         nxt += l
-    return Permutation.from_cycles(m + 1, cycles)
+    return _trusted(tuple(images))

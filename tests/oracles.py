@@ -2,11 +2,12 @@
 
 Nothing in the package runs these: they are independent checks (left/right
 symmetry of the classification, subgroup transversals, pair isomorphism by
-sweeping every relabeling, parity by orbit count), the permutation algebra
-the package no longer needs (powers, inverses, induced tables of
-Transversal objects), the affine relabeling group of a cyclic pair, and the
-order-18 example pair behind acceptance criterion 10.  Import them as `from
-oracles import ...`; pytest puts this directory on the path.
+sweeping every relabeling, parity by orbit count, class representatives
+built from cycles), the permutation algebra the package no longer needs
+(powers, inverses, induced tables of Transversal objects), the affine
+relabeling group of a cyclic pair, and the order-18 example pair behind
+acceptance criterion 10.  Import them as `from oracles import ...`; pytest
+puts this directory on the path.
 """
 
 from math import prod
@@ -36,6 +37,19 @@ from transversals.perm import Permutation, compose, identity, parse_cycles
 def cycle_type(p):
     """p's cycle lengths, fixed points included, as a non-increasing partition."""
     return tuple(sorted(map(len, p.orbits()), reverse=True))
+
+
+def representative_from_cycles(parts, m):
+    """Class representative of cycle type `parts` on symbols 2..m+1, built
+    through the validating Permutation.from_cycles: consecutive symbols from
+    2, longest part first."""
+    cycles = []
+    nxt = 2
+    for l in sorted(parts, reverse=True):
+        if l > 1:
+            cycles.append(range(nxt, nxt + l))
+        nxt += l
+    return Permutation.from_cycles(m + 1, cycles)
 
 
 def parity(p):

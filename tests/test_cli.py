@@ -105,9 +105,29 @@ def test_ict_fixture(tmp_path, capsys):
 
 
 def test_ict_fixture_missing_file(capsys):
-    code, _, err = run(capsys, "--fixture", "/nonexistent/x.group", "--no-cache")
+    code, out, err = run(capsys, "--fixture", "/nonexistent/x.group", "--no-cache")
     assert code == EXIT_USAGE
-    assert "error:" in err
+    assert out == ""
+    assert err == ("error: cannot read fixture /nonexistent/x.group: "
+                   "No such file or directory\n")
+
+
+def test_ict_fixture_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.group"
+    path.write_bytes("name caf\u00e9\ndegree 3\ngen (1,2,3)\n".encode("latin-1"))
+    code, out, err = run(capsys, "--fixture", str(path), "--no-cache")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot read fixture {path}: not UTF-8 text\n"
+
+
+def test_ict_fixture_second_degree_line(tmp_path, capsys):
+    path = tmp_path / "twice.group"
+    path.write_text("degree 4\ndegree 3\ngen (1,2,3)\n")
+    code, out, err = run(capsys, "--fixture", str(path), "--no-cache")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: line 2: degree given twice\n"
 
 
 def test_ict_output_file(tmp_path, capsys):

@@ -305,6 +305,8 @@ def test_fixture_parse_errors():
     for degree in (0, -1):
         with pytest.raises(ValueError, match="line 1: degree must be at least 1"):
             parse_fixture(f"degree {degree}\ngen ()\n")
+    with pytest.raises(ValueError, match="line 3: degree given twice"):
+        parse_fixture("degree 3\ngen (1,2,3)\ndegree 3\n")
 
 
 def test_fixture_comments_and_blank_lines():

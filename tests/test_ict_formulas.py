@@ -18,6 +18,7 @@ from transversals.errors import CapExceeded, DisagreementError, HypothesisViolat
 from transversals.groups import (
     PairGH,
     PermGroup,
+    _class_order_key,
     coset_representation,
     enumerate_transversals,
     make_alt,
@@ -204,6 +205,16 @@ def test_alt6_forced_class_fix_count():
     assert _fixed_count_from_scratch(pair, x) == 18
     by_type = _contribution_by_type(ict_alt(6))
     assert by_type[cycle_type(x)].fix_count == 18
+
+
+def test_closed_forms_list_classes_in_class_order():
+    """One contribution per class, in the class order of their
+    representatives, with no sort after the sweep."""
+    for n in range(2, 15):
+        reports = [ict_sym(n)] + ([ict_alt(n)] if n >= 4 else [])
+        for report in reports:
+            keys = [_class_order_key(c.representative) for c in report.contributions]
+            assert keys == sorted(set(keys)), (report.method, n)
 
 
 # ------------------------------------------------------- direct engine

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from transversals.groups import _class_order_key
 from transversals.perm import Permutation, compose
 from transversals.symclasses import (
     centralizer_order,
@@ -15,7 +16,7 @@ from transversals.symclasses import (
     partitions,
 )
 
-from oracles import cycle_type
+from oracles import cycle_type, representative_from_cycles
 
 
 def test_partitions_small_values():
@@ -115,3 +116,28 @@ def test_class_representative_fixes_one_and_has_right_type():
             assert rep(1) == 1
             # symbol 1 adds one fixed point to the type on 2..m+1
             assert cycle_type(rep) == tuple(parts) + (1,)
+
+
+def test_class_representative_equals_from_cycles_construction():
+    for m in range(1, 13):
+        for parts in partitions(m):
+            assert class_representative(parts, m) == representative_from_cycles(parts, m)
+
+
+def test_class_representative_rejects_bad_partitions():
+    with pytest.raises(ValueError):
+        class_representative((3, 2), 4)  # sums to 5
+    with pytest.raises(ValueError):
+        class_representative((3, 1, 0), 4)  # part below 1
+    with pytest.raises(ValueError):
+        class_representative((5, -1), 4)  # part below 1
+
+
+def test_parts_order_is_class_order():
+    """The closed forms list classes sorted by (moved symbols, parts); that
+    is the class order of their representatives (_class_order_key)."""
+    for m in range(21):
+        by_parts = sorted(partitions(m), key=lambda parts: (m - parts.count(1), parts))
+        by_rep = sorted(partitions(m),
+                        key=lambda parts: _class_order_key(representative_from_cycles(parts, m)))
+        assert by_parts == by_rep, m
