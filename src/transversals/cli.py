@@ -489,6 +489,8 @@ def main(argv=None) -> int:
         argv.insert(0, "ict")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values print at any length
     try:
         return COMMANDS[args.command](args)
     except CapExceeded as exc:

@@ -36,8 +36,7 @@ from .groups import (
     normalizer_in_stab,
 )
 from .perm import Permutation, conjugate, format_cycles, parse_cycles
-from .symclasses import (centralizer_order, class_representative, class_size,
-                         multiplicities, partitions)
+from .symclasses import centralizer_order, class_size, multiplicities, partitions
 
 # Transversal sets larger than this are not swept for non-generators during
 # cyclic hypothesis validation; the report notes the skip instead.
@@ -54,12 +53,15 @@ WHOLE_STABILIZER = ("the acting group is the whole stabilizer of symbol 1, "
 class ClassContribution:
     """One conjugacy class of the acting group and its fixed-transversal count.
 
-    a_factors has one entry per fixed symbol of the representative (symbol 1
-    first, always 1); orbit_factors has one entry per orbit of length > 1.
-    fix_count is the product of both tuples.
+    representative is the class representative in canonical cycle notation,
+    exactly as format_cycles prints it; parse_cycles(report.degree, ...)
+    turns it back into a Permutation.  a_factors has one entry per fixed
+    symbol of the representative (symbol 1 first, always 1); orbit_factors
+    has one entry per orbit of length > 1.  fix_count is the product of both
+    tuples.
     """
 
-    representative: Permutation
+    representative: str
     class_size: int
     t: int
     k: int
@@ -78,9 +80,10 @@ class IctReport:
     pair_label: str = ""
     justification: str = ""
     validated: bool = True
+    degree: int | None = None
 
 
-def _contribution(rep: Permutation, size: int, a_factors, orbit_factors) -> ClassContribution:
+def _contribution(rep: str, size: int, a_factors, orbit_factors) -> ClassContribution:
     a_factors = tuple(a_factors)
     orbit_factors = tuple(orbit_factors)
     fix = math.prod(a_factors) * math.prod(orbit_factors)
@@ -95,7 +98,8 @@ def _contribution(rep: Permutation, size: int, a_factors, orbit_factors) -> Clas
     )
 
 
-def _assemble(method, gamma_order, contributions, pair_label, justification, validated):
+def _assemble(method, degree, gamma_order, contributions, pair_label, justification,
+              validated):
     numerator = sum(c.class_size * c.fix_count for c in contributions)
     value, rem = divmod(numerator, gamma_order)
     if rem:
@@ -112,6 +116,7 @@ def _assemble(method, gamma_order, contributions, pair_label, justification, val
         pair_label=pair_label,
         justification=justification,
         validated=validated,
+        degree=degree,
     )
 
 
@@ -183,12 +188,14 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
         a_factors += [_commuting_in_coset(cosets[j - 1], row) for j in fixed]
         orbit_factors = [_commuting_in_coset(cosets[i0 - 1], _row_power(row, m))
                          for (i0, m) in long_orbits]
-        contributions.append(_contribution(x, size, a_factors, orbit_factors))
+        contributions.append(
+            _contribution(format_cycles(x), size, a_factors, orbit_factors))
     whole = gamma.order == factorial(n - 1)
     justification = WHOLE_STABILIZER if whole else (
         f"the acting group has order {gamma.order}, not (n-1)! = {factorial(n - 1)}; "
         "its orbit count can exceed ict when some transversal generates a proper subgroup")
-    return _assemble("theorem6", gamma.order, contributions, pair.name, justification, whole)
+    return _assemble("theorem6", n, gamma.order, contributions, pair.name,
+                     justification, whole)
 
 
 def power_cycle_counts(cycle_counts: dict, m: int) -> dict:
@@ -264,10 +271,20 @@ def all_even_centralizer(parts) -> bool:
 def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
     m = n - 1
     contributions = []
+    symbols = [str(s) for s in range(n + 1)]
     # groups._class_order_key order: representatives fill cycles longest-first
-    # on consecutive symbols, so per moved count images order is parts order
+    # on consecutive symbols from 2, so per moved count images order is parts
+    # order, and each cycle's text is one run of symbols
     for parts in sorted(partitions(m), key=lambda p: (m - p.count(1), p)):
+        cycles = []
+        a = 2
+        for l in parts:
+            if l == 1:
+                break
+            cycles.append("(" + ",".join(symbols[a:a + l]) + ")")
+            a += l
         counts = multiplicities(parts)
+        size = class_size(counts, m)
         counts[1] = counts.get(1, 0) + 1  # symbol 1 rides along as a fixed point
         k = counts[1]
         a_factors = [1]
@@ -277,10 +294,8 @@ def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
         orbit_factors = [f for l, mult in counts.items() if l > 1
                          for f in [factor_fn(power_cycle_counts(counts, l))] * mult]
         contributions.append(
-            _contribution(class_representative(parts, m), class_size(parts, m),
-                          a_factors, orbit_factors)
-        )
-    return _assemble(method, factorial(m), contributions, label, WHOLE_STABILIZER, True)
+            _contribution("".join(cycles) or "()", size, a_factors, orbit_factors))
+    return _assemble(method, n, factorial(m), contributions, label, WHOLE_STABILIZER, True)
 
 
 def ict_sym(n: int) -> IctReport:
@@ -479,8 +494,9 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
                 f"gcd arithmetic gives (k, t) = ({k}, {t}) but the affine "
                 f"relabeling for j = {j} has ({len(fixed) + 1}, {len(long_orbits)})",
                 values=((k, t), (len(fixed) + 1, len(long_orbits))))
-        contributions.append(_contribution(g, 1, [1] + [h] * (k - 1), [h] * t))
-    report = _assemble("cyclic_closed", len(affine), contributions, label,
+        contributions.append(
+            _contribution(format_cycles(g), 1, [1] + [h] * (k - 1), [h] * t))
+    report = _assemble("cyclic_closed", n, len(affine), contributions, label,
                        justification, validated)
 
     if pair is not None:
@@ -490,7 +506,7 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
             bad += [f for f in c.orbit_factors if f != h]
             if bad:
                 raise HypothesisViolation(
-                    f"a commuting count for {format_cycles(c.representative)} "
+                    f"a commuting count for {c.representative} "
                     f"is {bad[0]}, not the subgroup order {h}")
         if direct.value != report.value:
             raise DisagreementError(
@@ -512,7 +528,7 @@ def report_to_text(report: IctReport) -> str:
         rows = [("representative", "size", "k", "t", "a_factors", "orbit_factors", "fix")]
         for c in report.contributions:
             rows.append((
-                format_cycles(c.representative),
+                c.representative,
                 str(c.class_size),
                 str(c.k),
                 str(c.t),
@@ -520,9 +536,8 @@ def report_to_text(report: IctReport) -> str:
                 ",".join(map(str, c.orbit_factors)) or "-",
                 str(c.fix_count),
             ))
-        widths = [max(len(r[i]) for r in rows) for i in range(7)]
-        for r in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        layout = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows))
+        lines += [layout.format(*r).rstrip() for r in rows]
     lines.append(f"numerator: {report.numerator}")
     lines.append(f"value: {report.value}")
     flag = "validated" if report.validated else "unvalidated"
@@ -532,13 +547,12 @@ def report_to_text(report: IctReport) -> str:
 
 def report_to_json(report: IctReport) -> dict:
     """JSON-ready dict; deterministic for identical reports."""
-    degree = report.contributions[0].representative.degree if report.contributions else None
     return {
         "schema": REPORT_SCHEMA,
         "version": __version__,
         "pair": report.pair_label,
         "method": report.method,
-        "degree": degree,
+        "degree": report.degree,
         "value": report.value,
         "gamma_order": report.gamma_order,
         "numerator": report.numerator,
@@ -546,7 +560,7 @@ def report_to_json(report: IctReport) -> dict:
         "justification": report.justification,
         "contributions": [
             {
-                "representative": format_cycles(c.representative),
+                "representative": c.representative,
                 "class_size": c.class_size,
                 "k": c.k,
                 "t": c.t,
@@ -567,7 +581,7 @@ def report_from_json(data: dict) -> IctReport:
     degree = data.get("degree")
     contributions = tuple(
         ClassContribution(
-            representative=parse_cycles(degree, c["representative"]),
+            representative=format_cycles(parse_cycles(degree, c["representative"])),
             class_size=c["class_size"],
             t=c["t"],
             k=c["k"],
@@ -586,4 +600,5 @@ def report_from_json(data: dict) -> IctReport:
         pair_label=data["pair"],
         justification=data["justification"],
         validated=data["validated"],
+        degree=degree if contributions else None,
     )

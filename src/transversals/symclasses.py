@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from math import factorial
 
-from .perm import Permutation, _trusted
-
 
 def partitions(m: int):
     """All partitions of m in reverse-lexicographic order, [m] first, [1]*m last."""
@@ -57,31 +55,12 @@ def centralizer_order(counts: dict) -> int:
     return out
 
 
-def class_size(parts, m: int) -> int:
-    """Number of elements of Sym(m) with cycle type `parts` (1s included):
-    m! over the centralizer order, f! * centralizer_order for f fixed points."""
-    if sum(parts) != m:
-        raise ValueError(f"partition {parts} does not sum to {m}")
-    counts = multiplicities(parts)
+def class_size(counts: dict, m: int) -> int:
+    """Number of elements of Sym(m) with cycle type `counts` (length ->
+    multiplicity, fixed points under key 1): m! over the centralizer order,
+    f! * centralizer_order for f fixed points."""
+    if sum(l * mult for l, mult in counts.items()) != m:
+        raise ValueError(f"cycle type {counts} does not sum to {m}")
     q, r = divmod(factorial(m), factorial(counts.get(1, 0)) * centralizer_order(counts))
     assert r == 0
     return q
-
-
-def class_representative(parts, m: int) -> Permutation:
-    """Canonical class representative of degree m+1 fixing symbol 1.
-
-    Cycles are filled with consecutive symbols starting at 2, longest part
-    first, so e.g. [2, 2] on m = 4 gives (2,3)(4,5).
-    """
-    if sum(parts) != m:
-        raise ValueError(f"partition {parts} does not sum to {m}")
-    if any(p < 1 for p in parts):
-        raise ValueError(f"invalid partition {parts}")
-    images = list(range(1, m + 2))
-    nxt = 2
-    for l in sorted(parts, reverse=True):
-        if l > 1:  # the cycle (nxt, nxt + 1, ..., nxt + l - 1)
-            images[nxt - 1:nxt + l - 1] = [*range(nxt + 1, nxt + l), nxt]
-        nxt += l
-    return _trusted(tuple(images))

@@ -3,11 +3,11 @@
 Nothing in the package runs these: they are independent checks (left/right
 symmetry of the classification, subgroup transversals, pair isomorphism by
 sweeping every relabeling, parity by orbit count, class representatives
-built from cycles), the permutation algebra the package no longer needs
-(powers, inverses, induced tables of Transversal objects), the affine
-relabeling group of a cyclic pair, and the order-18 example pair behind
-acceptance criterion 10.  Import them as `from oracles import ...`; pytest
-puts this directory on the path.
+built from image tuples and from cycles), the permutation algebra the
+package no longer needs (powers, inverses, induced tables of Transversal
+objects), the affine relabeling group of a cyclic pair, and the order-18
+example pair behind acceptance criterion 10.  Import them as `from oracles
+import ...`; pytest puts this directory on the path.
 """
 
 from math import prod
@@ -37,6 +37,25 @@ from transversals.perm import Permutation, compose, identity, parse_cycles
 def cycle_type(p):
     """p's cycle lengths, fixed points included, as a non-increasing partition."""
     return tuple(sorted(map(len, p.orbits()), reverse=True))
+
+
+def class_representative(parts, m):
+    """Canonical class representative of degree m+1 fixing symbol 1.
+
+    Cycles are filled with consecutive symbols starting at 2, longest part
+    first, so e.g. [2, 2] on m = 4 gives (2,3)(4,5).
+    """
+    if sum(parts) != m:
+        raise ValueError(f"partition {parts} does not sum to {m}")
+    if any(p < 1 for p in parts):
+        raise ValueError(f"invalid partition {parts}")
+    images = list(range(1, m + 2))
+    nxt = 2
+    for l in sorted(parts, reverse=True):
+        if l > 1:  # the cycle (nxt, nxt + 1, ..., nxt + l - 1)
+            images[nxt - 1:nxt + l - 1] = [*range(nxt + 1, nxt + l), nxt]
+        nxt += l
+    return Permutation(images)
 
 
 def representative_from_cycles(parts, m):

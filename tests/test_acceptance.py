@@ -35,9 +35,10 @@ from transversals.oracle import (
     classify_by_table_iso,
 )
 from transversals.perm import Permutation, compose, parse_cycles
-from transversals.symclasses import class_representative, partitions
+from transversals.symclasses import partitions
 
 from oracles import (
+    class_representative,
     left_right_agreement,
     order18_example,
     parity,

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, formats, caching, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from transversals.cli import (
     main,
 )
 from transversals.errors import HypothesisViolation
+from transversals.ict_formulas import ClassContribution, IctReport
 
 
 def run(capsys, *argv):
@@ -151,6 +153,89 @@ def test_report_bytes_match_golden(capsys, name):
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+# sha256 of the stdout of the largest closed-form reports (4.3 MB and 1.7 MB),
+# whose files would be too big to keep under tests/golden/.
+LARGE_REPORTS = {
+    "sym28": (("--sym", "28"),
+              "fe3f071758979b79ba8afdec2344a75b97a75b0c02b69ef3629ea1f360b8a5b2"),
+    "alt28_json": (("--alt", "28", "--format", "json"),
+                   "0a834b542660d5885e0d9dcdfcf70b05db73ae426cb0785d8362351e3ad379b1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_REPORTS))
+def test_large_closed_form_bytes_match_digest(capsys, name):
+    flags, digest = LARGE_REPORTS[name]
+    code, out, _ = run(capsys, "ict", *flags, "--no-cache")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ------------------------------------------------- values of any length
+
+HUGE = 10 ** 5000  # 5,001 digits, over Python's default str() limit of 4,300
+HUGE_TEXT = "1" + "0" * 5000
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int/str conversion limit, which main must lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def huge_sym(monkeypatch):
+    """`--sym N` computes a report whose value has 5,001 digits; returns the
+    list of degrees it was computed for."""
+    calls = []
+
+    def fake(n):
+        calls.append(n)
+        return IctReport(
+            value=HUGE, method="sym_closed", gamma_order=1, numerator=HUGE,
+            contributions=(ClassContribution(
+                representative="()", class_size=1, t=0, k=2,
+                a_factors=(1, HUGE), orbit_factors=(), fix_count=HUGE),),
+            pair_label=f"sym({n})", justification="synthetic", degree=2)
+
+    monkeypatch.setattr("transversals.cli.ict_sym", fake)
+    return calls
+
+
+def test_huge_value_human(capsys, default_digit_limit, huge_sym):
+    code, out, err = run(capsys, "ict", "--sym", "2", "--no-cache")
+    assert (code, err) == (EXIT_OK, "")
+    assert f"value: {HUGE_TEXT}\n" in out
+    assert f"numerator: {HUGE_TEXT}\n" in out
+    row = next(line for line in out.splitlines() if line.startswith("()"))
+    assert row.split() == ["()", "1", "2", "0", f"1,{HUGE_TEXT}", "-", HUGE_TEXT]
+
+
+def test_huge_value_json(capsys, default_digit_limit, huge_sym):
+    code, out, err = run(capsys, "ict", "--sym", "2", "--no-cache", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert f'"value": {HUGE_TEXT},' in out
+    data = json.loads(out)
+    assert data["numerator"] == data["contributions"][0]["fix_count"] == HUGE
+
+
+def test_huge_value_cache_round_trip(tmp_path, capsys, default_digit_limit, huge_sym):
+    args = ("ict", "--sym", "2", "--format", "json", "--cache-dir", str(tmp_path))
+    code, cold, err = run(capsys, *args)
+    assert (code, err) == (EXIT_OK, "")
+    assert f'"value": {HUGE_TEXT},' in cold
+    code, warm, err = run(capsys, *args)
+    assert (code, err) == (EXIT_OK, "")
+    assert warm == cold
+    assert huge_sym == [2]  # the warm run was served from the cache
 
 
 # ---------------------------------------------------------------- caching

@@ -44,10 +44,17 @@ from transversals.ict_formulas import (
     _affine_elements,
 )
 from transversals.oracle import classify_by_conjugation, classify_by_table_iso
-from transversals.perm import Permutation, compose, conjugate, identity, parse_cycles
-from transversals.symclasses import class_representative, multiplicities
+from transversals.perm import (
+    Permutation,
+    compose,
+    conjugate,
+    format_cycles,
+    identity,
+    parse_cycles,
+)
+from transversals.symclasses import multiplicities, partitions
 
-from oracles import cycle_type, cyclic_gamma, parity, power
+from oracles import class_representative, cycle_type, cyclic_gamma, parity, power
 
 
 def _conjugated_members(T, x):
@@ -57,7 +64,7 @@ def _conjugated_members(T, x):
 def _contribution_by_type(report):
     out = {}
     for c in report.contributions:
-        key = cycle_type(c.representative)
+        key = cycle_type(parse_cycles(report.degree, c.representative))
         assert key not in out
         out[key] = c
     return out
@@ -213,8 +220,24 @@ def test_closed_forms_list_classes_in_class_order():
     for n in range(2, 15):
         reports = [ict_sym(n)] + ([ict_alt(n)] if n >= 4 else [])
         for report in reports:
-            keys = [_class_order_key(c.representative) for c in report.contributions]
+            keys = [_class_order_key(parse_cycles(report.degree, c.representative))
+                    for c in report.contributions]
             assert keys == sorted(set(keys)), (report.method, n)
+
+
+def test_closed_form_representatives_are_canonical_cycle_text():
+    """The closed forms write each representative from its partition's
+    runs of symbols; that text is format_cycles of the image-tuple
+    representative, class by class in class order, for every m <= 16."""
+    for m in range(1, 17):
+        reps = sorted((class_representative(parts, m) for parts in partitions(m)),
+                      key=_class_order_key)
+        want = [format_cycles(rep) for rep in reps]
+        reports = [ict_sym(m + 1)] + ([ict_alt(m + 1)] if m >= 3 else [])
+        for report in reports:
+            assert report.degree == m + 1
+            assert [c.representative for c in report.contributions] == want, (
+                report.method, m)
 
 
 # ------------------------------------------------------- direct engine
