@@ -6,7 +6,8 @@ counts as an isomorphism when it preserves the induced binary operations.
 Exact Burnside-style engines (general, symmetric, alternating, cyclic) live
 in ict_formulas; exhaustive enumeration classifiers that double as ground
 truth live in oracle; perm, symclasses, and groups carry the permutation and
-group machinery; cli wires everything into the `ict` command.
+group machinery (enumerate_transversals yields each transversal as a tuple
+of Permutations, identity first); cli wires everything into the `ict` command.
 """
 
 from ._version import __version__
@@ -20,7 +21,6 @@ from .symclasses import class_size, partitions
 from .groups import (
     PairGH,
     PermGroup,
-    Transversal,
     coset_representation,
     enumerate_transversals,
     make_alt,
@@ -64,7 +64,6 @@ __all__ = [
     "partitions",
     "PairGH",
     "PermGroup",
-    "Transversal",
     "coset_representation",
     "enumerate_transversals",
     "make_alt",

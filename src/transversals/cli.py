@@ -274,6 +274,8 @@ def cmd_ict(args) -> int:
     method = _resolve_method(family, args.method)
 
     key = f"{identity}|{method}"
+    if args.cap_stab_enum != CAP_STAB_ENUM:  # the cyclic justification reads it
+        key += f"|cap-stab-enum:{args.cap_stab_enum}"
     cache_path = _cache_file(args, key)
     stored = _cache_load(cache_path, key) if cache_path else None
     report = None
@@ -351,7 +353,7 @@ def _normal_control():
     from .perm import parse_cycles
 
     G = PermGroup.from_generators([parse_cycles(3, "(1,2,3)")])
-    return PairGH(G, G.stabilizer_of_1(), name="cyclic(3) regular")
+    return PairGH(G, name="cyclic(3) regular")
 
 
 def _sweep_fixtures(args):

@@ -1,5 +1,9 @@
 """Finite permutation groups, subgroup pairs, and transversal enumeration.
 
+Input is validated where it enters (Permutation, from_cycles, parse_cycles,
+fixture parsing, PairGH's transitivity check); what the kernel builds from
+valid input is valid by construction and is not checked again.
+
 A group is stored once, as the sorted (order, degree) array of its elements'
 0-based image rows, generators kept alongside; every downstream count is a
 filter or a gather over these rows.  A row's key is its bytes, which sort
@@ -8,9 +12,10 @@ sort by the image of 1, so the stabilizer of 1 and its cosets are slices.
 Permutation objects are built from rows only where a caller reads them.
 
 A PairGH is the normalized object the counting engines work on: G
-transitive on {1..n}, H the full stabilizer of symbol 1, and H core-free,
-i.e. the coset representation has already been applied.
+transitive on {1..n}, H the full stabilizer of symbol 1 (read off G), and H
+core-free, i.e. the coset representation has already been applied.
 coset_representation() turns an arbitrary (G, H <= G) into that normal form.
+A transversal is a plain tuple of permutations, one per coset in order.
 """
 
 from __future__ import annotations
@@ -212,12 +217,8 @@ class PermGroup:
                 and bool((other._locate(self._rows) >= 0).all()))
 
     def is_normal_in(self, other: "PermGroup") -> bool:
-        if not self.is_subgroup_of(other):
-            return False
-        gens, subgens = other._generator_rows(), self._generator_rows()
-        # row k: g h_k g^-1, i.e. g[h_k[g^-1[j]]]
-        return all((self._locate(g[subgens[:, g_inv]]) >= 0).all()
-                   for g, g_inv in zip(gens, _invert_rows(gens)))
+        return self.is_subgroup_of(other) and bool(
+            _normalizing(self, other._generator_rows()).all())
 
     def is_abelian(self) -> bool:
         """Do the generators commute pairwise?  compose(a, b) is a[b]."""
@@ -316,7 +317,7 @@ def alternating_generators(n: int):
 
 
 class PairGH:
-    """Normalized pair: G transitive on {1..n}, H = stabilizer of 1.
+    """Normalized pair: G transitive on {1..n}, H = G's own stabilizer of 1.
 
     H is core-free without a check: its core, the intersection of its
     conjugates, is the intersection of the stabilizers of all n symbols,
@@ -324,13 +325,11 @@ class PairGH:
 
     __slots__ = ("group", "stabilizer", "name", "_normalizer", "_cosets")
 
-    def __init__(self, group: PermGroup, stabilizer: PermGroup, name: str = ""):
+    def __init__(self, group: PermGroup, name: str = ""):
         if not group.is_transitive():
             raise ValueError("G must be transitive on 1..n")
-        if stabilizer != group.stabilizer_of_1():
-            raise ValueError("H must be exactly the stabilizer of symbol 1 in G")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "stabilizer", stabilizer)
+        object.__setattr__(self, "stabilizer", group.stabilizer_of_1())
         object.__setattr__(self, "name",
                            name or f"pair(degree={group.degree}, order={group.order})")
         object.__setattr__(self, "_normalizer", None)
@@ -362,48 +361,6 @@ class PairGH:
         return f"PairGH({self.name})"
 
 
-class Transversal:
-    """Coset representatives containing the identity, one per coset of H,
-    stored sorted by image-of-1: members[i-1](1) == i."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members):
-        mem = tuple(members)
-        if not mem:
-            raise ValueError("empty transversal")
-        n = mem[0].degree
-        for i, m in enumerate(mem):
-            if m.degree != n:
-                raise ValueError("mixed degrees in transversal")
-            if m(1) != i + 1:
-                raise ValueError(f"member {i} maps 1 to {m(1)}, want {i + 1}")
-        if not mem[0].is_identity():
-            raise ValueError("first member must be the identity")
-        object.__setattr__(self, "members", mem)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Transversal is immutable")
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Transversal) and self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
-
-    def __repr__(self):
-        return "Transversal[" + ", ".join(format_cycles(m) for m in self.members) + "]"
-
-
 def _section_rows(blocks, index, degree: int) -> np.ndarray:
     """0-based rows of the sections with these indices, shaped
     (len(index), len(blocks) + 1, degree): the identity row, then one row of
@@ -427,14 +384,15 @@ SECTION_CHUNK = 4096
 def enumerate_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
     """Yield every transversal of the pair in a fixed order: the Cartesian
     product of the non-identity cosets' sorted rows, first coset slowest.
-    The count is capped before any transversal is built."""
+    Each is a tuple of permutations, the identity first and member i
+    mapping 1 to i + 1.  The count is capped before any is built."""
     total = pair.transversal_count()
     if total > cap:
         raise CapExceeded("transversals", cap, total)
     for lo in range(0, total, SECTION_CHUNK):
         chunk = range(lo, min(lo + SECTION_CHUNK, total))
         for rows in _section_rows(pair.cosets()[1:], chunk, pair.degree):
-            yield Transversal(_perms(rows))
+            yield tuple(_perms(rows))
 
 
 def _least_in_coset(G: PermGroup, H: PermGroup) -> np.ndarray:
@@ -476,7 +434,7 @@ def coset_representation(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
             image_gens.append(cg)
     # chi is a homomorphism, so the images of G's generators generate chi(G)
     image = PermGroup.from_generators(image_gens, degree=n)
-    return PairGH(image, image.stabilizer_of_1(), name=name)
+    return PairGH(image, name=name)
 
 
 def make_sym(n: int, cap: int = CAP_GROUP_ORDER) -> PairGH:
@@ -484,7 +442,7 @@ def make_sym(n: int, cap: int = CAP_GROUP_ORDER) -> PairGH:
     if n < 2:
         raise ValueError("need n >= 2")
     G = PermGroup.symmetric(n, cap=cap)
-    return PairGH(G, G.stabilizer_of_1(), name=f"sym({n})")
+    return PairGH(G, name=f"sym({n})")
 
 
 def make_alt(n: int, cap: int = CAP_GROUP_ORDER) -> PairGH:
@@ -492,7 +450,7 @@ def make_alt(n: int, cap: int = CAP_GROUP_ORDER) -> PairGH:
     if n < 4:
         raise ValueError("need n >= 4 for a core-free alternating pair")
     G = PermGroup.alternating(n, cap=cap)
-    return PairGH(G, G.stabilizer_of_1(), name=f"alt({n})")
+    return PairGH(G, name=f"alt({n})")
 
 
 def _cycle_and_multiplier(n: int, r: int, order: int, name: str) -> PairGH:
@@ -502,7 +460,7 @@ def _cycle_and_multiplier(n: int, r: int, order: int, name: str) -> PairGH:
     b = Permutation((r * (i - 1)) % n + 1 for i in range(1, n + 1))
     G = PermGroup.from_generators([a, b], degree=n)
     assert G.order == order
-    return PairGH(G, G.stabilizer_of_1(), name=name)
+    return PairGH(G, name=name)
 
 
 def make_dihedral(n: int) -> PairGH:
@@ -683,5 +641,5 @@ def pair_from_fixture(text: str, cap: int = CAP_GROUP_ORDER):
     G = PermGroup.from_generators(gens, degree=degree, cap=cap)
     label = name or f"fixture(degree={degree})"
     if G.is_transitive():
-        return PairGH(G, G.stabilizer_of_1(), name=label), False
+        return PairGH(G, name=label), False
     return coset_representation(G, G.stabilizer_of_1(), name=label), True

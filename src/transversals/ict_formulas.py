@@ -31,11 +31,14 @@ from .groups import (
     PermGroup,
     _is_subgroup,
     _normalizing,
+    _perms,
+    _row_dtype,
+    _row_keys,
     enumerate_transversals,
     generates,
     normalizer_in_stab,
 )
-from .perm import Permutation, conjugate, format_cycles, parse_cycles
+from .perm import Permutation, format_cycles, parse_cycles
 from .symclasses import centralizer_order, class_size, multiplicities, partitions
 
 # Transversal sets larger than this are not swept for non-generators during
@@ -322,45 +325,21 @@ def ict_alt(n: int) -> IctReport:
     return _closed_form(n, f"alt({n})", "alt_closed", alt_commuting_count)
 
 
-def _standard_cycle(n: int) -> Permutation:
-    return Permutation(tuple(range(2, n + 1)) + (1,))
-
-
-def _affine_elements(n: int, a: Permutation):
-    """The affine relabelings x -> (x-1)*j^-1 + 1 (mod n), one per unit j,
-    transported into the numbering where a plays the standard n-cycle.
-    Returns a list of (j, permutation) with j ascending."""
-    if a.degree != n:
-        raise ValueError(f"expected degree {n}, got {a.degree}")
-    if len(a.orbits()) != 1:
-        raise ValueError("a must be a single n-cycle")
-    if n == 1:
-        return [(1, Permutation((1,)))]
-    # sigma renumbers so that a becomes (1, 2, ..., n)
-    imgs = [1]
-    p = 1
-    for _ in range(n - 1):
-        p = a(p)
-        imgs.append(p)
-    sigma = Permutation(imgs)
-    out = []
-    for j in range(1, n + 1):
-        if gcd(j, n) != 1:
-            continue
-        jinv = pow(j, -1, n)
-        std = Permutation(tuple((x - 1) * jinv % n + 1 for x in range(1, n + 1)))
-        out.append((j, conjugate(std, sigma)))
-    return out
-
-
-def _affine_group(n: int, affine) -> PermGroup:
-    """The group of the (j, permutation) pairs from _affine_elements."""
-    elems = [g for _, g in affine]
-    grp = PermGroup.from_generators(elems, degree=n)
-    assert grp.order == len(elems), "affine family failed to close"
-    assert grp.is_abelian()
-    assert all(g(1) == 1 for g in elems)
-    return grp
+def _affine_rows(a: np.ndarray):
+    """The affine relabelings x -> x * j^-1 (mod n), one per unit j mod n,
+    transported into the numbering where the n-cycle with 0-based row `a`
+    plays x -> x + 1: with orbit[i] = a^i(0), the row for j maps orbit[i]
+    to orbit[i * j^-1 mod n].  Returns (units, rows), units ascending and
+    row k belonging to units[k]."""
+    n = len(a)
+    orbit = np.zeros(n, dtype=np.intp)
+    for i in range(1, n):
+        orbit[i] = a[orbit[i - 1]]
+    units = [j for j in range(1, n + 1) if gcd(j, n) == 1]
+    inverses = np.array([pow(j, -1, n) for j in units])
+    rows = np.empty((len(units), n), dtype=_row_dtype(n))
+    rows[:, orbit] = orbit[np.arange(n) * inverses[:, None] % n]
+    return units, rows
 
 
 def cyclic_fixed_and_orbit_data(n: int, j: int):
@@ -413,9 +392,9 @@ def _perm_order(p: Permutation) -> int:
 
 def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     """Machine-check the structural hypotheses behind the cyclic closed form
-    against a concrete pair.  Returns (affine, gamma, notes): the affine
-    family of the n-cycle generating the normal regular cyclic transversal,
-    the group it forms, and what was checked."""
+    against a concrete pair.  Returns (units, rows, gamma, notes): the
+    affine family (see _affine_rows) of the n-cycle generating the normal
+    regular cyclic transversal, the group it forms, and what was checked."""
     notes = []
     if pair.degree != n or pair.subgroup_order != h:
         raise HypothesisViolation(
@@ -423,9 +402,11 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
             f"{pair.subgroup_order}, not ({n}, {h})")
     a = _find_regular_normal_cycle(pair)
     notes.append(f"normal regular cyclic transversal generated by {format_cycles(a)}")
-    affine = _affine_elements(n, a)
-    gamma = _affine_group(n, affine)
-    if not _normalizing(pair.group, gamma._rows).all():
+    units, rows = _affine_rows(np.array(a.images) - 1)
+    gamma = PermGroup(rows[np.argsort(_row_keys(rows))])
+    # composing every pair of relabelings (compose(x, y) is x[y]) stays inside
+    assert (gamma._locate(rows[:, rows].reshape(-1, n)) >= 0).all()
+    if not _normalizing(pair.group, rows).all():
         raise HypothesisViolation("affine relabelings do not normalize the group")
     if factorial(n - 1) <= cap:
         brute = normalizer_in_stab(pair, cap=cap)
@@ -453,7 +434,7 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     else:
         notes.append(
             f"non-generator scan skipped ({count} transversals exceed the cap)")
-    return affine, gamma, notes
+    return units, rows, gamma, notes
 
 
 def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
@@ -473,20 +454,20 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
     if h < 1:
         raise ValueError("need h >= 1")
     if pair is None:
-        affine = _affine_elements(n, _standard_cycle(n))
+        units, rows = _affine_rows(np.roll(np.arange(n), -1))
         label = f"cyclic(n={n}, h={h})"
         justification = ("formula-only: structural hypotheses not checked "
                          "against a concrete pair")
         validated = False
         gamma = None
     else:
-        affine, gamma, notes = _validate_cyclic_pair(pair, n, h, cap)
+        units, rows, gamma, notes = _validate_cyclic_pair(pair, n, h, cap)
         label = pair.name
         justification = "; ".join(notes)
         validated = True
 
     contributions = []
-    for j, g in affine:
+    for j, g in zip(units, _perms(rows)):
         k, t = cyclic_fixed_and_orbit_data(n, j)
         fixed, long_orbits = orbit_profile(g)
         if len(fixed) + 1 != k or len(long_orbits) != t:
@@ -496,7 +477,7 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
                 values=((k, t), (len(fixed) + 1, len(long_orbits))))
         contributions.append(
             _contribution(format_cycles(g), 1, [1] + [h] * (k - 1), [h] * t))
-    report = _assemble("cyclic_closed", n, len(affine), contributions, label,
+    report = _assemble("cyclic_closed", n, len(units), contributions, label,
                        justification, validated)
 
     if pair is not None:

@@ -4,13 +4,15 @@ Nothing in the package runs these: they are independent checks (left/right
 symmetry of the classification, subgroup transversals, pair isomorphism by
 sweeping every relabeling, parity by orbit count, class representatives
 built from image tuples and from cycles), the permutation algebra the
-package no longer needs (powers, inverses, induced tables of Transversal
-objects), the affine relabeling group of a cyclic pair, and the order-18
-example pair behind acceptance criterion 10.  Import them as `from oracles
+package no longer needs (powers, inverses, induced tables of transversals),
+the affine relabeling group of a cyclic pair built the old way, by
+Permutation conjugation and closure (the reference for
+ict_formulas._affine_rows), and the order-18 example pair behind acceptance
+criterion 10.  Import them as `from oracles
 import ...`; pytest puts this directory on the path.
 """
 
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -29,9 +31,8 @@ from transversals.groups import (
     _stabilizer_batches,
     enumerate_transversals,
 )
-from transversals.ict_formulas import _affine_elements, _affine_group, _standard_cycle
 from transversals.oracle import LoopTable, _canonical_forms, classify_by_table_iso
-from transversals.perm import Permutation, compose, identity, parse_cycles
+from transversals.perm import Permutation, compose, conjugate, identity, parse_cycles
 
 
 def cycle_type(p):
@@ -103,13 +104,56 @@ def induced_table(pair: PairGH, T) -> LoopTable:
     return LoopTable(n, tuple(p.images for p in T))
 
 
+def standard_cycle(n: int) -> Permutation:
+    """The n-cycle (1, 2, ..., n)."""
+    return Permutation(tuple(range(2, n + 1)) + (1,))
+
+
+def affine_elements(n: int, a: Permutation):
+    """The affine relabelings x -> (x-1)*j^-1 + 1 (mod n), one per unit j,
+    transported into the numbering where a plays the standard n-cycle.
+    Returns a list of (j, permutation) with j ascending."""
+    if a.degree != n:
+        raise ValueError(f"expected degree {n}, got {a.degree}")
+    if len(a.orbits()) != 1:
+        raise ValueError("a must be a single n-cycle")
+    if n == 1:
+        return [(1, Permutation((1,)))]
+    # sigma renumbers so that a becomes (1, 2, ..., n)
+    imgs = [1]
+    p = 1
+    for _ in range(n - 1):
+        p = a(p)
+        imgs.append(p)
+    sigma = Permutation(imgs)
+    out = []
+    for j in range(1, n + 1):
+        if gcd(j, n) != 1:
+            continue
+        jinv = pow(j, -1, n)
+        std = Permutation(tuple((x - 1) * jinv % n + 1 for x in range(1, n + 1)))
+        out.append((j, conjugate(std, sigma)))
+    return out
+
+
+def affine_group(n: int, affine) -> PermGroup:
+    """The group of the (j, permutation) pairs from affine_elements, by
+    closure, checked to be exactly those elements, abelian and fixing 1."""
+    elems = [g for _, g in affine]
+    grp = PermGroup.from_generators(elems, degree=n)
+    assert grp.order == len(elems), "affine family failed to close"
+    assert grp.is_abelian()
+    assert all(g(1) == 1 for g in elems)
+    return grp
+
+
 def cyclic_gamma(n: int, a=None) -> PermGroup:
     """The abelian group of affine relabelings normalizing a regular cyclic
     transversal generated by the n-cycle a (default (1, 2, ..., n)); its
     order is phi(n) and every element fixes symbol 1."""
     if a is None:
-        a = _standard_cycle(n)
-    return _affine_group(n, _affine_elements(n, a))
+        a = standard_cycle(n)
+    return affine_group(n, affine_elements(n, a))
 
 
 def _sections(blocks, degree: int, cap: int):

@@ -132,7 +132,7 @@ def test_criterion_07_fact_sweep():
     fixtures += [(make_sym(n), ict_sym(n).value) for n in range(2, 6)]
     fixtures += [(make_alt(n), ict_alt(n).value) for n in (4, 5)]
     C3 = PermGroup.from_generators([parse_cycles(3, "(1,2,3)")])
-    control = PairGH(C3, C3.stabilizer_of_1(), name="cyclic(3) regular")
+    control = PairGH(C3, name="cyclic(3) regular")
     fixtures.append((control, ict_theorem6(control).value))
 
     normals = 0

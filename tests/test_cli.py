@@ -372,6 +372,22 @@ def test_cache_separates_methods(tmp_path, capsys):
     assert entry_file(cache, "sym:3|sym") != entry_file(cache, "sym:3|oracle")
 
 
+def test_cache_separates_stabilizer_caps(tmp_path, capsys):
+    """Under a lowered --cap-stab-enum the cyclic engine skips its brute
+    normalizer check; a later run at the default cap must not be served
+    that report."""
+    cache = tmp_path / "cache"
+    args = ("--pq", "2", "5", "--cache-dir", str(cache))
+    code, low, _ = run(capsys, *args, "--cap-stab-enum", "0")
+    assert code == EXIT_OK and "not brute-checked" in low
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_OK and err == ""
+    assert out == run(capsys, "--pq", "2", "5", "--no-cache")[1]
+    assert "affine family equals the brute-force normalizer" in out
+    keys = {json.loads(f.read_text())["key"] for f in cache.iterdir()}
+    assert keys == {"pq:2:5|cyclic", "pq:2:5|cyclic|cap-stab-enum:0"}
+
+
 def test_cache_ignores_legacy_file(tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()

@@ -11,6 +11,7 @@ import random
 import time
 from math import factorial, gcd, prod
 
+import numpy as np
 import pytest
 
 import transversals.ict_formulas as ict_formulas
@@ -19,6 +20,7 @@ from transversals.groups import (
     PairGH,
     PermGroup,
     _class_order_key,
+    _row_keys,
     coset_representation,
     enumerate_transversals,
     make_alt,
@@ -41,7 +43,9 @@ from transversals.ict_formulas import (
     report_to_json,
     report_to_text,
     sym_commuting_count,
-    _affine_elements,
+    _affine_rows,
+    _find_regular_normal_cycle,
+    _validate_cyclic_pair,
 )
 from transversals.oracle import classify_by_conjugation, classify_by_table_iso
 from transversals.perm import (
@@ -54,7 +58,16 @@ from transversals.perm import (
 )
 from transversals.symclasses import multiplicities, partitions
 
-from oracles import class_representative, cycle_type, cyclic_gamma, parity, power
+from oracles import (
+    affine_elements,
+    affine_group,
+    class_representative,
+    cycle_type,
+    cyclic_gamma,
+    parity,
+    power,
+    standard_cycle,
+)
 
 
 def _conjugated_members(T, x):
@@ -269,13 +282,13 @@ def test_theorem6_matches_alt_closed_form_term_by_term():
 
 def test_theorem6_on_normal_pairs_gives_one():
     C3 = PermGroup.from_generators([parse_cycles(3, "(1,2,3)")])
-    regular = PairGH(C3, PermGroup.trivial(3), name="cyclic(3) regular")
+    regular = PairGH(C3, name="cyclic(3) regular")
     assert ict_theorem6(regular).value == 1
 
     i = parse_cycles(8, "(1,2,5,6)(3,4,7,8)")
     j = parse_cycles(8, "(1,3,5,7)(2,8,6,4)")
     Q = PermGroup.from_generators([i, j], degree=8)
-    quat = PairGH(Q, Q.stabilizer_of_1(), name="quaternion regular")
+    quat = PairGH(Q, name="quaternion regular")
     report = ict_theorem6(quat)
     assert report.value == 1
     assert report.gamma_order == 24  # the automorphism group of the quaternions
@@ -403,15 +416,12 @@ def test_cyclic_trivial_subgroup_always_one():
     assert ict_cyclic(9, 1).value == 1
 
 
-def _standard(n):
-    return Permutation(tuple(range(2, n + 1)) + (1,))
-
-
 def test_gcd_data_matches_affine_orbit_structure():
     for n in range(1, 31):
-        for j, g in _affine_elements(n, _standard(n)):
+        units, rows = _affine_rows(np.roll(np.arange(n), -1))
+        for j, row in zip(units, (rows + 1).tolist()):
             k, t = cyclic_fixed_and_orbit_data(n, j)
-            fixed, long_orbits = orbit_profile(g)
+            fixed, long_orbits = orbit_profile(Permutation(row))
             assert k == len(fixed) + 1, (n, j)
             assert t == len(long_orbits), (n, j)
             assert k + sum(m for _, m in long_orbits) == n
@@ -444,14 +454,45 @@ def test_cyclic_gamma_accepts_any_n_cycle():
         cyclic_gamma(6, parse_cycles(6, "(1,2)(3,4,5)"))
 
 
+def test_affine_rows_match_the_conjugation_construction():
+    """The rows read off the regular cycle equal the relabelings built by
+    Permutation conjugation, unit by unit, and form the same group, for the
+    standard n-cycle and two random ones per n."""
+    rng = random.Random(2011)
+    for n in range(1, 41):
+        cycles = [standard_cycle(n)]
+        for _ in range(2):
+            symbols = rng.sample(range(1, n + 1), n)
+            cycles.append(Permutation.from_cycles(n, [symbols]))
+        for a in cycles:
+            want = affine_elements(n, a)
+            units, rows = _affine_rows(np.array(a.images) - 1)
+            assert units == [j for j, _ in want], (n, a)
+            assert [tuple(r) for r in (rows + 1).tolist()] == [g.images for _, g in want]
+            gamma = PermGroup(rows[np.argsort(_row_keys(rows))])
+            assert gamma == affine_group(n, want), (n, a)
+
+
+def test_validated_cyclic_gamma_is_the_conjugation_construction():
+    pairs = [make_dihedral(n) for n in range(3, 10)]
+    pairs += [make_pq(p, q) for p, q in ((2, 5), (3, 7), (2, 11))]
+    for pair in pairs:
+        n, h = pair.degree, pair.subgroup_order
+        a = _find_regular_normal_cycle(pair)
+        units, _, gamma, _ = _validate_cyclic_pair(pair, n, h, cap=0)
+        want = affine_elements(n, a)
+        assert units == [j for j, _ in want]
+        assert gamma == cyclic_gamma(n, a), pair.name
+
+
 def test_ict_cyclic_builds_the_affine_family_once(monkeypatch):
     builds = []
 
-    def spy(n, a):
-        builds.append(n)
-        return _affine_elements(n, a)
+    def spy(a):
+        builds.append(len(a))
+        return _affine_rows(a)
 
-    monkeypatch.setattr(ict_formulas, "_affine_elements", spy)
+    monkeypatch.setattr(ict_formulas, "_affine_rows", spy)
     assert ict_cyclic(7, 2, pair=make_dihedral(7)).value == ict_cyclic(7, 2).value
     assert builds == [7, 7]  # one build per call, validated or not
 

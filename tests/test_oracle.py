@@ -18,7 +18,6 @@ from transversals.errors import CAP_STAB_ENUM, CapExceeded
 from transversals.groups import (
     PairGH,
     PermGroup,
-    Transversal,
     _invert_rows,
     _normalizing,
     _perm_rows,
@@ -85,7 +84,7 @@ def relabel(pair, sigma):
     """The pair conjugated by sigma, which fixes 1."""
     gens = [conjugate(g, sigma) for g in pair.group.generators]
     G = PermGroup.from_generators(gens, degree=pair.degree)
-    return PairGH(G, G.stabilizer_of_1(), name=f"{pair.name} relabeled")
+    return PairGH(G, name=f"{pair.name} relabeled")
 
 
 # ------------------------------------------------------- references
@@ -229,7 +228,7 @@ def test_loop_table_validation():
 
 def test_induced_table_is_the_member_rows():
     pair = make_sym(3)
-    T = Transversal([identity(3), parse_cycles(3, "(1,2)"), parse_cycles(3, "(1,3,2)")])
+    T = (identity(3), parse_cycles(3, "(1,2)"), parse_cycles(3, "(1,3,2)"))
     table = induced_table(pair, T)
     assert table.table == ((1, 2, 3), (2, 1, 3), (3, 1, 2))
     assert table.members() == tuple(T)
