@@ -1,8 +1,8 @@
 """Command line front end: compute class counts, cross-check engines against
 the oracle, census left loops, sweep structural facts, and dump class
 representatives.  Results for the compute command are cached on disk keyed by
-pair, method, and tool version; all output is deterministic for a given
-invocation and version.
+pair, method, and tool version, plus a non-default --cap-stab-enum; all
+output is deterministic for a given invocation and version.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 import sys
 from math import factorial
 from pathlib import Path
-from types import SimpleNamespace
 
 from ._version import __version__
 from .errors import (
@@ -137,34 +136,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pair_source(args):
-    """(family, identity, params, build) for the selected pair flags."""
+    """(family, identity, degree, build) for the selected pair flags; the
+    closed forms read the degree without building G (None for a fixture)."""
     if args.sym is not None:
         n = args.sym
-        return "sym", f"sym:{n}", SimpleNamespace(n=n), lambda: make_sym(n)
+        return "sym", f"sym:{n}", n, lambda: make_sym(n)
     if args.alt is not None:
         n = args.alt
-        return "alt", f"alt:{n}", SimpleNamespace(n=n), lambda: make_alt(n)
+        return "alt", f"alt:{n}", n, lambda: make_alt(n)
     if args.dihedral is not None:
         n = args.dihedral
-        return ("dihedral", f"dihedral:{n}", SimpleNamespace(n=n),
-                lambda: make_dihedral(n))
+        return "dihedral", f"dihedral:{n}", n, lambda: make_dihedral(n)
     if args.pq is not None:
         p, q = args.pq
-        return ("pq", f"pq:{p}:{q}", SimpleNamespace(p=p, q=q, n=q),
-                lambda: make_pq(p, q))
+        return "pq", f"pq:{p}:{q}", q, lambda: make_pq(p, q)
     try:
         text = Path(args.fixture).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         why = (exc.strerror or exc) if isinstance(exc, OSError) else "not UTF-8 text"
         raise ValueError(f"cannot read fixture {args.fixture}: {why}") from None
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return ("fixture", f"fixture:{digest}", SimpleNamespace(text=text),
-            lambda: pair_from_fixture(text)[0])
+    return "fixture", f"fixture:{digest}", None, lambda: pair_from_fixture(text)[0]
 
 
 def _emit(content: str, args) -> int:
     if args.output:
-        Path(args.output).write_text(content)
+        try:
+            Path(args.output).write_text(content)
+        except OSError as exc:
+            raise ValueError(f"cannot write output {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(content)
     return EXIT_OK
@@ -255,22 +255,22 @@ def _oracle_report(pair, args) -> IctReport:
     )
 
 
-def _compute_report(family, method, params, build, args) -> IctReport:
+def _compute_report(method, n, build, args) -> IctReport:
     if method == "sym":
-        return ict_sym(params.n)
+        return ict_sym(n)
     if method == "alt":
-        return ict_alt(params.n)
+        return ict_alt(n)
+    pair = build()
     if method == "cyclic":
-        if family == "dihedral":
-            return ict_cyclic(params.n, 2, pair=build(), cap=args.cap_stab_enum)
-        return ict_cyclic(params.q, params.p, pair=build(), cap=args.cap_stab_enum)
+        return ict_cyclic(pair.degree, pair.subgroup_order, pair=pair,
+                          cap=args.cap_stab_enum)
     if method == "theorem6":
-        return ict_theorem6(build(), cap=args.cap_stab_enum)
-    return _oracle_report(build(), args)
+        return ict_theorem6(pair, cap=args.cap_stab_enum)
+    return _oracle_report(pair, args)
 
 
 def cmd_ict(args) -> int:
-    family, identity, params, build = _pair_source(args)
+    family, identity, n, build = _pair_source(args)
     method = _resolve_method(family, args.method)
 
     key = f"{identity}|{method}"
@@ -286,7 +286,7 @@ def cmd_ict(args) -> int:
             sys.stderr.write("warning: malformed cache entry, recomputing\n")
 
     if report is None:
-        report = _compute_report(family, method, params, build, args)
+        report = _compute_report(method, n, build, args)
         if cache_path:
             _cache_store(cache_path, key, report_to_json(report))
 
@@ -295,7 +295,7 @@ def cmd_ict(args) -> int:
     return _emit(report_to_text(report), args)
 
 
-def _crosscheck_rows(family, params, build, args):
+def _crosscheck_rows(family, build, args):
     """(label, value) for every engine applicable to the pair."""
     pair = build()
     n = pair.degree
@@ -303,7 +303,7 @@ def _crosscheck_rows(family, params, build, args):
     # auto picks the family's closed form, or theorem6 (its own row below)
     method = _resolve_method(family, "auto")
     if method != "theorem6":
-        value = _compute_report(family, method, params, lambda: pair, args).value
+        value = _compute_report(method, n, lambda: pair, args).value
         rows.append((f"{method}_closed", value))
     if factorial(n - 1) <= args.cap_stab_enum:
         rows.append(("theorem6", ict_theorem6(pair, cap=args.cap_stab_enum).value))
@@ -314,16 +314,16 @@ def _crosscheck_rows(family, params, build, args):
         tab = classify_by_table_iso(pair, cap=args.cap_transversals,
                                     relabel_cap=args.cap_relabelings)
         rows.append(("oracle_table_iso", tab.class_count))
-    if (family == "sym" and factorial(n - 1) ** (n - 1) <= args.cap_transversals
-            and factorial(n - 1) <= args.cap_relabelings):
+    # Sym(n)'s transversals are the census's tables, capped just above
+    if family == "sym" and factorial(n - 1) <= args.cap_relabelings:
         rows.append(("census", census_left_loops(
             n, cap=args.cap_transversals, relabel_cap=args.cap_relabelings).class_count))
     return pair, rows
 
 
 def cmd_crosscheck(args) -> int:
-    family, _, params, build = _pair_source(args)
-    pair, rows = _crosscheck_rows(family, params, build, args)
+    family, _, _, build = _pair_source(args)
+    pair, rows = _crosscheck_rows(family, build, args)
     agreement = len({v for _, v in rows}) == 1
 
     if args.format == "json":
@@ -357,7 +357,7 @@ def _normal_control():
 
 
 def _sweep_fixtures(args):
-    """(label, report builder) rows for the sweep set."""
+    """(family, pair builder) rows for the sweep set."""
     specs = []
     if args.dihedral:
         lo, _, hi = args.dihedral.partition("..")
@@ -371,28 +371,27 @@ def _sweep_fixtures(args):
     else:
         ns = range(3, 11)
     for n in ns:
-        specs.append(("dihedral", SimpleNamespace(n=n), lambda n=n: make_dihedral(n)))
+        specs.append(("dihedral", lambda n=n: make_dihedral(n)))
     if not args.dihedral:
         for p, q in ((2, 3), (2, 5), (3, 7), (2, 7)):
-            specs.append(("pq", SimpleNamespace(p=p, q=q, n=q),
-                          lambda p=p, q=q: make_pq(p, q)))
+            specs.append(("pq", lambda p=p, q=q: make_pq(p, q)))
         for n in range(2, 6):
-            specs.append(("sym", SimpleNamespace(n=n), lambda n=n: make_sym(n)))
+            specs.append(("sym", lambda n=n: make_sym(n)))
         for n in range(4, 6):
-            specs.append(("alt", SimpleNamespace(n=n), lambda n=n: make_alt(n)))
+            specs.append(("alt", lambda n=n: make_alt(n)))
         # normal-subgroup control: a regular cyclic action has H = {e},
         # which is normal, so the class count must land exactly on 1
-        specs.append(("fixture", SimpleNamespace(n=3), _normal_control))
+        specs.append(("fixture", _normal_control))
     return specs
 
 
 def cmd_sweep(args) -> int:
     rows = []
     violations = []
-    for family, params, build in _sweep_fixtures(args):
+    for family, build in _sweep_fixtures(args):
         pair = build()
         method = _resolve_method(family, "auto")
-        value = _compute_report(family, method, params, lambda: pair, args).value
+        value = _compute_report(method, pair.degree, lambda: pair, args).value
         normal = pair.stabilizer.is_normal_in(pair.group)
         index = pair.degree
         rows.append((pair.name, value, normal, index))

@@ -12,8 +12,9 @@ sort by the image of 1, so the stabilizer of 1 and its cosets are slices.
 Permutation objects are built from rows only where a caller reads them.
 
 A PairGH is the normalized object the counting engines work on: G
-transitive on {1..n}, H the full stabilizer of symbol 1 (read off G), and H
-core-free, i.e. the coset representation has already been applied.
+transitive on {1..n}, H the full stabilizer of symbol 1 (G's first block
+by image of 1, split once per pair, the other blocks being the cosets), and
+H core-free, i.e. the coset representation has already been applied.
 coset_representation() turns an arbitrary (G, H <= G) into that normal form.
 A transversal is a plain tuple of permutations, one per coset in order.
 """
@@ -319,21 +320,23 @@ def alternating_generators(n: int):
 class PairGH:
     """Normalized pair: G transitive on {1..n}, H = G's own stabilizer of 1.
 
-    H is core-free without a check: its core, the intersection of its
-    conjugates, is the intersection of the stabilizers of all n symbols,
-    and only the identity permutation fixes every symbol."""
+    G is split by image of 1 once: H and the cosets are its blocks.  H is
+    core-free without a check: its core, the intersection of its conjugates,
+    is the intersection of the stabilizers of all n symbols, and only the
+    identity permutation fixes every symbol."""
 
     __slots__ = ("group", "stabilizer", "name", "_normalizer", "_cosets")
 
     def __init__(self, group: PermGroup, name: str = ""):
-        if not group.is_transitive():
+        blocks = tuple(group._blocks())
+        if not all(len(block) for block in blocks):
             raise ValueError("G must be transitive on 1..n")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "stabilizer", group.stabilizer_of_1())
+        object.__setattr__(self, "stabilizer", PermGroup(blocks[0]))
         object.__setattr__(self, "name",
                            name or f"pair(degree={group.degree}, order={group.order})")
         object.__setattr__(self, "_normalizer", None)
-        object.__setattr__(self, "_cosets", None)
+        object.__setattr__(self, "_cosets", blocks)
 
     def __setattr__(self, *a):
         raise AttributeError("PairGH is immutable")
@@ -351,10 +354,7 @@ class PairGH:
 
     def cosets(self):
         """cosets()[i] = the sorted, read-only rows of the elements mapping 1
-        to i+1, a slice of G's rows; built on the first call and kept on the
-        pair."""
-        if self._cosets is None:
-            object.__setattr__(self, "_cosets", tuple(self.group._blocks()))
+        to i+1, a slice of G's rows."""
         return self._cosets
 
     def __repr__(self):

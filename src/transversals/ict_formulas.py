@@ -165,7 +165,8 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
     symbol 1, found by brute sweep.  Per conjugacy class of gamma the fixed
     transversals are counted orbit by orbit with a direct filter over G's
     elements; no formula is assumed.  The quotient must come out exact, and
-    gamma itself must fix 1 and normalize G, else HypothesisViolation.
+    a gamma passed in must have the pair's degree, fix 1 and normalize G,
+    else HypothesisViolation; the default is built by that same test.
 
     The report is validated only when gamma is all of Sym(n)_1: two
     transversals generating a proper subgroup of G may be linked only by a
@@ -174,12 +175,12 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
     n = pair.degree
     if gamma is None:
         gamma = normalizer_in_stab(pair, cap=cap)
-    if gamma.degree != n:
+    elif gamma.degree != n:
         raise HypothesisViolation(
             f"acting group degree {gamma.degree} does not match pair degree {n}")
-    if gamma._rows[:, 0].any():
+    elif gamma._rows[:, 0].any():
         raise HypothesisViolation("acting group must fix symbol 1")
-    if not _normalizing(pair.group, gamma._generator_rows()).all():
+    elif not _normalizing(pair.group, gamma._generator_rows()).all():
         raise HypothesisViolation("acting group must normalize the group")
 
     cosets = pair.cosets()
@@ -406,8 +407,8 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     gamma = PermGroup(rows[np.argsort(_row_keys(rows))])
     # composing every pair of relabelings (compose(x, y) is x[y]) stays inside
     assert (gamma._locate(rows[:, rows].reshape(-1, n)) >= 0).all()
-    if not _normalizing(pair.group, rows).all():
-        raise HypothesisViolation("affine relabelings do not normalize the group")
+    # G lies in the holomorph x -> ux + b of its normal cycle, and x -> j^-1 x
+    # conjugates that to x -> ux + j^-1 b, again in G; ict_theorem6 checks it
     if factorial(n - 1) <= cap:
         brute = normalizer_in_stab(pair, cap=cap)
         if brute != gamma:

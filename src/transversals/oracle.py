@@ -120,12 +120,9 @@ def _canonical_forms(tables: np.ndarray, n: int, cap: int = CAP_RELABELINGS) -> 
     only the pairs that reach their table's least value there, until every
     table has one candidate left.  Candidates still tied after the last
     cell give the same table.  Row 1 and column 1 are skipped: every
-    relabeling fixes them.
+    relabeling fixes them.  The caller has capped the relabelings.
     """
     flat = tables.reshape(len(tables), n * n)
-    total = factorial(n - 1)
-    if total > cap:
-        raise CapExceeded("relabelings", cap, total)
     F = np.concatenate(list(_stabilizer_batches(n, BATCH, cap)))
     m = len(F)
     Finv = _invert_rows(F).T.astype(np.uint16 if n <= 255 else np.int64)
@@ -165,8 +162,11 @@ def _table_classes(slots, n: int, group: PermGroup,
 
     Tables are numbered in Cartesian-product order of the slots, first slot
     slowest; a class is generating when the rows of its first table
-    generate `group`.
+    generate `group`.  The relabelings are capped before any table is built.
     """
+    total = factorial(n - 1)
+    if total > relabel_cap:
+        raise CapExceeded("relabelings", relabel_cap, total)
     tables = _section_rows(slots, np.arange(prod(len(rows) for rows in slots)), n)
     canon = _canonical_forms(tables, n, cap=relabel_cap)
     # row keys sort like the rows, so classes come out by canonical form
@@ -243,11 +243,8 @@ def _candidate_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
     """_conjugates of every identity-fixing alpha that could map some
     transversal back into the family: one that conjugates some member of
     each coset into G.  The others are dropped before the per-transversal
-    sweep."""
+    sweep.  `stab_cap` bounds the (n-1)! alphas before any is built."""
     n = pair.degree
-    total = factorial(n - 1)
-    if total > stab_cap:
-        raise CapExceeded("stabilizer_enum", stab_cap, total)
     kept = [np.empty((0, n - 1, pair.subgroup_order), dtype=np.int64)]
     for alphas in _stabilizer_batches(n, max(1, BATCH // pair.group.order), stab_cap):
         index = _conjugates(pair, alphas)
@@ -258,9 +255,9 @@ def _candidate_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
 def _sweep_labels(pair: PairGH, stab_cap: int) -> np.ndarray:
     """Each transversal's least index among its images under the alphas
     `_candidate_relabelings` keeps: the least index of its class."""
+    conjugates = _candidate_relabelings(pair, stab_cap)
     total = pair.transversal_count()
     least = np.arange(total)
-    conjugates = _candidate_relabelings(pair, stab_cap)
     step = max(1, BATCH // total)
     for lo in range(0, len(conjugates), step):
         image = _transversal_images(pair, conjugates[lo:lo + step])

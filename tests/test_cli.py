@@ -140,6 +140,15 @@ def test_ict_output_file(tmp_path, capsys):
     assert "value: 44" in dest.read_text()
 
 
+def test_ict_output_unwritable(tmp_path, capsys):
+    missing = tmp_path / "nonexistent" / "x"
+    for dest, why in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, "--sym", "3", "--output", str(dest), "--no-cache")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: cannot write output {dest}: {why}\n"
+
+
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 

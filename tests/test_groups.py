@@ -114,10 +114,14 @@ def test_pair_arithmetic():
         assert all(g(1) == i for g in perms(coset))
 
 
-def test_pair_cosets_built_once_and_immutable():
+def test_pair_cosets_built_once_and_immutable(monkeypatch):
+    splits = []
+    split = PermGroup._blocks
+    monkeypatch.setattr(PermGroup, "_blocks", lambda self: splits.append(self) or split(self))
     pair = make_dihedral(8)
     cosets = pair.cosets()
     assert pair.cosets() is cosets
+    assert len(splits) == 1  # the transitivity check, H and the cosets share one split
     assert isinstance(cosets, tuple) and all(not c.flags.writeable for c in cosets)
     blocks = [perms(c) for c in cosets]
     assert all(b == sorted(b) for b in blocks)

@@ -20,6 +20,7 @@ from transversals.groups import (
     PairGH,
     PermGroup,
     _class_order_key,
+    _normalizing,
     _row_keys,
     coset_representation,
     enumerate_transversals,
@@ -27,6 +28,7 @@ from transversals.groups import (
     make_dihedral,
     make_pq,
     make_sym,
+    normalizer_in_stab,
     pair_from_fixture,
 )
 from transversals.ict_formulas import (
@@ -308,6 +310,23 @@ def test_theorem6_rejects_bad_gamma():
         ict_theorem6(make_dihedral(5), gamma=swap)
     with pytest.raises(HypothesisViolation, match="degree"):
         ict_theorem6(pair, gamma=PermGroup.trivial(5))
+
+
+def test_theorem6_guards_only_a_supplied_gamma(monkeypatch):
+    """The default gamma is built by the normalizing test, so only a gamma
+    passed in is tested again."""
+    calls = []
+
+    def counted(group, alphas, target=None):
+        calls.append(len(alphas))
+        return _normalizing(group, alphas, target)
+
+    monkeypatch.setattr(ict_formulas, "_normalizing", counted)
+    pair = make_sym(5)
+    report = ict_theorem6(pair)
+    assert calls == []
+    assert ict_theorem6(pair, gamma=normalizer_in_stab(pair)) == report
+    assert len(calls) == 1
 
 
 def test_disagreement_error_values_default_to_empty_tuple():

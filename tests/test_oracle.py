@@ -383,7 +383,7 @@ def test_generating_flag_is_a_class_invariant():
         assert generates(pair, ts[i]) == result.generating_flags[lab]
 
 
-def test_classifier_caps():
+def test_classifier_caps(monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         classify_by_conjugation(make_sym(5), cap=100)
     assert exc.value.cap_name == "transversals"
@@ -400,6 +400,17 @@ def test_classifier_caps():
     with pytest.raises(CapExceeded) as exc:
         list(_right_transversals(make_sym(4), cap=10))
     assert str(exc.value) == "cap 'transversals' exceeded: requires 216, limit is 10"
+
+    # the relabeling cap is checked before any table is built
+    def no_tables(*args):
+        raise AssertionError("tables built before the relabeling cap check")
+
+    monkeypatch.setattr(oracle, "_section_rows", no_tables)
+    for classify in (lambda: classify_by_table_iso(make_dihedral(10)),
+                     lambda: census_left_loops(4, relabel_cap=5)):
+        with pytest.raises(CapExceeded) as exc:
+            classify()
+        assert exc.value.cap_name == "relabelings"
 
 
 def test_conjugation_cap_precedes_cosets(monkeypatch):
