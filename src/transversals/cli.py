@@ -3,6 +3,10 @@ the oracle, census left loops, sweep structural facts, and dump class
 representatives.  Results for the compute command are cached on disk keyed by
 pair, method, and tool version, plus a non-default --cap-stab-enum; all
 output is deterministic for a given invocation and version.
+
+Every choice changes what runs: a subcommand offers only the --cap-* flags
+its engines read, and --method is auto (the family's closed form, else
+theorem6), theorem6 or oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +53,15 @@ EXIT_CAP = 2
 EXIT_HYPOTHESIS = 3
 EXIT_DISAGREEMENT = 4
 
-METHOD_CHOICES = ("auto", "theorem6", "sym", "alt", "cyclic", "oracle")
+METHOD_CHOICES = ("auto", "theorem6", "oracle")
+
+# The engine `auto` runs for each pair family: its closed form, else theorem6
+AUTO_METHODS = {"sym": "sym", "alt": "alt", "dihedral": "cyclic", "pq": "cyclic",
+                "fixture": "theorem6"}
+
+# Each cap flag's default; a subcommand offers only the caps its engines read
+CAP_DEFAULTS = {"transversals": CAP_TRANSVERSALS, "stab-enum": CAP_STAB_ENUM,
+                "relabelings": CAP_RELABELINGS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,13 +99,12 @@ def _at_least(least: int):
     return parse
 
 
-def _add_common_options(sub):
+def _add_common_options(sub, *caps):
     sub.add_argument("--format", choices=("human", "json"), default="human")
     sub.add_argument("--output", metavar="PATH",
                      help="write the report here instead of stdout")
-    sub.add_argument("--cap-transversals", type=_at_least(0), default=CAP_TRANSVERSALS)
-    sub.add_argument("--cap-stab-enum", type=_at_least(0), default=CAP_STAB_ENUM)
-    sub.add_argument("--cap-relabelings", type=_at_least(0), default=CAP_RELABELINGS)
+    for cap in caps:
+        sub.add_argument(f"--cap-{cap}", type=_at_least(0), default=CAP_DEFAULTS[cap])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,25 +123,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cache directory (default $ICT_CACHE_DIR, else "
                             "$XDG_CACHE_HOME/ict, else ~/.cache/ict)")
     p_ict.add_argument("--no-cache", action="store_true")
-    _add_common_options(p_ict)
+    _add_common_options(p_ict, "transversals", "stab-enum")
 
     p_census = subs.add_parser("census", help="classify all left loops of an order")
     p_census.add_argument("order", type=int)
-    _add_common_options(p_census)
+    _add_common_options(p_census, "transversals", "relabelings")
 
     p_cross = subs.add_parser("crosscheck",
                               help="run every applicable engine and compare")
     _add_pair_options(p_cross)
-    _add_common_options(p_cross)
+    _add_common_options(p_cross, "transversals", "stab-enum", "relabelings")
 
     p_sweep = subs.add_parser("sweep", help="scan fixtures for structural facts")
     p_sweep.add_argument("--dihedral", metavar="A..B",
                          help="sweep only dihedral pairs in this range")
-    _add_common_options(p_sweep)
+    _add_common_options(p_sweep, "stab-enum")
 
     p_classes = subs.add_parser("classes", help="dump class representatives")
     _add_pair_options(p_classes)
-    _add_common_options(p_classes)
+    _add_common_options(p_classes, "transversals", "relabelings")
 
     return parser
 
@@ -222,22 +233,6 @@ def _cache_store(path: Path, key: str, report: dict):
 
 # ---------------------------------------------------------------- commands
 
-def _resolve_method(family: str, requested: str) -> str:
-    if requested == "auto":
-        if family in ("sym", "alt"):
-            return family
-        if family in ("dihedral", "pq"):
-            return "cyclic"
-        return "theorem6"
-    if requested == "sym" and family != "sym":
-        raise ValueError("--method sym needs a --sym pair")
-    if requested == "alt" and family != "alt":
-        raise ValueError("--method alt needs an --alt pair")
-    if requested == "cyclic" and family not in ("dihedral", "pq"):
-        raise ValueError("--method cyclic needs a --dihedral or --pq pair")
-    return requested
-
-
 def _oracle_report(pair, args) -> IctReport:
     result = classify_by_conjugation(pair, cap=args.cap_transversals,
                                      stab_cap=args.cap_stab_enum)
@@ -271,7 +266,7 @@ def _compute_report(method, n, build, args) -> IctReport:
 
 def cmd_ict(args) -> int:
     family, identity, n, build = _pair_source(args)
-    method = _resolve_method(family, args.method)
+    method = AUTO_METHODS[family] if args.method == "auto" else args.method
 
     key = f"{identity}|{method}"
     if args.cap_stab_enum != CAP_STAB_ENUM:  # the cyclic justification reads it
@@ -301,7 +296,7 @@ def _crosscheck_rows(family, build, args):
     n = pair.degree
     rows = []
     # auto picks the family's closed form, or theorem6 (its own row below)
-    method = _resolve_method(family, "auto")
+    method = AUTO_METHODS[family]
     if method != "theorem6":
         value = _compute_report(method, n, lambda: pair, args).value
         rows.append((f"{method}_closed", value))
@@ -390,7 +385,7 @@ def cmd_sweep(args) -> int:
     violations = []
     for family, build in _sweep_fixtures(args):
         pair = build()
-        method = _resolve_method(family, "auto")
+        method = AUTO_METHODS[family]
         value = _compute_report(method, pair.degree, lambda: pair, args).value
         normal = pair.stabilizer.is_normal_in(pair.group)
         index = pair.degree

@@ -130,7 +130,8 @@ def closure(generators, degree: int | None = None, cap: int = CAP_GROUP_ORDER):
 class PermGroup:
     """Finite permutation group of a fixed degree, stored as the sorted,
     read-only 0-based image rows of its elements: row i is the i-th element
-    in sorted order, so the identity is row 0."""
+    in sorted order, so the identity is row 0.  Its size is `order`; the
+    trivial group of degree n is `from_generators([], degree=n)`."""
 
     __slots__ = ("degree", "generators", "_rows", "_keys", "_left")
 
@@ -153,10 +154,6 @@ class PermGroup:
         return cls(closure(gens, degree=degree, cap=cap), gens)
 
     @classmethod
-    def trivial(cls, n: int):
-        return cls(np.arange(n, dtype=_row_dtype(n))[None, :])
-
-    @classmethod
     def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
         if factorial(n) > cap:
             raise CapExceeded("group_order", cap, factorial(n))
@@ -173,9 +170,6 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self._rows)
-
-    def __len__(self):
         return len(self._rows)
 
     def __iter__(self):
@@ -640,6 +634,7 @@ def pair_from_fixture(text: str, cap: int = CAP_GROUP_ORDER):
     name, degree, gens = parse_fixture(text)
     G = PermGroup.from_generators(gens, degree=degree, cap=cap)
     label = name or f"fixture(degree={degree})"
-    if G.is_transitive():
+    try:
         return PairGH(G, name=label), False
-    return coset_representation(G, G.stabilizer_of_1(), name=label), True
+    except ValueError:  # PairGH refuses only an intransitive G
+        return coset_representation(G, G.stabilizer_of_1(), name=label), True

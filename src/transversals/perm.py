@@ -21,6 +21,8 @@ class Permutation:
     The constructor, from_cycles and parse_cycles are the public entry
     points and validate their input.  Results of operations on valid
     permutations are valid by construction and skip the check (_trusted).
+    The identity of degree n is `Permutation.identity(n)`; the orbits of p
+    are `p.orbits()`.
     """
 
     __slots__ = ("images",)
@@ -60,7 +62,22 @@ class Permutation:
         return self.images[i - 1]
 
     def orbits(self):
-        return orbits(self)
+        """Orbit partition of {1..n} under self, singletons included, each
+        orbit listed from its smallest symbol, orbits sorted by smallest
+        symbol."""
+        images = self.images
+        seen = [False] * len(images)
+        out = []
+        for s, t in enumerate(images, 1):
+            if seen[s - 1]:
+                continue
+            orb = [s]
+            while t != s:
+                orb.append(t)
+                seen[t - 1] = True
+                t = images[t - 1]
+            out.append(tuple(orb))
+        return out
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
@@ -92,10 +109,6 @@ def _trusted(images: tuple) -> Permutation:
     return p
 
 
-def identity(n: int) -> Permutation:
-    return Permutation.identity(n)
-
-
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """p after q: compose(p, q).images[i] == p.images[q.images[i]] (1-based)."""
     pi, qi = p.images, q.images
@@ -113,24 +126,6 @@ def conjugate(p: Permutation, a: Permutation) -> Permutation:
     for i, v in enumerate(pi):
         out[ai[i] - 1] = ai[v - 1]
     return _trusted(tuple(out))
-
-
-def orbits(p: Permutation):
-    """Orbit partition of {1..n} under p, singletons included, each orbit
-    listed from its smallest symbol, orbits sorted by smallest symbol."""
-    images = p.images
-    seen = [False] * len(images)
-    out = []
-    for s, t in enumerate(images, 1):
-        if seen[s - 1]:
-            continue
-        orb = [s]
-        while t != s:
-            orb.append(t)
-            seen[t - 1] = True
-            t = images[t - 1]
-        out.append(tuple(orb))
-    return out
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -163,7 +158,7 @@ def parse_cycles(n: int, text: str) -> Permutation:
 
 def format_cycles(p: Permutation) -> str:
     """Nontrivial cycles, each from its smallest symbol; "()" for the identity."""
-    parts = [orb for orb in orbits(p) if len(orb) > 1]
+    parts = [orb for orb in p.orbits() if len(orb) > 1]
     if not parts:
         return "()"
     return "".join("(" + ",".join(map(str, orb)) + ")" for orb in parts)

@@ -32,7 +32,7 @@ from transversals.groups import (
     enumerate_transversals,
 )
 from transversals.oracle import LoopTable, _canonical_forms, classify_by_table_iso
-from transversals.perm import Permutation, compose, conjugate, identity, parse_cycles
+from transversals.perm import Permutation, compose, conjugate, parse_cycles
 
 
 def cycle_type(p):
@@ -88,7 +88,7 @@ def power(p, m):
     """p composed with itself m times; a negative m powers the inverse."""
     if m < 0:
         return power(inverse(p), -m)
-    acc = identity(p.degree)
+    acc = Permutation.identity(p.degree)
     for _ in range(m):
         acc = compose(p, acc)
     return acc

@@ -59,11 +59,16 @@ def test_ict_json(capsys):
     assert data["version"] == __version__
 
 
-def test_ict_method_auto_dispatch(capsys):
+def test_ict_method_auto_dispatch(tmp_path, capsys):
+    """auto runs the family's closed form, and theorem6 on a fixture."""
+    fixture = tmp_path / "d4.group"
+    fixture.write_text("degree 4\ngen (1,2,3,4)\ngen (2,4)\n")
     cases = [
+        (["--sym", "4"], 44, "sym_closed"),
         (["--alt", "4"], 7, "alt_closed"),
         (["--dihedral", "5"], 6, "cyclic_closed"),
         (["--pq", "3", "7"], 130, "cyclic_closed"),
+        (["--fixture", str(fixture)], 6, "theorem6"),
     ]
     for flags, value, method in cases:
         code, out, _ = run(capsys, *flags, "--format", "json", "--no-cache")
@@ -89,10 +94,15 @@ def test_ict_method_theorem6(capsys):
     assert json.loads(out)["value"] == 20
 
 
-def test_ict_method_family_mismatch(capsys):
-    code, _, err = run(capsys, "--dihedral", "5", "--method", "sym", "--no-cache")
-    assert code == EXIT_USAGE
-    assert "error: --method sym needs a --sym pair" in err
+@pytest.mark.parametrize("method", ["sym", "alt", "cyclic"])
+def test_ict_method_offers_no_family_engine(capsys, method):
+    """A family's closed form is what auto runs; --method does not name it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["ict", "--sym", "4", "--method", method, "--no-cache"])
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --method: invalid choice" in err
 
 
 def test_ict_fixture(tmp_path, capsys):
@@ -622,12 +632,27 @@ def test_usage_errors_exit_one(capsys):
         capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag, value, least", [
-    ("--jobs", "-3", 1), ("--jobs", "0", 1), ("--cap-transversals", "-5", 0),
-    ("--cap-stab-enum", "-1", 0), ("--cap-relabelings", "-2", 0)])
-@pytest.mark.parametrize("command", ["ict", "census", "crosscheck", "classes"])
+# The --cap-* flags each subcommand offers: only the caps its engines read
+CAP_FLAGS = {
+    "ict": ("--cap-transversals", "--cap-stab-enum"),
+    "census": ("--cap-transversals", "--cap-relabelings"),
+    "crosscheck": ("--cap-transversals", "--cap-stab-enum", "--cap-relabelings"),
+    "sweep": ("--cap-stab-enum",),
+    "classes": ("--cap-transversals", "--cap-relabelings"),
+}
+OUT_OF_RANGE = [("--jobs", "-3", 1), ("--jobs", "0", 1), ("--cap-transversals", "-5", 0),
+                ("--cap-stab-enum", "-1", 0), ("--cap-relabelings", "-2", 0)]
+# What each subcommand needs to run besides its options
+PAIR_ARGS = {"census": ["3"], "sweep": []}
+
+
+@pytest.mark.parametrize("command, flag, value, least", [
+    (command, flag, value, least)
+    for command in ("ict", "census", "crosscheck", "classes", "sweep")
+    for flag, value, least in OUT_OF_RANGE
+    if flag == "--jobs" or flag in CAP_FLAGS[command]])
 def test_out_of_range_counts_are_usage_errors(capsys, command, flag, value, least):
-    pair = ["3"] if command == "census" else ["--sym", "3"]
+    pair = PAIR_ARGS.get(command, ["--sym", "3"])
     with pytest.raises(SystemExit) as exc:
         main([command, *pair, flag, value])
     assert exc.value.code == EXIT_USAGE
@@ -639,6 +664,23 @@ def test_out_of_range_counts_are_usage_errors(capsys, command, flag, value, leas
         return
     assert err.startswith(f"usage: ict {command} ")
     assert err.endswith(f"error: argument {flag}: must be at least {least}, got {value}\n")
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command, offered in CAP_FLAGS.items()
+    for flag in ("--cap-transversals", "--cap-stab-enum", "--cap-relabelings")
+    if flag not in offered])
+def test_caps_a_subcommand_does_not_read_are_not_options(capsys, command, flag):
+    """A cap no engine of the subcommand reads is no option of it: a value
+    in range is refused like any unknown option."""
+    pair = PAIR_ARGS.get(command, ["--sym", "3"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *pair, flag, "5"])
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: {flag} 5\n")
 
 
 def test_out_of_range_jobs_exits_one_in_a_child_process():

@@ -26,7 +26,7 @@ from transversals.groups import (
     format_fixture,
     stabilizer_candidates,
 )
-from transversals.perm import Permutation, compose, identity, parse_cycles
+from transversals.perm import Permutation, compose, parse_cycles
 
 from oracles import (
     _left_coset_blocks,
@@ -45,19 +45,19 @@ def test_closure_of_a_single_cycle():
     a = parse_cycles(4, "(1,2,3,4)")
     elems = perms(closure([a]))
     assert len(elems) == 4
-    assert identity(4) in elems
+    assert Permutation.identity(4) in elems
     assert elems == sorted(elems)
 
 
 def test_closure_empty_generators():
-    assert perms(closure([], degree=3)) == [identity(3)]
+    assert perms(closure([], degree=3)) == [Permutation.identity(3)]
     with pytest.raises(ValueError):
         closure([])
 
 
 def test_closure_mixed_degree_rejected():
     with pytest.raises(ValueError):
-        closure([identity(3), identity(4)])
+        closure([Permutation.identity(3), Permutation.identity(4)])
 
 
 def test_closure_cap():
@@ -77,7 +77,7 @@ def test_permgroup_basics():
     assert A.is_subgroup_of(G)
     assert A.is_normal_in(G)
     assert not G.stabilizer_of_1().is_normal_in(G)
-    assert PermGroup.trivial(5).order == 1
+    assert PermGroup.from_generators([], degree=5).order == 1
 
 
 def test_abelian_and_transitive_flags():
@@ -93,7 +93,7 @@ def test_conjugacy_classes_of_sym4():
     classes = PermGroup.symmetric(4).conjugacy_classes()
     assert len(classes) == 5
     assert sorted(size for _, size in classes) == [1, 3, 6, 6, 8]
-    assert classes[0] == (identity(4), 1)
+    assert classes[0] == (Permutation.identity(4), 1)
     assert sum(size for _, size in classes) == 24
 
 
@@ -155,7 +155,7 @@ def test_left_cosets_and_subgroup_transversals():
     H = PermGroup.from_generators([parse_cycles(3, "(1,2)")])
     cosets = [perms(block) for block in _left_coset_blocks(G, H)]
     assert len(cosets) == 3
-    assert identity(3) in cosets[0]
+    assert Permutation.identity(3) in cosets[0]
     seen = {g for c in cosets for g in c}
     assert seen == set(G)
     ts = list(subgroup_transversal_sets(G, H))
@@ -176,7 +176,8 @@ def test_coset_representation_quotients_the_kernel():
 
 def test_coset_representation_of_trivial_subgroup_is_regular():
     G = PermGroup.symmetric(3)
-    pair = coset_representation(G, PermGroup.trivial(3), name="regular sym(3)")
+    trivial = PermGroup.from_generators([], degree=3)
+    pair = coset_representation(G, trivial, name="regular sym(3)")
     assert pair.degree == 6
     assert pair.group.order == 6
     assert pair.subgroup_order == 1
@@ -243,7 +244,7 @@ def test_normalizer_in_stab():
 
 def test_generates():
     pair = make_sym(3)
-    e = identity(3)
+    e = Permutation.identity(3)
     t_gen = (e, parse_cycles(3, "(1,2)"), parse_cycles(3, "(1,3)"))
     t_cyc = (e, parse_cycles(3, "(1,2,3)"), parse_cycles(3, "(1,3,2)"))
     assert generates(pair, t_gen)
@@ -254,9 +255,11 @@ def test_pair_isomorphic():
     assert pair_isomorphic(make_dihedral(3), make_pq(2, 3))
     assert pair_isomorphic(make_dihedral(4), make_dihedral(4))
     C6 = coset_representation(
-        PermGroup.from_generators([parse_cycles(6, "(1,2,3,4,5,6)")]), PermGroup.trivial(6)
+        PermGroup.from_generators([parse_cycles(6, "(1,2,3,4,5,6)")]),
+        PermGroup.from_generators([], degree=6),
     )
-    S3reg = coset_representation(PermGroup.symmetric(3), PermGroup.trivial(3))
+    S3reg = coset_representation(PermGroup.symmetric(3),
+                                 PermGroup.from_generators([], degree=3))
     assert not pair_isomorphic(C6, S3reg)
     assert not pair_isomorphic(make_sym(3), make_sym(4))
 
@@ -316,6 +319,21 @@ def test_pair_from_fixture_applies_coset_representation():
     assert renumbered
     assert pair.degree == 3 and pair.group.order == 6
     assert pair.name == "order18"
+
+
+@pytest.mark.parametrize("text, renumbered, splits", [
+    # PSL(2,5) on the projective line: transitive, so the pair's own split
+    # is the transitivity check
+    ("degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n", False, 1),
+    # intransitive: the refused pair, the stabilizer of 1, the coset pair
+    ("degree 6\ngen (1,2,3)\ngen (4,5,6)\ngen (2,3)(5,6)\n", True, 3),
+], ids=["psl25", "intransitive"])
+def test_pair_from_fixture_splits_g_once(monkeypatch, text, renumbered, splits):
+    calls = []
+    split = PermGroup._blocks
+    monkeypatch.setattr(PermGroup, "_blocks", lambda self: calls.append(self) or split(self))
+    assert pair_from_fixture(text)[1] == renumbered
+    assert len(calls) == splits
 
 
 def test_transversal_count_formula():

@@ -55,7 +55,6 @@ from transversals.perm import (
     compose,
     conjugate,
     format_cycles,
-    identity,
     parse_cycles,
 )
 from transversals.symclasses import multiplicities, partitions
@@ -108,7 +107,7 @@ def test_sym4_burnside_breakdown():
     assert report.gamma_order == 6
     assert report.numerator == 264
     by_type = _contribution_by_type(report)
-    ident = by_type[cycle_type(identity(4))]
+    ident = by_type[cycle_type(Permutation.identity(4))]
     assert ident.fix_count == 216 and ident.class_size == 1
     assert sorted(c.class_size * c.fix_count for c in report.contributions) == [12, 36, 216]
 
@@ -192,7 +191,7 @@ def _fixed_count_from_scratch(pair, x):
     # spot-check actual witnesses, including that a bad choice really fails
     rng = random.Random(99)
     for _ in range(3):
-        members = {identity(n)}
+        members = {Permutation.identity(n)}
         for orb, good in per_orbit:
             q = rng.choice(good)
             for s in range(len(orb)):
@@ -203,7 +202,7 @@ def _fixed_count_from_scratch(pair, x):
     orb, good = per_orbit[0]
     for bad in cosets[orb[0] - 1]:
         if bad not in good:
-            members = {identity(n), bad}
+            members = {Permutation.identity(n), bad}
             for s in range(1, len(orb)):
                 members.add(conjugate(bad, power(x, s)))
             assert _conjugated_members(members, x) != frozenset(members)
@@ -309,7 +308,7 @@ def test_theorem6_rejects_bad_gamma():
     with pytest.raises(HypothesisViolation, match="acting group must normalize the group"):
         ict_theorem6(make_dihedral(5), gamma=swap)
     with pytest.raises(HypothesisViolation, match="degree"):
-        ict_theorem6(pair, gamma=PermGroup.trivial(5))
+        ict_theorem6(pair, gamma=PermGroup.from_generators([], degree=5))
 
 
 def test_theorem6_guards_only_a_supplied_gamma(monkeypatch):

@@ -285,7 +285,7 @@ def test_flags_on_intransitive_and_non_core_free_subgroups():
     G18, H6 = order18_example()
     C3 = PermGroup.from_generators([parse_cycles(3, "(1,2,3)")])
     cases = ((S4, normal_V4), (S4, intransitive_V4), (S4, S4), (G18, H6),
-             (G18, G18), (C3, PermGroup.trivial(3)))
+             (G18, G18), (C3, PermGroup.from_generators([], degree=3)))
     for group, sub in cases:
         assert sub.is_subgroup_of(group)
         assert sub.is_normal_in(group) == ref_is_normal_in(sub, group)

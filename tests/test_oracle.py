@@ -40,7 +40,7 @@ from transversals.oracle import (
     classify_by_table_iso,
     render_classes_dump,
 )
-from transversals.perm import Permutation, compose, conjugate, identity, parse_cycles
+from transversals.perm import Permutation, compose, conjugate, parse_cycles
 
 from oracles import (
     _right_transversals,
@@ -228,7 +228,7 @@ def test_loop_table_validation():
 
 def test_induced_table_is_the_member_rows():
     pair = make_sym(3)
-    T = (identity(3), parse_cycles(3, "(1,2)"), parse_cycles(3, "(1,3,2)"))
+    T = (Permutation.identity(3), parse_cycles(3, "(1,2)"), parse_cycles(3, "(1,3,2)"))
     table = induced_table(pair, T)
     assert table.table == ((1, 2, 3), (2, 1, 3), (3, 1, 2))
     assert table.members() == tuple(T)
@@ -486,7 +486,7 @@ def test_subgroup_transversals_are_subgroups():
         subs = subgroup_transversals(pair)
         for T in subs:
             members = set(T)
-            assert identity(pair.degree) in members
+            assert Permutation.identity(pair.degree) in members
             assert all(compose(p, q) in members for p in members for q in members)
 
 

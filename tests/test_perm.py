@@ -14,7 +14,6 @@ from transversals.perm import (
     compose,
     conjugate,
     format_cycles,
-    identity,
     parse_cycles,
 )
 
@@ -50,7 +49,7 @@ def test_dihedral_presentation_in_coset_numbering():
 
 
 def test_identity_and_inverse():
-    e = identity(5)
+    e = Permutation.identity(5)
     assert e.is_identity()
     rng = random.Random(11)
     for _ in range(30):
@@ -61,18 +60,18 @@ def test_identity_and_inverse():
 
 def test_pow_agrees_with_repeated_composition():
     p = parse_cycles(6, "(1,2,3)(4,5)")
-    acc = identity(6)
+    acc = Permutation.identity(6)
     for m in range(1, 8):
         acc = compose(p, acc)
         assert power(p, m) == acc
-    assert power(p, 0) == identity(6)
+    assert power(p, 0) == Permutation.identity(6)
     assert power(p, -1) == inverse(p)
     assert power(p, -3) == inverse(power(p, 3))
 
 
 def test_degree_mismatch_is_an_error():
-    p = identity(3)
-    q = identity(4)
+    p = Permutation.identity(3)
+    q = Permutation.identity(4)
     with pytest.raises(ValueError):
         compose(p, q)
     with pytest.raises(ValueError):
@@ -137,8 +136,8 @@ def test_parse_and_format_round_trip():
         n = rng.randrange(1, 10)
         p = Permutation(rng.sample(range(1, n + 1), n))
         assert parse_cycles(n, format_cycles(p)) == p
-    assert format_cycles(identity(4)) == "()"
-    assert parse_cycles(5, "()") == identity(5)
+    assert format_cycles(Permutation.identity(4)) == "()"
+    assert parse_cycles(5, "()") == Permutation.identity(5)
 
 
 def test_parse_rejects_garbage():
