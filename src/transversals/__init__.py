@@ -6,8 +6,12 @@ counts as an isomorphism when it preserves the induced binary operations.
 Exact Burnside-style engines (general, symmetric, alternating, cyclic) live
 in ict_formulas; exhaustive enumeration classifiers that double as ground
 truth live in oracle; perm, symclasses, and groups carry the permutation and
-group machinery (enumerate_transversals yields each transversal as a tuple
-of Permutations, identity first); cli wires everything into the `ict` command.
+group machinery; cli wires everything into the `ict` command.  Inside the
+engines a permutation is a 0-based image row (PermGroup.conjugacy_classes
+yields (row, size) pairs); Permutation objects are built where text enters
+(parse_cycles, fixtures, cache reads) and where a caller reads elements
+(iterating a PermGroup; enumerate_transversals yields each transversal as a
+tuple of Permutations, identity first).
 """
 
 from ._version import __version__
@@ -16,7 +20,7 @@ from .errors import (
     DisagreementError,
     HypothesisViolation,
 )
-from .perm import Permutation, compose, conjugate, format_cycles, parse_cycles
+from .perm import Permutation, compose, format_cycles, parse_cycles
 from .symclasses import class_size, partitions
 from .groups import (
     PairGH,
@@ -57,7 +61,6 @@ __all__ = [
     "HypothesisViolation",
     "Permutation",
     "compose",
-    "conjugate",
     "format_cycles",
     "parse_cycles",
     "class_size",

@@ -9,7 +9,9 @@ A group is stored once, as the sorted (order, degree) array of its elements'
 filter or a gather over these rows.  A row's key is its bytes, which sort
 like the row, so a binary search maps rows to element indices.  The rows
 sort by the image of 1, so the stabilizer of 1 and its cosets are slices.
-Permutation objects are built from rows only where a caller reads them.
+Inside the package elements stay rows: Permutation objects are built from
+them only where a caller outside it reads them (iterating a group,
+enumerate_transversals) and for the generators coset_representation keeps.
 
 A PairGH is the normalized object the counting engines work on: G
 transitive on {1..n}, H the full stabilizer of symbol 1 (G's first block
@@ -21,6 +23,7 @@ A transversal is a plain tuple of permutations, one per coset in order.
 
 from __future__ import annotations
 
+import re
 from itertools import chain as _chain
 from itertools import islice as _islice
 from itertools import permutations as _itpermutations
@@ -29,7 +32,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
-from .perm import Permutation, _trusted, compose, format_cycles, parse_cycles
+from .perm import Permutation, _trusted, compose, parse_cycles
 
 # Candidates conjugated per gather in the normalizer sweep: large enough to
 # amortize numpy's per-call cost, small enough that an (n-1)! stream is
@@ -215,22 +218,14 @@ class PermGroup:
         return self.is_subgroup_of(other) and bool(
             _normalizing(self, other._generator_rows()).all())
 
-    def is_abelian(self) -> bool:
-        """Do the generators commute pairwise?  compose(a, b) is a[b]."""
-        gens = self._generator_rows()
-        return all((a[gens] == gens[:, a]).all() for a in gens)
-
-    def is_transitive(self) -> bool:
-        return all(len(block) for block in self._blocks())
-
     def stabilizer_of_1(self) -> "PermGroup":
         return PermGroup(self._blocks()[0])
 
     def conjugacy_classes(self):
-        """One (representative, size) pair per conjugacy class, the
-        representative being the class's least element; classes ordered by
-        (moved points, representative), so the identity class comes first.
-        Each class is one gather: x conjugated by every element at once."""
+        """One (row, size) pair per conjugacy class, row being the 0-based
+        image row of the class's least element; classes ordered by moved
+        symbols, then row (_class_order_key), so the identity class comes
+        first.  Each class is one gather: x conjugated by every element."""
         rows, inverses = self._rows, _invert_rows(self._rows)
         unseen = np.ones(len(rows), dtype=bool)
         classes = []
@@ -243,8 +238,8 @@ class PermGroup:
             members = np.zeros(len(rows), dtype=bool)
             members[index] = True
             unseen &= ~members
-            classes.append((_perms(x[None, :])[0], int(members.sum())))
-        return sorted(classes, key=lambda c: _class_order_key(c[0]))
+            classes.append((x, int(members.sum())))
+        return sorted(classes, key=lambda c: _class_order_key(c[0].tolist()))
 
     def _left_row(self, i: int) -> list:
         """Index of g x for every element x, g the i-th element (built on
@@ -279,11 +274,11 @@ class PermGroup:
         return False
 
 
-def _class_order_key(rep: Permutation):
-    """Presentation order of conjugacy classes by representative: fewest
-    moved symbols first, then by images, so the identity class leads."""
-    moved = sum(1 for i in range(1, rep.degree + 1) if rep(i) != i)
-    return (moved, rep.images)
+def _class_order_key(row):
+    """Presentation order of conjugacy classes by representative, given as
+    a list or tuple of 0-based images: fewest moved symbols first, then by
+    images, so the identity class leads."""
+    return (sum(1 for i, v in enumerate(row) if v != i), tuple(row))
 
 
 def symmetric_generators(n: int):
@@ -578,7 +573,8 @@ def parse_fixture(text: str):
         degree <n>            (exactly once)
         gen <cycle notation>  (one or more)
 
-    Returns (name, degree, generators).
+    n and the symbols of the cycles are ASCII decimal.  Returns (name,
+    degree, generators).
     """
     name = ""
     degree = None
@@ -594,16 +590,19 @@ def parse_fixture(text: str):
         elif key == "degree":
             if degree is not None:
                 raise ValueError(f"line {lineno}: degree given twice")
-            try:
-                degree = int(rest)
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad degree {rest!r}") from None
+            # ASCII decimal; a sign only so that a negative degree is refused below
+            if re.fullmatch(r"-?[0-9]+", rest) is None:
+                raise ValueError(f"line {lineno}: bad degree {rest!r}")
+            degree = int(rest)
             if degree < 1:
                 raise ValueError(f"line {lineno}: degree must be at least 1")
         elif key == "gen":
             if degree is None:
                 raise ValueError(f"line {lineno}: degree must come before generators")
-            gens.append(parse_cycles(degree, rest))
+            try:
+                gens.append(parse_cycles(degree, rest))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         else:
             raise ValueError(f"line {lineno}: unknown directive {key!r}")
     if degree is None:
@@ -611,16 +610,6 @@ def parse_fixture(text: str):
     if not gens:
         raise ValueError("fixture has no generators")
     return name, degree, gens
-
-
-def format_fixture(name: str, degree: int, generators) -> str:
-    lines = []
-    if name:
-        lines.append(f"name {name}")
-    lines.append(f"degree {degree}")
-    for g in generators:
-        lines.append(f"gen {format_cycles(g)}")
-    return "\n".join(lines) + "\n"
 
 
 def pair_from_fixture(text: str, cap: int = CAP_GROUP_ORDER):

@@ -29,16 +29,16 @@ from .errors import CAP_STAB_ENUM, DisagreementError, HypothesisViolation
 from .groups import (
     PairGH,
     PermGroup,
+    _invert_rows,
     _is_subgroup,
     _normalizing,
-    _perms,
     _row_dtype,
     _row_keys,
     enumerate_transversals,
     generates,
     normalizer_in_stab,
 )
-from .perm import Permutation, format_cycles, parse_cycles
+from .perm import _orbits, format_cycles, parse_cycles
 from .symclasses import centralizer_order, class_size, multiplicities, partitions
 
 # Transversal sets larger than this are not swept for non-generators during
@@ -123,21 +123,22 @@ def _assemble(method, degree, gamma_order, contributions, pair_label, justificat
     )
 
 
-def orbit_profile(x: Permutation):
-    """Fixed symbols beyond 1 and long orbits of x, which must fix symbol 1.
+def orbit_profile(row):
+    """Fixed symbols beyond 0 and long orbits of a 0-based image row (a
+    list or tuple) fixing 0; symbol j stands for coset j + 1.
 
-    Returns (fixed, long) where fixed is a tuple of symbols j > 1 with
-    x(j) = j and long is a tuple of (smallest member, length) pairs, one per
-    orbit of length > 1.  Symbol 1's own orbit is omitted: the identity
+    Returns (fixed, long) where fixed is a tuple of symbols j > 0 with
+    row[j] = j and long is a tuple of (smallest member, length) pairs, one
+    per orbit of length > 1.  Symbol 0's own orbit is omitted: the identity
     member of a transversal is pinned and contributes no choice.
     """
-    if x(1) != 1:
+    if row[0] != 0:
         raise ValueError("expected a permutation fixing symbol 1")
     fixed = []
     long_orbits = []
-    for orb in x.orbits():
+    for orb in _orbits(row, 0):
         if len(orb) == 1:
-            if orb[0] != 1:
+            if orb[0] != 0:
                 fixed.append(orb[0])
         else:
             long_orbits.append((orb[0], len(orb)))
@@ -186,14 +187,13 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
     cosets = pair.cosets()
     contributions = []
     for x, size in gamma.conjugacy_classes():
-        row = np.array(x.images) - 1
-        fixed, long_orbits = orbit_profile(x)
+        fixed, long_orbits = orbit_profile(x.tolist())
         a_factors = [1]
-        a_factors += [_commuting_in_coset(cosets[j - 1], row) for j in fixed]
-        orbit_factors = [_commuting_in_coset(cosets[i0 - 1], _row_power(row, m))
+        a_factors += [_commuting_in_coset(cosets[j], x) for j in fixed]
+        orbit_factors = [_commuting_in_coset(cosets[i0], _row_power(x, m))
                          for (i0, m) in long_orbits]
         contributions.append(
-            _contribution(format_cycles(x), size, a_factors, orbit_factors))
+            _contribution(format_cycles((x + 1).tolist()), size, a_factors, orbit_factors))
     whole = gamma.order == factorial(n - 1)
     justification = WHOLE_STABILIZER if whole else (
         f"the acting group has order {gamma.order}, not (n-1)! = {factorial(n - 1)}; "
@@ -378,17 +378,20 @@ def cyclic_fixed_and_orbit_data(n: int, j: int):
     return k, orbit_total - k
 
 
-def _find_regular_normal_cycle(pair: PairGH) -> Permutation:
-    """The least n-cycle of G generating a normal subgroup."""
-    for x in pair.group:
-        if len(x.orbits()) == 1 and PermGroup.from_generators([x]).is_normal_in(pair.group):
-            return x
+def _find_regular_normal_cycle(pair: PairGH) -> np.ndarray:
+    """The least n-cycle a of G generating a normal subgroup, as a 0-based
+    row: each generator g of G conjugates a to a power of a, i.e. g a g^-1
+    commutes with a, whose centralizer in Sym(n) is the group it generates.
+    In degree 1 the identity is the 1-cycle."""
+    gens = pair.group._generator_rows()
+    inverses = _invert_rows(gens)
+    for a in pair.group._rows:
+        if len(_orbits(a.tolist(), 0)) == 1:
+            conj = np.take_along_axis(gens, a[inverses], axis=1)  # g[a[g^-1]]
+            if (conj[:, a] == a[conj]).all():  # compose(c, a) is c[a]
+                return a
     raise HypothesisViolation(
         f"{pair.name or 'pair'}: no normal regular cyclic transversal found")
-
-
-def _perm_order(p: Permutation) -> int:
-    return math.lcm(*[len(o) for o in p.orbits()])
 
 
 def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
@@ -402,8 +405,9 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
             f"pair is degree {pair.degree} with subgroup order "
             f"{pair.subgroup_order}, not ({n}, {h})")
     a = _find_regular_normal_cycle(pair)
-    notes.append(f"normal regular cyclic transversal generated by {format_cycles(a)}")
-    units, rows = _affine_rows(np.array(a.images) - 1)
+    notes.append("normal regular cyclic transversal generated by "
+                 + format_cycles((a + 1).tolist()))
+    units, rows = _affine_rows(a)
     gamma = PermGroup(rows[np.argsort(_row_keys(rows))])
     # composing every pair of relabelings (compose(x, y) is x[y]) stays inside
     assert (gamma._locate(rows[:, rows].reshape(-1, n)) >= 0).all()
@@ -424,7 +428,9 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
         nongen = [T for T in enumerate_transversals(pair) if not generates(pair, T)]
         if not all(_is_subgroup(T) for T in nongen):
             raise HypothesisViolation("a non-generating transversal is not a subgroup")
-        profiles = [tuple(sorted(_perm_order(p) for p in T)) for T in nongen]
+        # element orders: the lcm of each member's orbit lengths
+        profiles = [tuple(sorted(math.lcm(*map(len, p.orbits())) for p in T))
+                    for T in nongen]
         if len(set(profiles)) != len(profiles):
             raise HypothesisViolation(
                 "two non-generating transversals share an element-order "
@@ -468,16 +474,16 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
         validated = True
 
     contributions = []
-    for j, g in zip(units, _perms(rows)):
+    for j, row, images in zip(units, rows.tolist(), (rows + 1).tolist()):
         k, t = cyclic_fixed_and_orbit_data(n, j)
-        fixed, long_orbits = orbit_profile(g)
+        fixed, long_orbits = orbit_profile(row)
         if len(fixed) + 1 != k or len(long_orbits) != t:
             raise DisagreementError(
                 f"gcd arithmetic gives (k, t) = ({k}, {t}) but the affine "
                 f"relabeling for j = {j} has ({len(fixed) + 1}, {len(long_orbits)})",
                 values=((k, t), (len(fixed) + 1, len(long_orbits))))
         contributions.append(
-            _contribution(format_cycles(g), 1, [1] + [h] * (k - 1), [h] * t))
+            _contribution(format_cycles(images), 1, [1] + [h] * (k - 1), [h] * t))
     report = _assemble("cyclic_closed", n, len(units), contributions, label,
                        justification, validated)
 

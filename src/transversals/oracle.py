@@ -55,10 +55,6 @@ class LoopTable:
             if tuple(sorted(row)) != full:
                 raise ValueError(f"row {i} is not a permutation of 1..{n}")
 
-    def members(self):
-        """The rows as permutations; the transversal inducing this table."""
-        return tuple(Permutation(row) for row in self.table)
-
     def __lt__(self, other):
         return self.table < other.table
 
@@ -343,7 +339,8 @@ def render_classes_dump(result: ClassificationResult, heading: str = "") -> str:
         flag = "yes" if generating else "no"
         lines.append("")
         lines.append(f"class {pos}: size {size}, generates: {flag}")
-        members = ", ".join(format_cycles(p) for p in rep.members())
+        # row i of the table is the images of the member over coset i
+        members = ", ".join(format_cycles(row) for row in rep.table)
         lines.append(f"members: {members}")
         lines.append("table:")
         for row in rep.table:

@@ -1,7 +1,8 @@
 """Permutations of {1, ..., n} with an explicit, fixed degree.
 
-Symbols are 1-based everywhere in the public interface.  Composition order is
-the single most dangerous convention in this package and is fixed once, here:
+Symbols are 1-based in a Permutation and in cycle text; inside the engines a
+permutation is a 0-based image row (see groups).  Composition order is the
+single most dangerous convention in this package and is fixed once, here:
 
     compose(p, q) applies q first, then p
 
@@ -62,22 +63,8 @@ class Permutation:
         return self.images[i - 1]
 
     def orbits(self):
-        """Orbit partition of {1..n} under self, singletons included, each
-        orbit listed from its smallest symbol, orbits sorted by smallest
-        symbol."""
-        images = self.images
-        seen = [False] * len(images)
-        out = []
-        for s, t in enumerate(images, 1):
-            if seen[s - 1]:
-                continue
-            orb = [s]
-            while t != s:
-                orb.append(t)
-                seen[t - 1] = True
-                t = images[t - 1]
-            out.append(tuple(orb))
-        return out
+        """Orbit partition of {1..n} under self, as _orbits lists it."""
+        return _orbits(self.images, 1)
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
@@ -117,24 +104,15 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return _trusted(tuple([pi[v - 1] for v in qi]))
 
 
-def conjugate(p: Permutation, a: Permutation) -> Permutation:
-    """a p a^-1."""
-    pi, ai = p.images, a.images
-    if len(pi) != len(ai):
-        raise ValueError(f"degree mismatch: {len(pi)} vs {len(ai)}")
-    out = [0] * len(pi)
-    for i, v in enumerate(pi):
-        out[ai[i] - 1] = ai[v - 1]
-    return _trusted(tuple(out))
-
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# Symbols are ASCII decimal; int() alone also takes "1_0", "+2", "\uff12"
+_CYCLE_RE = re.compile(r"\(([0-9,]*)\)")
 
 
 def parse_cycles(n: int, text: str) -> Permutation:
     """Parse cycle notation like "(2,3)(4,5)" into a degree-n permutation.
 
-    "()" is the identity; whitespace is ignored everywhere.
+    "()" is the identity; whitespace is ignored everywhere; symbols are
+    ASCII decimal.
     """
     compact = "".join(text.split())
     if not compact:
@@ -156,9 +134,30 @@ def parse_cycles(n: int, text: str) -> Permutation:
     return Permutation.from_cycles(n, cycles)
 
 
-def format_cycles(p: Permutation) -> str:
-    """Nontrivial cycles, each from its smallest symbol; "()" for the identity."""
-    parts = [orb for orb in p.orbits() if len(orb) > 1]
+def _orbits(images, base: int) -> list:
+    """Orbits of the map s -> images[s - base] on base, base + 1, ...
+    (1-based images with base 1, a 0-based row with base 0; a list or
+    tuple), singletons included, each a tuple from its smallest symbol,
+    sorted by smallest symbol."""
+    seen = [False] * len(images)
+    out = []
+    for s, t in enumerate(images, base):
+        if seen[s - base]:
+            continue
+        orb = [s]
+        while t != s:
+            orb.append(t)
+            seen[t - base] = True
+            t = images[t - base]
+        out.append(tuple(orb))
+    return out
+
+
+def format_cycles(p) -> str:
+    """Nontrivial cycles of a Permutation, or of a list or tuple of 1-based
+    images, each from its smallest symbol; "()" for the identity."""
+    images = p.images if isinstance(p, Permutation) else p
+    parts = [orb for orb in _orbits(images, 1) if len(orb) > 1]
     if not parts:
         return "()"
     return "".join("(" + ",".join(map(str, orb)) + ")" for orb in parts)

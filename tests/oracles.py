@@ -3,13 +3,16 @@
 Nothing in the package runs these: they are independent checks (left/right
 symmetry of the classification, subgroup transversals, pair isomorphism by
 sweeping every relabeling, parity by orbit count, class representatives
-built from image tuples and from cycles), the permutation algebra the
-package no longer needs (powers, inverses, induced tables of transversals),
-the affine relabeling group of a cyclic pair built the old way, by
-Permutation conjugation and closure (the reference for
-ict_formulas._affine_rows), and the order-18 example pair behind acceptance
-criterion 10.  Import them as `from oracles
-import ...`; pytest puts this directory on the path.
+built from image tuples and from cycles), the permutation and group algebra
+the package no longer needs (conjugation, powers, inverses, commutativity
+and transitivity flags, induced tables of transversals and their members,
+fixture text), the affine relabeling group of a cyclic pair built the old
+way, by Permutation conjugation and closure (the reference for
+ict_formulas._affine_rows), the normal regular cycle found the old way, by
+closing each n-cycle (the reference for
+ict_formulas._find_regular_normal_cycle), and the order-18 example pair
+behind acceptance criterion 10.  Import them as `from oracles import ...`;
+pytest puts this directory on the path.
 """
 
 from math import gcd, prod
@@ -32,7 +35,67 @@ from transversals.groups import (
     enumerate_transversals,
 )
 from transversals.oracle import LoopTable, _canonical_forms, classify_by_table_iso
-from transversals.perm import Permutation, compose, conjugate, parse_cycles
+from transversals.perm import Permutation, _trusted, compose, format_cycles, parse_cycles
+
+
+def conjugate(p: Permutation, a: Permutation) -> Permutation:
+    """a p a^-1."""
+    pi, ai = p.images, a.images
+    if len(pi) != len(ai):
+        raise ValueError(f"degree mismatch: {len(pi)} vs {len(ai)}")
+    out = [0] * len(pi)
+    for i, v in enumerate(pi):
+        out[ai[i] - 1] = ai[v - 1]
+    return _trusted(tuple(out))
+
+
+def row_of(p: Permutation) -> tuple:
+    """The 0-based image row of a permutation, as a tuple."""
+    return tuple(v - 1 for v in p.images)
+
+
+def is_abelian(group: PermGroup) -> bool:
+    """Do the group's generators commute pairwise?  compose(a, b) is a[b]."""
+    gens = group._generator_rows()
+    return all((a[gens] == gens[:, a]).all() for a in gens)
+
+
+def is_transitive(group: PermGroup) -> bool:
+    """Does every block of the group's rows by image of 1 hold an element?"""
+    return all(len(block) for block in group._blocks())
+
+
+def format_fixture(name: str, degree: int, generators) -> str:
+    """Fixture text that parse_fixture reads back as (name, degree, generators)."""
+    lines = []
+    if name:
+        lines.append(f"name {name}")
+    lines.append(f"degree {degree}")
+    for g in generators:
+        lines.append(f"gen {format_cycles(g)}")
+    return "\n".join(lines) + "\n"
+
+
+def members(table: LoopTable) -> tuple:
+    """The table's rows as permutations: the transversal inducing it."""
+    return tuple(Permutation(row) for row in table.table)
+
+
+def relabel(pair: PairGH, sigma: Permutation) -> PairGH:
+    """The pair conjugated by sigma, which fixes 1."""
+    gens = [conjugate(g, sigma) for g in pair.group.generators]
+    G = PermGroup.from_generators(gens, degree=pair.degree)
+    return PairGH(G, name=f"{pair.name} relabeled")
+
+
+def find_regular_normal_cycle(pair: PairGH):
+    """The least n-cycle of G generating a normal subgroup, by closing each
+    n-cycle of G in turn and testing the closure for normality; None when
+    there is none."""
+    for x in pair.group:
+        if len(x.orbits()) == 1 and PermGroup.from_generators([x]).is_normal_in(pair.group):
+            return x
+    return None
 
 
 def cycle_type(p):
@@ -142,7 +205,7 @@ def affine_group(n: int, affine) -> PermGroup:
     elems = [g for _, g in affine]
     grp = PermGroup.from_generators(elems, degree=n)
     assert grp.order == len(elems), "affine family failed to close"
-    assert grp.is_abelian()
+    assert is_abelian(grp)
     assert all(g(1) == 1 for g in elems)
     return grp
 

@@ -142,6 +142,23 @@ def test_ict_fixture_second_degree_line(tmp_path, capsys):
     assert err == "error: line 2: degree given twice\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("degree 10\ngen (1,1_0)\n", "line 2: malformed cycle notation: '(1,1_0)'"),
+    ("degree 3\ngen (1,+2)\n", "line 2: malformed cycle notation: '(1,+2)'"),
+    ("degree 3\ngen (1,\uff12)\n", "line 2: malformed cycle notation: '(1,\uff12)'"),
+    ("degree 1_2\ngen (1,2)\n", "line 1: bad degree '1_2'"),
+    ("degree +3\ngen (1,2)\n", "line 1: bad degree '+3'"),
+], ids=["underscore", "plus", "fullwidth", "degree-underscore", "degree-plus"])
+def test_ict_fixture_integers_are_ascii_decimal(tmp_path, capsys, text, message):
+    """int() reads each of these; the fixture grammar does not."""
+    path = tmp_path / "bad.group"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "--fixture", str(path), "--no-cache")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_ict_output_file(tmp_path, capsys):
     dest = tmp_path / "report.txt"
     code, out, _ = run(capsys, "--sym", "4", "--output", str(dest), "--no-cache")

@@ -8,6 +8,7 @@ factorization assumed, and then hold the engines to those numbers.
 """
 
 import random
+import sys
 import time
 from math import factorial, gcd, prod
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import transversals.ict_formulas as ict_formulas
+import transversals.perm as perm
 from transversals.errors import CapExceeded, DisagreementError, HypothesisViolation
 from transversals.groups import (
     PairGH,
@@ -49,11 +51,14 @@ from transversals.ict_formulas import (
     _find_regular_normal_cycle,
     _validate_cyclic_pair,
 )
-from transversals.oracle import classify_by_conjugation, classify_by_table_iso
+from transversals.oracle import (
+    classify_by_conjugation,
+    classify_by_table_iso,
+    render_classes_dump,
+)
 from transversals.perm import (
     Permutation,
     compose,
-    conjugate,
     format_cycles,
     parse_cycles,
 )
@@ -63,10 +68,14 @@ from oracles import (
     affine_elements,
     affine_group,
     class_representative,
+    conjugate,
     cycle_type,
     cyclic_gamma,
+    find_regular_normal_cycle,
     parity,
     power,
+    relabel,
+    row_of,
     standard_cycle,
 )
 
@@ -234,7 +243,7 @@ def test_closed_forms_list_classes_in_class_order():
     for n in range(2, 15):
         reports = [ict_sym(n)] + ([ict_alt(n)] if n >= 4 else [])
         for report in reports:
-            keys = [_class_order_key(parse_cycles(report.degree, c.representative))
+            keys = [_class_order_key(row_of(parse_cycles(report.degree, c.representative)))
                     for c in report.contributions]
             assert keys == sorted(set(keys)), (report.method, n)
 
@@ -245,7 +254,7 @@ def test_closed_form_representatives_are_canonical_cycle_text():
     representative, class by class in class order, for every m <= 16."""
     for m in range(1, 17):
         reps = sorted((class_representative(parts, m) for parts in partitions(m)),
-                      key=_class_order_key)
+                      key=lambda rep: _class_order_key(row_of(rep)))
         want = [format_cycles(rep) for rep in reps]
         reports = [ict_sym(m + 1)] + ([ict_alt(m + 1)] if m >= 3 else [])
         for report in reports:
@@ -437,9 +446,9 @@ def test_cyclic_trivial_subgroup_always_one():
 def test_gcd_data_matches_affine_orbit_structure():
     for n in range(1, 31):
         units, rows = _affine_rows(np.roll(np.arange(n), -1))
-        for j, row in zip(units, (rows + 1).tolist()):
+        for j, row in zip(units, rows.tolist()):
             k, t = cyclic_fixed_and_orbit_data(n, j)
-            fixed, long_orbits = orbit_profile(Permutation(row))
+            fixed, long_orbits = orbit_profile(row)
             assert k == len(fixed) + 1, (n, j)
             assert t == len(long_orbits), (n, j)
             assert k + sum(m for _, m in long_orbits) == n
@@ -496,11 +505,65 @@ def test_validated_cyclic_gamma_is_the_conjugation_construction():
     pairs += [make_pq(p, q) for p, q in ((2, 5), (3, 7), (2, 11))]
     for pair in pairs:
         n, h = pair.degree, pair.subgroup_order
-        a = _find_regular_normal_cycle(pair)
+        a = Permutation((_find_regular_normal_cycle(pair) + 1).tolist())
         units, _, gamma, _ = _validate_cyclic_pair(pair, n, h, cap=0)
         want = affine_elements(n, a)
         assert units == [j for j, _ in want]
         assert gamma == cyclic_gamma(n, a), pair.name
+
+
+def test_row_finder_matches_the_closure_reference():
+    """The row-level finder returns the n-cycle that closing each n-cycle of
+    G in turn finds: on dihedral 3..24, on the pq pairs, on a seeded
+    relabeling of each by a sigma fixing 1, and in degree 1, where the
+    identity is the 1-cycle.  Where the reference finds none, it raises."""
+    rng = random.Random(2011)
+    pairs = [make_dihedral(n) for n in range(3, 25)]
+    pairs += [make_pq(p, q) for p, q in ((2, 3), (2, 5), (2, 7), (3, 7), (2, 11),
+                                         (5, 11), (2, 13), (3, 13), (2, 19))]
+    pairs += [relabel(pair, Permutation([1, *rng.sample(range(2, pair.degree + 1),
+                                                        pair.degree - 1)]))
+              for pair in pairs]
+    pairs.append(PairGH(PermGroup.from_generators([], degree=1)))
+    for pair in pairs:
+        want = find_regular_normal_cycle(pair)
+        assert want is not None, pair.name
+        assert tuple(_find_regular_normal_cycle(pair).tolist()) == row_of(want), pair.name
+    for pair in (make_sym(4), make_alt(5)):
+        assert find_regular_normal_cycle(pair) is None
+        with pytest.raises(HypothesisViolation, match="no normal regular cyclic"):
+            _find_regular_normal_cycle(pair)
+
+
+def test_engines_build_no_permutation(monkeypatch):
+    """theorem6, the formula-only cyclic engine, the normal-cycle finder and
+    the class dump work on rows: while each runs, neither the checked
+    constructor nor perm._trusted (under any name the package binds it to)
+    is called."""
+    sym6 = make_sym(6)
+    sigma = Permutation([1, *random.Random(8).sample(range(2, 9), 7)])
+    dihedral8 = relabel(make_dihedral(8), sigma)
+    pq25 = classify_by_table_iso(make_pq(2, 5))
+    built = []
+    init, trusted = Permutation.__init__, perm._trusted
+    monkeypatch.setattr(Permutation, "__init__",
+                        lambda self, images: built.append(images) or init(self, images))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("transversals") and getattr(module, "_trusted", None) is trusted:
+            monkeypatch.setattr(module, "_trusted",
+                                lambda images: built.append(images) or trusted(images))
+    runs = {
+        "theorem6 sym(6)": lambda: ict_theorem6(sym6),
+        "theorem6 relabeled dihedral(8)": lambda: ict_theorem6(dihedral8),
+        "cyclic(7, 2)": lambda: ict_cyclic(7, 2),
+        "cyclic(12, 3)": lambda: ict_cyclic(12, 3),
+        "normal cycle": lambda: _find_regular_normal_cycle(dihedral8),
+        "classes dump pq(2,5)": lambda: render_classes_dump(pq25),
+    }
+    for what, run in runs.items():
+        run()
+        assert built == [], what
+    assert str(Permutation.identity(3)) == "()" and len(built) == 1  # the spies count
 
 
 def test_ict_cyclic_builds_the_affine_family_once(monkeypatch):

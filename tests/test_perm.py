@@ -12,12 +12,11 @@ import pytest
 from transversals.perm import (
     Permutation,
     compose,
-    conjugate,
     format_cycles,
     parse_cycles,
 )
 
-from oracles import cycle_type, inverse, parity, power
+from oracles import conjugate, cycle_type, inverse, parity, power
 
 
 def test_compose_applies_right_factor_first():
@@ -136,6 +135,8 @@ def test_parse_and_format_round_trip():
         n = rng.randrange(1, 10)
         p = Permutation(rng.sample(range(1, n + 1), n))
         assert parse_cycles(n, format_cycles(p)) == p
+        # a list or tuple of 1-based images prints as its Permutation does
+        assert format_cycles(list(p.images)) == format_cycles(p.images) == format_cycles(p)
     assert format_cycles(Permutation.identity(4)) == "()"
     assert parse_cycles(5, "()") == Permutation.identity(5)
 
@@ -147,6 +148,10 @@ def test_parse_rejects_garbage():
         parse_cycles(3, "(1,1)")
     with pytest.raises(ValueError):
         parse_cycles(3, "1,2)")
+    # symbols are ASCII decimal, though int() reads every one of these
+    for text in ("(1,1_0)", "(1,+2)", "(1,-2)", "(1,\uff12)", "(1,\u0662)"):
+        with pytest.raises(ValueError, match="malformed cycle notation"):
+            parse_cycles(12, text)
 
 
 def test_from_cycles_requires_disjoint_cycles():

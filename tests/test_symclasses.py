@@ -15,7 +15,12 @@ from transversals.symclasses import (
     partitions,
 )
 
-from oracles import class_representative, cycle_type, representative_from_cycles
+from oracles import (
+    class_representative,
+    cycle_type,
+    representative_from_cycles,
+    row_of,
+)
 
 
 def test_partitions_small_values():
@@ -138,6 +143,6 @@ def test_parts_order_is_class_order():
     is the class order of their representatives (_class_order_key)."""
     for m in range(21):
         by_parts = sorted(partitions(m), key=lambda parts: (m - parts.count(1), parts))
-        by_rep = sorted(partitions(m),
-                        key=lambda parts: _class_order_key(representative_from_cycles(parts, m)))
+        by_rep = sorted(partitions(m), key=lambda parts: _class_order_key(
+            row_of(representative_from_cycles(parts, m))))
         assert by_parts == by_rep, m
