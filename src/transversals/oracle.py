@@ -3,15 +3,16 @@
 Transversals are enumerated outright and classified two ways that must agree:
 by conjugation with identity-fixing permutations (the least index in each
 transversal's orbit) and by canonical forms of the induced multiplication
-tables (lexicographic minimum over all identity-fixing relabelings).  A census of
-all left-loop tables of a given order rounds out the module.  Nothing here
-trusts the counting formulas.
+tables (lexicographic minimum over all identity-fixing relabelings).  The
+census of all left-loop tables of order n is the second classification run on
+Sym(n) over the stabilizer of 1.  Nothing here trusts the counting formulas.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial
 
 import numpy as np
 
@@ -151,35 +152,25 @@ def _canonical_forms(tables: np.ndarray, n: int, cap: int = CAP_RELABELINGS) -> 
     return canon
 
 
-def _table_classes(slots, n: int, group: PermGroup,
-                   relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
-    """Classify every table with identity row 1 whose row s + 2 is one of
-    the 0-based rows in slots[s], classes sorted by canonical form.
-
-    Tables are numbered in Cartesian-product order of the slots, first slot
-    slowest; a class is generating when the rows of its first table
-    generate `group`.  The relabelings are capped before any table is built.
-    """
-    total = factorial(n - 1)
-    if total > relabel_cap:
-        raise CapExceeded("relabelings", relabel_cap, total)
-    tables = _section_rows(slots, np.arange(prod(len(rows) for rows in slots)), n)
-    canon = _canonical_forms(tables, n, cap=relabel_cap)
-    # row keys sort like the rows, so classes come out by canonical form
-    _, first, inverse, counts = np.unique(
-        _row_keys(canon), return_index=True, return_inverse=True, return_counts=True)
-    return _classification(tables[first], group, counts, inverse)
-
-
 def classify_by_table_iso(pair: PairGH, cap: int = CAP_TRANSVERSALS,
                           relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
     """Classes of induced tables under identity-fixing relabeling, decided by
     canonical form.  Classes come out sorted by canonical form; labels
-    follow `enumerate_transversals` order."""
+    follow `enumerate_transversals` order, and a class is generating when
+    the rows of its first table generate G.  The transversals, then the
+    relabelings, are capped before any table is built."""
+    n = pair.degree
     total = pair.transversal_count()
     if total > cap:
         raise CapExceeded("transversals", cap, total)
-    return _table_classes(pair.cosets()[1:], pair.degree, pair.group, relabel_cap)
+    if factorial(n - 1) > relabel_cap:
+        raise CapExceeded("relabelings", relabel_cap, factorial(n - 1))
+    tables = _section_rows(pair.cosets()[1:], np.arange(total), n)
+    canon = _canonical_forms(tables, n, cap=relabel_cap)
+    # row keys sort like the rows, so classes come out by canonical form
+    _, first, inverse, counts = np.unique(
+        _row_keys(canon), return_index=True, return_inverse=True, return_counts=True)
+    return _classification(tables[first], pair.group, counts, inverse)
 
 
 class UnionFind:
@@ -310,18 +301,23 @@ def classify_by_conjugation(pair: PairGH, cap: int = CAP_TRANSVERSALS,
 def census_left_loops(n: int, cap: int = CAP_TRANSVERSALS,
                       relabel_cap: int = CAP_RELABELINGS) -> ClassificationResult:
     """Every left-loop table of order n, classified up to identity-fixing
-    isomorphism.  Row a ranges over all permutations sending 1 to a, rows
-    independent, so there are ((n-1)!)^(n-1) tables; each is the induced
-    table of exactly one transversal of the stabilizer of 1 in Sym(n), and
-    the generating flag is taken there."""
+    isomorphism: `classify_by_table_iso` on the pair of Sym(n) over the
+    stabilizer of 1.  Row a of a table is a permutation sending 1 to a, so
+    the rows are a transversal of that stabilizer and the table is its
+    induced table.  The ((n-1)!)^(n-1) tables are capped before Sym(n) is
+    built; a refusal states a count too long to print as its formula."""
     if n < 1:
         raise ValueError("need n >= 1")
-    total = factorial(n - 1) ** (n - 1)
-    if total > cap:
-        raise CapExceeded("transversals", cap, total)
-    # row a + 1 of a table ranges over the block of Sym(n) sending 1 to a + 1
-    group = PermGroup.symmetric(n)
-    return _table_classes(group._blocks()[1:], n, group, relabel_cap)
+    m = n - 1
+    # a count longer than Python prints by default is stated as its formula
+    limit = 10 ** getattr(sys.int_info, "default_max_str_digits", 4300)
+    bound = max(cap, limit)
+    # m! >= 2^(m - 1): a count of at least 2^(m(m - 1)) is past a bound of at
+    # most m(m - 1) bits uncomputed, and bound + 1 stands in for it
+    count = factorial(m) ** m if m * (m - 1) < bound.bit_length() else bound + 1
+    if count > cap:
+        raise CapExceeded("transversals", cap, count if count < limit else f"({m}!)^{m}")
+    return classify_by_table_iso(PairGH(PermGroup.symmetric(n)), cap, relabel_cap)
 
 
 def render_classes_dump(result: ClassificationResult, heading: str = "") -> str:

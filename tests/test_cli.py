@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import transversals
+import transversals.oracle as oracle
 from transversals import __version__
 from transversals.cli import (
     EXIT_CAP,
@@ -494,6 +495,22 @@ def test_crosscheck_skips_census_over_the_relabeling_cap(capsys):
 
 
 # ------------------------------------------------------------ crosscheck
+
+
+def test_crosscheck_sym_classifies_tables_once(capsys, monkeypatch):
+    """The census row reuses the Sym(n) table classification."""
+    canonical_forms = oracle._canonical_forms
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return canonical_forms(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_canonical_forms", counted)
+    code, out, _ = run(capsys, "crosscheck", "--sym", "4")
+    assert code == EXIT_OK
+    assert "oracle_table_iso    44" in out and "census              44" in out
+    assert len(calls) == 1
 
 
 def test_crosscheck_sym3(capsys):

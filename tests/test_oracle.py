@@ -8,7 +8,9 @@ transversals keyed by Python tuples.
 """
 
 import random
+import time
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -463,6 +465,70 @@ def test_census_representatives_are_valid_tables():
 def test_census_cap():
     with pytest.raises(CapExceeded):
         census_left_loops(6, cap=1000)
+
+
+@pytest.mark.parametrize("n", [1000, 10**6, 10**30])
+def test_census_refuses_any_order_cheaply(n):
+    """The count ((n-1)!)^(n-1) is refused from bit lengths, never built."""
+    start = time.process_time()
+    with pytest.raises(CapExceeded) as exc:
+        census_left_loops(n)
+    assert time.process_time() - start < 0.5
+    assert str(exc.value) == (f"cap 'transversals' exceeded: requires ({n - 1}!)^{n - 1}, "
+                              f"limit is 10000000")
+
+
+def test_census_refusal_prints_counts_of_printable_length():
+    """A refused count of at most 4,300 digits, Python's default limit for
+    converting an int to text, is stated in full; a longer one as its
+    formula.  A cap above the count lets the census on to Sym(n)."""
+    with pytest.raises(CapExceeded) as exc:
+        census_left_loops(57)
+    assert exc.value.required == factorial(56) ** 56  # 4,192 digits
+    with pytest.raises(CapExceeded) as exc:
+        census_left_loops(58)
+    assert exc.value.required == "(57!)^57"  # 4,366 digits
+    with pytest.raises(CapExceeded) as exc:
+        census_left_loops(58, cap=10**5000)
+    assert exc.value.cap_name == "group_order"
+
+
+# A representative of each conjugacy class of transitive groups of degree 4
+# and 5, by generators, with the classes of its transversals that generate it
+STRATA = {
+    4: {"C4": (["(1,2,3,4)"], 1),
+        "V4": (["(1,2)(3,4)", "(1,3)(2,4)"], 1),
+        "D4": (["(1,2,3,4)", "(1,3)"], 4),
+        "A4": (["(1,2,3)", "(2,3,4)"], 6),
+        "S4": (["(1,2)", "(1,2,3,4)"], 32)},
+    5: {"C5": (["(1,2,3,4,5)"], 1),
+        "D5": (["(1,2,3,4,5)", "(2,5)(3,4)"], 5),
+        "F20": (["(1,2,3,4,5)", "(2,3,5,4)"], 64),
+        "A5": (["(1,2,3)", "(1,2,3,4,5)"], 891),
+        "S5": (["(1,2)", "(1,2,3,4,5)"], 13061)},
+}
+
+
+@pytest.mark.parametrize("n, total, even, alt_total", [
+    (4, 44, ("V4", "A4"), 7),
+    (5, 14022, ("C5", "D5", "A5"), 897),
+])
+def test_census_sums_the_transitive_strata(n, total, even, alt_total):
+    """The rows of a left loop generate a transitive group, so the census of
+    order n is the sum over the transitive groups G of degree n of the
+    classes of G's transversals that generate G; the even groups sum to the
+    count for Alt(n)."""
+    counts = {}
+    for name, (gens, _) in STRATA[n].items():
+        G = PermGroup.from_generators([parse_cycles(n, g) for g in gens])
+        counts[name] = sum(classify_by_conjugation(PairGH(G)).generating_flags)
+    assert counts == {name: want for name, (_, want) in STRATA[n].items()}
+    assert sum(counts.values()) == total == ict_sym(n).value
+    assert sum(counts[name] for name in even) == alt_total == ict_alt(n).value
+    if n == 4:
+        census = census_left_loops(4)
+        assert census.class_count == total
+        assert sum(census.generating_flags) == counts["S4"] == 32
 
 
 # ------------------------------------------------- subgroup structure
