@@ -7,11 +7,17 @@ output is deterministic for a given invocation and version.
 Every choice changes what runs: a subcommand offers only the --cap-* flags
 its engines read, and --method is auto (the family's closed form, else
 theorem6), theorem6 or oracle.
+
+`main(argv)` may be called any number of times in one process.  The first
+call builds the parser and later calls reuse it; the cache directory is
+resolved on every call, so a changed $ICT_CACHE_DIR or $XDG_CACHE_HOME is
+honoured by the next call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -107,7 +113,11 @@ def _add_common_options(sub, *caps):
         sub.add_argument(f"--cap-{cap}", type=_at_least(0), default=CAP_DEFAULTS[cap])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ict` parser, built by the first `main` call and reused by every
+    later one.  It holds nothing that can change between calls: the cache
+    directory's environment fallbacks are read by `_cache_file`."""
     parser = _Parser(
         prog="ict",
         description="Count isomorphism classes of subgroup transversals.",
@@ -119,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_options(p_ict)
     p_ict.add_argument("--method", choices=METHOD_CHOICES, default="auto")
     p_ict.add_argument("--cache-dir", metavar="DIR",
-                       default=os.environ.get("ICT_CACHE_DIR"),
                        help="cache directory (default $ICT_CACHE_DIR, else "
                             "$XDG_CACHE_HOME/ict, else ~/.cache/ict)")
     p_ict.add_argument("--no-cache", action="store_true")
@@ -189,11 +198,15 @@ def _dump_json(obj: dict) -> str:
 
 def _cache_file(args, key: str) -> Path | None:
     """The file that holds `key`'s report for this tool version: one file per
-    (version, key), so a hit reads and a miss writes only its own entry."""
+    (version, key), so a hit reads and a miss writes only its own entry.
+    The directory is resolved per call: --cache-dir, else $ICT_CACHE_DIR,
+    else $XDG_CACHE_HOME/ict, else ~/.cache/ict; an empty --cache-dir or
+    $ICT_CACHE_DIR falls through to the XDG choice."""
     if args.no_cache:
         return None
-    base = args.cache_dir or os.path.join(
-        os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache")), "ict")
+    base = ((os.environ.get("ICT_CACHE_DIR") if args.cache_dir is None else args.cache_dir)
+            or os.path.join(os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache")),
+                            "ict"))
     digest = hashlib.sha256(f"{__version__}|{key}".encode()).hexdigest()
     return Path(base) / f"{digest}.json"
 

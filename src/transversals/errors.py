@@ -7,6 +7,8 @@ count, so a remainder means the supplied acting group was wrong or there is
 a bug.
 """
 
+import sys
+
 
 class CapExceeded(RuntimeError):
     def __init__(self, cap_name: str, limit: int, required: int):
@@ -34,3 +36,7 @@ CAP_GROUP_ORDER = 10_000_000
 CAP_TRANSVERSALS = 10_000_000
 CAP_STAB_ENUM = 362_880  # (n-1)! search space for stabilizer-side sweeps, n <= 10
 CAP_RELABELINGS = 100_000
+
+# A refusal states a count longer than Python prints by default (4,300
+# digits; Python 3.10 before 3.10.7 has no such attribute) as its formula
+PRINT_LIMIT = 10 ** getattr(sys.int_info, "default_max_str_digits", 4300)

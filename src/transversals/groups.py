@@ -31,7 +31,13 @@ from math import factorial, prod
 
 import numpy as np
 
-from .errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
+from .errors import (
+    CAP_GROUP_ORDER,
+    CAP_STAB_ENUM,
+    CAP_TRANSVERSALS,
+    PRINT_LIMIT,
+    CapExceeded,
+)
 from .perm import Permutation, _trusted, compose, parse_cycles
 
 # Candidates conjugated per gather in the normalizer sweep: large enough to
@@ -90,6 +96,24 @@ def _even(rows: np.ndarray) -> np.ndarray:
     for i in range(rows.shape[1] - 1):
         odd ^= np.logical_xor.reduce(rows[:, i, None] > rows[:, i + 1:], axis=1)
     return ~odd
+
+
+def _cap_factorial_order(n: int, divisor: int, cap: int):
+    """Raise CapExceeded('group_order') when n!/divisor is past `cap`.  The
+    product is multiplied up only until it passes the cap, so a huge n
+    costs no more than a small one; an order longer than Python prints by
+    default is stated as its formula."""
+    bound = max(cap, PRINT_LIMIT) * divisor
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > bound:
+            break
+    # a partial product k! (k >= 2) is even, so halving keeps it past bound
+    order //= divisor
+    if order > cap:
+        formula = f"{n}!" if divisor == 1 else f"{n}!/{divisor}"
+        raise CapExceeded("group_order", cap, order if order < PRINT_LIMIT else formula)
 
 
 def closure(generators, degree: int | None = None, cap: int = CAP_GROUP_ORDER):
@@ -158,16 +182,14 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
-        if factorial(n) > cap:
-            raise CapExceeded("group_order", cap, factorial(n))
+        _cap_factorial_order(n, 1, cap)
         return cls(_all_rows(n), symmetric_generators(n))
 
     @classmethod
     def alternating(cls, n: int, cap=CAP_GROUP_ORDER):
         if n < 3:
             raise ValueError("alternating group needs degree >= 3")
-        if factorial(n) // 2 > cap:
-            raise CapExceeded("group_order", cap, factorial(n) // 2)
+        _cap_factorial_order(n, 2, cap)
         rows = _all_rows(n)
         return cls(rows[_even(rows)], alternating_generators(n))
 
@@ -444,7 +466,10 @@ def make_alt(n: int, cap: int = CAP_GROUP_ORDER) -> PairGH:
 
 def _cycle_and_multiplier(n: int, r: int, order: int, name: str) -> PairGH:
     """Group generated by the n-cycle (1, ..., n) and the multiplier
-    i - 1 -> r * (i - 1) mod n, over the stabilizer of 1."""
+    i - 1 -> r * (i - 1) mod n, over the stabilizer of 1; its order is
+    capped before anything is built."""
+    if order > CAP_GROUP_ORDER:
+        raise CapExceeded("group_order", CAP_GROUP_ORDER, order)
     a = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
     b = Permutation((r * (i - 1)) % n + 1 for i in range(1, n + 1))
     G = PermGroup.from_generators([a, b], degree=n)
@@ -461,7 +486,10 @@ def make_dihedral(n: int) -> PairGH:
 
 def make_pq(p: int, q: int) -> PairGH:
     """Nonabelian group of order p*q (p < q prime, p | q-1) on the q cosets
-    of a subgroup of order p."""
+    of a subgroup of order p.  The order is capped before p and q are
+    tested for primality by trial division."""
+    if p * q > CAP_GROUP_ORDER:
+        raise CapExceeded("group_order", CAP_GROUP_ORDER, p * q)
     if not (_is_prime(p) and _is_prime(q)):
         raise ValueError("p and q must be prime")
     if p >= q:

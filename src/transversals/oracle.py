@@ -10,13 +10,18 @@ Sym(n) over the stabilizer of 1.  Nothing here trusts the counting formulas.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
-from .errors import CAP_RELABELINGS, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
+from .errors import (
+    CAP_RELABELINGS,
+    CAP_STAB_ENUM,
+    CAP_TRANSVERSALS,
+    PRINT_LIMIT,
+    CapExceeded,
+)
 from .groups import (
     PairGH,
     PermGroup,
@@ -309,14 +314,12 @@ def census_left_loops(n: int, cap: int = CAP_TRANSVERSALS,
     if n < 1:
         raise ValueError("need n >= 1")
     m = n - 1
-    # a count longer than Python prints by default is stated as its formula
-    limit = 10 ** getattr(sys.int_info, "default_max_str_digits", 4300)
-    bound = max(cap, limit)
+    bound = max(cap, PRINT_LIMIT)
     # m! >= 2^(m - 1): a count of at least 2^(m(m - 1)) is past a bound of at
     # most m(m - 1) bits uncomputed, and bound + 1 stands in for it
     count = factorial(m) ** m if m * (m - 1) < bound.bit_length() else bound + 1
     if count > cap:
-        raise CapExceeded("transversals", cap, count if count < limit else f"({m}!)^{m}")
+        raise CapExceeded("transversals", cap, count if count < PRINT_LIMIT else f"({m}!)^{m}")
     return classify_by_table_iso(PairGH(PermGroup.symmetric(n)), cap, relabel_cap)
 
 

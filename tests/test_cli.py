@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import transversals
+import transversals.cli as cli
 import transversals.oracle as oracle
 from transversals import __version__
 from transversals.cli import (
@@ -182,14 +184,22 @@ GOLDEN_COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_report_bytes_match_golden(capsys, name):
-    """Stdout and exit code of one command per report path, byte for byte:
-    tests/golden/<name>.out holds the stdout, commands.json the argv and
-    exit code."""
+def test_report_bytes_match_golden(capsys, monkeypatch, name):
+    """Stdout, stderr and exit code of one command per report path, and of
+    help, version and a usage error, byte for byte at an 80-column
+    terminal: tests/golden/<name>.out holds the stdout, <name>.err the
+    stderr when there is any, commands.json the argv and exit code."""
+    monkeypatch.setenv("COLUMNS", "80")
     case = GOLDEN_COMMANDS[name]
-    code, out, _ = run(capsys, *case["argv"])
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:  # help, version and usage errors exit in argparse
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == case["exit"]
     assert out == (GOLDEN / f"{name}.out").read_text()
+    err_file = GOLDEN / f"{name}.err"
+    assert err == (err_file.read_text() if err_file.exists() else "")
 
 
 # sha256 of the stdout of the largest closed-form reports (4.3 MB and 1.7 MB),
@@ -436,6 +446,87 @@ def test_cache_ignores_legacy_file(tmp_path, capsys):
     assert "value: 3" in out
     assert (cache / "cache.json").read_text() == legacy
     assert entry_file(cache, "sym:3|sym") != cache / "cache.json"
+
+
+# ------------------------------------------------------- parser reuse
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    """main builds the parser on its first call and reuses it: 20 calls,
+    usage errors among them, make the 6 parsers of one build (the top
+    level and 5 subcommands)."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    argvs = (["--sym", "4", "--no-cache"], ["census", "3"], ["classes", "--sym", "3"],
+             ["sweep", "--dihedral", "3..3"], ["ict", "--sym", "3", "--alt", "4"])
+    try:
+        for i in range(20):
+            try:
+                main(argvs[i % len(argvs)])
+            except SystemExit as exc:
+                assert exc.code == EXIT_USAGE
+            capsys.readouterr()
+    finally:
+        cli.build_parser.cache_clear()  # later tests build one without the spy
+    assert len(built) == 6
+
+
+def test_cache_directory_is_resolved_per_call(tmp_path, capsys, monkeypatch):
+    """$XDG_CACHE_HOME and $ICT_CACHE_DIR set after a first call are read
+    by the next one."""
+    monkeypatch.delenv("ICT_CACHE_DIR", raising=False)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg1"))
+    assert run(capsys, "--sym", "3")[0] == EXIT_OK
+    assert entry_file(tmp_path / "xdg1" / "ict", "sym:3|sym").exists()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg2"))
+    assert run(capsys, "--sym", "3")[0] == EXIT_OK
+    assert entry_file(tmp_path / "xdg2" / "ict", "sym:3|sym").exists()
+    monkeypatch.setenv("ICT_CACHE_DIR", str(tmp_path / "env"))
+    assert run(capsys, "--sym", "3")[0] == EXIT_OK
+    assert entry_file(tmp_path / "env", "sym:3|sym").exists()
+
+
+@pytest.mark.parametrize("flag, env", [("", "env"), (None, "")],
+                         ids=["empty-cache-dir", "empty-env"])
+def test_empty_cache_dir_falls_through_to_xdg(tmp_path, capsys, monkeypatch, flag, env):
+    """An empty --cache-dir skips $ICT_CACHE_DIR, and an empty
+    $ICT_CACHE_DIR is skipped, for $XDG_CACHE_HOME/ict."""
+    if env:
+        env = str(tmp_path / env)
+    monkeypatch.setenv("ICT_CACHE_DIR", env)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    argv = ["--sym", "3"] + ([] if flag is None else ["--cache-dir", flag])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert "value: 3" in out
+    assert entry_file(tmp_path / "xdg" / "ict", "sym:3|sym").exists()
+    assert not (tmp_path / "env").exists()
+
+
+def test_no_option_leaks_into_the_next_call(tmp_path, capsys, monkeypatch):
+    """Options of one call do not carry over to the next: a bare call after
+    --format json --cap-stab-enum 5 --output prints the human report to
+    stdout and caches it under the default key."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("ICT_CACHE_DIR", str(cache))
+    dest = tmp_path / "report.json"
+    code, out, _ = run(capsys, "ict", "--sym", "4", "--format", "json",
+                       "--cap-stab-enum", "5", "--output", str(dest))
+    assert (code, out) == (EXIT_OK, "")
+    assert json.loads(dest.read_text())["value"] == 44
+    code, out, err = run(capsys, "ict", "--sym", "4")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == run(capsys, "ict", "--sym", "4", "--no-cache")[1]
+    assert out.startswith("pair: sym(4)\n")
+    keys = {json.loads(f.read_text())["key"] for f in cache.iterdir()}
+    assert keys == {"sym:4|sym|cap-stab-enum:5", "sym:4|sym"}
 
 
 # ---------------------------------------------------------------- census
@@ -756,6 +847,30 @@ def test_oracle_cap_exit(capsys):
     code, _, err = run(capsys, "--sym", "9", "--method", "oracle", "--no-cache")
     assert code == EXIT_CAP
     assert "cap exceeded" in err
+
+
+HUGE_ORDER = "1000000000000000000000000000000"  # 10**30
+
+
+@pytest.mark.parametrize("argv, required", [
+    (["classes", "--sym", HUGE_ORDER], f"{HUGE_ORDER}!"),
+    (["classes", "--alt", HUGE_ORDER], f"{HUGE_ORDER}!/2"),
+    (["crosscheck", "--alt", HUGE_ORDER], f"{HUGE_ORDER}!/2"),
+    (["crosscheck", "--sym", "60000"], "60000!"),
+    (["ict", "--dihedral", HUGE_ORDER, "--no-cache"], "2" + HUGE_ORDER[1:]),
+    (["ict", "--pq", "2", "1000000000039", "--no-cache"], "2000000000078"),
+    (["crosscheck", "--sym", "11"], "39916800"),
+], ids=["classes-sym", "classes-alt", "crosscheck-alt", "crosscheck-sym60000",
+        "dihedral", "pq", "crosscheck-sym11"])
+def test_group_order_refusals_are_one_short_line(capsys, argv, required):
+    """A family pair past the group-order cap exits 2 at once, in one line
+    that states an order of more than 4,300 digits as its formula."""
+    start = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == (f"cap exceeded: cap 'group_order' exceeded: requires {required}, "
+                   f"limit is 10000000\n")
 
 
 def test_cap_override_flag(capsys):

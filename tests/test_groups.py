@@ -1,6 +1,7 @@
 """Group construction, normalized pairs, transversal enumeration, fixtures."""
 
 import random
+import time
 from math import factorial
 
 import numpy as np
@@ -200,6 +201,9 @@ def test_family_constructors():
     pq = make_pq(3, 7)
     assert pq.group.order == 21 and pq.degree == 7 and pq.subgroup_order == 3
     assert not is_abelian(pq.group)
+    # an order equal to the cap is built
+    assert PermGroup.symmetric(5, cap=120).order == 120
+    assert PermGroup.alternating(5, cap=60).order == 60
 
 
 def test_family_constructor_errors():
@@ -215,6 +219,36 @@ def test_family_constructor_errors():
         make_pq(2, 4)
     with pytest.raises(ValueError):
         make_pq(5, 3)
+
+
+@pytest.mark.parametrize("build, required", [
+    (lambda: PermGroup.symmetric(5, cap=119), 120),
+    (lambda: PermGroup.alternating(5, cap=59), 60),
+    (lambda: make_sym(11), 39916800),
+    (lambda: make_alt(11), 19958400),
+    (lambda: PermGroup.symmetric(1558), factorial(1558)),  # 4,300 digits
+    (lambda: PermGroup.alternating(1558), factorial(1558) // 2),  # 4,300 digits
+    (lambda: PermGroup.symmetric(1559), "1559!"),  # 4,303 digits
+    (lambda: PermGroup.alternating(1559), "1559!/2"),  # 4,303 digits
+    (lambda: make_sym(60000), "60000!"),
+    (lambda: make_alt(10**30), f"{10**30}!/2"),
+    (lambda: make_dihedral(5_000_001), 10_000_002),
+    (lambda: make_dihedral(10**30), 2 * 10**30),
+    (lambda: make_pq(2, 1000000000039), 2000000000078),
+], ids=["sym5", "alt5", "sym11", "alt11", "sym1558", "alt1558", "sym1559", "alt1559",
+        "sym60000", "alt10**30", "dihedral5000001", "dihedral10**30", "pq2_1000000000039"])
+def test_family_orders_are_capped_before_any_work(build, required):
+    """A family group past its order cap is refused before it is built:
+    n! is multiplied up only until it passes the cap, and p*q is capped
+    before p and q are tested for primality.  An order of at most 4,300
+    digits, Python's default limit for converting an int to text, is
+    stated in full; a longer one as its formula."""
+    start = time.process_time()
+    with pytest.raises(CapExceeded) as exc:
+        build()
+    assert time.process_time() - start < 0.5
+    assert exc.value.cap_name == "group_order"
+    assert exc.value.required == required
 
 
 def test_stabilizer_candidates():
