@@ -11,7 +11,10 @@ import sys
 
 
 class CapExceeded(RuntimeError):
-    def __init__(self, cap_name: str, limit: int, required: int):
+    """`required` is the size the run needs, or its formula (such as
+    "60000!") when that size is at least PRINT_LIMIT."""
+
+    def __init__(self, cap_name: str, limit: int, required: int | str):
         self.cap_name = cap_name
         self.limit = limit
         self.required = required

@@ -31,13 +31,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .errors import (
-    CAP_GROUP_ORDER,
-    CAP_STAB_ENUM,
-    CAP_TRANSVERSALS,
-    PRINT_LIMIT,
-    CapExceeded,
-)
+from .errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, PRINT_LIMIT, CapExceeded
 from .perm import Permutation, _trusted, compose, parse_cycles
 
 # Candidates conjugated per gather in the normalizer sweep: large enough to

@@ -15,13 +15,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import (
-    CAP_RELABELINGS,
-    CAP_STAB_ENUM,
-    CAP_TRANSVERSALS,
-    PRINT_LIMIT,
-    CapExceeded,
-)
+from .errors import CAP_RELABELINGS, CAP_STAB_ENUM, CAP_TRANSVERSALS, PRINT_LIMIT, CapExceeded
 from .groups import (
     PairGH,
     PermGroup,

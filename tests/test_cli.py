@@ -849,7 +849,7 @@ def test_oracle_cap_exit(capsys):
     assert "cap exceeded" in err
 
 
-HUGE_ORDER = "1000000000000000000000000000000"  # 10**30
+HUGE_ORDER = str(10**30)
 
 
 @pytest.mark.parametrize("argv, required", [
@@ -857,7 +857,7 @@ HUGE_ORDER = "1000000000000000000000000000000"  # 10**30
     (["classes", "--alt", HUGE_ORDER], f"{HUGE_ORDER}!/2"),
     (["crosscheck", "--alt", HUGE_ORDER], f"{HUGE_ORDER}!/2"),
     (["crosscheck", "--sym", "60000"], "60000!"),
-    (["ict", "--dihedral", HUGE_ORDER, "--no-cache"], "2" + HUGE_ORDER[1:]),
+    (["ict", "--dihedral", HUGE_ORDER, "--no-cache"], str(2 * 10**30)),
     (["ict", "--pq", "2", "1000000000039", "--no-cache"], "2000000000078"),
     (["crosscheck", "--sym", "11"], "39916800"),
 ], ids=["classes-sym", "classes-alt", "crosscheck-alt", "crosscheck-sym60000",
