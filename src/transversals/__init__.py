@@ -7,9 +7,10 @@ Exact Burnside-style engines (general, symmetric, alternating, cyclic) live
 in ict_formulas; exhaustive enumeration classifiers that double as ground
 truth live in oracle; perm, symclasses, and groups carry the permutation and
 group machinery; cli wires everything into the `ict` command.  Inside the
-engines a permutation is a 0-based image row (PermGroup.conjugacy_classes
-yields (row, size) pairs); Permutation objects are built where text enters
-(parse_cycles, fixtures, cache reads) and where a caller reads elements
+engines a permutation is a 0-based image row, a group's generators included
+(PermGroup.conjugacy_classes yields (row, size) pairs); Permutation objects
+are built where text or generators enter (parse_cycles, fixtures, cache
+reads, PermGroup.from_generators) and where a caller reads elements
 (iterating a PermGroup; enumerate_transversals yields each transversal as a
 tuple of Permutations, identity first).
 """

@@ -1,8 +1,8 @@
 """Command line front end: compute class counts, cross-check engines against
 the oracle, census left loops, sweep structural facts, and dump class
 representatives.  Results for the compute command are cached on disk keyed by
-pair, method, and tool version, plus a non-default --cap-stab-enum; all
-output is deterministic for a given invocation and version.
+pair, method, and the package's source digest, plus a non-default
+--cap-stab-enum; all output is deterministic for a given invocation.
 
 Every choice changes what runs: a subcommand offers only the --cap-* flags
 its engines read, and --method is auto (the family's closed form, else
@@ -196,9 +196,19 @@ def _dump_json(obj: dict) -> str:
 
 # ---------------------------------------------------------------- caching
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's own *.py files, read on the first cache
+    access: an entry is served only to the code that wrote it."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def _cache_file(args, key: str) -> Path | None:
-    """The file that holds `key`'s report for this tool version: one file per
-    (version, key), so a hit reads and a miss writes only its own entry.
+    """The file that holds `key`'s report for this source: one file per
+    (source digest, key), so a hit reads and a miss writes only its own entry.
     The directory is resolved per call: --cache-dir, else $ICT_CACHE_DIR,
     else $XDG_CACHE_HOME/ict, else ~/.cache/ict; an empty --cache-dir or
     $ICT_CACHE_DIR falls through to the XDG choice."""
@@ -207,7 +217,7 @@ def _cache_file(args, key: str) -> Path | None:
     base = ((os.environ.get("ICT_CACHE_DIR") if args.cache_dir is None else args.cache_dir)
             or os.path.join(os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache")),
                             "ict"))
-    digest = hashlib.sha256(f"{__version__}|{key}".encode()).hexdigest()
+    digest = hashlib.sha256(f"{_source_digest()}|{key}".encode()).hexdigest()
     return Path(base) / f"{digest}.json"
 
 
@@ -221,7 +231,7 @@ def _cache_load(path: Path, key: str) -> dict | None:
     except (json.JSONDecodeError, OSError, UnicodeDecodeError):
         sys.stderr.write(f"warning: unreadable cache at {path}, recomputing\n")
         return None
-    if (not isinstance(payload, dict) or payload.get("tool") != __version__
+    if (not isinstance(payload, dict) or payload.get("tool") != _source_digest()
             or payload.get("key") != key):
         return None
     return payload
@@ -235,7 +245,7 @@ def _cache_store(path: Path, key: str, report: dict):
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_text(json.dumps({"tool": __version__, "key": key,
+            tmp.write_text(json.dumps({"tool": _source_digest(), "key": key,
                                        "report": report}, sort_keys=True))
             os.replace(tmp, path)
         finally:
@@ -355,14 +365,6 @@ def cmd_crosscheck(args) -> int:
     return code
 
 
-def _normal_control():
-    from .groups import PairGH, PermGroup
-    from .perm import parse_cycles
-
-    G = PermGroup.from_generators([parse_cycles(3, "(1,2,3)")])
-    return PairGH(G, name="cyclic(3) regular")
-
-
 def _sweep_fixtures(args):
     """(family, pair builder) rows for the sweep set."""
     specs = []
@@ -388,7 +390,8 @@ def _sweep_fixtures(args):
             specs.append(("alt", lambda n=n: make_alt(n)))
         # normal-subgroup control: a regular cyclic action has H = {e},
         # which is normal, so the class count must land exactly on 1
-        specs.append(("fixture", _normal_control))
+        specs.append(("fixture", lambda: pair_from_fixture(
+            "name cyclic(3) regular\ndegree 3\ngen (1,2,3)\n")[0]))
     return specs
 
 

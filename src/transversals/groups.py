@@ -5,13 +5,14 @@ fixture parsing, PairGH's transitivity check); what the kernel builds from
 valid input is valid by construction and is not checked again.
 
 A group is stored once, as the sorted (order, degree) array of its elements'
-0-based image rows, generators kept alongside; every downstream count is a
-filter or a gather over these rows.  A row's key is its bytes, which sort
-like the row, so a binary search maps rows to element indices.  The rows
-sort by the image of 1, so the stabilizer of 1 and its cosets are slices.
-Inside the package elements stay rows: Permutation objects are built from
-them only where a caller outside it reads them (iterating a group,
-enumerate_transversals) and for the generators coset_representation keeps.
+0-based image rows, its generators kept alongside as rows too; every
+downstream count is a filter or a gather over these rows.  A row's key is
+its bytes, which sort like the row, so a binary search maps rows to element
+indices.  The rows sort by the image of 1, so the stabilizer of 1 and its
+cosets are slices.  Permutation generators enter only through
+PermGroup.from_generators; every family is built from rows.  Permutation
+objects are built from rows only where a caller outside the package reads
+elements (iterating a group, enumerate_transversals).
 
 A PairGH is the normalized object the counting engines work on: G
 transitive on {1..n}, H the full stabilizer of symbol 1 (G's first block
@@ -110,29 +111,27 @@ def _cap_factorial_order(n: int, divisor: int, cap: int):
         raise CapExceeded("group_order", cap, order if order < PRINT_LIMIT else formula)
 
 
-def closure(generators, degree: int | None = None, cap: int = CAP_GROUP_ORDER):
-    """Subgroup generated by `generators`, as the sorted (order, degree)
-    array of its elements' 0-based image rows.
+def _cycle_row(n: int, symbols) -> np.ndarray:
+    """0-based degree-n row of the cycle through these 0-based symbols."""
+    row = np.arange(n, dtype=_row_dtype(n))
+    row[list(symbols)] = np.roll(symbols, -1)
+    return row
+
+
+def closure(gen_rows: np.ndarray, cap: int = CAP_GROUP_ORDER) -> np.ndarray:
+    """Subgroup generated by the (k, degree) array of 0-based image rows
+    `gen_rows`, as the sorted (order, degree) array of its elements' rows.
 
     Breadth-first search from the identity: each level is one gather per
     generator over the frontier, and a row is new when its key has not been
-    seen.  Empty generator lists give the trivial group, which is why
-    `degree` is then required.  Raises CapExceeded the moment the element
-    count passes `cap`.
+    seen.  Raises CapExceeded the moment the element count passes `cap`.
     """
-    gens = list(generators)
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required for an empty generating set")
-        degree = gens[0].degree
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} != {degree}")
-    gen_rows = _perm_rows(gens, degree)
-    frontier = np.arange(degree, dtype=_row_dtype(degree))[None, :]
+    degree = gen_rows.shape[1]
+    gen_rows = gen_rows.astype(_row_dtype(degree), copy=False)
+    frontier = np.arange(degree, dtype=gen_rows.dtype)[None, :]
     seen = set(_row_keys(frontier).tolist())
     levels = [frontier]
-    while gens and len(frontier):
+    while len(gen_rows) and len(frontier):
         # compose(g, x) is g[x], for every frontier row x at once
         images = np.concatenate([g[frontier] for g in gen_rows])
         fresh = []
@@ -156,12 +155,13 @@ class PermGroup:
 
     __slots__ = ("degree", "generators", "_rows", "_keys", "_left")
 
-    def __init__(self, rows: np.ndarray, generators=()):
-        """The group whose elements are these rows, already sorted; closure
-        is not checked."""
+    def __init__(self, rows: np.ndarray, generators: np.ndarray | None = None):
+        """The group whose elements are these rows, already sorted, and
+        whose `generators` are these (k, degree) rows, by default all of
+        them; neither closure nor generation is checked."""
         rows.flags.writeable = False
         object.__setattr__(self, "degree", rows.shape[1])
-        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "generators", rows if generators is None else generators)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_keys", _row_keys(rows))
         object.__setattr__(self, "_left", {})
@@ -171,13 +171,24 @@ class PermGroup:
 
     @classmethod
     def from_generators(cls, generators, degree=None, cap=CAP_GROUP_ORDER):
-        gens = tuple(generators)
-        return cls(closure(gens, degree=degree, cap=cap), gens)
+        """The group generated by these Permutations, all of one degree;
+        `degree` is required when there are none."""
+        gens = list(generators)
+        if degree is None:
+            if not gens:
+                raise ValueError("degree required for an empty generating set")
+            degree = gens[0].degree
+        for g in gens:
+            if g.degree != degree:
+                raise ValueError(f"generator degree {g.degree} != {degree}")
+        rows = _perm_rows(gens, degree)
+        return cls(closure(rows, cap=cap), rows)
 
     @classmethod
     def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
         _cap_factorial_order(n, 1, cap)
-        return cls(_all_rows(n), symmetric_generators(n))
+        gens = np.stack([_cycle_row(n, range(min(n, 2))), _cycle_row(n, range(n))])
+        return cls(_all_rows(n), gens)
 
     @classmethod
     def alternating(cls, n: int, cap=CAP_GROUP_ORDER):
@@ -185,7 +196,9 @@ class PermGroup:
             raise ValueError("alternating group needs degree >= 3")
         _cap_factorial_order(n, 2, cap)
         rows = _all_rows(n)
-        return cls(rows[_even(rows)], alternating_generators(n))
+        # (1,2,3) and the cycle of odd length (1,...,n) or (2,...,n)
+        gens = np.stack([_cycle_row(n, range(3)), _cycle_row(n, range(1 - n % 2, n))])
+        return cls(rows[_even(rows)], gens)
 
     @property
     def order(self) -> int:
@@ -202,9 +215,6 @@ class PermGroup:
         return (isinstance(other, PermGroup) and self.degree == other.degree
                 and np.array_equal(self._keys, other._keys))
 
-    def __hash__(self):
-        return hash(self._rows.tobytes())
-
     def __repr__(self):
         return f"PermGroup(order={self.order}, degree={self.degree})"
 
@@ -220,19 +230,13 @@ class PermGroup:
         bounds = np.searchsorted(self._rows[:, 0], np.arange(self.degree + 1))
         return [self._rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    def _generator_rows(self) -> np.ndarray:
-        """Rows of the generators, or of every element when none are kept."""
-        if self.generators:
-            return _perm_rows(self.generators, self.degree)
-        return self._rows
-
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return (self.degree == other.degree
                 and bool((other._locate(self._rows) >= 0).all()))
 
     def is_normal_in(self, other: "PermGroup") -> bool:
         return self.is_subgroup_of(other) and bool(
-            _normalizing(self, other._generator_rows()).all())
+            _normalizing(self, other.generators).all())
 
     def stabilizer_of_1(self) -> "PermGroup":
         return PermGroup(self._blocks()[0])
@@ -295,31 +299,6 @@ def _class_order_key(row):
     a list or tuple of 0-based images: fewest moved symbols first, then by
     images, so the identity class leads."""
     return (sum(1 for i, v in enumerate(row) if v != i), tuple(row))
-
-
-def symmetric_generators(n: int):
-    if n <= 1:
-        return ()
-    if n == 2:
-        return (Permutation.from_cycles(2, [(1, 2)]),)
-    return (
-        Permutation.from_cycles(n, [(1, 2)]),
-        Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
-    )
-
-
-def alternating_generators(n: int):
-    if n == 3:
-        return (Permutation.from_cycles(3, [(1, 2, 3)]),)
-    if n % 2 == 1:
-        return (
-            Permutation.from_cycles(n, [(1, 2, 3)]),
-            Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
-        )
-    return (
-        Permutation.from_cycles(n, [(1, 2, 3)]),
-        Permutation.from_cycles(n, [tuple(range(2, n + 1))]),
-    )
 
 
 class PairGH:
@@ -416,7 +395,7 @@ def coset_representation(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
     (coset H is 1).  The kernel is quotiented away by construction, so the
     result is always a valid core-free PairGH."""
     coset = _least_in_coset(G, H)
-    gens = G._generator_rows()
+    gens = G.generators
     # number[c]: 0-based number of the coset whose least element is c; H's
     # least element is the identity, element 0
     number = np.full(G.order, -1)
@@ -433,13 +412,9 @@ def coset_representation(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
 
     # chi(g) sends the coset of r to the coset of g r
     images = number[coset[G._locate(gens[:, G._rows[reps]].reshape(-1, G.degree))]]
-    image_gens = []
-    for cg in _perms(images.reshape(len(gens), n)):
-        if not cg.is_identity() and cg not in image_gens:
-            image_gens.append(cg)
+    image_gens = np.unique(images.reshape(len(gens), n).astype(_row_dtype(n)), axis=0)
     # chi is a homomorphism, so the images of G's generators generate chi(G)
-    image = PermGroup.from_generators(image_gens, degree=n)
-    return PairGH(image, name=name)
+    return PairGH(PermGroup(closure(image_gens), image_gens), name=name)
 
 
 def make_sym(n: int, cap: int = CAP_GROUP_ORDER) -> PairGH:
@@ -464,9 +439,8 @@ def _cycle_and_multiplier(n: int, r: int, order: int, name: str) -> PairGH:
     capped before anything is built."""
     if order > CAP_GROUP_ORDER:
         raise CapExceeded("group_order", CAP_GROUP_ORDER, order)
-    a = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
-    b = Permutation((r * (i - 1)) % n + 1 for i in range(1, n + 1))
-    G = PermGroup.from_generators([a, b], degree=n)
+    gens = np.stack([_cycle_row(n, range(n)), np.arange(n) * r % n]).astype(_row_dtype(n))
+    G = PermGroup(closure(gens), gens)
     assert G.order == order
     return PairGH(G, name=name)
 
@@ -560,7 +534,7 @@ def _normalizing(group: PermGroup, alphas: np.ndarray, target=None) -> np.ndarra
     target = group if target is None else target
     alphas_inv = _invert_rows(alphas)
     keep = np.ones(len(alphas), dtype=bool)
-    for g in group._generator_rows():
+    for g in group.generators:
         # row k: alpha_k g alpha_k^-1, i.e. alpha_k[g[alpha_k^-1[j]]]
         keep &= target._locate(np.take_along_axis(alphas, g[alphas_inv], axis=1)) >= 0
     return keep

@@ -181,7 +181,7 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
             f"acting group degree {gamma.degree} does not match pair degree {n}")
     elif gamma._rows[:, 0].any():
         raise HypothesisViolation("acting group must fix symbol 1")
-    elif not _normalizing(pair.group, gamma._generator_rows()).all():
+    elif not _normalizing(pair.group, gamma.generators).all():
         raise HypothesisViolation("acting group must normalize the group")
 
     cosets = pair.cosets()
@@ -383,7 +383,7 @@ def _find_regular_normal_cycle(pair: PairGH) -> np.ndarray:
     row: each generator g of G conjugates a to a power of a, i.e. g a g^-1
     commutes with a, whose centralizer in Sym(n) is the group it generates.
     In degree 1 the identity is the 1-cycle."""
-    gens = pair.group._generator_rows()
+    gens = pair.group.generators
     inverses = _invert_rows(gens)
     for a in pair.group._rows:
         if len(_orbits(a.tolist(), 0)) == 1:

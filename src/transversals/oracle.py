@@ -19,15 +19,15 @@ from .errors import CAP_RELABELINGS, CAP_STAB_ENUM, CAP_TRANSVERSALS, PRINT_LIMI
 from .groups import (
     PairGH,
     PermGroup,
+    _cycle_row,
     _generates,
     _invert_rows,
     _normalizing,
-    _perm_rows,
     _row_keys,
     _section_rows,
     _stabilizer_batches,
 )
-from .perm import Permutation, format_cycles
+from .perm import format_cycles
 
 
 @dataclass(frozen=True)
@@ -283,10 +283,8 @@ def classify_by_conjugation(pair: PairGH, cap: int = CAP_TRANSVERSALS,
     if total > cap:
         raise CapExceeded("transversals", cap, total)
 
-    # (2,3) and (2,3,...,n) generate the relabeling group
-    gens = [Permutation.from_cycles(n, [(2, 3)]),
-            Permutation.from_cycles(n, [tuple(range(2, n + 1))])] if n >= 3 else []
-    gen_rows = _perm_rows(gens, n)
+    # (2,3) and (2,3,...,n) generate the relabeling group; below degree 3, trivially
+    gen_rows = np.stack([_cycle_row(n, range(1, min(n, 3))), _cycle_row(n, range(1, n))])
     if _normalizing(pair.group, gen_rows).all():
         least = _walk_labels(pair, gen_rows)
     else:

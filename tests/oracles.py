@@ -56,7 +56,7 @@ def row_of(p: Permutation) -> tuple:
 
 def is_abelian(group: PermGroup) -> bool:
     """Do the group's generators commute pairwise?  compose(a, b) is a[b]."""
-    gens = group._generator_rows()
+    gens = group.generators
     return all((a[gens] == gens[:, a]).all() for a in gens)
 
 
@@ -83,7 +83,7 @@ def members(table: LoopTable) -> tuple:
 
 def relabel(pair: PairGH, sigma: Permutation) -> PairGH:
     """The pair conjugated by sigma, which fixes 1."""
-    gens = [conjugate(g, sigma) for g in pair.group.generators]
+    gens = [conjugate(g, sigma) for g in _perms(pair.group.generators)]
     G = PermGroup.from_generators(gens, degree=pair.degree)
     return PairGH(G, name=f"{pair.name} relabeled")
 

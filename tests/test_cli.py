@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -302,7 +303,7 @@ def test_cache_round_trip(tmp_path, capsys):
     code, cold, err = run(capsys, *args)
     assert code == EXIT_OK and err == ""
     stored = json.loads(entry_file(cache, "sym:4|sym").read_text())
-    assert stored["tool"] == __version__
+    assert stored["tool"] == cli._source_digest()
     assert json.loads(cold) == stored["report"]
     code, warm, err = run(capsys, *args)
     assert code == EXIT_OK and err == ""
@@ -320,7 +321,7 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert "value: 3" in out
     assert f"unreadable cache at {path}" in err
     # the rewritten file is valid again
-    assert json.loads(path.read_text())["tool"] == __version__
+    assert json.loads(path.read_text())["tool"] == cli._source_digest()
 
 
 def test_cache_version_mismatch_recomputes_silently(tmp_path, capsys):
@@ -336,7 +337,58 @@ def test_cache_version_mismatch_recomputes_silently(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == cold
     assert err == ""
-    assert json.loads(path.read_text())["tool"] == __version__
+    assert json.loads(path.read_text())["tool"] == cli._source_digest()
+
+
+def test_cache_entry_of_other_source_is_recomputed(tmp_path, capsys, monkeypatch):
+    """An entry written by other code under the same __version__ (before an
+    engine fix, say) is never served: entries are named and stamped by a
+    digest of the package's source files."""
+    cache = tmp_path / "cache"
+    args = ("--sym", "3", "--format", "json", "--cache-dir", str(cache))
+    _, cold, _ = run(capsys, *args, "--no-cache")
+    current = cli._source_digest()
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    run(capsys, *args)
+    path = entry_file(cache, "sym:3|sym")
+    stale = json.loads(path.read_text())
+    assert stale["tool"] == "0" * 64
+    stale["report"]["value"] = 999
+    path.write_text(json.dumps(stale))
+    monkeypatch.undo()
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_OK and err == "" and out == cold
+    assert sorted(json.loads(f.read_text())["tool"] for f in cache.glob("*.json")) == [
+        "0" * 64, current]
+    assert json.loads(path.read_text()) == stale  # left alone, not overwritten
+
+
+def test_editing_the_source_retires_its_cache_entries(tmp_path):
+    """A copy of the package whose groups.py gains a comment line neither
+    serves nor overwrites the entry the unedited copy wrote.  The digest is
+    read on the first cache access, not at import."""
+    package = tmp_path / "src" / "transversals"
+    shutil.copytree(Path(cli.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "cache"
+    script = ("import sys, transversals.cli as cli; "
+              "assert cli._source_digest.cache_info().currsize == 0; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+
+    def ict():
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "--sym", "3", "--cache-dir", str(cache)],
+            capture_output=True, text=True, env={**ENV, "PYTHONPATH": str(package.parent)})
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        return proc.stdout, sorted(f.name for f in cache.glob("*.json"))
+
+    out, entries = ict()
+    assert "value: 3" in out and len(entries) == 1
+    assert ict() == (out, entries)  # a hit
+    with (package / "groups.py").open("a") as f:
+        f.write("# edited\n")
+    edited, after = ict()
+    assert edited == out and len(after) == 2 and set(entries) < set(after)
 
 
 def test_cache_malformed_entry_recomputes(tmp_path, capsys):
@@ -942,7 +994,7 @@ def test_concurrent_writers_keep_every_entry(tmp_path, capsys):
     assert not list(cache.glob("*.tmp"))
     for n in sizes:
         stored = json.loads(entry_file(cache, f"dihedral:{n}|cyclic").read_text())
-        assert stored["tool"] == __version__
+        assert stored["tool"] == cli._source_digest()
         warm = run(capsys, "--dihedral", str(n), "--cache-dir", str(cache))
         assert warm == run(capsys, "--dihedral", str(n), "--no-cache")
         assert warm[0] == EXIT_OK and warm[2] == ""

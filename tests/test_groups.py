@@ -12,6 +12,7 @@ from transversals.groups import (
     NORMALIZER_CHUNK,
     PairGH,
     PermGroup,
+    _perm_rows,
     _stabilizer_batches,
     closure,
     coset_representation,
@@ -45,26 +46,30 @@ def perms(rows):
 
 
 def test_closure_of_a_single_cycle():
-    a = parse_cycles(4, "(1,2,3,4)")
-    elems = perms(closure([a]))
+    elems = perms(closure(np.array([[1, 2, 3, 0]])))  # the row of (1,2,3,4)
     assert len(elems) == 4
     assert Permutation.identity(4) in elems
     assert elems == sorted(elems)
+    assert elems == list(PermGroup.from_generators([parse_cycles(4, "(1,2,3,4)")]))
 
 
 def test_closure_empty_generators():
-    assert perms(closure([], degree=3)) == [Permutation.identity(3)]
-    with pytest.raises(ValueError):
-        closure([])
+    assert perms(closure(np.empty((0, 3), dtype=np.uint8))) == [Permutation.identity(3)]
+    trivial = PermGroup.from_generators([], degree=3)
+    assert list(trivial) == [Permutation.identity(3)] and trivial.generators.shape == (0, 3)
+    with pytest.raises(ValueError, match="degree required"):
+        PermGroup.from_generators([])
 
 
 def test_closure_mixed_degree_rejected():
-    with pytest.raises(ValueError):
-        closure([Permutation.identity(3), Permutation.identity(4)])
+    with pytest.raises(ValueError, match="generator degree 4 != 3"):
+        PermGroup.from_generators([Permutation.identity(3), Permutation.identity(4)])
+    with pytest.raises(ValueError, match="generator degree 3 != 4"):
+        PermGroup.from_generators([Permutation.identity(3)], degree=4)
 
 
 def test_closure_cap():
-    gens = [parse_cycles(5, "(1,2)"), parse_cycles(5, "(1,2,3,4,5)")]
+    gens = _perm_rows([parse_cycles(5, "(1,2)"), parse_cycles(5, "(1,2,3,4,5)")], 5)
     with pytest.raises(CapExceeded) as exc:
         closure(gens, cap=10)
     assert exc.value.cap_name == "group_order"

@@ -52,6 +52,7 @@ from transversals.ict_formulas import (
     _validate_cyclic_pair,
 )
 from transversals.oracle import (
+    census_left_loops,
     classify_by_conjugation,
     classify_by_table_iso,
     render_classes_dump,
@@ -535,15 +536,10 @@ def test_row_finder_matches_the_closure_reference():
             _find_regular_normal_cycle(pair)
 
 
-def test_engines_build_no_permutation(monkeypatch):
-    """theorem6, the formula-only cyclic engine, the normal-cycle finder and
-    the class dump work on rows: while each runs, neither the checked
-    constructor nor perm._trusted (under any name the package binds it to)
-    is called."""
-    sym6 = make_sym(6)
-    sigma = Permutation([1, *random.Random(8).sample(range(2, 9), 7)])
-    dihedral8 = relabel(make_dihedral(8), sigma)
-    pq25 = classify_by_table_iso(make_pq(2, 5))
+def spy_on_permutations(monkeypatch) -> list:
+    """The list that the image tuple of every Permutation built from now on
+    is appended to: the checked constructor and perm._trusted, under any
+    name the package binds it to, are both spied on."""
     built = []
     init, trusted = Permutation.__init__, perm._trusted
     monkeypatch.setattr(Permutation, "__init__",
@@ -552,6 +548,17 @@ def test_engines_build_no_permutation(monkeypatch):
         if name.startswith("transversals") and getattr(module, "_trusted", None) is trusted:
             monkeypatch.setattr(module, "_trusted",
                                 lambda images: built.append(images) or trusted(images))
+    return built
+
+
+def test_engines_build_no_permutation(monkeypatch):
+    """theorem6, the formula-only cyclic engine, the normal-cycle finder and
+    the class dump work on rows: while each runs, no Permutation is built."""
+    sym6 = make_sym(6)
+    sigma = Permutation([1, *random.Random(8).sample(range(2, 9), 7)])
+    dihedral8 = relabel(make_dihedral(8), sigma)
+    pq25 = classify_by_table_iso(make_pq(2, 5))
+    built = spy_on_permutations(monkeypatch)
     runs = {
         "theorem6 sym(6)": lambda: ict_theorem6(sym6),
         "theorem6 relabeled dihedral(8)": lambda: ict_theorem6(dihedral8),
@@ -564,6 +571,32 @@ def test_engines_build_no_permutation(monkeypatch):
         run()
         assert built == [], what
     assert str(Permutation.identity(3)) == "()" and len(built) == 1  # the spies count
+
+
+def test_groups_and_classifiers_build_no_permutation(monkeypatch):
+    """A group is rows end to end: the family builders, the coset
+    representation of an intransitive group, the conjugation classifier
+    (whose relabeling generators are rows) and the census build no
+    Permutation while they run."""
+    G = PermGroup.from_generators(
+        [parse_cycles(5, "(1,2,3)"), parse_cycles(5, "(1,2)"), parse_cycles(5, "(4,5)")])
+    H = G.stabilizer_of_1()
+    built = spy_on_permutations(monkeypatch)
+    runs = {
+        "sym(5)": lambda: make_sym(5),
+        "alt(5)": lambda: make_alt(5),
+        "dihedral(7)": lambda: make_dihedral(7),
+        "pq(3,7)": lambda: make_pq(3, 7),
+        "coset representation": lambda: coset_representation(G, H),
+        "conjugation classes alt(4)": lambda: classify_by_conjugation(make_alt(4)),
+        "census(3)": lambda: census_left_loops(3),
+    }
+    for what, run in runs.items():
+        run()
+        assert built == [], what
+    image = coset_representation(G, H)
+    assert (image.degree, image.group.order) == (3, 6)
+    assert Permutation.from_cycles(3, [(1, 2)]) in image.group and len(built) == 1
 
 
 def test_ict_cyclic_builds_the_affine_family_once(monkeypatch):
