@@ -6,13 +6,14 @@ counts as an isomorphism when it preserves the induced binary operations.
 Exact Burnside-style engines (general, symmetric, alternating, cyclic) live
 in ict_formulas; exhaustive enumeration classifiers that double as ground
 truth live in oracle; perm, symclasses, and groups carry the permutation and
-group machinery; cli wires everything into the `ict` command.  Inside the
-engines a permutation is a 0-based image row, a group's generators included
-(PermGroup.conjugacy_classes yields (row, size) pairs); Permutation objects
-are built where text or generators enter (parse_cycles, fixtures, cache
-reads, PermGroup.from_generators) and where a caller reads elements
-(iterating a PermGroup; enumerate_transversals yields each transversal as a
-tuple of Permutations, identity first).
+group machinery; cli wires everything into the `ict` command.  A
+permutation is a 0-based image row wherever the package computes with it,
+a group's generators included (PermGroup.conjugacy_classes yields (row,
+size) pairs; enumerate_transversals yields each transversal as an (n, n)
+array of rows, identity first); x after y is the row x[y].  Permutation
+objects, each built by the validating constructor, exist only where text or
+generators enter (parse_cycles, fixtures, cache reads,
+PermGroup.from_generators).
 """
 
 from ._version import __version__
@@ -21,7 +22,7 @@ from .errors import (
     DisagreementError,
     HypothesisViolation,
 )
-from .perm import Permutation, compose, format_cycles, parse_cycles
+from .perm import Permutation, format_cycles, parse_cycles
 from .symclasses import class_size, partitions
 from .groups import (
     PairGH,
@@ -61,7 +62,6 @@ __all__ = [
     "DisagreementError",
     "HypothesisViolation",
     "Permutation",
-    "compose",
     "format_cycles",
     "parse_cycles",
     "class_size",

@@ -10,16 +10,16 @@ downstream count is a filter or a gather over these rows.  A row's key is
 its bytes, which sort like the row, so a binary search maps rows to element
 indices.  The rows sort by the image of 1, so the stabilizer of 1 and its
 cosets are slices.  Permutation generators enter only through
-PermGroup.from_generators; every family is built from rows.  Permutation
-objects are built from rows only where a caller outside the package reads
-elements (iterating a group, enumerate_transversals).
+PermGroup.from_generators; every family is built from rows, and no
+Permutation is built from rows: callers read elements and transversals as
+rows.
 
 A PairGH is the normalized object the counting engines work on: G
 transitive on {1..n}, H the full stabilizer of symbol 1 (G's first block
 by image of 1, split once per pair, the other blocks being the cosets), and
 H core-free, i.e. the coset representation has already been applied.
 coset_representation() turns an arbitrary (G, H <= G) into that normal form.
-A transversal is a plain tuple of permutations, one per coset in order.
+A transversal is an (n, n) array of 0-based rows, one per coset in order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, PRINT_LIMIT, CapExceeded
-from .perm import Permutation, _trusted, compose, parse_cycles
+from .perm import parse_cycles
 
 # Candidates conjugated per gather in the normalizer sweep: large enough to
 # amortize numpy's per-call cost, small enough that an (n-1)! stream is
@@ -69,12 +69,6 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     the row (a view of the rows themselves when the images are bytes)."""
     rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-
-def _perms(rows: np.ndarray) -> list:
-    """The permutations with these 0-based image rows, unchecked (_trusted):
-    only the kernel's own valid rows come here."""
-    return [_trusted(tuple(row)) for row in (rows + 1).tolist()]
 
 
 def _all_rows(n: int) -> np.ndarray:
@@ -203,13 +197,6 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self._rows)
-
-    def __iter__(self):
-        return iter(_perms(self._rows))
-
-    def __contains__(self, p) -> bool:
-        return (isinstance(p, Permutation) and p.degree == self.degree
-                and self._locate(_perm_rows([p], self.degree))[0] >= 0)
 
     def __eq__(self, other):
         return (isinstance(other, PermGroup) and self.degree == other.degree
@@ -368,15 +355,17 @@ SECTION_CHUNK = 4096
 def enumerate_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
     """Yield every transversal of the pair in a fixed order: the Cartesian
     product of the non-identity cosets' sorted rows, first coset slowest.
-    Each is a tuple of permutations, the identity first and member i
-    mapping 1 to i + 1.  The count is capped before any is built."""
+    Each is a read-only (n, n) array of 0-based rows (_section_rows), the
+    identity row first and row i mapping 0 to i.  The count is capped
+    before any is built."""
     total = pair.transversal_count()
     if total > cap:
         raise CapExceeded("transversals", cap, total)
     for lo in range(0, total, SECTION_CHUNK):
         chunk = range(lo, min(lo + SECTION_CHUNK, total))
-        for rows in _section_rows(pair.cosets()[1:], chunk, pair.degree):
-            yield tuple(_perms(rows))
+        sections = _section_rows(pair.cosets()[1:], chunk, pair.degree)
+        sections.flags.writeable = False
+        yield from sections
 
 
 def _least_in_coset(G: PermGroup, H: PermGroup) -> np.ndarray:
@@ -540,25 +529,14 @@ def _normalizing(group: PermGroup, alphas: np.ndarray, target=None) -> np.ndarra
     return keep
 
 
-def _is_subgroup(members) -> bool:
-    """Is the finite set of permutations closed under composition?"""
-    members = set(members)
-    return all(compose(p, q) in members for p in members for q in members)
-
-
-def generates(pair: PairGH, transversal) -> bool:
-    """Does the transversal generate G?  A member outside G never does."""
-    members = list(transversal)
-    for p in members:
-        if p.degree != pair.degree:
-            raise ValueError(f"generator degree {p.degree} != {pair.degree}")
-    return _generates(pair.group, _perm_rows(members, pair.degree))
-
-
-def _generates(group: PermGroup, rows: np.ndarray) -> bool:
-    """Do the permutations with these 0-based image rows generate `group`?"""
-    indices = group._locate(rows)
-    return bool((indices >= 0).all()) and group._generated_by(indices.tolist())
+def generates(pair: PairGH, rows) -> bool:
+    """Do these 0-based image rows, a (k, n) array such as a transversal,
+    generate G?  A row outside G never does."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != pair.degree:
+        raise ValueError(f"rows of shape {rows.shape} are not of degree {pair.degree}")
+    indices = pair.group._locate(rows.astype(_row_dtype(pair.degree), copy=False))
+    return bool((indices >= 0).all()) and pair.group._generated_by(indices.tolist())
 
 
 def parse_fixture(text: str):

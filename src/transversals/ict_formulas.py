@@ -30,10 +30,10 @@ from .groups import (
     PairGH,
     PermGroup,
     _invert_rows,
-    _is_subgroup,
     _normalizing,
     _row_dtype,
     _row_keys,
+    closure,
     enumerate_transversals,
     generates,
     normalizer_in_stab,
@@ -426,10 +426,11 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     count = pair.transversal_count()
     if count <= NONGENERATOR_SCAN_CAP:
         nongen = [T for T in enumerate_transversals(pair) if not generates(pair, T)]
-        if not all(_is_subgroup(T) for T in nongen):
+        # T holds the identity, so it is a subgroup exactly when its closure adds nothing
+        if not all(len(closure(T)) == len(T) for T in nongen):
             raise HypothesisViolation("a non-generating transversal is not a subgroup")
         # element orders: the lcm of each member's orbit lengths
-        profiles = [tuple(sorted(math.lcm(*map(len, p.orbits())) for p in T))
+        profiles = [tuple(sorted(math.lcm(*map(len, _orbits(row, 0))) for row in T.tolist()))
                     for T in nongen]
         if len(set(profiles)) != len(profiles):
             raise HypothesisViolation(

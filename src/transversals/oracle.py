@@ -20,12 +20,12 @@ from .groups import (
     PairGH,
     PermGroup,
     _cycle_row,
-    _generates,
     _invert_rows,
     _normalizing,
     _row_keys,
     _section_rows,
     _stabilizer_batches,
+    generates,
 )
 from .perm import format_cycles
 
@@ -81,11 +81,11 @@ class ClassificationResult:
         assert sum(self.class_sizes) == len(self.labels)
 
 
-def _classification(tables: np.ndarray, group: PermGroup, sizes: np.ndarray,
+def _classification(tables: np.ndarray, pair: PairGH, sizes: np.ndarray,
                     labels: np.ndarray) -> ClassificationResult:
     """The result whose class c has the 0-based induced table tables[c] as
     its representative and sizes[c] members; a class is generating when the
-    rows of its table, the members of its transversal, generate `group`.
+    rows of its table, the members of its transversal, generate G.
 
     The induced table of a transversal has row i = the images of the member
     over coset i: i*j is member i after member j, read off at 1."""
@@ -94,7 +94,7 @@ def _classification(tables: np.ndarray, group: PermGroup, sizes: np.ndarray,
         representatives=tuple(LoopTable(tables.shape[2], tuple(map(tuple, table)))
                               for table in (tables.astype(np.int64) + 1).tolist()),
         class_sizes=tuple(sizes.tolist()),
-        generating_flags=tuple(_generates(group, table) for table in tables),
+        generating_flags=tuple(generates(pair, table) for table in tables),
         labels=tuple(labels.tolist()),
     )
 
@@ -169,7 +169,7 @@ def classify_by_table_iso(pair: PairGH, cap: int = CAP_TRANSVERSALS,
     # row keys sort like the rows, so classes come out by canonical form
     _, first, inverse, counts = np.unique(
         _row_keys(canon), return_index=True, return_inverse=True, return_counts=True)
-    return _classification(tables[first], pair.group, counts, inverse)
+    return _classification(tables[first], pair, counts, inverse)
 
 
 class UnionFind:
@@ -291,8 +291,7 @@ def classify_by_conjugation(pair: PairGH, cap: int = CAP_TRANSVERSALS,
         least = _sweep_labels(pair, stab_cap)
     # the least index of a class is its first member in enumeration order
     first, labels, sizes = np.unique(least, return_inverse=True, return_counts=True)
-    return _classification(_section_rows(pair.cosets()[1:], first, n), pair.group,
-                           sizes, labels)
+    return _classification(_section_rows(pair.cosets()[1:], first, n), pair, sizes, labels)
 
 
 def census_left_loops(n: int, cap: int = CAP_TRANSVERSALS,

@@ -2,13 +2,15 @@
 
 Symbols are 1-based in a Permutation and in cycle text; inside the engines a
 permutation is a 0-based image row (see groups).  Composition order is the
-single most dangerous convention in this package and is fixed once, here:
+single most dangerous convention in this package and is fixed once, here,
+on rows:
 
-    compose(p, q) applies q first, then p
+    x after y is the row x[y]
 
-so compose(p, q)(i) == p(q(i)).  This is the order under which the coset
+so (x after y)[i] == x[y[i]].  This is the order under which the coset
 action chi(g)(xH) = gxH is a homomorphism for left actions; test_perm.py
-pins it against a worked degree-3 dihedral instance.
+pins it, spelled on Permutations as compose(p, q) from tests/oracles.py,
+against a worked degree-3 dihedral instance.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import re
 class Permutation:
     """Immutable permutation; `images[i-1]` is the image of symbol i.
 
-    The constructor, from_cycles and parse_cycles are the public entry
-    points and validate their input.  Results of operations on valid
-    permutations are valid by construction and skip the check (_trusted).
-    The identity of degree n is `Permutation.identity(n)`; the orbits of p
-    are `p.orbits()`.
+    Every Permutation is built by the constructor, which validates the
+    images; from_cycles, parse_cycles and identity go through it.  The
+    identity of degree n is `Permutation.identity(n)`; the orbits of p are
+    `p.orbits()`.
     """
 
     __slots__ = ("images",)
@@ -36,7 +37,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return _trusted(tuple(range(1, n + 1)))
+        return cls(range(1, n + 1))
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
@@ -66,9 +67,6 @@ class Permutation:
         """Orbit partition of {1..n} under self, as _orbits lists it."""
         return _orbits(self.images, 1)
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -83,25 +81,6 @@ class Permutation:
 
     def __str__(self):
         return format_cycles(self)
-
-
-_new_permutation = object.__new__
-
-
-def _trusted(images: tuple) -> Permutation:
-    """Permutation whose image tuple is already known to be valid: the
-    result of an operation on valid permutations, never outside input."""
-    p = _new_permutation(Permutation)
-    p.images = images
-    return p
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """p after q: compose(p, q).images[i] == p.images[q.images[i]] (1-based)."""
-    pi, qi = p.images, q.images
-    if len(pi) != len(qi):
-        raise ValueError(f"degree mismatch: {len(pi)} vs {len(qi)}")
-    return _trusted(tuple([pi[v - 1] for v in qi]))
 
 
 # Symbols are ASCII decimal; int() alone also takes "1_0", "+2", "\uff12"

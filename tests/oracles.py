@@ -4,12 +4,13 @@ Nothing in the package runs these: they are independent checks (left/right
 symmetry of the classification, subgroup transversals, pair isomorphism by
 sweeping every relabeling, parity by orbit count, class representatives
 built from image tuples and from cycles), the permutation and group algebra
-the package no longer needs (conjugation, powers, inverses, commutativity
-and transitivity flags, induced tables of transversals and their members,
-fixture text), the affine relabeling group of a cyclic pair built the old
-way, by Permutation conjugation and closure (the reference for
-ict_formulas._affine_rows), the normal regular cycle found the old way, by
-closing each n-cycle (the reference for
+the package no longer needs (composition, conjugation, powers, inverses,
+Permutations from rows, a group's elements and membership in it,
+commutativity and transitivity flags, induced tables of transversals and
+their members, fixture text), the affine relabeling group of a cyclic pair
+built the old way, by Permutation conjugation and closure (the reference
+for ict_formulas._affine_rows), the normal regular cycle found the old way,
+by closing each n-cycle (the reference for
 ict_formulas._find_regular_normal_cycle), and the order-18 example pair
 behind acceptance criterion 10.  Import them as `from oracles import ...`;
 pytest puts this directory on the path.
@@ -25,17 +26,23 @@ from transversals.groups import (
     PairGH,
     PermGroup,
     _invert_rows,
-    _is_subgroup,
     _least_in_coset,
     _normalizing,
     _perm_rows,
-    _perms,
     _section_rows,
     _stabilizer_batches,
     enumerate_transversals,
 )
 from transversals.oracle import LoopTable, _canonical_forms, classify_by_table_iso
-from transversals.perm import Permutation, _trusted, compose, format_cycles, parse_cycles
+from transversals.perm import Permutation, format_cycles, parse_cycles
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """p after q: compose(p, q)(i) == p(q(i)), the row p[q] of the package."""
+    pi, qi = p.images, q.images
+    if len(pi) != len(qi):
+        raise ValueError(f"degree mismatch: {len(pi)} vs {len(qi)}")
+    return Permutation([pi[v - 1] for v in qi])
 
 
 def conjugate(p: Permutation, a: Permutation) -> Permutation:
@@ -46,7 +53,29 @@ def conjugate(p: Permutation, a: Permutation) -> Permutation:
     out = [0] * len(pi)
     for i, v in enumerate(pi):
         out[ai[i] - 1] = ai[v - 1]
-    return _trusted(tuple(out))
+    return Permutation(out)
+
+
+def perms(rows) -> list:
+    """Permutations from 0-based image rows (an array or a sequence of
+    rows), through the checked constructor."""
+    return [Permutation(row) for row in (np.asarray(rows, dtype=np.int64) + 1).tolist()]
+
+
+def elements(group: PermGroup) -> list:
+    """The group's elements as Permutations, in sorted order."""
+    return perms(group._rows)
+
+
+def contains(group: PermGroup, p: Permutation) -> bool:
+    """Is the Permutation p an element of the group?"""
+    return p.degree == group.degree and bool(group._locate(_perm_rows([p], p.degree))[0] >= 0)
+
+
+def is_subgroup(ps) -> bool:
+    """Is the finite set of permutations closed under composition?"""
+    ps = set(ps)
+    return all(compose(p, q) in ps for p in ps for q in ps)
 
 
 def row_of(p: Permutation) -> tuple:
@@ -83,7 +112,7 @@ def members(table: LoopTable) -> tuple:
 
 def relabel(pair: PairGH, sigma: Permutation) -> PairGH:
     """The pair conjugated by sigma, which fixes 1."""
-    gens = [conjugate(g, sigma) for g in _perms(pair.group.generators)]
+    gens = [conjugate(g, sigma) for g in perms(pair.group.generators)]
     G = PermGroup.from_generators(gens, degree=pair.degree)
     return PairGH(G, name=f"{pair.name} relabeled")
 
@@ -92,7 +121,7 @@ def find_regular_normal_cycle(pair: PairGH):
     """The least n-cycle of G generating a normal subgroup, by closing each
     n-cycle of G in turn and testing the closure for normality; None when
     there is none."""
-    for x in pair.group:
+    for x in elements(pair.group):
         if len(x.orbits()) == 1 and PermGroup.from_generators([x]).is_normal_in(pair.group):
             return x
     return None
@@ -227,7 +256,7 @@ def _sections(blocks, degree: int, cap: int):
     if total > cap:
         raise CapExceeded("transversals", cap, total)
     for rows in _section_rows(blocks, np.arange(total), degree):
-        yield tuple(_perms(rows))
+        yield tuple(perms(rows))
 
 
 def _left_coset_blocks(G: PermGroup, H: PermGroup) -> list:
@@ -267,8 +296,9 @@ def order18_example() -> tuple[PermGroup, PermGroup]:
 
 def subgroup_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
     """All transversals that are subgroups of G (closed under composition),
-    in enumeration order."""
-    return [T for T in enumerate_transversals(pair, cap=cap) if _is_subgroup(T)]
+    in enumeration order, each as a tuple of permutations."""
+    transversals = (tuple(perms(T)) for T in enumerate_transversals(pair, cap=cap))
+    return [T for T in transversals if is_subgroup(T)]
 
 
 def _right_transversals(pair: PairGH, cap: int):
@@ -301,7 +331,7 @@ def left_right_agreement(pair: PairGH, cap: int = CAP_TRANSVERSALS) -> bool:
     pairing = {}
     for T, left_label in zip(enumerate_transversals(pair, cap=cap), left.labels):
         # member over left slot k inverts to the member over right slot k
-        inv_key = tuple(inverse(p).images for p in tuple(T)[1:])
+        inv_key = tuple(inverse(p).images for p in perms(T[1:]))
         j = right_index.get(inv_key)
         if j is None:
             return False

@@ -13,6 +13,7 @@ from transversals.groups import (
     PairGH,
     PermGroup,
     _perm_rows,
+    _section_rows,
     _stabilizer_batches,
     closure,
     coset_representation,
@@ -27,22 +28,21 @@ from transversals.groups import (
     parse_fixture,
     stabilizer_candidates,
 )
-from transversals.perm import Permutation, compose, parse_cycles
+from transversals.perm import Permutation, parse_cycles
 
 from oracles import (
     _left_coset_blocks,
+    compose,
+    contains,
+    elements,
     format_fixture,
     is_abelian,
     is_transitive,
     order18_example,
     pair_isomorphic,
+    perms,
     subgroup_transversal_sets,
 )
-
-
-def perms(rows):
-    """Permutations from 0-based image rows, through the checked constructor."""
-    return [Permutation([int(v) + 1 for v in row]) for row in rows]
 
 
 def test_closure_of_a_single_cycle():
@@ -50,13 +50,13 @@ def test_closure_of_a_single_cycle():
     assert len(elems) == 4
     assert Permutation.identity(4) in elems
     assert elems == sorted(elems)
-    assert elems == list(PermGroup.from_generators([parse_cycles(4, "(1,2,3,4)")]))
+    assert elems == elements(PermGroup.from_generators([parse_cycles(4, "(1,2,3,4)")]))
 
 
 def test_closure_empty_generators():
     assert perms(closure(np.empty((0, 3), dtype=np.uint8))) == [Permutation.identity(3)]
     trivial = PermGroup.from_generators([], degree=3)
-    assert list(trivial) == [Permutation.identity(3)] and trivial.generators.shape == (0, 3)
+    assert elements(trivial) == [Permutation.identity(3)] and trivial.generators.shape == (0, 3)
     with pytest.raises(ValueError, match="degree required"):
         PermGroup.from_generators([])
 
@@ -79,7 +79,7 @@ def test_closure_cap():
 def test_permgroup_basics():
     G = PermGroup.symmetric(4)
     assert G.order == 24 and G.degree == 4
-    assert parse_cycles(4, "(1,2)") in G
+    assert contains(G, parse_cycles(4, "(1,2)"))
     A = PermGroup.alternating(4)
     assert A.order == 12
     assert A.is_subgroup_of(G)
@@ -134,19 +134,24 @@ def test_pair_cosets_built_once_and_immutable(monkeypatch):
     assert isinstance(cosets, tuple) and all(not c.flags.writeable for c in cosets)
     blocks = [perms(c) for c in cosets]
     assert all(b == sorted(b) for b in blocks)
-    assert sorted(g for b in blocks for g in b) == sorted(set(pair.group))
+    assert sorted(g for b in blocks for g in b) == elements(pair.group)
 
 
 def test_enumerate_transversals_sym3():
     pair = make_sym(3)
     ts = list(enumerate_transversals(pair))
     assert len(ts) == pair.transversal_count() == 4
-    assert len(set(ts)) == 4
+    assert len({t.tobytes() for t in ts}) == 4
     for t in ts:
-        assert t[0].is_identity()
-        assert all(t[i](1) == i + 1 for i in range(3))
-    # enumeration order is deterministic
-    assert ts == list(enumerate_transversals(pair))
+        assert t.shape == (3, 3) and not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 1
+        assert t[0].tolist() == [0, 1, 2]  # the identity row
+        assert t[:, 0].tolist() == [0, 1, 2]  # row i maps 0 to i
+    # the order is _section_rows order, the same on every call
+    sections = _section_rows(pair.cosets()[1:], range(4), 3)
+    assert np.array_equal(np.stack(ts), sections)
+    assert np.array_equal(np.stack(list(enumerate_transversals(pair))), sections)
 
 
 def test_enumerate_transversals_cap():
@@ -166,12 +171,12 @@ def test_left_cosets_and_subgroup_transversals():
     assert len(cosets) == 3
     assert Permutation.identity(3) in cosets[0]
     seen = {g for c in cosets for g in c}
-    assert seen == set(G)
+    assert seen == set(elements(G))
     ts = list(subgroup_transversal_sets(G, H))
     assert len(ts) == 4
     for t in ts:
-        assert t[0].is_identity()
-        assert len({min(compose(g, h).images for h in H) for g in t}) == 3
+        assert t[0] == Permutation.identity(3)
+        assert len({min(compose(g, h).images for h in elements(H)) for g in t}) == 3
 
 
 def test_coset_representation_quotients_the_kernel():
@@ -289,8 +294,16 @@ def test_generates():
     e = Permutation.identity(3)
     t_gen = (e, parse_cycles(3, "(1,2)"), parse_cycles(3, "(1,3)"))
     t_cyc = (e, parse_cycles(3, "(1,2,3)"), parse_cycles(3, "(1,3,2)"))
-    assert generates(pair, t_gen)
-    assert not generates(pair, t_cyc)
+    assert generates(pair, _perm_rows(t_gen, 3))
+    assert not generates(pair, _perm_rows(t_cyc, 3))
+    assert generates(pair, [[1, 0, 2], [2, 0, 1]])  # any (k, n) rows, any integer type
+
+
+@pytest.mark.parametrize("rows", [np.zeros((2, 4), dtype=np.uint8), [[0, 1]], [0, 1, 2],
+                                  np.zeros((0, 2), dtype=np.uint8)])
+def test_generates_rejects_rows_of_another_degree(rows):
+    with pytest.raises(ValueError, match="not of degree 3"):
+        generates(make_sym(3), rows)
 
 
 def test_pair_isomorphic():

@@ -8,15 +8,13 @@ factorization assumed, and then hold the engines to those numbers.
 """
 
 import random
-import sys
 import time
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 import numpy as np
 import pytest
 
 import transversals.ict_formulas as ict_formulas
-import transversals.perm as perm
 from transversals.errors import CapExceeded, DisagreementError, HypothesisViolation
 from transversals.groups import (
     PairGH,
@@ -24,6 +22,7 @@ from transversals.groups import (
     _class_order_key,
     _normalizing,
     _row_keys,
+    closure,
     coset_representation,
     enumerate_transversals,
     make_alt,
@@ -59,7 +58,7 @@ from transversals.oracle import (
 )
 from transversals.perm import (
     Permutation,
-    compose,
+    _orbits,
     format_cycles,
     parse_cycles,
 )
@@ -69,11 +68,16 @@ from oracles import (
     affine_elements,
     affine_group,
     class_representative,
+    compose,
     conjugate,
+    contains,
     cycle_type,
     cyclic_gamma,
+    elements,
     find_regular_normal_cycle,
+    is_subgroup,
     parity,
+    perms,
     power,
     relabel,
     row_of,
@@ -151,11 +155,11 @@ def test_sym4_fixed_counts_by_definition():
     """Every stabilizer element, every transversal, verdict by member-set
     comparison only; the closed form must match element by element."""
     pair = make_sym(4)
-    transversals = [frozenset(T) for T in enumerate_transversals(pair)]
+    transversals = [frozenset(perms(T)) for T in enumerate_transversals(pair)]
     assert len(transversals) == 216
     by_type = _contribution_by_type(ict_sym(4))
     total = 0
-    for x in pair.stabilizer:
+    for x in elements(pair.stabilizer):
         fixed = sum(1 for T in transversals if _conjugated_members(T, x) == T)
         total += fixed
         assert fixed == by_type[cycle_type(x)].fix_count
@@ -167,11 +171,11 @@ def test_alt4_fixed_counts_by_definition():
     full symmetric stabilizer."""
     pair = make_alt(4)
     sym_stab = make_sym(4).stabilizer
-    transversals = [frozenset(T) for T in enumerate_transversals(pair)]
+    transversals = [frozenset(perms(T)) for T in enumerate_transversals(pair)]
     assert len(transversals) == 27
     by_type = _contribution_by_type(ict_alt(4))
     total = 0
-    for x in sym_stab:
+    for x in elements(sym_stab):
         fixed = sum(1 for T in transversals if _conjugated_members(T, x) == T)
         total += fixed
         assert fixed == by_type[cycle_type(x)].fix_count
@@ -412,6 +416,23 @@ def test_cyclic_validated_reports():
     assert "non-generating" in report.justification
 
 
+@pytest.mark.parametrize("pair", [make_dihedral(6), make_dihedral(8), make_pq(2, 7),
+                                  make_sym(4)], ids=lambda pair: pair.name)
+def test_nongenerator_scan_reads_rows_as_the_permutations_do(pair):
+    """The cyclic validation's scan asks two things of each transversal's
+    rows: is it a subgroup (its closure is no larger), and what are its
+    element orders (the lcm of each row's orbit lengths)?  Both agree with
+    the Permutation spellings: closure under compose, and the least m with
+    p^m the identity."""
+    for T in enumerate_transversals(pair):
+        members = perms(T)
+        assert (len(closure(T)) == len(T)) == is_subgroup(members)
+        orders = [lcm(*map(len, _orbits(row, 0))) for row in T.tolist()]
+        identity = Permutation.identity(pair.degree)
+        assert orders == [next(m for m in range(1, 13) if power(p, m) == identity)
+                          for p in members]
+
+
 def test_cyclic_formula_only_is_flagged():
     report = ict_cyclic(12, 5)
     assert not report.validated
@@ -470,14 +491,14 @@ def test_cyclic_gamma_order_is_euler_phi():
     for n in range(1, 25):
         grp = cyclic_gamma(n)
         assert grp.order == phi(n)
-        assert all(g(1) == 1 for g in grp)
+        assert all(g(1) == 1 for g in elements(grp))
 
 
 def test_cyclic_gamma_accepts_any_n_cycle():
     a = parse_cycles(7, "(1,3,5,7,2,4,6)")
     grp = cyclic_gamma(7, a)
     assert grp.order == 6
-    assert all(conjugate(a, g) in {power(a, m) for m in range(1, 8)} for g in grp)
+    assert all(conjugate(a, g) in {power(a, m) for m in range(1, 8)} for g in elements(grp))
     with pytest.raises(ValueError):
         cyclic_gamma(6, parse_cycles(6, "(1,2)(3,4,5)"))
 
@@ -538,32 +559,41 @@ def test_row_finder_matches_the_closure_reference():
 
 def spy_on_permutations(monkeypatch) -> list:
     """The list that the image tuple of every Permutation built from now on
-    is appended to: the checked constructor and perm._trusted, under any
-    name the package binds it to, are both spied on."""
+    is appended to.  The spy sits on the `images` slot, which every build
+    sets: the checked constructor, the one way to build a Permutation, and
+    any other way that might come back."""
     built = []
-    init, trusted = Permutation.__init__, perm._trusted
-    monkeypatch.setattr(Permutation, "__init__",
-                        lambda self, images: built.append(images) or init(self, images))
-    for name, module in list(sys.modules.items()):
-        if name.startswith("transversals") and getattr(module, "_trusted", None) is trusted:
-            monkeypatch.setattr(module, "_trusted",
-                                lambda images: built.append(images) or trusted(images))
+    slot = Permutation.images
+
+    class Spy:
+        def __get__(self, obj, owner=None):
+            return slot if obj is None else slot.__get__(obj, owner)
+
+        def __set__(self, obj, images):
+            built.append(images)
+            slot.__set__(obj, images)
+
+    monkeypatch.setattr(Permutation, "images", Spy())
     return built
 
 
 def test_engines_build_no_permutation(monkeypatch):
-    """theorem6, the formula-only cyclic engine, the normal-cycle finder and
-    the class dump work on rows: while each runs, no Permutation is built."""
+    """theorem6, the cyclic engine with and without its validation scan, the
+    normal-cycle finder and the class dump work on rows: while each runs, no
+    Permutation is built."""
     sym6 = make_sym(6)
     sigma = Permutation([1, *random.Random(8).sample(range(2, 9), 7)])
     dihedral8 = relabel(make_dihedral(8), sigma)
     pq25 = classify_by_table_iso(make_pq(2, 5))
+    pq2_11 = make_pq(2, 11)
     built = spy_on_permutations(monkeypatch)
     runs = {
         "theorem6 sym(6)": lambda: ict_theorem6(sym6),
         "theorem6 relabeled dihedral(8)": lambda: ict_theorem6(dihedral8),
         "cyclic(7, 2)": lambda: ict_cyclic(7, 2),
         "cyclic(12, 3)": lambda: ict_cyclic(12, 3),
+        # 1,024 transversals scanned for non-generators, on rows
+        "cyclic(11, 2) on pq(2,11)": lambda: ict_cyclic(11, 2, pair=pq2_11),
         "normal cycle": lambda: _find_regular_normal_cycle(dihedral8),
         "classes dump pq(2,5)": lambda: render_classes_dump(pq25),
     }
@@ -596,7 +626,7 @@ def test_groups_and_classifiers_build_no_permutation(monkeypatch):
         assert built == [], what
     image = coset_representation(G, H)
     assert (image.degree, image.group.order) == (3, 6)
-    assert Permutation.from_cycles(3, [(1, 2)]) in image.group and len(built) == 1
+    assert contains(image.group, Permutation.from_cycles(3, [(1, 2)])) and len(built) == 1
 
 
 def test_ict_cyclic_builds_the_affine_family_once(monkeypatch):

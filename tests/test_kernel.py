@@ -37,16 +37,21 @@ from transversals.groups import (
     normalizer_in_stab,
 )
 from transversals.ict_formulas import _commuting_in_coset, _row_power
-from transversals.perm import Permutation, compose, parse_cycles
+from transversals.perm import Permutation, parse_cycles
 
-from oracles import cyclic_gamma, is_abelian, is_transitive, order18_example, power
+from oracles import (
+    compose,
+    contains,
+    cyclic_gamma,
+    elements,
+    is_abelian,
+    is_transitive,
+    order18_example,
+    perms,
+    power,
+)
 
 # ------------------------------------------------------------ references
-
-
-def perms(rows):
-    """Permutations from 0-based image rows, through the checked constructor."""
-    return [Permutation([int(v) + 1 for v in row]) for row in rows]
 
 
 def row(p):
@@ -67,18 +72,18 @@ def ref_conjugate(p, a):
 
 def ref_closure(generators, degree):
     e = Permutation(range(1, degree + 1))
-    elements = {e}
+    found = {e}
     frontier = [e]
     while frontier:
         fresh = []
         for x in frontier:
             for g in generators:
                 y = ref_compose(g, x)
-                if y not in elements:
-                    elements.add(y)
+                if y not in found:
+                    found.add(y)
                     fresh.append(y)
         frontier = fresh
-    return sorted(elements)
+    return sorted(found)
 
 
 def ref_symmetric(n):
@@ -94,46 +99,45 @@ def ref_is_even(p):
 
 
 def ref_stabilizer(group):
-    return sorted(g for g in set(group) if g(1) == 1)
+    return sorted(g for g in set(elements(group)) if g(1) == 1)
 
 
 def ref_cosets(group):
-    elements = set(group)
-    return [sorted(g for g in elements if g(1) == i)
+    members = set(elements(group))
+    return [sorted(g for g in members if g(1) == i)
             for i in range(1, group.degree + 1)]
 
 
 def ref_is_transitive(group):
-    return {g(1) for g in set(group)} == set(range(1, group.degree + 1))
+    return {g(1) for g in elements(group)} == set(range(1, group.degree + 1))
 
 
 def ref_is_abelian(group):
-    elements = set(group)
-    return all(ref_compose(a, b) == ref_compose(b, a)
-               for a in elements for b in elements)
+    members = elements(group)
+    return all(ref_compose(a, b) == ref_compose(b, a) for a in members for b in members)
 
 
 def ref_is_normal_in(sub, group):
-    members = set(sub)
-    return members <= set(group) and all(
+    members = set(elements(sub))
+    return members <= set(elements(group)) and all(
         ref_conjugate(h, g) in members
         for g in perms(group.generators) for h in members)
 
 
 def ref_normalizers(group, alphas):
-    elements = set(group)
+    members = set(elements(group))
     gens = perms(group.generators)
     return [a for a in alphas
-            if all(ref_conjugate(g, a) in elements for g in gens)]
+            if all(ref_conjugate(g, a) in members for g in gens)]
 
 
 def ref_conjugacy_classes(group):
-    elements = set(group)
-    remaining = set(elements)
+    members = elements(group)
+    remaining = set(members)
     classes = []
     while remaining:
         x = min(remaining)
-        cls = {ref_conjugate(x, g) for g in elements}
+        cls = {ref_conjugate(x, g) for g in members}
         remaining -= cls
         classes.append(sorted(cls))
 
@@ -148,9 +152,9 @@ def ref_commuting(coset, z):
 
 
 def ref_core_order(group, sub):
-    members, elements = set(sub), set(group)
+    members, everything = set(elements(sub)), set(elements(group))
     return sum(1 for h in members
-               if all(ref_conjugate(h, g) in members for g in elements))
+               if all(ref_conjugate(h, g) in members for g in everything))
 
 
 # ------------------------------------------------------------ fixtures
@@ -171,19 +175,19 @@ def sample_transversals(pair, rng):
     closures stay near 20,000 element products per pair."""
     size = max(5, 20_000 // pair.group.order)
     if pair.transversal_count() <= size:
-        return [tuple(T) for T in enumerate_transversals(pair)]
-    cosets = [perms(block) for block in pair.cosets()]
-    return [(cosets[0][0],) + tuple(rng.choice(c) for c in cosets[1:])
+        return list(enumerate_transversals(pair))
+    cosets = pair.cosets()
+    return [np.stack([cosets[0][0]] + [rng.choice(c) for c in cosets[1:]])
             for _ in range(size)]
 
 
 def check_kernel(pair, rng, monkeypatch):
     G, n = pair.group, pair.degree
 
-    assert perms(closure(G.generators)) == ref_closure(perms(G.generators), n) == list(G)
+    assert perms(closure(G.generators)) == ref_closure(perms(G.generators), n) == elements(G)
 
     H = G.stabilizer_of_1()
-    assert list(H) == ref_stabilizer(G) == list(pair.stabilizer)
+    assert elements(H) == ref_stabilizer(G) == elements(pair.stabilizer)
     assert [perms(block) for block in pair.cosets()] == ref_cosets(G)
     # the subgroup of the first generator: normal in the dihedral and pq
     # pairs, not in the others
@@ -196,7 +200,7 @@ def check_kernel(pair, rng, monkeypatch):
     assert ref_core_order(G, pair.stabilizer) == 1
 
     for T in sample_transversals(pair, rng):
-        assert generates(pair, T) == (len(ref_closure(T, n)) == G.order), T
+        assert generates(pair, T) == (len(ref_closure(perms(T), n)) == G.order), T
 
     want = ref_normalizers(G, [Permutation((1, *tail))
                                for tail in permutations(range(2, n + 1))])
@@ -255,13 +259,14 @@ def test_kernel_matches_reference_beyond_one_byte_images():
     pair = make_dihedral(257)
     G, n = pair.group, pair.degree
     assert G._rows.dtype.itemsize > 1
-    assert perms(closure(G.generators)) == ref_closure(perms(G.generators), n) == list(G)
+    assert perms(closure(G.generators)) == ref_closure(perms(G.generators), n) == elements(G)
     assert [perms(block) for block in pair.cosets()] == ref_cosets(G)
-    assert list(G.stabilizer_of_1()) == ref_stabilizer(G)
+    assert elements(G.stabilizer_of_1()) == ref_stabilizer(G)
     a, b = perms(G.generators)
     for members in ([a, b], [a], [b, compose(a, b)], [a, a]):
-        assert generates(pair, members) == (len(ref_closure(members, n)) == G.order)
-    gamma = list(cyclic_gamma(n, a))
+        assert generates(pair, _perm_rows(members, n)) == (
+            len(ref_closure(members, n)) == G.order)
+    gamma = elements(cyclic_gamma(n, a))
     rows = _perm_rows(gamma, n)
     assert perms(rows[_normalizing(G, rows)]) == ref_normalizers(G, gamma) == gamma
     cosets = pair.cosets()
@@ -272,9 +277,9 @@ def test_kernel_matches_reference_beyond_one_byte_images():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_symmetric_and_alternating_rows_match_reference(n):
     every = ref_symmetric(n)
-    assert list(PermGroup.symmetric(n)) == every
+    assert elements(PermGroup.symmetric(n)) == every
     if n >= 3:
-        assert list(PermGroup.alternating(n)) == [p for p in every if ref_is_even(p)]
+        assert elements(PermGroup.alternating(n)) == [p for p in every if ref_is_even(p)]
 
 
 def test_flags_on_intransitive_and_non_core_free_subgroups():
@@ -293,7 +298,7 @@ def test_flags_on_intransitive_and_non_core_free_subgroups():
         for g in (group, sub):
             assert is_transitive(g) == ref_is_transitive(g)
             assert is_abelian(g) == ref_is_abelian(g)
-            assert list(g.stabilizer_of_1()) == ref_stabilizer(g)
+            assert elements(g.stabilizer_of_1()) == ref_stabilizer(g)
     assert normal_V4.is_normal_in(S4) and not intransitive_V4.is_normal_in(S4)
     # closed under conjugation by V4, but not inside it
     A4 = PermGroup.alternating(4)
@@ -307,8 +312,10 @@ def test_generates_is_false_for_a_member_outside_the_group():
     pair = make_dihedral(4)
     T = next(enumerate_transversals(pair))
     outside = parse_cycles(4, "(1,2)")
-    assert outside not in pair.group
-    assert not generates(pair, (T[0], outside, T[2], T[3]))
+    assert not contains(pair.group, outside)
+    assert generates(pair, T)
+    assert not generates(pair, np.stack([T[0], row(outside), T[2], T[3]]))
+    assert not generates(pair, [row(outside)])
 
 
 @pytest.mark.parametrize("images", [(1, 1, 2), (0, 1, 2), (2, 3), (1, 2, 4)])

