@@ -14,7 +14,13 @@ array of rows, identity first); x after y is the row x[y].  Permutation
 objects, each built by the validating constructor, exist only where text or
 generators enter (parse_cycles, fixtures, cache reads,
 PermGroup.from_generators).
+
+groups and oracle import numpy, so their names here load on first access
+(PEP 562): `import transversals`, the closed forms and the renderers run
+without numpy.
 """
+
+import importlib
 
 from ._version import __version__
 from .errors import (
@@ -24,17 +30,6 @@ from .errors import (
 )
 from .perm import Permutation, format_cycles, parse_cycles
 from .symclasses import class_size, partitions
-from .groups import (
-    PairGH,
-    PermGroup,
-    coset_representation,
-    enumerate_transversals,
-    make_alt,
-    make_dihedral,
-    make_pq,
-    make_sym,
-    pair_from_fixture,
-)
 from .ict_formulas import (
     ClassContribution,
     IctReport,
@@ -47,14 +42,21 @@ from .ict_formulas import (
     report_to_json,
     report_to_text,
 )
-from .oracle import (
-    ClassificationResult,
-    LoopTable,
-    census_left_loops,
-    classify_by_conjugation,
-    classify_by_table_iso,
-    render_classes_dump,
-)
+
+_LAZY = dict.fromkeys(["PairGH", "PermGroup", "coset_representation",
+                       "enumerate_transversals", "make_alt", "make_dihedral", "make_pq",
+                       "make_sym", "pair_from_fixture"], "groups")
+_LAZY.update(dict.fromkeys(["ClassificationResult", "LoopTable", "census_left_loops",
+                            "classify_by_conjugation", "classify_by_table_iso",
+                            "render_classes_dump"], "oracle"))
+
+
+def __getattr__(name):
+    # import_module: `from . import` here would call back into this function
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "__version__",

@@ -11,7 +11,10 @@ theorem6), theorem6 or oracle.
 `main(argv)` may be called any number of times in one process.  The first
 call builds the parser and later calls reuse it; the cache directory is
 resolved on every call, so a changed $ICT_CACHE_DIR or $XDG_CACHE_HOME is
-honoured by the next call.
+honoured by the next call.  The groups and oracle layers, and with them
+numpy, are imported by the first command that builds a group (see
+_build_pair): --help, --version, the Sym/Alt closed forms and cache hits run
+without them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
     DisagreementError,
     HypothesisViolation,
 )
-from .groups import make_alt, make_dihedral, make_pq, make_sym, pair_from_fixture
 from .ict_formulas import (
     IctReport,
     ict_alt,
@@ -44,13 +46,6 @@ from .ict_formulas import (
     report_from_json,
     report_to_json,
     report_to_text,
-)
-from .oracle import (
-    census_left_loops,
-    classification_to_json,
-    classify_by_conjugation,
-    classify_by_table_iso,
-    render_classes_dump,
 )
 
 EXIT_OK = 0
@@ -155,28 +150,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _build_pair(family, *params):
+    """groups.make_<family>(*params), or a fixture text's pair."""
+    # groups and oracle import numpy, about 150 ms of CPU for a fresh process,
+    # more than a closed form or a cache hit costs; so they load here, both at
+    # once (perfbench's tracer wraps every layer module), not at module level
+    from . import groups, oracle
+    if family == "fixture":
+        return groups.pair_from_fixture(*params)[0]
+    return getattr(groups, f"make_{family}")(*params)
+
+
 def _pair_source(args):
     """(family, identity, degree, build) for the selected pair flags; the
     closed forms read the degree without building G (None for a fixture)."""
     if args.sym is not None:
         n = args.sym
-        return "sym", f"sym:{n}", n, lambda: make_sym(n)
+        return "sym", f"sym:{n}", n, lambda: _build_pair("sym", n)
     if args.alt is not None:
         n = args.alt
-        return "alt", f"alt:{n}", n, lambda: make_alt(n)
+        return "alt", f"alt:{n}", n, lambda: _build_pair("alt", n)
     if args.dihedral is not None:
         n = args.dihedral
-        return "dihedral", f"dihedral:{n}", n, lambda: make_dihedral(n)
+        return "dihedral", f"dihedral:{n}", n, lambda: _build_pair("dihedral", n)
     if args.pq is not None:
         p, q = args.pq
-        return "pq", f"pq:{p}:{q}", q, lambda: make_pq(p, q)
+        return "pq", f"pq:{p}:{q}", q, lambda: _build_pair("pq", p, q)
     try:
         text = Path(args.fixture).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         why = (exc.strerror or exc) if isinstance(exc, OSError) else "not UTF-8 text"
         raise ValueError(f"cannot read fixture {args.fixture}: {why}") from None
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return "fixture", f"fixture:{digest}", None, lambda: pair_from_fixture(text)[0]
+    return "fixture", f"fixture:{digest}", None, lambda: _build_pair("fixture", text)
 
 
 def _emit(content: str, args) -> int:
@@ -257,8 +263,9 @@ def _cache_store(path: Path, key: str, report: dict):
 # ---------------------------------------------------------------- commands
 
 def _oracle_report(pair, args) -> IctReport:
-    result = classify_by_conjugation(pair, cap=args.cap_transversals,
-                                     stab_cap=args.cap_stab_enum)
+    from . import oracle
+    result = oracle.classify_by_conjugation(pair, cap=args.cap_transversals,
+                                            stab_cap=args.cap_stab_enum)
     return IctReport(
         value=result.class_count,
         method="oracle",
@@ -316,6 +323,7 @@ def cmd_ict(args) -> int:
 def _crosscheck_rows(family, build, args):
     """(label, value) for every engine applicable to the pair."""
     pair = build()
+    from . import oracle
     n = pair.degree
     rows = []
     # auto picks the family's closed form, or theorem6 (its own row below)
@@ -325,12 +333,12 @@ def _crosscheck_rows(family, build, args):
         rows.append((f"{method}_closed", value))
     if factorial(n - 1) <= args.cap_stab_enum:
         rows.append(("theorem6", ict_theorem6(pair, cap=args.cap_stab_enum).value))
-    conj = classify_by_conjugation(pair, cap=args.cap_transversals,
-                                   stab_cap=args.cap_stab_enum)
+    conj = oracle.classify_by_conjugation(pair, cap=args.cap_transversals,
+                                          stab_cap=args.cap_stab_enum)
     rows.append(("oracle_conjugation", conj.class_count))
     if factorial(n - 1) <= args.cap_relabelings:
-        tab = classify_by_table_iso(pair, cap=args.cap_transversals,
-                                    relabel_cap=args.cap_relabelings)
+        tab = oracle.classify_by_table_iso(pair, cap=args.cap_transversals,
+                                           relabel_cap=args.cap_relabelings)
         rows.append(("oracle_table_iso", tab.class_count))
         # the order-n census is this classification of Sym(n)'s pair
         if family == "sym":
@@ -366,8 +374,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def _sweep_fixtures(args):
-    """(family, pair builder) rows for the sweep set."""
-    specs = []
+    """(family, *params) rows for the sweep set, each built by _build_pair."""
     if args.dihedral:
         lo, _, hi = args.dihedral.partition("..")
         try:
@@ -379,27 +386,21 @@ def _sweep_fixtures(args):
         ns = range(lo, hi + 1)
     else:
         ns = range(3, 11)
-    for n in ns:
-        specs.append(("dihedral", lambda n=n: make_dihedral(n)))
+    specs = [("dihedral", n) for n in ns]
     if not args.dihedral:
-        for p, q in ((2, 3), (2, 5), (3, 7), (2, 7)):
-            specs.append(("pq", lambda p=p, q=q: make_pq(p, q)))
-        for n in range(2, 6):
-            specs.append(("sym", lambda n=n: make_sym(n)))
-        for n in range(4, 6):
-            specs.append(("alt", lambda n=n: make_alt(n)))
+        specs += [("pq", p, q) for p, q in ((2, 3), (2, 5), (3, 7), (2, 7))]
+        specs += [("sym", n) for n in range(2, 6)] + [("alt", n) for n in range(4, 6)]
         # normal-subgroup control: a regular cyclic action has H = {e},
         # which is normal, so the class count must land exactly on 1
-        specs.append(("fixture", lambda: pair_from_fixture(
-            "name cyclic(3) regular\ndegree 3\ngen (1,2,3)\n")[0]))
+        specs.append(("fixture", "name cyclic(3) regular\ndegree 3\ngen (1,2,3)\n"))
     return specs
 
 
 def cmd_sweep(args) -> int:
     rows = []
     violations = []
-    for family, build in _sweep_fixtures(args):
-        pair = build()
+    for family, *params in _sweep_fixtures(args):
+        pair = _build_pair(family, *params)
         method = AUTO_METHODS[family]
         value = _compute_report(method, pair.degree, lambda: pair, args).value
         normal = pair.stabilizer.is_normal_in(pair.group)
@@ -439,8 +440,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_census(args) -> int:
-    result = census_left_loops(args.order, cap=args.cap_transversals,
-                               relabel_cap=args.cap_relabelings)
+    from . import oracle
+    result = oracle.census_left_loops(args.order, cap=args.cap_transversals,
+                                      relabel_cap=args.cap_relabelings)
     total = len(result.labels)
     generating = sum(1 for f in result.generating_flags if f)
     distribution = {}
@@ -448,7 +450,7 @@ def cmd_census(args) -> int:
         distribution[size] = distribution.get(size, 0) + 1
 
     if args.format == "json":
-        payload = classification_to_json(result)
+        payload = oracle.classification_to_json(result)
         payload.update({
             "schema": "census/1",
             "order": args.order,
@@ -474,14 +476,15 @@ def cmd_census(args) -> int:
 def cmd_classes(args) -> int:
     _, _, _, build = _pair_source(args)
     pair = build()
-    result = classify_by_table_iso(pair, cap=args.cap_transversals,
-                                   relabel_cap=args.cap_relabelings)
+    from . import oracle
+    result = oracle.classify_by_table_iso(pair, cap=args.cap_transversals,
+                                          relabel_cap=args.cap_relabelings)
     if args.format == "json":
-        payload = classification_to_json(result)
+        payload = oracle.classification_to_json(result)
         payload["pair"] = pair.name
         content = _dump_json(payload)
     else:
-        content = render_classes_dump(result, heading=f"pair: {pair.name}")
+        content = oracle.render_classes_dump(result, heading=f"pair: {pair.name}")
     return _emit(content, args)
 
 

@@ -39,6 +39,7 @@ CAP_GROUP_ORDER = 10_000_000
 CAP_TRANSVERSALS = 10_000_000
 CAP_STAB_ENUM = 362_880  # (n-1)! search space for stabilizer-side sweeps, n <= 10
 CAP_RELABELINGS = 100_000
+CAP_CLASSES = 50_000  # closed-form report rows: p(n-1) for Sym(n) and Alt(n), n <= 42
 
 # A refusal states a count longer than Python prints by default (4,300
 # digits; Python 3.10 before 3.10.7 has no such attribute) as its formula

@@ -21,25 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import factorial, gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._version import __version__
-from .errors import CAP_STAB_ENUM, DisagreementError, HypothesisViolation
-from .groups import (
-    PairGH,
-    PermGroup,
-    _invert_rows,
-    _normalizing,
-    _row_dtype,
-    _row_keys,
-    closure,
-    enumerate_transversals,
-    generates,
-    normalizer_in_stab,
-)
+from .errors import (CAP_CLASSES, CAP_STAB_ENUM, CapExceeded, DisagreementError,
+                     HypothesisViolation)
 from .perm import _orbits, format_cycles, parse_cycles
-from .symclasses import centralizer_order, class_size, multiplicities, partitions
+from .symclasses import (centralizer_order, class_size, multiplicities, partitions,
+                         partitions_exceed)
+
+# groups imports numpy; the engines that build or read a group import it
+# when they run, so the closed forms and the renderers load without numpy
+if TYPE_CHECKING:
+    import numpy as np
+    from .groups import PairGH, PermGroup
 
 # Transversal sets larger than this are not swept for non-generators during
 # cyclic hypothesis validation; the report notes the skip instead.
@@ -173,6 +168,8 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
     transversals generating a proper subgroup of G may be linked only by a
     relabeling outside a smaller gamma, which then overcounts.
     """
+    from .groups import _normalizing, normalizer_in_stab
+
     n = pair.degree
     if gamma is None:
         gamma = normalizer_in_stab(pair, cap=cap)
@@ -221,6 +218,8 @@ def power_cycle_counts(cycle_counts: dict, m: int) -> dict:
 def sym_commuting_count(cycle_counts: dict) -> int:
     """Permutations commuting with z that send 1 to a chosen fixed symbol of z.
 
+    This is the per-orbit count that ict_theorem6 filters G's coset for
+    (_commuting_in_coset), evaluated for G = Sym(n) from cycle types alone.
     cycle_counts is z's cycle type on the full domain (fixed points under
     key 1; symbol 1 itself must be fixed).  The centralizer of z permutes
     z's fixed symbols transitively, so the count is its order divided by the
@@ -235,6 +234,8 @@ def sym_commuting_count(cycle_counts: dict) -> int:
 def alt_commuting_count(cycle_counts: dict) -> int:
     """Even permutations commuting with z that send 1 to a fixed symbol i > 1.
 
+    This is the per-orbit count that ict_theorem6 filters G's coset for
+    (_commuting_in_coset), evaluated for G = Alt(n) from cycle types alone.
     The candidates form a coset of the centralizer's stabilizer of 1 by the
     odd transposition (1, i), so the count is half of sym_commuting_count
     when that stabilizer contains an odd permutation and zero when it is
@@ -274,6 +275,8 @@ def all_even_centralizer(parts) -> bool:
 
 def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
     m = n - 1
+    if partitions_exceed(m, CAP_CLASSES):
+        raise CapExceeded("classes", CAP_CLASSES, f"p({m})")
     contributions = []
     symbols = [str(s) for s in range(n + 1)]
     # groups._class_order_key order: representatives fill cycles longest-first
@@ -326,12 +329,15 @@ def ict_alt(n: int) -> IctReport:
     return _closed_form(n, f"alt({n})", "alt_closed", alt_commuting_count)
 
 
-def _affine_rows(a: np.ndarray):
+def _affine_rows(a):
     """The affine relabelings x -> x * j^-1 (mod n), one per unit j mod n,
     transported into the numbering where the n-cycle with 0-based row `a`
-    plays x -> x + 1: with orbit[i] = a^i(0), the row for j maps orbit[i]
-    to orbit[i * j^-1 mod n].  Returns (units, rows), units ascending and
-    row k belonging to units[k]."""
+    (a list or an array) plays x -> x + 1: with orbit[i] = a^i(0), the row
+    for j maps orbit[i] to orbit[i * j^-1 mod n].  Returns (units, rows),
+    units ascending and row k belonging to units[k]."""
+    import numpy as np
+    from .groups import _row_dtype
+
     n = len(a)
     orbit = np.zeros(n, dtype=np.intp)
     for i in range(1, n):
@@ -383,6 +389,9 @@ def _find_regular_normal_cycle(pair: PairGH) -> np.ndarray:
     row: each generator g of G conjugates a to a power of a, i.e. g a g^-1
     commutes with a, whose centralizer in Sym(n) is the group it generates.
     In degree 1 the identity is the 1-cycle."""
+    import numpy as np
+    from .groups import _invert_rows
+
     gens = pair.group.generators
     inverses = _invert_rows(gens)
     for a in pair.group._rows:
@@ -399,6 +408,10 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     against a concrete pair.  Returns (units, rows, gamma, notes): the
     affine family (see _affine_rows) of the n-cycle generating the normal
     regular cyclic transversal, the group it forms, and what was checked."""
+    import numpy as np
+    from .groups import (PermGroup, _row_keys, closure, enumerate_transversals, generates,
+                         normalizer_in_stab)
+
     notes = []
     if pair.degree != n or pair.subgroup_order != h:
         raise HypothesisViolation(
@@ -462,7 +475,7 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
     if h < 1:
         raise ValueError("need h >= 1")
     if pair is None:
-        units, rows = _affine_rows(np.roll(np.arange(n), -1))
+        units, rows = _affine_rows([*range(1, n), 0])
         label = f"cyclic(n={n}, h={h})"
         justification = ("formula-only: structural hypotheses not checked "
                          "against a concrete pair")

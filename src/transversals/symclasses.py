@@ -36,6 +36,21 @@ def partitions(m: int):
     return out
 
 
+def partitions_exceed(m: int, cap: int) -> bool:
+    """Whether p(m), the number of partitions of m, exceeds cap.  p(0),
+    p(1), ... are counted upward by Euler's pentagonal recurrence until one
+    passes cap (p never decreases), so the work is bounded for any m."""
+    p = [1]
+    while len(p) <= m and p[-1] <= cap:
+        k, total, j = len(p), 0, 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            sign = 1 if j % 2 else -1
+            total += sign * (p[k - g] + (p[k - g - j] if g + j <= k else 0))
+            j += 1
+        p.append(total)
+    return p[-1] > cap
+
+
 def multiplicities(parts) -> dict:
     mult = {}
     for l in parts:

@@ -925,6 +925,21 @@ def test_group_order_refusals_are_one_short_line(capsys, argv, required):
                    f"limit is 10000000\n")
 
 
+@pytest.mark.parametrize("argv, m", [
+    (["--sym", "300"], 299),
+    (["--alt", HUGE_ORDER, "--format", "json"], 10**30 - 1),
+    (["--sym", "43"], 42),
+], ids=["sym300", "alt10**30", "sym43"])
+def test_closed_form_class_refusals_are_one_short_line(capsys, argv, m):
+    """A closed form with more than 50,000 classes, p(n - 1), exits 2 at
+    once: the partitions are counted only until they pass the cap."""
+    start = time.process_time()
+    code, out, err = run(capsys, *argv, "--no-cache")
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == f"cap exceeded: cap 'classes' exceeded: requires p({m}), limit is 50000\n"
+
+
 def test_cap_override_flag(capsys):
     code, _, err = run(capsys, "--dihedral", "5", "--method", "oracle",
                        "--cap-transversals", "3", "--no-cache")
@@ -947,6 +962,45 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "value: 44" in proc.stdout
+
+
+def _main_in_fresh_process(argv, block_numpy=False, then=""):
+    """Run main(argv) in a new interpreter, with `import numpy` failing
+    when block_numpy, and then the statements `then`."""
+    script = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None" if block_numpy else "",
+        "from transversals.cli import main",
+        "try:",
+        f"    code = main({list(argv)!r})",
+        "except SystemExit as exc:",
+        "    code = exc.code",
+        then,
+        "raise SystemExit(code)",
+    ])
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=ENV)
+
+
+def test_closed_forms_help_version_and_cache_hits_start_without_numpy(tmp_path):
+    """Only a command that builds a group imports numpy, with groups and
+    oracle: the others run, byte for byte, where numpy cannot be imported."""
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    for argv in (["--sym", "12", "--no-cache"],
+                 ["--alt", "20", "--format", "json", "--no-cache"],
+                 ["--version"], ["--help"],
+                 ["--dihedral", "5", *cache]):  # stored by the first run, hit by the second
+        unblocked = _main_in_fresh_process(argv)
+        blocked = _main_in_fresh_process(argv, block_numpy=True)
+        assert unblocked.returncode == blocked.returncode == 0, (argv, blocked.stderr)
+        assert blocked.stdout == unblocked.stdout, argv
+    layers = ("perm", "symclasses", "groups", "ict_formulas", "oracle", "cli")
+    built = _main_in_fresh_process(
+        ["--dihedral", "5", "--no-cache"],
+        then=f"assert all('transversals.' + m in sys.modules for m in {layers!r})\n"
+             "import transversals\n"
+             "for name in transversals.__all__: getattr(transversals, name)")
+    assert built.returncode == 0, built.stderr
 
 
 def test_module_entry_point_json_determinism(tmp_path):

@@ -14,6 +14,7 @@ from math import factorial, gcd, lcm, prod
 import numpy as np
 import pytest
 
+import transversals.groups as groups
 import transversals.ict_formulas as ict_formulas
 from transversals.errors import CapExceeded, DisagreementError, HypothesisViolation
 from transversals.groups import (
@@ -327,19 +328,24 @@ def test_theorem6_rejects_bad_gamma():
 
 def test_theorem6_guards_only_a_supplied_gamma(monkeypatch):
     """The default gamma is built by the normalizing test, so only a gamma
-    passed in is tested again."""
+    passed in is tested again: the default costs exactly the tests of a bare
+    normalizer_in_stab, a supplied gamma exactly one more."""
     calls = []
 
     def counted(group, alphas, target=None):
         calls.append(len(alphas))
         return _normalizing(group, alphas, target)
 
-    monkeypatch.setattr(ict_formulas, "_normalizing", counted)
+    monkeypatch.setattr(groups, "_normalizing", counted)
+    gamma = normalizer_in_stab(make_sym(5))
+    sweep, calls[:] = list(calls), []
+    assert sweep
     pair = make_sym(5)
     report = ict_theorem6(pair)
-    assert calls == []
-    assert ict_theorem6(pair, gamma=normalizer_in_stab(pair)) == report
-    assert len(calls) == 1
+    assert calls == sweep
+    calls.clear()
+    assert ict_theorem6(pair, gamma=gamma) == report
+    assert calls == [len(gamma.generators)]
 
 
 def test_disagreement_error_values_default_to_empty_tuple():

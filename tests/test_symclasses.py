@@ -13,6 +13,7 @@ from transversals.symclasses import (
     class_size,
     multiplicities,
     partitions,
+    partitions_exceed,
 )
 
 from oracles import (
@@ -34,6 +35,19 @@ def test_partition_counts_match_oeis():
     # p(0..10) = 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert [len(partitions(m)) for m in range(11)] == expected
+
+
+def test_partitions_exceed_agrees_with_enumeration():
+    """The pentagonal count against len(partitions(m)), at every cap around
+    p(m), and its stop: p(41) = 44,583 is under the closed forms' cap,
+    p(42) = 53,174 over it, and a 31-digit m answers at once."""
+    for m in range(25):
+        count = len(partitions(m))
+        for cap in (0, 1, count - 1, count, count + 1):
+            assert partitions_exceed(m, cap) == (count > cap), (m, cap)
+    assert not partitions_exceed(41, 44_583) and partitions_exceed(41, 44_582)
+    assert partitions_exceed(42, 53_173) and not partitions_exceed(42, 53_174)
+    assert partitions_exceed(10**30, 50_000)
 
 
 def test_partitions_are_valid_and_ordered():
