@@ -199,22 +199,6 @@ def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
                      justification, whole)
 
 
-def power_cycle_counts(cycle_counts: dict, m: int) -> dict:
-    """Cycle type of x^m from the cycle type of x.
-
-    Both types are maps length -> multiplicity with fixed points included
-    under key 1.  A cycle of length l falls apart into gcd(l, m) cycles of
-    length l // gcd(l, m).
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    out: dict = {}
-    for l, mult in cycle_counts.items():
-        g = gcd(l, m)
-        out[l // g] = out.get(l // g, 0) + mult * g
-    return out
-
-
 def sym_commuting_count(cycle_counts: dict) -> int:
     """Permutations commuting with z that send 1 to a chosen fixed symbol of z.
 
@@ -279,6 +263,14 @@ def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
         raise CapExceeded("classes", CAP_CLASSES, f"p({m})")
     contributions = []
     symbols = [str(s) for s in range(n + 1)]
+    # a cycle type (length -> multiplicity, on all n symbols) is keyed by the
+    # sum of mult << (b * l); b bits hold any multiplicity (at most n), so no
+    # field carries.  factors holds factor_fn of each type fixing symbol 1 and
+    # another: every x^l below does, and moves fewer symbols than x, so its
+    # class came before x's
+    b = m.bit_length() + 1
+    factors = {}
+    weights = {}  # l -> [key of the gcd(l, d) cycles a d-cycle makes in x^l, by d]
     # groups._class_order_key order: representatives fill cycles longest-first
     # on consecutive symbols from 2, so per moved count images order is parts
     # order, and each cycle's text is one run of symbols
@@ -294,14 +286,26 @@ def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
         size = class_size(counts, m)
         counts[1] = counts.get(1, 0) + 1  # symbol 1 rides along as a fixed point
         k = counts[1]
-        a_factors = [1]
+        f = 1
         if k > 1:
-            a_factors += [factor_fn(counts)] * (k - 1)
+            f = factors[sum(mult << (b * l) for l, mult in counts.items())] = factor_fn(counts)
+        a_factors = (1,) + (f,) * (k - 1)
+        fix = f ** (k - 1)
         # one factor per cycle length, repeated per cycle, longest first
-        orbit_factors = [f for l, mult in counts.items() if l > 1
-                         for f in [factor_fn(power_cycle_counts(counts, l))] * mult]
-        contributions.append(
-            _contribution("".join(cycles) or "()", size, a_factors, orbit_factors))
+        orbit_factors = ()
+        for l, mult in counts.items():
+            if l > 1:
+                w = weights.get(l)
+                if w is None:
+                    w = weights[l] = [gcd(l, d) << (b * (d // gcd(l, d))) for d in range(n + 1)]
+                key = 0
+                for d, dmult in counts.items():
+                    key += dmult * w[d]
+                o = factors[key]
+                orbit_factors += (o,) * mult
+                fix *= o ** mult
+        contributions.append(ClassContribution("".join(cycles) or "()", size, len(orbit_factors),
+                                               k, a_factors, orbit_factors, fix))
     return _assemble(method, n, factorial(m), contributions, label, WHOLE_STABILIZER, True)
 
 
@@ -405,9 +409,10 @@ def _find_regular_normal_cycle(pair: PairGH) -> np.ndarray:
 
 def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     """Machine-check the structural hypotheses behind the cyclic closed form
-    against a concrete pair.  Returns (units, rows, gamma, notes): the
-    affine family (see _affine_rows) of the n-cycle generating the normal
-    regular cyclic transversal, the group it forms, and what was checked."""
+    against a concrete pair.  Returns (units, rows, gamma, notes,
+    validated): the affine family (see _affine_rows) of the n-cycle generating the normal
+    regular cyclic transversal, the group it forms, what was checked, and
+    whether both the brute normalizer check and the non-generator scan ran."""
     import numpy as np
     from .groups import (PermGroup, _row_keys, closure, enumerate_transversals, generates,
                          normalizer_in_stab)
@@ -426,7 +431,8 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     assert (gamma._locate(rows[:, rows].reshape(-1, n)) >= 0).all()
     # G lies in the holomorph x -> ux + b of its normal cycle, and x -> j^-1 x
     # conjugates that to x -> ux + j^-1 b, again in G; ict_theorem6 checks it
-    if factorial(n - 1) <= cap:
+    brute_checked = factorial(n - 1) <= cap
+    if brute_checked:
         brute = normalizer_in_stab(pair, cap=cap)
         if brute != gamma:
             raise HypothesisViolation(
@@ -437,7 +443,8 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
         notes.append("normalizer equality not brute-checked (degree too large)")
 
     count = pair.transversal_count()
-    if count <= NONGENERATOR_SCAN_CAP:
+    scanned = count <= NONGENERATOR_SCAN_CAP
+    if scanned:
         nongen = [T for T in enumerate_transversals(pair) if not generates(pair, T)]
         # T holds the identity, so it is a subgroup exactly when its closure adds nothing
         if not all(len(closure(T)) == len(T) for T in nongen):
@@ -455,7 +462,7 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     else:
         notes.append(
             f"non-generator scan skipped ({count} transversals exceed the cap)")
-    return units, rows, gamma, notes
+    return units, rows, gamma, notes, brute_checked and scanned
 
 
 def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
@@ -467,8 +474,9 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
     with the relevant power), so each unit j contributes h^(t + k - 1) and
     the average runs over the phi(n) affine relabelings.  Given a concrete
     pair the structural hypotheses are machine-checked and the value is
-    cross-checked against the direct engine; without one the report is
-    flagged unvalidated.
+    cross-checked against the direct engine; the report is flagged
+    validated only when the brute normalizer check and the non-generator
+    scan both ran, so never without a pair.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -482,10 +490,9 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
         validated = False
         gamma = None
     else:
-        units, rows, gamma, notes = _validate_cyclic_pair(pair, n, h, cap)
+        units, rows, gamma, notes, validated = _validate_cyclic_pair(pair, n, h, cap)
         label = pair.name
         justification = "; ".join(notes)
-        validated = True
 
     contributions = []
     for j, row, images in zip(units, rows.tolist(), (rows + 1).tolist()):
@@ -517,6 +524,14 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
     return report
 
 
+class _Decimal(dict):
+    """Decimal text of ints, each converted on first lookup."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
 def report_to_text(report: IctReport) -> str:
     """Fixed-width table: one row per class with its representative, class
     size, fixed-symbol and long-orbit counts, the per-orbit factors, and the
@@ -527,6 +542,7 @@ def report_to_text(report: IctReport) -> str:
         f"gamma order: {report.gamma_order}",
     ]
     if report.contributions:
+        decimal = _Decimal()  # a factor repeats along a row and down the table
         rows = [("representative", "size", "k", "t", "a_factors", "orbit_factors", "fix")]
         for c in report.contributions:
             rows.append((
@@ -534,17 +550,20 @@ def report_to_text(report: IctReport) -> str:
                 str(c.class_size),
                 str(c.k),
                 str(c.t),
-                ",".join(map(str, c.a_factors)),
-                ",".join(map(str, c.orbit_factors)) or "-",
+                ",".join(map(decimal.__getitem__, c.a_factors)),
+                ",".join(map(decimal.__getitem__, c.orbit_factors)) or "-",
                 str(c.fix_count),
             ))
-        layout = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows))
-        lines += [layout.format(*r).rstrip() for r in rows]
-    lines.append(f"numerator: {report.numerator}")
-    lines.append(f"value: {report.value}")
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        # the last column is left unpadded, so no row ends in spaces
+        layout = "".join(f"{{:<{w}}}  " for w in widths[:-1]) + "{}"
+        for i, r in enumerate(rows):  # in place: each row's cells go once it is laid out
+            rows[i] = layout.format(*r)
+        lines += rows
     flag = "validated" if report.validated else "unvalidated"
-    lines.append(f"hypothesis ({flag}): {report.justification or '-'}")
-    return "\n".join(lines) + "\n"
+    lines += [f"numerator: {report.numerator}", f"value: {report.value}",
+              f"hypothesis ({flag}): {report.justification or '-'}", ""]
+    return "\n".join(lines)
 
 
 def report_to_json(report: IctReport) -> dict:

@@ -11,8 +11,10 @@ their members, fixture text), the affine relabeling group of a cyclic pair
 built the old way, by Permutation conjugation and closure (the reference
 for ict_formulas._affine_rows), the normal regular cycle found the old way,
 by closing each n-cycle (the reference for
-ict_formulas._find_regular_normal_cycle), and the order-18 example pair
-behind acceptance criterion 10.  Import them as `from oracles import ...`;
+ict_formulas._find_regular_normal_cycle), the order-18 example pair
+behind acceptance criterion 10, and the closed forms' class rows evaluated
+orbit by orbit through cycle types of powers (the reference for
+ict_formulas._closed_form).  Import them as `from oracles import ...`;
 pytest puts this directory on the path.
 """
 
@@ -33,8 +35,10 @@ from transversals.groups import (
     _stabilizer_batches,
     enumerate_transversals,
 )
+from transversals.ict_formulas import _contribution
 from transversals.oracle import LoopTable, _canonical_forms, classify_by_table_iso
 from transversals.perm import Permutation, format_cycles, parse_cycles
+from transversals.symclasses import class_size, multiplicities, partitions
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -130,6 +134,42 @@ def find_regular_normal_cycle(pair: PairGH):
 def cycle_type(p):
     """p's cycle lengths, fixed points included, as a non-increasing partition."""
     return tuple(sorted(map(len, p.orbits()), reverse=True))
+
+
+def power_cycle_counts(cycle_counts: dict, m: int) -> dict:
+    """Cycle type of x^m from the cycle type of x.
+
+    Both types are maps length -> multiplicity with fixed points included
+    under key 1.  A cycle of length l falls apart into gcd(l, m) cycles of
+    length l // gcd(l, m).
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    out: dict = {}
+    for l, mult in cycle_counts.items():
+        g = gcd(l, m)
+        out[l // g] = out.get(l // g, 0) + mult * g
+    return out
+
+
+def closed_form_reference(n: int, factor_fn) -> tuple:
+    """The closed forms' class rows for Sym(n)_1, evaluated orbit by orbit:
+    factor_fn is called afresh for every fixed symbol and every cycle, on
+    the cycle type of x^l built by power_cycle_counts, and each class's
+    representative is built as a Permutation.  The reference for
+    ict_formulas._closed_form, whose report contributions must equal it."""
+    m = n - 1
+    rows = []
+    for parts in sorted(partitions(m), key=lambda p: (m - p.count(1), p)):
+        counts = multiplicities(parts)
+        size = class_size(counts, m)
+        counts[1] = counts.get(1, 0) + 1
+        a_factors = [1] + [factor_fn(counts) for _ in range(counts[1] - 1)]
+        orbit_factors = [factor_fn(power_cycle_counts(counts, l))
+                         for l, mult in counts.items() if l > 1 for _ in range(mult)]
+        rep = format_cycles(class_representative(parts, m))
+        rows.append(_contribution(rep, size, a_factors, orbit_factors))
+    return tuple(rows)
 
 
 def class_representative(parts, m):

@@ -208,6 +208,8 @@ def test_report_bytes_match_golden(capsys, monkeypatch, name):
 LARGE_REPORTS = {
     "sym28": (("--sym", "28"),
               "fe3f071758979b79ba8afdec2344a75b97a75b0c02b69ef3629ea1f360b8a5b2"),
+    "alt28": (("--alt", "28"),
+              "b6be435f28f4ab3d7bdfeb6cfd32f3025e9ce2f5a9bb0d4db2e0d6959f7ac263"),
     "alt28_json": (("--alt", "28", "--format", "json"),
                    "0a834b542660d5885e0d9dcdfcf70b05db73ae426cb0785d8362351e3ad379b1"),
 }

@@ -42,7 +42,6 @@ from transversals.ict_formulas import (
     ict_sym,
     ict_theorem6,
     orbit_profile,
-    power_cycle_counts,
     report_from_json,
     report_to_json,
     report_to_text,
@@ -69,6 +68,7 @@ from oracles import (
     affine_elements,
     affine_group,
     class_representative,
+    closed_form_reference,
     compose,
     conjugate,
     contains,
@@ -80,6 +80,7 @@ from oracles import (
     parity,
     perms,
     power,
+    power_cycle_counts,
     relabel,
     row_of,
     standard_cycle,
@@ -134,6 +135,29 @@ def test_alt4_burnside_breakdown():
     assert report.gamma_order == 6
     assert report.numerator == 42
     assert sorted(c.class_size * c.fix_count for c in report.contributions) == [6, 9, 27]
+
+
+def test_closed_forms_match_the_orbit_by_orbit_reference():
+    for n in range(2, 21):
+        report = ict_sym(n)
+        assert report.contributions == closed_form_reference(n, sym_commuting_count), n
+        assert report.numerator == sum(c.class_size * c.fix_count for c in report.contributions)
+    for n in range(4, 21):
+        report = ict_alt(n)
+        assert report.contributions == closed_form_reference(n, alt_commuting_count), n
+        assert report.numerator == sum(c.class_size * c.fix_count for c in report.contributions)
+
+
+def test_closed_forms_count_each_cycle_type_once(monkeypatch):
+    """One commuting count per cycle type fixing symbol 1 and another
+    symbol: p(10) = 42 of them for Sym(12) and Alt(12)."""
+    for name, engine in (("sym_commuting_count", ict_sym), ("alt_commuting_count", ict_alt)):
+        calls = []
+        count = getattr(ict_formulas, name)
+        monkeypatch.setattr(ict_formulas, name, lambda counts, count=count, calls=calls:
+                            calls.append(1) or count(counts))
+        engine(12)
+        assert len(calls) == len(partitions(10)) == 42, name
 
 
 def test_closed_form_input_validation():
@@ -449,9 +473,18 @@ def test_cyclic_formula_only_is_flagged():
 def test_cyclic_large_degree_skips_brute_normalizer():
     pair = make_dihedral(11)
     report = ict_cyclic(11, 2, pair=pair, cap=1000)
-    assert report.validated
+    assert not report.validated
     assert "not brute-checked" in report.justification
     assert report.value == 108
+
+
+def test_cyclic_skipped_scan_is_unvalidated(monkeypatch):
+    monkeypatch.setattr(ict_formulas, "NONGENERATOR_SCAN_CAP", 100)
+    report = ict_cyclic(7, 3, pair=make_pq(3, 7))
+    assert not report.validated
+    assert "brute-force normalizer" in report.justification
+    assert "non-generator scan skipped (729 transversals" in report.justification
+    assert report.value == 130
 
 
 def test_cyclic_rejects_wrong_pairs():
@@ -534,7 +567,7 @@ def test_validated_cyclic_gamma_is_the_conjugation_construction():
     for pair in pairs:
         n, h = pair.degree, pair.subgroup_order
         a = Permutation((_find_regular_normal_cycle(pair) + 1).tolist())
-        units, _, gamma, _ = _validate_cyclic_pair(pair, n, h, cap=0)
+        units, _, gamma, _, _ = _validate_cyclic_pair(pair, n, h, cap=0)
         want = affine_elements(n, a)
         assert units == [j for j, _ in want]
         assert gamma == cyclic_gamma(n, a), pair.name
