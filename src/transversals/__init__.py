@@ -68,15 +68,6 @@ __all__ = [
     "parse_cycles",
     "class_size",
     "partitions",
-    "PairGH",
-    "PermGroup",
-    "coset_representation",
-    "enumerate_transversals",
-    "make_alt",
-    "make_dihedral",
-    "make_pq",
-    "make_sym",
-    "pair_from_fixture",
     "ClassContribution",
     "IctReport",
     "all_even_centralizer",
@@ -87,10 +78,5 @@ __all__ = [
     "ict_theorem6",
     "report_to_json",
     "report_to_text",
-    "ClassificationResult",
-    "LoopTable",
-    "census_left_loops",
-    "classify_by_conjugation",
-    "classify_by_table_iso",
-    "render_classes_dump",
+    *_LAZY,
 ]

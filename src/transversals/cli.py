@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
@@ -150,8 +151,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_pair(family, *params):
-    """groups.make_<family>(*params), or a fixture text's pair."""
+def _pair_spec(args):
+    """(family, params) for the selected pair flags; a fixture's params
+    are its text alone."""
+    for family in ("sym", "alt", "dihedral", "pq"):
+        if (value := getattr(args, family)) is not None:
+            return family, tuple(value) if family == "pq" else (value,)
+    try:
+        text = Path(args.fixture).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        why = (exc.strerror or exc) if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ValueError(f"cannot read fixture {args.fixture}: {why}") from None
+    return "fixture", (text,)
+
+
+def _build_pair(family, params):
+    """The spec's pair: groups.make_<family>(*params), or the fixture's."""
     # groups and oracle import numpy, about 150 ms of CPU for a fresh process,
     # more than a closed form or a cache hit costs; so they load here, both at
     # once (perfbench's tracer wraps every layer module), not at module level
@@ -159,30 +174,6 @@ def _build_pair(family, *params):
     if family == "fixture":
         return groups.pair_from_fixture(*params)[0]
     return getattr(groups, f"make_{family}")(*params)
-
-
-def _pair_source(args):
-    """(family, identity, degree, build) for the selected pair flags; the
-    closed forms read the degree without building G (None for a fixture)."""
-    if args.sym is not None:
-        n = args.sym
-        return "sym", f"sym:{n}", n, lambda: _build_pair("sym", n)
-    if args.alt is not None:
-        n = args.alt
-        return "alt", f"alt:{n}", n, lambda: _build_pair("alt", n)
-    if args.dihedral is not None:
-        n = args.dihedral
-        return "dihedral", f"dihedral:{n}", n, lambda: _build_pair("dihedral", n)
-    if args.pq is not None:
-        p, q = args.pq
-        return "pq", f"pq:{p}:{q}", q, lambda: _build_pair("pq", p, q)
-    try:
-        text = Path(args.fixture).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        why = (exc.strerror or exc) if isinstance(exc, OSError) else "not UTF-8 text"
-        raise ValueError(f"cannot read fixture {args.fixture}: {why}") from None
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return "fixture", f"fixture:{digest}", None, lambda: _build_pair("fixture", text)
 
 
 def _emit(content: str, args) -> int:
@@ -280,12 +271,14 @@ def _oracle_report(pair, args) -> IctReport:
     )
 
 
-def _compute_report(method, n, build, args) -> IctReport:
+def _compute_report(method, family, params, args, pair=None) -> IctReport:
+    """`method`'s report on the spec's pair, built here unless given."""
     if method == "sym":
-        return ict_sym(n)
+        return ict_sym(*params)
     if method == "alt":
-        return ict_alt(n)
-    pair = build()
+        return ict_alt(*params)
+    if pair is None:
+        pair = _build_pair(family, params)
     if method == "cyclic":
         return ict_cyclic(pair.degree, pair.subgroup_order, pair=pair,
                           cap=args.cap_stab_enum)
@@ -295,10 +288,12 @@ def _compute_report(method, n, build, args) -> IctReport:
 
 
 def cmd_ict(args) -> int:
-    family, identity, n, build = _pair_source(args)
+    family, params = _pair_spec(args)
     method = AUTO_METHODS[family] if args.method == "auto" else args.method
 
-    key = f"{identity}|{method}"
+    # the pair's identity (sym:4, pq:2:5), a fixture's by its text's sha256
+    ident = (hashlib.sha256(params[0].encode()).hexdigest(),) if family == "fixture" else params
+    key = ":".join(map(str, (family, *ident))) + f"|{method}"
     if args.cap_stab_enum != CAP_STAB_ENUM:  # the cyclic justification reads it
         key += f"|cap-stab-enum:{args.cap_stab_enum}"
     cache_path = _cache_file(args, key)
@@ -311,7 +306,7 @@ def cmd_ict(args) -> int:
             sys.stderr.write("warning: malformed cache entry, recomputing\n")
 
     if report is None:
-        report = _compute_report(method, n, build, args)
+        report = _compute_report(method, family, params, args)
         if cache_path:
             _cache_store(cache_path, key, report_to_json(report))
 
@@ -320,16 +315,15 @@ def cmd_ict(args) -> int:
     return _emit(report_to_text(report), args)
 
 
-def _crosscheck_rows(family, build, args):
+def _crosscheck_rows(family, params, pair, args):
     """(label, value) for every engine applicable to the pair."""
-    pair = build()
     from . import oracle
     n = pair.degree
     rows = []
     # auto picks the family's closed form, or theorem6 (its own row below)
     method = AUTO_METHODS[family]
     if method != "theorem6":
-        value = _compute_report(method, n, lambda: pair, args).value
+        value = _compute_report(method, family, params, args, pair).value
         rows.append((f"{method}_closed", value))
     if factorial(n - 1) <= args.cap_stab_enum:
         rows.append(("theorem6", ict_theorem6(pair, cap=args.cap_stab_enum).value))
@@ -343,12 +337,13 @@ def _crosscheck_rows(family, build, args):
         # the order-n census is this classification of Sym(n)'s pair
         if family == "sym":
             rows.append(("census", tab.class_count))
-    return pair, rows
+    return rows
 
 
 def cmd_crosscheck(args) -> int:
-    family, _, _, build = _pair_source(args)
-    pair, rows = _crosscheck_rows(family, build, args)
+    family, params = _pair_spec(args)
+    pair = _build_pair(family, params)
+    rows = _crosscheck_rows(family, params, pair, args)
     agreement = len({v for _, v in rows}) == 1
 
     if args.format == "json":
@@ -373,37 +368,33 @@ def cmd_crosscheck(args) -> int:
     return code
 
 
-def _sweep_fixtures(args):
-    """(family, *params) rows for the sweep set, each built by _build_pair."""
-    if args.dihedral:
-        lo, _, hi = args.dihedral.partition("..")
-        try:
-            lo, hi = int(lo), int(hi or lo)
-        except ValueError:
-            raise ValueError(f"bad range {args.dihedral!r}, expected A..B") from None
-        if lo > hi:
-            raise ValueError(f"bad range {args.dihedral!r}, expected A..B with A <= B")
-        ns = range(lo, hi + 1)
-    else:
-        ns = range(3, 11)
-    specs = [("dihedral", n) for n in ns]
+def _sweep_specs(args):
+    """The (family, params) spec of every pair in the sweep set."""
     if not args.dihedral:
-        specs += [("pq", p, q) for p, q in ((2, 3), (2, 5), (3, 7), (2, 7))]
-        specs += [("sym", n) for n in range(2, 6)] + [("alt", n) for n in range(4, 6)]
-        # normal-subgroup control: a regular cyclic action has H = {e},
-        # which is normal, so the class count must land exactly on 1
-        specs.append(("fixture", "name cyclic(3) regular\ndegree 3\ngen (1,2,3)\n"))
-    return specs
+        return ([("dihedral", (n,)) for n in range(3, 11)]
+                + [("pq", pq) for pq in ((2, 3), (2, 5), (3, 7), (2, 7))]
+                + [("sym", (n,)) for n in range(2, 6)] + [("alt", (n,)) for n in range(4, 6)]
+                # normal-subgroup control: a regular cyclic action has H = {e},
+                # which is normal, so the class count must land exactly on 1
+                + [("fixture", ("name cyclic(3) regular\ndegree 3\ngen (1,2,3)\n",))])
+    lo, _, hi = args.dihedral.partition("..")
+    try:
+        lo, hi = int(lo), int(hi or lo)
+    except ValueError:
+        raise ValueError(f"bad range {args.dihedral!r}, expected A..B") from None
+    if lo > hi:
+        raise ValueError(f"bad range {args.dihedral!r}, expected A..B with A <= B")
+    return [("dihedral", (n,)) for n in range(lo, hi + 1)]
 
 
 def cmd_sweep(args) -> int:
     rows = []
     violations = []
-    for family, *params in _sweep_fixtures(args):
-        pair = _build_pair(family, *params)
-        method = AUTO_METHODS[family]
-        value = _compute_report(method, pair.degree, lambda: pair, args).value
-        normal = pair.stabilizer.is_normal_in(pair.group)
+    for family, params in _sweep_specs(args):
+        pair = _build_pair(family, params)
+        value = _compute_report(AUTO_METHODS[family], family, params, args, pair).value
+        # H is core-free in every pair, so it is normal exactly when trivial
+        normal = pair.subgroup_order == 1
         index = pair.degree
         rows.append((pair.name, value, normal, index))
         if (value == 1) != normal:
@@ -445,9 +436,7 @@ def cmd_census(args) -> int:
                                       relabel_cap=args.cap_relabelings)
     total = len(result.labels)
     generating = sum(1 for f in result.generating_flags if f)
-    distribution = {}
-    for size in result.class_sizes:
-        distribution[size] = distribution.get(size, 0) + 1
+    distribution = Counter(result.class_sizes)
 
     if args.format == "json":
         payload = oracle.classification_to_json(result)
@@ -474,8 +463,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    _, _, _, build = _pair_source(args)
-    pair = build()
+    pair = _build_pair(*_pair_spec(args))
     from . import oracle
     result = oracle.classify_by_table_iso(pair, cap=args.cap_transversals,
                                           relabel_cap=args.cap_relabelings)

@@ -221,10 +221,6 @@ class PermGroup:
         return (self.degree == other.degree
                 and bool((other._locate(self._rows) >= 0).all()))
 
-    def is_normal_in(self, other: "PermGroup") -> bool:
-        return self.is_subgroup_of(other) and bool(
-            _normalizing(self, other.generators).all())
-
     def stabilizer_of_1(self) -> "PermGroup":
         return PermGroup(self._blocks()[0])
 
@@ -516,16 +512,15 @@ def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
     return pair._normalizer
 
 
-def _normalizing(group: PermGroup, alphas: np.ndarray, target=None) -> np.ndarray:
-    """Mask of the rows alpha with alpha G alpha^-1 inside `target`, by
-    default G itself (then alpha normalizes G): G's generators conjugated
-    by every alpha at once, one gather per generator."""
-    target = group if target is None else target
+def _normalizing(group: PermGroup, alphas: np.ndarray) -> np.ndarray:
+    """Mask of the rows alpha that normalize G (alpha G alpha^-1 inside G):
+    G's generators conjugated by every alpha at once, one gather per
+    generator."""
     alphas_inv = _invert_rows(alphas)
     keep = np.ones(len(alphas), dtype=bool)
     for g in group.generators:
         # row k: alpha_k g alpha_k^-1, i.e. alpha_k[g[alpha_k^-1[j]]]
-        keep &= target._locate(np.take_along_axis(alphas, g[alphas_inv], axis=1)) >= 0
+        keep &= group._locate(np.take_along_axis(alphas, g[alphas_inv], axis=1)) >= 0
     return keep
 
 

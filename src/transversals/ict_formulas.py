@@ -595,28 +595,32 @@ def report_to_json(report: IctReport) -> dict:
 
 
 def report_from_json(data: dict) -> IctReport:
+    """The report report_to_json wrote, each contribution rebuilt from its
+    factors.  Stored counts that disagree with the factors, or a value that
+    is not numerator / gamma_order, raise ValueError; an oracle report has
+    no contributions and keeps its stored numerator."""
     if not isinstance(data, dict):
         raise ValueError(f"report is not a JSON object: {data!r}")
     if data.get("schema") != REPORT_SCHEMA:
         raise ValueError(f"unknown report schema: {data.get('schema')!r}")
     degree = data.get("degree")
+    stored = data["contributions"]
     contributions = tuple(
-        ClassContribution(
-            representative=format_cycles(parse_cycles(degree, c["representative"])),
-            class_size=c["class_size"],
-            t=c["t"],
-            k=c["k"],
-            a_factors=tuple(c["a_factors"]),
-            orbit_factors=tuple(c["orbit_factors"]),
-            fix_count=c["fix_count"],
-        )
-        for c in data["contributions"]
-    )
+        _contribution(format_cycles(parse_cycles(degree, c["representative"])),
+                      c["class_size"], c["a_factors"], c["orbit_factors"])
+        for c in stored)
+    numerator = data["numerator"]
+    if ([(c["t"], c["k"], c["fix_count"]) for c in stored]
+            != [(c.t, c.k, c.fix_count) for c in contributions]
+            or contributions and numerator != sum(c.class_size * c.fix_count
+                                                  for c in contributions)
+            or data["value"] * data["gamma_order"] != numerator):
+        raise ValueError("stored counts disagree with the report's factors")
     return IctReport(
         value=data["value"],
         method=data["method"],
         gamma_order=data["gamma_order"],
-        numerator=data["numerator"],
+        numerator=numerator,
         contributions=contributions,
         pair_label=data["pair"],
         justification=data["justification"],

@@ -6,7 +6,7 @@ sweeping every relabeling, parity by orbit count, class representatives
 built from image tuples and from cycles), the permutation and group algebra
 the package no longer needs (composition, conjugation, powers, inverses,
 Permutations from rows, a group's elements and membership in it,
-commutativity and transitivity flags, induced tables of transversals and
+commutativity, transitivity and normality flags, induced tables of transversals and
 their members, fixture text), the affine relabeling group of a cyclic pair
 built the old way, by Permutation conjugation and closure (the reference
 for ict_formulas._affine_rows), the normal regular cycle found the old way,
@@ -126,7 +126,7 @@ def find_regular_normal_cycle(pair: PairGH):
     n-cycle of G in turn and testing the closure for normality; None when
     there is none."""
     for x in elements(pair.group):
-        if len(x.orbits()) == 1 and PermGroup.from_generators([x]).is_normal_in(pair.group):
+        if len(x.orbits()) == 1 and is_normal(PermGroup.from_generators([x]), pair.group):
             return x
     return None
 
@@ -317,8 +317,25 @@ def pair_isomorphic(p1: PairGH, p2: PairGH, cap: int = CAP_STAB_ENUM) -> bool:
     along automatically, both being stabilizers of 1)."""
     if p1.degree != p2.degree or p1.group.order != p2.group.order:
         return False
-    return any(_normalizing(p1.group, sigmas, p2.group).any()
+    return any(_conjugates_inside(p1.group, sigmas, p2.group).any()
                for sigmas in _stabilizer_batches(p1.degree, NORMALIZER_CHUNK, cap))
+
+
+def _conjugates_inside(group: PermGroup, alphas: np.ndarray, target: PermGroup) -> np.ndarray:
+    """Mask of the rows alpha with alpha G alpha^-1 inside `target`: G's
+    generators conjugated by every alpha at once, one gather per generator."""
+    alphas_inv = _invert_rows(alphas)
+    keep = np.ones(len(alphas), dtype=bool)
+    for g in group.generators:
+        # row k: alpha_k g alpha_k^-1, i.e. alpha_k[g[alpha_k^-1[j]]]
+        keep &= target._locate(np.take_along_axis(alphas, g[alphas_inv], axis=1)) >= 0
+    return keep
+
+
+def is_normal(sub: PermGroup, group: PermGroup) -> bool:
+    """Is sub a normal subgroup of group?  A subgroup that every generator
+    of group normalizes."""
+    return sub.is_subgroup_of(group) and bool(_normalizing(sub, group.generators).all())
 
 
 def order18_example() -> tuple[PermGroup, PermGroup]:

@@ -40,6 +40,7 @@ from oracles import (
     class_representative,
     compose,
     elements,
+    is_normal,
     left_right_agreement,
     order18_example,
     parity,
@@ -138,7 +139,7 @@ def test_criterion_07_fact_sweep():
 
     normals = 0
     for pair, value in fixtures:
-        normal = pair.stabilizer.is_normal_in(pair.group)
+        normal = is_normal(pair.stabilizer, pair.group)
         assert (value == 1) == normal, (pair.name, value)  # Fact 1
         assert value not in (2, 4), (pair.name, value)  # Fact 2
         if pair.degree == 3 and not normal:

@@ -27,6 +27,8 @@ from transversals.cli import (
 from transversals.errors import HypothesisViolation
 from transversals.ict_formulas import ClassContribution, IctReport
 
+from oracles import is_normal
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -422,6 +424,34 @@ def test_cache_non_object_report_recomputes(tmp_path, capsys, report):
     assert err == "warning: malformed cache entry, recomputing\n"
 
 
+
+@pytest.mark.parametrize("argv, key, tamper", [
+    (("--dihedral", "5"), "dihedral:5|cyclic", "value"),
+    (("--dihedral", "5"), "dihedral:5|cyclic", "fix_count"),
+    (("--dihedral", "5"), "dihedral:5|cyclic", "t"),
+    (("--sym", "3", "--method", "oracle"), "sym:3|oracle", "numerator"),
+])
+def test_cache_entry_disagreeing_with_its_factors_recomputes(tmp_path, capsys, argv, key,
+                                                             tamper):
+    """A stored count is checked against the factors it derives from: an
+    entry whose value, a class's fix_count or t, or an oracle report's
+    numerator disagrees is recomputed with a warning, never printed."""
+    cache = tmp_path / "cache"
+    args = (*argv, "--cache-dir", str(cache))
+    _, cold, _ = run(capsys, *args)
+    path = entry_file(cache, key)
+    stored = json.loads(path.read_text())
+    if tamper in ("value", "numerator"):
+        stored["report"][tamper] = 12345
+    else:
+        stored["report"]["contributions"][-1][tamper] += 1
+    path.write_text(json.dumps(stored))
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_OK
+    assert out == cold
+    assert err == "warning: malformed cache entry, recomputing\n"
+    assert run(capsys, *args) == (EXIT_OK, cold, "")  # the entry was rewritten
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ICT_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = run(capsys, "--dihedral", "4")
@@ -488,6 +518,17 @@ def test_cache_separates_stabilizer_caps(tmp_path, capsys):
     keys = {json.loads(f.read_text())["key"] for f in cache.iterdir()}
     assert keys == {"pq:2:5|cyclic", "pq:2:5|cyclic|cap-stab-enum:0"}
 
+
+
+def test_cache_keys_a_fixture_by_its_text(tmp_path, capsys):
+    text = "name d4\ndegree 4\ngen (1,2,3,4)\ngen (2,4)\n"
+    fixture = tmp_path / "d4.txt"
+    fixture.write_text(text)
+    cache = tmp_path / "cache"
+    code, _, _ = run(capsys, "--fixture", str(fixture), "--cache-dir", str(cache))
+    assert code == EXIT_OK
+    keys = {json.loads(f.read_text())["key"] for f in cache.iterdir()}
+    assert keys == {f"fixture:{hashlib.sha256(text.encode()).hexdigest()}|theorem6"}
 
 def test_cache_ignores_legacy_file(tmp_path, capsys):
     cache = tmp_path / "cache"
@@ -739,6 +780,20 @@ def test_sweep_default_set_json(capsys):
     index3 = [r for r in data["rows"] if r["index"] == 3 and not r["normal"]]
     assert index3 and all(r["value"] == 3 for r in index3)
 
+
+
+def test_sweep_normal_is_the_reference_normality(capsys):
+    """The sweep reads H's normality off |H| = 1 (every pair's H is
+    core-free); on each default pair that equals the reference test."""
+    code, out, _ = run(capsys, "sweep", "--format", "json")
+    assert code == EXIT_OK
+    normal = {r["pair"]: r["normal"] for r in json.loads(out)["rows"]}
+    specs = cli._sweep_specs(cli.build_parser().parse_args(["sweep"]))
+    pairs = [cli._build_pair(*spec) for spec in specs]
+    assert [pair.name for pair in pairs] == list(normal)
+    assert [normal[pair.name] for pair in pairs] == [
+        is_normal(pair.stabilizer, pair.group) for pair in pairs]
+    assert sum(normal.values()) == 2  # sym(2) and the regular control
 
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--dihedral", "3-6")

@@ -37,6 +37,7 @@ from oracles import (
     elements,
     format_fixture,
     is_abelian,
+    is_normal,
     is_transitive,
     order18_example,
     pair_isomorphic,
@@ -83,8 +84,8 @@ def test_permgroup_basics():
     A = PermGroup.alternating(4)
     assert A.order == 12
     assert A.is_subgroup_of(G)
-    assert A.is_normal_in(G)
-    assert not G.stabilizer_of_1().is_normal_in(G)
+    assert is_normal(A, G)
+    assert not is_normal(G.stabilizer_of_1(), G)
     assert PermGroup.from_generators([], degree=5).order == 1
 
 
@@ -324,7 +325,7 @@ def test_order18_example_shape():
     assert G.order == 18 and H.order == 6
     assert H.is_subgroup_of(G)
     assert not is_transitive(G)
-    assert not H.is_normal_in(G)
+    assert not is_normal(H, G)
 
 
 def test_fixture_round_trip():

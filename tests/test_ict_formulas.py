@@ -356,9 +356,9 @@ def test_theorem6_guards_only_a_supplied_gamma(monkeypatch):
     normalizer_in_stab, a supplied gamma exactly one more."""
     calls = []
 
-    def counted(group, alphas, target=None):
+    def counted(group, alphas):
         calls.append(len(alphas))
-        return _normalizing(group, alphas, target)
+        return _normalizing(group, alphas)
 
     monkeypatch.setattr(groups, "_normalizing", counted)
     gamma = normalizer_in_stab(make_sym(5))
