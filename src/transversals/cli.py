@@ -1,8 +1,9 @@
 """Command line front end: compute class counts, cross-check engines against
 the oracle, census left loops, sweep structural facts, and dump class
-representatives.  Results for the compute command are cached on disk keyed by
-pair, method, and the package's source digest, plus a non-default
---cap-stab-enum; all output is deterministic for a given invocation.
+representatives.  Reports of the engines that build a group are cached on
+disk keyed by pair, method, and the package's source digest, plus a
+non-default --cap-stab-enum (a closed form recomputes faster than a hit
+reads); all output is deterministic for a given invocation.
 
 Every choice changes what runs: a subcommand offers only the --cap-* flags
 its engines read, and --method is auto (the family's closed form, else
@@ -172,7 +173,7 @@ def _build_pair(family, params):
     # once (perfbench's tracer wraps every layer module), not at module level
     from . import groups, oracle
     if family == "fixture":
-        return groups.pair_from_fixture(*params)[0]
+        return groups.pair_from_fixture(*params)
     return getattr(groups, f"make_{family}")(*params)
 
 
@@ -296,7 +297,8 @@ def cmd_ict(args) -> int:
     key = ":".join(map(str, (family, *ident))) + f"|{method}"
     if args.cap_stab_enum != CAP_STAB_ENUM:  # the cyclic justification reads it
         key += f"|cap-stab-enum:{args.cap_stab_enum}"
-    cache_path = _cache_file(args, key)
+    # a closed form recomputes faster than a hit reads and re-validates it
+    cache_path = None if method in ("sym", "alt") else _cache_file(args, key)
     stored = _cache_load(cache_path, key) if cache_path else None
     report = None
     if stored is not None:

@@ -18,8 +18,9 @@ A PairGH is the normalized object the counting engines work on: G
 transitive on {1..n}, H the full stabilizer of symbol 1 (G's first block
 by image of 1, split once per pair, the other blocks being the cosets), and
 H core-free, i.e. the coset representation has already been applied.
-coset_representation() turns an arbitrary (G, H <= G) into that normal form.
-A transversal is an (n, n) array of 0-based rows, one per coset in order.
+coset_representation() turns an arbitrary (G, H <= G) into that normal form,
+looking up only the cosets its sweep reaches.  A transversal is an (n, n)
+array of 0-based rows, one per coset in order.
 """
 
 from __future__ import annotations
@@ -364,40 +365,35 @@ def enumerate_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
         yield from sections
 
 
-def _least_in_coset(G: PermGroup, H: PermGroup) -> np.ndarray:
-    """For each element g of G, the index of the least element of gH."""
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not a subgroup of G")
-    least = np.arange(G.order)
-    for h in H._rows:  # compose(g, h) is g[h]
-        least = np.minimum(least, G._locate(G._rows[:, h]))
-    return least
-
-
 def coset_representation(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
     """Action of G on the left cosets of H, cosets numbered 1..n in
     first-discovery order under a breadth-first sweep over the generators
-    (coset H is 1).  The kernel is quotiented away by construction, so the
-    result is always a valid core-free PairGH."""
-    coset = _least_in_coset(G, H)
+    (coset H is 1).  Only the cosets the sweep reaches are looked up, one
+    gather of k |H| rows per coset for k generators.  The kernel is
+    quotiented away by construction, so the result is always a valid
+    core-free PairGH."""
+    if not H.is_subgroup_of(G):
+        raise ValueError("H is not a subgroup of G")
     gens = G.generators
     # number[c]: 0-based number of the coset whose least element is c; H's
     # least element is the identity, element 0
-    number = np.full(G.order, -1)
-    number[0] = 0
-    reps = [0]
+    number = {0: 0}
+    reps = [G._rows[0]]
+    images = []  # chi(g_i) sends coset j to coset images[j * k + i]
     for r in reps:  # breadth-first: reps grows as it is swept
-        for gr in G._locate(gens[:, G._rows[r]]).tolist():
-            if number[coset[gr]] < 0:
-                number[coset[gr]] = len(reps)
-                reps.append(gr)
+        gr = gens[:, r]  # compose(g, r) is g[r], for every generator g
+        # g r H holds the rows (g r)[h]; the least row has the least index
+        least = G._locate(gr[:, H._rows].reshape(-1, G.degree)).reshape(len(gens), H.order)
+        for row, c in zip(gr, least.min(axis=1).tolist()):
+            if c not in number:
+                number[c] = len(reps)
+                reps.append(row)
+            images.append(number[c])
     n = len(reps)
     if n * H.order != G.order:
         raise ValueError("generators do not generate G")  # cosets unreachable
 
-    # chi(g) sends the coset of r to the coset of g r
-    images = number[coset[G._locate(gens[:, G._rows[reps]].reshape(-1, G.degree))]]
-    image_gens = np.unique(images.reshape(len(gens), n).astype(_row_dtype(n)), axis=0)
+    image_gens = np.unique(np.array(images, _row_dtype(n)).reshape(n, len(gens)).T, axis=0)
     # chi is a homomorphism, so the images of G's generators generate chi(G)
     return PairGH(PermGroup(closure(image_gens), image_gens), name=name)
 
@@ -586,13 +582,13 @@ def pair_from_fixture(text: str, cap: int = CAP_GROUP_ORDER):
 
     If the generated group is transitive it is used as-is (symbol numbering
     preserved); otherwise the coset representation over the stabilizer of 1
-    is applied.  Returns (pair, normalized_flag) where the flag says a
-    renumbering happened.
+    is applied, and the pair acts on the orbit of 1, so its degree is below
+    the fixture's.
     """
     name, degree, gens = parse_fixture(text)
     G = PermGroup.from_generators(gens, degree=degree, cap=cap)
     label = name or f"fixture(degree={degree})"
     try:
-        return PairGH(G, name=label), False
+        return PairGH(G, name=label)
     except ValueError:  # PairGH refuses only an intransitive G
-        return coset_representation(G, G.stabilizer_of_1(), name=label), True
+        return coset_representation(G, G.stabilizer_of_1(), name=label)

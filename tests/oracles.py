@@ -12,10 +12,11 @@ built the old way, by Permutation conjugation and closure (the reference
 for ict_formulas._affine_rows), the normal regular cycle found the old way,
 by closing each n-cycle (the reference for
 ict_formulas._find_regular_normal_cycle), the order-18 example pair
-behind acceptance criterion 10, and the closed forms' class rows evaluated
+behind acceptance criterion 10, the closed forms' class rows evaluated
 orbit by orbit through cycle types of powers (the reference for
-ict_formulas._closed_form).  Import them as `from oracles import ...`;
-pytest puts this directory on the path.
+ict_formulas._closed_form), and the coset representation that names every
+coset of G first (the reference for groups.coset_representation).  Import
+them as `from oracles import ...`; pytest puts this directory on the path.
 """
 
 from math import gcd, prod
@@ -28,11 +29,12 @@ from transversals.groups import (
     PairGH,
     PermGroup,
     _invert_rows,
-    _least_in_coset,
     _normalizing,
     _perm_rows,
+    _row_dtype,
     _section_rows,
     _stabilizer_batches,
+    closure,
     enumerate_transversals,
 )
 from transversals.ict_formulas import _contribution
@@ -297,6 +299,39 @@ def _sections(blocks, degree: int, cap: int):
         raise CapExceeded("transversals", cap, total)
     for rows in _section_rows(blocks, np.arange(total), degree):
         yield tuple(perms(rows))
+
+
+def _least_in_coset(G: PermGroup, H: PermGroup) -> np.ndarray:
+    """For each element g of G, the index of the least element of gH: one
+    gather over all of G per element of H."""
+    if not H.is_subgroup_of(G):
+        raise ValueError("H is not a subgroup of G")
+    least = np.arange(G.order)
+    for h in H._rows:  # compose(g, h) is g[h]
+        least = np.minimum(least, G._locate(G._rows[:, h]))
+    return least
+
+
+def coset_representation_reference(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
+    """groups.coset_representation computed the old way: every coset of G
+    named first (_least_in_coset), then the same breadth-first numbering,
+    then the generators' images looked up in a second pass."""
+    coset = _least_in_coset(G, H)
+    gens = G.generators
+    number = np.full(G.order, -1)
+    number[0] = 0
+    reps = [0]
+    for r in reps:
+        for gr in G._locate(gens[:, G._rows[r]]).tolist():
+            if number[coset[gr]] < 0:
+                number[coset[gr]] = len(reps)
+                reps.append(gr)
+    n = len(reps)
+    if n * H.order != G.order:
+        raise ValueError("generators do not generate G")
+    images = number[coset[G._locate(gens[:, G._rows[reps]].reshape(-1, G.degree))]]
+    image_gens = np.unique(images.reshape(len(gens), n).astype(_row_dtype(n)), axis=0)
+    return PairGH(PermGroup(closure(image_gens), image_gens), name=name)
 
 
 def _left_coset_blocks(G: PermGroup, H: PermGroup) -> list:

@@ -122,6 +122,19 @@ def test_ict_fixture(tmp_path, capsys):
     assert data["value"] == 6
 
 
+def test_intransitive_s5_by_s5_fixture(tmp_path, capsys):
+    """S5 x S5 acts on the orbit of 1 as Sym(5): theorem6 prints Sym(5)'s
+    count, and every crosscheck engine agrees with it."""
+    path = tmp_path / "s5xs5.group"
+    path.write_text("degree 10\ngen (1,2)\ngen (1,2,3,4,5)\ngen (6,7)\ngen (6,7,8,9,10)\n")
+    code, out, err = run(capsys, "--fixture", str(path), "--no-cache")
+    assert (code, err) == (EXIT_OK, "")
+    assert "value: 14022\n" in out
+    code, out, err = run(capsys, "crosscheck", "--fixture", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith("agreement: yes\n") and "14022" in out
+
+
 def test_ict_fixture_missing_file(capsys):
     code, out, err = run(capsys, "--fixture", "/nonexistent/x.group", "--no-cache")
     assert code == EXIT_USAGE
@@ -280,14 +293,18 @@ def test_huge_value_json(capsys, default_digit_limit, huge_sym):
 
 
 def test_huge_value_cache_round_trip(tmp_path, capsys, default_digit_limit, huge_sym):
-    args = ("ict", "--sym", "2", "--format", "json", "--cache-dir", str(tmp_path))
+    """A closed form is recomputed under --cache-dir: both runs compute the
+    same bytes, and the cache directory is never made."""
+    cache = tmp_path / "cache"
+    args = ("ict", "--sym", "2", "--format", "json", "--cache-dir", str(cache))
     code, cold, err = run(capsys, *args)
     assert (code, err) == (EXIT_OK, "")
     assert f'"value": {HUGE_TEXT},' in cold
     code, warm, err = run(capsys, *args)
     assert (code, err) == (EXIT_OK, "")
     assert warm == cold
-    assert huge_sym == [2]  # the warm run was served from the cache
+    assert huge_sym == [2, 2]
+    assert not cache.exists()
 
 
 # ---------------------------------------------------------------- caching
@@ -303,10 +320,10 @@ def entry_file(cache: Path, key: str) -> Path:
 
 def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ("--sym", "4", "--format", "json", "--cache-dir", str(cache))
+    args = ("--dihedral", "4", "--format", "json", "--cache-dir", str(cache))
     code, cold, err = run(capsys, *args)
     assert code == EXIT_OK and err == ""
-    stored = json.loads(entry_file(cache, "sym:4|sym").read_text())
+    stored = json.loads(entry_file(cache, "dihedral:4|cyclic").read_text())
     assert stored["tool"] == cli._source_digest()
     assert json.loads(cold) == stored["report"]
     code, warm, err = run(capsys, *args)
@@ -316,9 +333,9 @@ def test_cache_round_trip(tmp_path, capsys):
 
 def test_cache_corruption_recovers(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ("--sym", "3", "--cache-dir", str(cache))
+    args = ("--dihedral", "3", "--cache-dir", str(cache))
     run(capsys, *args)
-    path = entry_file(cache, "sym:3|sym")
+    path = entry_file(cache, "dihedral:3|cyclic")
     path.write_text("{not json")
     code, out, err = run(capsys, *args)
     assert code == EXIT_OK
@@ -330,9 +347,9 @@ def test_cache_corruption_recovers(tmp_path, capsys):
 
 def test_cache_version_mismatch_recomputes_silently(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ("--sym", "3", "--format", "json", "--cache-dir", str(cache))
+    args = ("--dihedral", "3", "--format", "json", "--cache-dir", str(cache))
     _, cold, _ = run(capsys, *args)
-    path = entry_file(cache, "sym:3|sym")
+    path = entry_file(cache, "dihedral:3|cyclic")
     stale = json.loads(path.read_text())
     stale["tool"] = "0.0.0-old"
     stale["report"]["value"] = 999
@@ -349,12 +366,12 @@ def test_cache_entry_of_other_source_is_recomputed(tmp_path, capsys, monkeypatch
     engine fix, say) is never served: entries are named and stamped by a
     digest of the package's source files."""
     cache = tmp_path / "cache"
-    args = ("--sym", "3", "--format", "json", "--cache-dir", str(cache))
+    args = ("--dihedral", "3", "--format", "json", "--cache-dir", str(cache))
     _, cold, _ = run(capsys, *args, "--no-cache")
     current = cli._source_digest()
     monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
     run(capsys, *args)
-    path = entry_file(cache, "sym:3|sym")
+    path = entry_file(cache, "dihedral:3|cyclic")
     stale = json.loads(path.read_text())
     assert stale["tool"] == "0" * 64
     stale["report"]["value"] = 999
@@ -381,7 +398,7 @@ def test_editing_the_source_retires_its_cache_entries(tmp_path):
 
     def ict():
         proc = subprocess.run(
-            [sys.executable, "-c", script, "--sym", "3", "--cache-dir", str(cache)],
+            [sys.executable, "-c", script, "--dihedral", "3", "--cache-dir", str(cache)],
             capture_output=True, text=True, env={**ENV, "PYTHONPATH": str(package.parent)})
         assert proc.returncode == EXIT_OK and proc.stderr == ""
         return proc.stdout, sorted(f.name for f in cache.glob("*.json"))
@@ -397,9 +414,9 @@ def test_editing_the_source_retires_its_cache_entries(tmp_path):
 
 def test_cache_malformed_entry_recomputes(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ("--sym", "3", "--cache-dir", str(cache))
+    args = ("--dihedral", "3", "--cache-dir", str(cache))
     run(capsys, *args)
-    path = entry_file(cache, "sym:3|sym")
+    path = entry_file(cache, "dihedral:3|cyclic")
     stored = json.loads(path.read_text())
     stored["report"] = {"schema": "ict-report/1", "value": 3}
     path.write_text(json.dumps(stored))
@@ -412,9 +429,9 @@ def test_cache_malformed_entry_recomputes(tmp_path, capsys):
 @pytest.mark.parametrize("report", [5, None, "sym", [1, 2]])
 def test_cache_non_object_report_recomputes(tmp_path, capsys, report):
     cache = tmp_path / "cache"
-    args = ("--sym", "3", "--cache-dir", str(cache))
+    args = ("--dihedral", "3", "--cache-dir", str(cache))
     _, cold, _ = run(capsys, *args)
-    path = entry_file(cache, "sym:3|sym")
+    path = entry_file(cache, "dihedral:3|cyclic")
     stored = json.loads(path.read_text())
     stored["report"] = report
     path.write_text(json.dumps(stored))
@@ -462,9 +479,9 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 def test_cache_xdg_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ICT_CACHE_DIR", raising=False)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    code, _, _ = run(capsys, "--sym", "3")
+    code, _, _ = run(capsys, "--dihedral", "3")
     assert code == EXIT_OK
-    assert entry_file(tmp_path / "xdg" / "ict", "sym:3|sym").exists()
+    assert entry_file(tmp_path / "xdg" / "ict", "dihedral:3|cyclic").exists()
 
 
 @pytest.mark.parametrize("via", ["--cache-dir", "XDG_CACHE_HOME"])
@@ -473,13 +490,13 @@ def test_unwritable_cache_still_emits_the_report(tmp_path, capsys, monkeypatch, 
     report: stdout matches --no-cache and the exit code is 0."""
     blocker = tmp_path / "file"
     blocker.write_text("")
-    args = ["--sym", "4"]
+    args = ["--dihedral", "4"]
     if via == "--cache-dir":
         args += ["--cache-dir", str(blocker / "sub")]
     else:
         monkeypatch.delenv("ICT_CACHE_DIR", raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    _, plain, _ = run(capsys, "--sym", "4", "--no-cache")
+    _, plain, _ = run(capsys, "--dihedral", "4", "--no-cache")
     code, out, err = run(capsys, *args)
     assert code == EXIT_OK
     assert out == plain
@@ -489,18 +506,41 @@ def test_unwritable_cache_still_emits_the_report(tmp_path, capsys, monkeypatch, 
 
 def test_no_cache_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ICT_CACHE_DIR", str(tmp_path / "envcache"))
-    code, _, _ = run(capsys, "--sym", "3", "--no-cache")
+    code, _, _ = run(capsys, "--dihedral", "3", "--no-cache")
     assert code == EXIT_OK
     assert not (tmp_path / "envcache").exists()
 
 
+@pytest.mark.parametrize("via", ["--cache-dir", "ICT_CACHE_DIR"])
+def test_closed_forms_never_touch_the_cache(tmp_path, capsys, monkeypatch, via):
+    """--sym and --alt recompute, which is faster than a hit: under a cache
+    directory they print their --no-cache bytes and leave it absent, while
+    a pair engine in the same directory stores one entry and hits it."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    where = ["--cache-dir", str(cache)] if via == "--cache-dir" else []
+    monkeypatch.setenv("ICT_CACHE_DIR", str(tmp_path / ("env" if where else "cache")))
+    for family in ("--sym", "--alt"):
+        for fmt in ("human", "json"):
+            argv = (family, "5", "--format", fmt)
+            plain = run(capsys, *argv, "--no-cache")
+            assert plain[0] == EXIT_OK and plain[2] == ""
+            assert run(capsys, *argv, *where) == plain
+    assert not cache.exists() and not list(tmp_path.iterdir())
+    cold = run(capsys, "--dihedral", "5", *where)
+    assert cold[0] == EXIT_OK and cold[2] == ""
+    assert [json.loads(f.read_text())["key"] for f in cache.iterdir()] == ["dihedral:5|cyclic"]
+    monkeypatch.setattr(cli, "_compute_report", lambda *a: pytest.fail("recomputed"))
+    assert run(capsys, "--dihedral", "5", *where) == cold
+
+
 def test_cache_separates_methods(tmp_path, capsys):
     cache = tmp_path / "cache"
-    run(capsys, "--sym", "3", "--cache-dir", str(cache))
-    run(capsys, "--sym", "3", "--method", "oracle", "--cache-dir", str(cache))
+    run(capsys, "--dihedral", "3", "--cache-dir", str(cache))
+    run(capsys, "--dihedral", "3", "--method", "oracle", "--cache-dir", str(cache))
     keys = {json.loads(f.read_text())["key"] for f in cache.iterdir()}
-    assert keys == {"sym:3|sym", "sym:3|oracle"}
-    assert entry_file(cache, "sym:3|sym") != entry_file(cache, "sym:3|oracle")
+    assert keys == {"dihedral:3|cyclic", "dihedral:3|oracle"}
+    assert entry_file(cache, "dihedral:3|cyclic") != entry_file(cache, "dihedral:3|oracle")
 
 
 def test_cache_separates_stabilizer_caps(tmp_path, capsys):
@@ -534,13 +574,13 @@ def test_cache_ignores_legacy_file(tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()
     legacy = json.dumps({"tool": __version__,
-                         "entries": {"sym:3|sym": {"schema": "ict-report/1"}}})
+                         "entries": {"dihedral:3|cyclic": {"schema": "ict-report/1"}}})
     (cache / "cache.json").write_text(legacy)
-    code, out, err = run(capsys, "--sym", "3", "--cache-dir", str(cache))
+    code, out, err = run(capsys, "--dihedral", "3", "--cache-dir", str(cache))
     assert code == EXIT_OK and err == ""
     assert "value: 3" in out
     assert (cache / "cache.json").read_text() == legacy
-    assert entry_file(cache, "sym:3|sym") != cache / "cache.json"
+    assert entry_file(cache, "dihedral:3|cyclic") != cache / "cache.json"
 
 
 # ------------------------------------------------------- parser reuse
@@ -578,14 +618,14 @@ def test_cache_directory_is_resolved_per_call(tmp_path, capsys, monkeypatch):
     by the next one."""
     monkeypatch.delenv("ICT_CACHE_DIR", raising=False)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg1"))
-    assert run(capsys, "--sym", "3")[0] == EXIT_OK
-    assert entry_file(tmp_path / "xdg1" / "ict", "sym:3|sym").exists()
+    assert run(capsys, "--dihedral", "3")[0] == EXIT_OK
+    assert entry_file(tmp_path / "xdg1" / "ict", "dihedral:3|cyclic").exists()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg2"))
-    assert run(capsys, "--sym", "3")[0] == EXIT_OK
-    assert entry_file(tmp_path / "xdg2" / "ict", "sym:3|sym").exists()
+    assert run(capsys, "--dihedral", "3")[0] == EXIT_OK
+    assert entry_file(tmp_path / "xdg2" / "ict", "dihedral:3|cyclic").exists()
     monkeypatch.setenv("ICT_CACHE_DIR", str(tmp_path / "env"))
-    assert run(capsys, "--sym", "3")[0] == EXIT_OK
-    assert entry_file(tmp_path / "env", "sym:3|sym").exists()
+    assert run(capsys, "--dihedral", "3")[0] == EXIT_OK
+    assert entry_file(tmp_path / "env", "dihedral:3|cyclic").exists()
 
 
 @pytest.mark.parametrize("flag, env", [("", "env"), (None, "")],
@@ -597,11 +637,11 @@ def test_empty_cache_dir_falls_through_to_xdg(tmp_path, capsys, monkeypatch, fla
         env = str(tmp_path / env)
     monkeypatch.setenv("ICT_CACHE_DIR", env)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    argv = ["--sym", "3"] + ([] if flag is None else ["--cache-dir", flag])
+    argv = ["--dihedral", "3"] + ([] if flag is None else ["--cache-dir", flag])
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
     assert "value: 3" in out
-    assert entry_file(tmp_path / "xdg" / "ict", "sym:3|sym").exists()
+    assert entry_file(tmp_path / "xdg" / "ict", "dihedral:3|cyclic").exists()
     assert not (tmp_path / "env").exists()
 
 
@@ -612,16 +652,16 @@ def test_no_option_leaks_into_the_next_call(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("ICT_CACHE_DIR", str(cache))
     dest = tmp_path / "report.json"
-    code, out, _ = run(capsys, "ict", "--sym", "4", "--format", "json",
+    code, out, _ = run(capsys, "ict", "--dihedral", "4", "--format", "json",
                        "--cap-stab-enum", "5", "--output", str(dest))
     assert (code, out) == (EXIT_OK, "")
-    assert json.loads(dest.read_text())["value"] == 44
-    code, out, err = run(capsys, "ict", "--sym", "4")
+    assert json.loads(dest.read_text())["value"] == 6
+    code, out, err = run(capsys, "ict", "--dihedral", "4")
     assert (code, err) == (EXIT_OK, "")
-    assert out == run(capsys, "ict", "--sym", "4", "--no-cache")[1]
-    assert out.startswith("pair: sym(4)\n")
+    assert out == run(capsys, "ict", "--dihedral", "4", "--no-cache")[1]
+    assert out.startswith("pair: dihedral(4)\n")
     keys = {json.loads(f.read_text())["key"] for f in cache.iterdir()}
-    assert keys == {"sym:4|sym|cap-stab-enum:5", "sym:4|sym"}
+    assert keys == {"dihedral:4|cyclic|cap-stab-enum:5", "dihedral:4|cyclic"}
 
 
 # ---------------------------------------------------------------- census

@@ -34,6 +34,7 @@ from oracles import (
     _left_coset_blocks,
     compose,
     contains,
+    coset_representation_reference,
     elements,
     format_fixture,
     is_abelian,
@@ -204,6 +205,46 @@ def test_coset_representation_rejects_non_subgroup():
         coset_representation(PermGroup.alternating(4), PermGroup.symmetric(4).stabilizer_of_1())
 
 
+def _same_pair(pair, reference):
+    assert np.array_equal(pair.group._rows, reference.group._rows)
+    assert np.array_equal(pair.group.generators, reference.group.generators)
+    assert pair.group.generators.dtype == reference.group.generators.dtype
+
+
+def test_coset_representation_matches_the_reference():
+    """The sweep that looks up only the cosets it reaches numbers them, and
+    orders the image generators, as naming every coset of G first does: on
+    random groups of degree 3-6 over G_1, the trivial group, G, <x> and
+    <x, y>, and on the trivial group without generators."""
+    rng = random.Random(24)
+
+    def element(G):
+        return Permutation((G._rows[rng.randrange(G.order)] + 1).tolist())
+
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        gens = [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(rng.randint(1, 3))]
+        G = PermGroup.from_generators(gens, degree=n)
+        x, y = element(G), element(G)
+        for H in (G.stabilizer_of_1(), PermGroup.from_generators([], degree=n), G,
+                  PermGroup.from_generators([x]), PermGroup.from_generators([x, y])):
+            _same_pair(coset_representation(G, H), coset_representation_reference(G, H))
+    bare = PermGroup.from_generators([], degree=3)
+    pair = coset_representation(bare, bare)
+    _same_pair(pair, coset_representation_reference(bare, bare))
+    assert (pair.degree, pair.group.order, pair.group.generators.shape) == (1, 1, (0, 1))
+
+
+def test_intransitive_s5_by_s5_builds_its_pair_in_a_second():
+    """S5 x S5 (order 14,400) acts on the orbit of 1 as Sym(5): the sweep
+    looks up k |G| rows, where naming every coset gathered |G| |H|."""
+    text = "degree 10\ngen (1,2)\ngen (1,2,3,4,5)\ngen (6,7)\ngen (6,7,8,9,10)\n"
+    start = time.process_time()
+    pair = pair_from_fixture(text)
+    assert time.process_time() - start < 1.0
+    assert (pair.degree, pair.group.order) == (5, 120)  # so G is Sym(5)
+
+
 def test_family_constructors():
     assert make_sym(4).group.order == 24
     assert make_alt(5).group.order == 60
@@ -371,16 +412,14 @@ def test_fixture_comments_and_blank_lines():
 
 def test_pair_from_fixture_direct():
     text = "degree 3\ngen (1,2,3)\ngen (2,3)\n"
-    pair, renumbered = pair_from_fixture(text)
-    assert not renumbered
+    pair = pair_from_fixture(text)
     assert pair.group.order == 6 and pair.degree == 3
 
 
 def test_pair_from_fixture_applies_coset_representation():
     text = "name order18\ndegree 6\ngen (1,2,3)\ngen (4,5,6)\ngen (2,3)(5,6)\n"
-    pair, renumbered = pair_from_fixture(text)
-    assert renumbered
-    assert pair.degree == 3 and pair.group.order == 6
+    pair = pair_from_fixture(text)
+    assert pair.degree == 3 and pair.group.order == 6  # the orbit of 1, not degree 6
     assert pair.name == "order18"
 
 
@@ -395,7 +434,7 @@ def test_pair_from_fixture_splits_g_once(monkeypatch, text, renumbered, splits):
     calls = []
     split = PermGroup._blocks
     monkeypatch.setattr(PermGroup, "_blocks", lambda self: calls.append(self) or split(self))
-    assert pair_from_fixture(text)[1] == renumbered
+    assert (pair_from_fixture(text).degree < 6) == renumbered
     assert len(calls) == splits
 
 

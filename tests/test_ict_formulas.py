@@ -397,8 +397,8 @@ def test_theorem6_does_not_validate_the_psl25_orbit_count():
     """PSL(2,5) on the projective line over F5.  Its normalizer in Sym(6)_1
     has order 20, not 120: the 160 transversals lying in transitive A4
     subgroups form 10 orbits under it but only 5 isomorphism classes."""
-    pair, normalized = pair_from_fixture("degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n")
-    assert not normalized and pair.group.order == 60
+    pair = pair_from_fixture("degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n")
+    assert pair.degree == 6 and pair.group.order == 60
     tables = classify_by_table_iso(pair)
     truth = tables.class_count
     assert truth == 5047
