@@ -10,10 +10,11 @@ group machinery; cli wires everything into the `ict` command.  A
 permutation is a 0-based image row wherever the package computes with it,
 a group's generators included (PermGroup.conjugacy_classes yields (row,
 size) pairs; enumerate_transversals yields each transversal as an (n, n)
-array of rows, identity first); x after y is the row x[y].  Permutation
-objects, each built by the validating constructor, exist only where text or
-generators enter (parse_cycles, fixtures, cache reads,
-PermGroup.from_generators).
+array of rows, identity first); x after y is the row x[y], and
+PermGroup.from_generators closes a (k, n) array of generator rows.
+Permutation objects, each built by the validating constructor, exist only
+where text enters (parse_cycles, fixtures, cache reads).  A fixture's pair
+(pair_from_fixture) is its group acting on the orbit of 1, so H = G_1.
 
 groups and oracle import numpy, so their names here load on first access
 (PEP 562): `import transversals`, the closed forms and the renderers run
@@ -43,9 +44,9 @@ from .ict_formulas import (
     report_to_text,
 )
 
-_LAZY = dict.fromkeys(["PairGH", "PermGroup", "coset_representation",
-                       "enumerate_transversals", "make_alt", "make_dihedral", "make_pq",
-                       "make_sym", "pair_from_fixture"], "groups")
+_LAZY = dict.fromkeys(["PairGH", "PermGroup", "enumerate_transversals", "make_alt",
+                       "make_dihedral", "make_pq", "make_sym", "pair_from_fixture"],
+                      "groups")
 _LAZY.update(dict.fromkeys(["ClassificationResult", "LoopTable", "census_left_loops",
                             "classify_by_conjugation", "classify_by_table_iso",
                             "render_classes_dump"], "oracle"))

@@ -9,18 +9,18 @@ A group is stored once, as the sorted (order, degree) array of its elements'
 downstream count is a filter or a gather over these rows.  A row's key is
 its bytes, which sort like the row, so a binary search maps rows to element
 indices.  The rows sort by the image of 1, so the stabilizer of 1 and its
-cosets are slices.  Permutation generators enter only through
-PermGroup.from_generators; every family is built from rows, and no
-Permutation is built from rows: callers read elements and transversals as
-rows.
+cosets are slices.  PermGroup.from_generators closes a (k, degree) array of
+generator rows into a group; fixture Permutations become rows once, in
+pair_from_fixture, and no Permutation is built from rows: callers read
+elements and transversals as rows.
 
 A PairGH is the normalized object the counting engines work on: G
 transitive on {1..n}, H the full stabilizer of symbol 1 (G's first block
 by image of 1, split once per pair, the other blocks being the cosets), and
-H core-free, i.e. the coset representation has already been applied.
-coset_representation() turns an arbitrary (G, H <= G) into that normal form,
-looking up only the cosets its sweep reaches.  A transversal is an (n, n)
-array of 0-based rows, one per coset in order.
+H core-free.  A fixture's pair is its generators' action on the orbit of 1,
+which is G's action on the left cosets of G_1 (the coset g G_1 is the point
+g(1)).  A transversal is an (n, n) array of 0-based rows, one per coset in
+order.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class PermGroup:
     """Finite permutation group of a fixed degree, stored as the sorted,
     read-only 0-based image rows of its elements: row i is the i-th element
     in sorted order, so the identity is row 0.  Its size is `order`; the
-    trivial group of degree n is `from_generators([], degree=n)`."""
+    trivial group of degree n is `from_generators(np.empty((0, n), np.uint8))`."""
 
     __slots__ = ("degree", "generators", "_rows", "_keys", "_left")
 
@@ -165,19 +165,11 @@ class PermGroup:
         raise AttributeError("PermGroup is immutable")
 
     @classmethod
-    def from_generators(cls, generators, degree=None, cap=CAP_GROUP_ORDER):
-        """The group generated by these Permutations, all of one degree;
-        `degree` is required when there are none."""
-        gens = list(generators)
-        if degree is None:
-            if not gens:
-                raise ValueError("degree required for an empty generating set")
-            degree = gens[0].degree
-        for g in gens:
-            if g.degree != degree:
-                raise ValueError(f"generator degree {g.degree} != {degree}")
-        rows = _perm_rows(gens, degree)
-        return cls(closure(rows, cap=cap), rows)
+    def from_generators(cls, gen_rows: np.ndarray, cap=CAP_GROUP_ORDER):
+        """The group generated by the (k, degree) array of 0-based image rows
+        `gen_rows`, kept as its generators; its order is capped by `cap`."""
+        gen_rows = gen_rows.astype(_row_dtype(gen_rows.shape[1]), copy=False)
+        return cls(closure(gen_rows, cap=cap), gen_rows)
 
     @classmethod
     def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
@@ -217,13 +209,6 @@ class PermGroup:
         1 to i + 1, a slice because the rows sort by that image."""
         bounds = np.searchsorted(self._rows[:, 0], np.arange(self.degree + 1))
         return [self._rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return (self.degree == other.degree
-                and bool((other._locate(self._rows) >= 0).all()))
-
-    def stabilizer_of_1(self) -> "PermGroup":
-        return PermGroup(self._blocks()[0])
 
     def conjugacy_classes(self):
         """One (row, size) pair per conjugacy class, row being the 0-based
@@ -365,39 +350,6 @@ def enumerate_transversals(pair: PairGH, cap: int = CAP_TRANSVERSALS):
         yield from sections
 
 
-def coset_representation(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
-    """Action of G on the left cosets of H, cosets numbered 1..n in
-    first-discovery order under a breadth-first sweep over the generators
-    (coset H is 1).  Only the cosets the sweep reaches are looked up, one
-    gather of k |H| rows per coset for k generators.  The kernel is
-    quotiented away by construction, so the result is always a valid
-    core-free PairGH."""
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not a subgroup of G")
-    gens = G.generators
-    # number[c]: 0-based number of the coset whose least element is c; H's
-    # least element is the identity, element 0
-    number = {0: 0}
-    reps = [G._rows[0]]
-    images = []  # chi(g_i) sends coset j to coset images[j * k + i]
-    for r in reps:  # breadth-first: reps grows as it is swept
-        gr = gens[:, r]  # compose(g, r) is g[r], for every generator g
-        # g r H holds the rows (g r)[h]; the least row has the least index
-        least = G._locate(gr[:, H._rows].reshape(-1, G.degree)).reshape(len(gens), H.order)
-        for row, c in zip(gr, least.min(axis=1).tolist()):
-            if c not in number:
-                number[c] = len(reps)
-                reps.append(row)
-            images.append(number[c])
-    n = len(reps)
-    if n * H.order != G.order:
-        raise ValueError("generators do not generate G")  # cosets unreachable
-
-    image_gens = np.unique(np.array(images, _row_dtype(n)).reshape(n, len(gens)).T, axis=0)
-    # chi is a homomorphism, so the images of G's generators generate chi(G)
-    return PairGH(PermGroup(closure(image_gens), image_gens), name=name)
-
-
 def make_sym(n: int, cap: int = CAP_GROUP_ORDER) -> PairGH:
     """Symmetric group of degree n over the stabilizer of 1."""
     if n < 2:
@@ -420,8 +372,7 @@ def _cycle_and_multiplier(n: int, r: int, order: int, name: str) -> PairGH:
     capped before anything is built."""
     if order > CAP_GROUP_ORDER:
         raise CapExceeded("group_order", CAP_GROUP_ORDER, order)
-    gens = np.stack([_cycle_row(n, range(n)), np.arange(n) * r % n]).astype(_row_dtype(n))
-    G = PermGroup(closure(gens), gens)
+    G = PermGroup.from_generators(np.stack([_cycle_row(n, range(n)), np.arange(n) * r % n]))
     assert G.order == order
     return PairGH(G, name=name)
 
@@ -577,18 +528,24 @@ def parse_fixture(text: str):
     return name, degree, gens
 
 
-def pair_from_fixture(text: str, cap: int = CAP_GROUP_ORDER):
-    """Build a normalized pair from fixture text.
-
-    If the generated group is transitive it is used as-is (symbol numbering
-    preserved); otherwise the coset representation over the stabilizer of 1
-    is applied, and the pair acts on the orbit of 1, so its degree is below
-    the fixture's.
-    """
+def pair_from_fixture(text: str, cap: int = CAP_GROUP_ORDER) -> PairGH:
+    """Build a normalized pair from fixture text: G acting on the orbit of 1,
+    which is its action on the left cosets of G_1.  The orbit is numbered
+    breadth-first from 1, each point's images in generator order; a
+    transitive G keeps its own numbering.  Only that action is closed, so
+    `cap` bounds the group that is built."""
     name, degree, gens = parse_fixture(text)
-    G = PermGroup.from_generators(gens, degree=degree, cap=cap)
-    label = name or f"fixture(degree={degree})"
-    try:
-        return PairGH(G, name=label)
-    except ValueError:  # PairGH refuses only an intransitive G
-        return coset_representation(G, G.stabilizer_of_1(), name=label)
+    rows = _perm_rows(gens, degree)
+    orbit, seen = [0], {0}
+    for x in orbit:  # breadth-first: orbit grows as it is swept
+        for y in rows[:, x].tolist():
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    if len(orbit) < degree:
+        renumber = np.empty(degree, dtype=_row_dtype(len(orbit)))
+        renumber[orbit] = np.arange(len(orbit))
+        # row g sends orbit point j to renumber[g(orbit[j])]
+        rows = np.unique(renumber[rows[:, orbit]], axis=0)
+    return PairGH(PermGroup.from_generators(rows, cap=cap),
+                  name=name or f"fixture(degree={degree})")

@@ -596,15 +596,25 @@ def report_to_json(report: IctReport) -> dict:
 
 def report_from_json(data: dict) -> IctReport:
     """The report report_to_json wrote, each contribution rebuilt from its
-    factors.  Stored counts that disagree with the factors, or a value that
-    is not numerator / gamma_order, raise ValueError; an oracle report has
-    no contributions and keeps its stored numerator."""
+    factors.  A count that is not an int (say a float or a bool), a
+    gamma_order below 1, a stored count that disagrees with the factors, or
+    a value that is not numerator / gamma_order raises ValueError, as does
+    a mistyped field; an oracle report keeps its stored numerator."""
     if not isinstance(data, dict):
         raise ValueError(f"report is not a JSON object: {data!r}")
     if data.get("schema") != REPORT_SCHEMA:
         raise ValueError(f"unknown report schema: {data.get('schema')!r}")
     degree = data.get("degree")
     stored = data["contributions"]
+    counts = [data["value"], data["numerator"], data["gamma_order"],
+              0 if degree is None else degree,
+              *(v for c in stored for v in (c["class_size"], c["t"], c["k"], c["fix_count"],
+                                            *c["a_factors"], *c["orbit_factors"]))]
+    texts = [data["pair"], data["method"], data["justification"],
+             *(c["representative"] for c in stored)]
+    if (any(type(v) is not int for v in counts) or data["gamma_order"] < 1
+            or type(data["validated"]) is not bool or any(type(t) is not str for t in texts)):
+        raise ValueError("stored report fields are not of their types")
     contributions = tuple(
         _contribution(format_cycles(parse_cycles(degree, c["representative"])),
                       c["class_size"], c["a_factors"], c["orbit_factors"])

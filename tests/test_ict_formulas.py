@@ -24,7 +24,6 @@ from transversals.groups import (
     _normalizing,
     _row_keys,
     closure,
-    coset_representation,
     enumerate_transversals,
     make_alt,
     make_dihedral,
@@ -76,6 +75,7 @@ from oracles import (
     cyclic_gamma,
     elements,
     find_regular_normal_cycle,
+    group_of,
     is_subgroup,
     parity,
     perms,
@@ -321,13 +321,13 @@ def test_theorem6_matches_alt_closed_form_term_by_term():
 
 
 def test_theorem6_on_normal_pairs_gives_one():
-    C3 = PermGroup.from_generators([parse_cycles(3, "(1,2,3)")])
+    C3 = group_of([parse_cycles(3, "(1,2,3)")])
     regular = PairGH(C3, name="cyclic(3) regular")
     assert ict_theorem6(regular).value == 1
 
     i = parse_cycles(8, "(1,2,5,6)(3,4,7,8)")
     j = parse_cycles(8, "(1,3,5,7)(2,8,6,4)")
-    Q = PermGroup.from_generators([i, j], degree=8)
+    Q = group_of([i, j], degree=8)
     quat = PairGH(Q, name="quaternion regular")
     report = ict_theorem6(quat)
     assert report.value == 1
@@ -338,16 +338,14 @@ def test_theorem6_rejects_bad_gamma():
     pair = make_dihedral(4)
     with pytest.raises(HypothesisViolation, match="fix symbol 1"):
         ict_theorem6(pair, gamma=PermGroup.symmetric(4))
-    full_stab = PermGroup.from_generators(
-        [parse_cycles(4, "(2,3)"), parse_cycles(4, "(2,3,4)")]
-    )
+    full_stab = group_of([parse_cycles(4, "(2,3)"), parse_cycles(4, "(2,3,4)")])
     with pytest.raises(HypothesisViolation, match="normalize"):
         ict_theorem6(pair, gamma=full_stab)
-    swap = PermGroup.from_generators([parse_cycles(5, "(2,3)")])
+    swap = group_of([parse_cycles(5, "(2,3)")])
     with pytest.raises(HypothesisViolation, match="acting group must normalize the group"):
         ict_theorem6(make_dihedral(5), gamma=swap)
     with pytest.raises(HypothesisViolation, match="degree"):
-        ict_theorem6(pair, gamma=PermGroup.from_generators([], degree=5))
+        ict_theorem6(pair, gamma=group_of([], degree=5))
 
 
 def test_theorem6_guards_only_a_supplied_gamma(monkeypatch):
@@ -585,7 +583,7 @@ def test_row_finder_matches_the_closure_reference():
     pairs += [relabel(pair, Permutation([1, *rng.sample(range(2, pair.degree + 1),
                                                         pair.degree - 1)]))
               for pair in pairs]
-    pairs.append(PairGH(PermGroup.from_generators([], degree=1)))
+    pairs.append(PairGH(group_of([], degree=1)))
     for pair in pairs:
         want = find_regular_normal_cycle(pair)
         assert want is not None, pair.name
@@ -643,29 +641,25 @@ def test_engines_build_no_permutation(monkeypatch):
 
 
 def test_groups_and_classifiers_build_no_permutation(monkeypatch):
-    """A group is rows end to end: the family builders, the coset
-    representation of an intransitive group, the conjugation classifier
-    (whose relabeling generators are rows) and the census build no
-    Permutation while they run."""
-    G = PermGroup.from_generators(
-        [parse_cycles(5, "(1,2,3)"), parse_cycles(5, "(1,2)"), parse_cycles(5, "(4,5)")])
-    H = G.stabilizer_of_1()
+    """A group is rows end to end: the family builders, the conjugation
+    classifier (whose relabeling generators are rows) and the census build
+    no Permutation while they run, and an intransitive fixture's pair builds
+    only the Permutations its generator lines parse to."""
     built = spy_on_permutations(monkeypatch)
     runs = {
         "sym(5)": lambda: make_sym(5),
         "alt(5)": lambda: make_alt(5),
         "dihedral(7)": lambda: make_dihedral(7),
         "pq(3,7)": lambda: make_pq(3, 7),
-        "coset representation": lambda: coset_representation(G, H),
         "conjugation classes alt(4)": lambda: classify_by_conjugation(make_alt(4)),
         "census(3)": lambda: census_left_loops(3),
     }
     for what, run in runs.items():
         run()
         assert built == [], what
-    image = coset_representation(G, H)
-    assert (image.degree, image.group.order) == (3, 6)
-    assert contains(image.group, Permutation.from_cycles(3, [(1, 2)])) and len(built) == 1
+    image = pair_from_fixture("degree 5\ngen (1,2,3)\ngen (1,2)\ngen (4,5)\n")
+    assert (image.degree, image.group.order, len(built)) == (3, 6, 3)
+    assert contains(image.group, Permutation.from_cycles(3, [(1, 2)])) and len(built) == 4
 
 
 def test_ict_cyclic_builds_the_affine_family_once(monkeypatch):
@@ -801,7 +795,7 @@ def test_report_text_without_contributions():
 
 
 def test_coset_representation_feeds_the_engines():
-    # abstract input: sym(4) over a point stabilizer handed in as raw groups
-    G = PermGroup.symmetric(4)
-    pair = coset_representation(G, G.stabilizer_of_1())
+    # Sym(4) x Sym(2) acts on the orbit of 1 as Sym(4) over its point stabilizer
+    pair = pair_from_fixture("degree 6\ngen (1,2)\ngen (1,2,3,4)\ngen (5,6)\n")
+    assert (pair.degree, pair.group.order) == (4, 24)
     assert ict_theorem6(pair).value == 44

@@ -23,7 +23,6 @@ from transversals.groups import (
     _invert_rows,
     _normalizing,
     _perm_rows,
-    coset_representation,
     enumerate_transversals,
     generates,
     make_alt,
@@ -48,7 +47,9 @@ from oracles import (
     _right_transversals,
     compose,
     conjugate,
+    coset_representation_reference,
     cycle_type,
+    group_of,
     induced_table,
     inverse,
     left_right_agreement,
@@ -77,14 +78,14 @@ def involution_pair():
     relabeling sweep."""
     G, _ = order18_example()
     y = parse_cycles(6, "(2,3)(5,6)")
-    H = PermGroup.from_generators([y], degree=6)
-    return coset_representation(G, H, name="order18 over an involution")
+    H = group_of([y], degree=6)
+    return coset_representation_reference(G, H, name="order18 over an involution")
 
 
 def a4_pair():
     G = PermGroup.alternating(4)
-    H = PermGroup.from_generators([parse_cycles(4, "(1,2)(3,4)")])
-    return coset_representation(G, H, name="alt(4) over an involution")
+    H = group_of([parse_cycles(4, "(1,2)(3,4)")])
+    return coset_representation_reference(G, H, name="alt(4) over an involution")
 
 
 # ------------------------------------------------------- references
@@ -523,7 +524,7 @@ def test_census_sums_the_transitive_strata(n, total, even, alt_total):
     count for Alt(n)."""
     counts = {}
     for name, (gens, _) in STRATA[n].items():
-        G = PermGroup.from_generators([parse_cycles(n, g) for g in gens])
+        G = group_of([parse_cycles(n, g) for g in gens])
         counts[name] = sum(classify_by_conjugation(PairGH(G)).generating_flags)
     assert counts == {name: want for name, (_, want) in STRATA[n].items()}
     assert sum(counts.values()) == total == ict_sym(n).value
@@ -629,7 +630,7 @@ FAMILIES = {
     **{f"dihedral{n}": (lambda n=n: make_dihedral(n)) for n in range(3, 9)},
     **{f"pq{p}_{q}": (lambda p=p, q=q: make_pq(p, q))
        for p, q in ((2, 3), (2, 5), (2, 7), (3, 7))},
-    "order18": lambda: coset_representation(*order18_example()),
+    "order18": lambda: coset_representation_reference(*order18_example()),
     "order18_involution": involution_pair,
     "alt4_involution": a4_pair,
 }
