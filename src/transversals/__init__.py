@@ -13,7 +13,7 @@ size) pairs; enumerate_transversals yields each transversal as an (n, n)
 array of rows, identity first); x after y is the row x[y], and
 PermGroup.from_generators closes a (k, n) array of generator rows.
 Permutation objects, each built by the validating constructor, exist only
-where text enters (parse_cycles, fixtures, cache reads).  A fixture's pair
+where text enters (parse_cycles and fixtures).  A fixture's pair
 (pair_from_fixture) is its group acting on the orbit of 1, so H = G_1.
 
 groups and oracle import numpy, so their names here load on first access

@@ -2,8 +2,8 @@
 the oracle, census left loops, sweep structural facts, and dump class
 representatives.  Reports of the engines that build a group are cached on
 disk keyed by pair, method, and the package's source digest, plus a
-non-default --cap-stab-enum (a closed form recomputes faster than a hit
-reads); all output is deterministic for a given invocation.
+non-default --cap-stab-enum; a hit must match its entry's digest, and closed
+forms are never cached.  All output is deterministic for a given invocation.
 
 Every choice changes what runs: a subcommand offers only the --cap-* flags
 its engines read, and --method is auto (the family's closed form, else
@@ -192,6 +192,12 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _render(report: IctReport, args) -> str:
+    if args.format == "json":
+        return _dump_json(report_to_json(report))
+    return report_to_text(report)
+
+
 # ---------------------------------------------------------------- caching
 
 @functools.cache
@@ -235,6 +241,12 @@ def _cache_load(path: Path, key: str) -> dict | None:
     return payload
 
 
+def _report_digest(report) -> str:
+    """sha256 of a report's canonical bytes, which are the bytes of the
+    report object inside its cache file."""
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def _cache_store(path: Path, key: str, report: dict):
     """Write one entry through a temp file unique to this process, renamed
     over the entry's file, so concurrent writers never lose or tear one.
@@ -244,6 +256,7 @@ def _cache_store(path: Path, key: str, report: dict):
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             tmp.write_text(json.dumps({"tool": _source_digest(), "key": key,
+                                       "report_sha256": _report_digest(report),
                                        "report": report}, sort_keys=True))
             os.replace(tmp, path)
         finally:
@@ -297,24 +310,26 @@ def cmd_ict(args) -> int:
     key = ":".join(map(str, (family, *ident))) + f"|{method}"
     if args.cap_stab_enum != CAP_STAB_ENUM:  # the cyclic justification reads it
         key += f"|cap-stab-enum:{args.cap_stab_enum}"
-    # a closed form recomputes faster than a hit reads and re-validates it
+    # a closed form is recomputed: below degree 10 that beats a hit, and at
+    # degree 14 a hit saves only about a tenth (README, Caching)
     cache_path = None if method in ("sym", "alt") else _cache_file(args, key)
     stored = _cache_load(cache_path, key) if cache_path else None
-    report = None
+    content = None
     if stored is not None:
-        try:
-            report = report_from_json(stored.get("report"))
+        try:  # corrupt: fails its digest, lacks a field or will not render
+            if stored.get("report_sha256") == _report_digest(stored.get("report")):
+                content = _render(report_from_json(stored["report"]), args)
         except (ValueError, KeyError, TypeError):
+            pass
+        if content is None:
             sys.stderr.write("warning: malformed cache entry, recomputing\n")
 
-    if report is None:
+    if content is None:
         report = _compute_report(method, family, params, args)
         if cache_path:
             _cache_store(cache_path, key, report_to_json(report))
-
-    if args.format == "json":
-        return _emit(_dump_json(report_to_json(report)), args)
-    return _emit(report_to_text(report), args)
+        content = _render(report, args)
+    return _emit(content, args)
 
 
 def _crosscheck_rows(family, params, pair, args):

@@ -10,8 +10,11 @@ through transversals.cli.main.  The fixtures are `--count` seeded random
 intransitive ones (oracles.random_intransitive_generators, order at most
 720) and fixed edge cases: degree 1, `gen ()`, an orbit of 1 that is {1},
 the order-18 group, S5 x S5 and PSL(2,5).  Each fixture runs `ict` (human,
-JSON and `--method oracle`, all `--no-cache`), `crosscheck`, and `classes`
-(human and JSON).  Exits 1 when any command differs.
+JSON and `--method oracle`, all `--no-cache`), `ict --cache-dir` twice, a
+miss that stores the report and then a hit that serves it, `crosscheck`,
+and `classes` (human and JSON).  Each tree has a cache directory of its
+own, so neither reads what the other stored.  Exits 1 when any command
+differs.
 """
 
 import argparse
@@ -38,9 +41,13 @@ EDGE_CASES = [
     "name psl25\ndegree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n",
 ]
 
+# stands for the tree's own cache directory in an argv
+CACHE = "<cache>"
+
 COMMANDS = [["ict", "--no-cache"], ["ict", "--no-cache", "--format", "json"],
-            ["ict", "--no-cache", "--method", "oracle"], ["crosscheck"],
-            ["classes"], ["classes", "--format", "json"]]
+            ["ict", "--no-cache", "--method", "oracle"],
+            ["ict", "--cache-dir", CACHE], ["ict", "--cache-dir", CACHE],
+            ["crosscheck"], ["classes"], ["classes", "--format", "json"]]
 
 CHILD = """
 import contextlib, io, json, sys
@@ -73,9 +80,11 @@ def fixtures(count: int, seed: int) -> list:
 
 
 def run_tree(src: str, argvs: list) -> list:
-    done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argvs),
-                          capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    with tempfile.TemporaryDirectory() as cache:
+        argvs = [[cache if arg == CACHE else arg for arg in argv] for argv in argvs]
+        done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argvs),
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
     return json.loads(done.stdout)
 
 

@@ -463,9 +463,9 @@ def test_cache_non_object_report_recomputes(tmp_path, capsys, report):
 ])
 def test_cache_entry_disagreeing_with_its_factors_recomputes(tmp_path, capsys, argv, key,
                                                              tamper):
-    """A stored count is checked against the factors it derives from: an
-    entry whose value, a class's fix_count or t, or an oracle report's
-    numerator disagrees is recomputed with a warning, never printed."""
+    """An entry whose value, a class's fix_count or t, or an oracle report's
+    numerator was edited no longer matches its digest: it is recomputed
+    with a warning, never printed."""
     cache = tmp_path / "cache"
     args = (*argv, "--cache-dir", str(cache))
     _, cold, _ = run(capsys, *args)
@@ -494,6 +494,16 @@ def _zero_gamma(report):
     report.update(gamma_order=0, numerator=0, value=999)
 
 
+def _without_contributions(report):
+    del report["contributions"]
+    return True  # the entry is given the edited report's digest
+
+
+def _nested_factor(report):
+    report["contributions"][0]["a_factors"] = [[1]]
+    return True  # the entry is given the edited report's digest
+
+
 @pytest.mark.parametrize("argv, key, tamper", [
     (("--dihedral", "5"), "dihedral:5|cyclic", _floats),
     (("--dihedral", "5"), "dihedral:5|cyclic",
@@ -504,19 +514,31 @@ def _zero_gamma(report):
     (("--dihedral", "5"), "dihedral:5|cyclic",
      lambda report: report["contributions"][0].update(representative=None)),
     (("--sym", "3", "--method", "oracle"), "sym:3|oracle", _zero_gamma),
+    (("--dihedral", "5"), "dihedral:5|cyclic",
+     lambda report: report["contributions"][1].update(representative="(2,3)")),
+    (("--dihedral", "5"), "dihedral:5|cyclic", lambda report: report.update(pair="sym(99)")),
+    (("--dihedral", "5"), "dihedral:5|cyclic",
+     lambda report: report.update(justification="tampered")),
+    (("--dihedral", "5"), "dihedral:5|cyclic", _without_contributions),
+    (("--dihedral", "5"), "dihedral:5|cyclic", _nested_factor),
 ], ids=["float counts", "bool count", "int validated", "float degree", "number pair",
-        "null representative", "gamma order 0"])
+        "null representative", "gamma order 0", "other representative", "other pair",
+        "other justification", "no contributions, new digest", "nested factor, new digest"])
 def test_cache_entry_of_the_wrong_types_recomputes(tmp_path, capsys, argv, key, tamper):
-    """Every stored count must be an int (not a float or a bool), the acting
-    group's order at least 1, `validated` a bool and every text a string: a
-    count equal in value, such as 4.0 for 4 or true for 1, is recomputed with
-    a warning, never printed, and so is any value over a gamma order of 0."""
+    """A stored report must match the digest stored beside it: a count equal
+    in value but of another type, such as 4.0 for 4 or true for 1, a gamma
+    order of 0, and a representative, pair or justification edited to other
+    valid text are each recomputed with a warning, never printed.  An entry
+    given its edited report's digest (a tamper that returns True) but
+    lacking contributions, or holding a factor that cannot be rendered,
+    still gets the warning, not a traceback."""
     cache = tmp_path / "cache"
     args = (*argv, "--cache-dir", str(cache))
     _, cold, _ = run(capsys, *args)
     path = entry_file(cache, key)
     stored = json.loads(path.read_text())
-    tamper(stored["report"])
+    if tamper(stored["report"]):
+        stored["report_sha256"] = cli._report_digest(stored["report"])
     path.write_text(json.dumps(stored))
     code, out, err = run(capsys, *args)
     assert (code, out, err) == (EXIT_OK, cold, "warning: malformed cache entry, recomputing\n")
