@@ -27,8 +27,7 @@ from ._version import __version__
 from .errors import (CAP_CLASSES, CAP_STAB_ENUM, CapExceeded, DisagreementError,
                      HypothesisViolation)
 from .perm import _orbits, format_cycles
-from .symclasses import (centralizer_order, class_size, multiplicities, partitions,
-                         partitions_exceed)
+from .symclasses import centralizer_order, partitions, partitions_exceed
 
 # groups imports numpy; the engines that build or read a group import it
 # when they run, so the closed forms and the renderers load without numpy
@@ -257,55 +256,89 @@ def all_even_centralizer(parts) -> bool:
 
 
 def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
+    """The class rows of Sym(n)_1, which acts as Sym(m) on symbols 2..n
+    (m = n - 1), one per partition of m.
+
+    Rows come in groups._class_order_key order: by moved count, then parts
+    ascending.  partitions(m) is descending, so its sublist of one moved
+    count, popped from the end, is ascending: bucketing on moved count
+    gives the order without a sort.  factor_fn (a commuting count) is
+    evaluated once per cycle type that fixes symbol 1 and another symbol,
+    on that type's own row.  A cycle of length l contributes factor_fn of
+    the type of x^l, which fixes both and moves fewer symbols than x, so
+    that type's row came earlier: its factor is looked up by key, never
+    recomputed.
+    """
     m = n - 1
     if partitions_exceed(m, CAP_CLASSES):
         raise CapExceeded("classes", CAP_CLASSES, f"p({m})")
-    contributions = []
+    buckets = [[] for _ in range(m + 1)]
+    for parts in partitions(m):
+        buckets[m - parts.count(1)].append(parts)
+    fact = [1]
+    for i in range(1, n):
+        fact.append(fact[-1] * i)
     symbols = [str(s) for s in range(n + 1)]
     # a cycle type (length -> multiplicity, on all n symbols) is keyed by the
     # sum of mult << (b * l); b bits hold any multiplicity (at most n), so no
-    # field carries.  factors holds factor_fn of each type fixing symbol 1 and
-    # another: every x^l below does, and moves fewer symbols than x, so its
-    # class came before x's
+    # field carries
     b = m.bit_length() + 1
-    factors = {}
+    unit = [1 << (b * l) for l in range(n + 1)]
+    factors = {}  # type key -> factor_fn of the type
     weights = {}  # l -> [key of the gcd(l, d) cycles a d-cycle makes in x^l, by d]
-    # groups._class_order_key order: representatives fill cycles longest-first
-    # on consecutive symbols from 2, so per moved count images order is parts
-    # order, and each cycle's text is one run of symbols
-    for parts in sorted(partitions(m), key=lambda p: (m - p.count(1), p)):
-        cycles = []
-        a = 2
-        for l in parts:
-            if l == 1:
-                break
-            cycles.append("(" + ",".join(symbols[a:a + l]) + ")")
-            a += l
-        counts = multiplicities(parts)
-        size = class_size(counts, m)
-        counts[1] = counts.get(1, 0) + 1  # symbol 1 rides along as a fixed point
-        k = counts[1]
-        f = 1
-        if k > 1:
-            f = factors[sum(mult << (b * l) for l, mult in counts.items())] = factor_fn(counts)
-        a_factors = (1,) + (f,) * (k - 1)
-        fix = f ** (k - 1)
-        # one factor per cycle length, repeated per cycle, longest first
-        orbit_factors = ()
-        for l, mult in counts.items():
-            if l > 1:
-                w = weights.get(l)
-                if w is None:
-                    w = weights[l] = [gcd(l, d) << (b * (d // gcd(l, d))) for d in range(n + 1)]
-                key = 0
-                for d, dmult in counts.items():
-                    key += dmult * w[d]
-                o = factors[key]
-                orbit_factors += (o,) * mult
-                fix *= o ** mult
-        contributions.append(ClassContribution("".join(cycles) or "()", size, len(orbit_factors),
-                                               k, a_factors, orbit_factors, fix))
-    return _assemble(method, n, factorial(m), contributions, label, WHOLE_STABILIZER, True)
+    # texts[start][l]: text of the cycle (start, start + 1, ..., start + l - 1)
+    texts = [[None] * (n + 1) for _ in range(n + 1)]
+    contributions = []
+    for bucket in buckets:
+        while bucket:
+            # popped, each partition is freed once its row is built
+            parts = bucket.pop()
+            # representatives fill cycles longest-first on consecutive
+            # symbols from 2, so each cycle's text is one run of symbols
+            counts = {}
+            centralizer = 1  # prod over l > 1 of mult! * l^mult, one factor per cycle
+            type_key = 0
+            rep = ""
+            a = 2
+            mult = last = 0
+            for l in parts:
+                if l == 1:
+                    break
+                # parts are non-increasing, so equal lengths are adjacent
+                mult = mult + 1 if l == last else 1
+                counts[l] = mult
+                last = l
+                centralizer *= l * mult
+                type_key += unit[l]
+                text = texts[a][l]
+                if text is None:
+                    text = texts[a][l] = "(" + ",".join(symbols[a:a + l]) + ")"
+                rep += text
+                a += l
+            k = counts[1] = n + 2 - a  # fixed symbols, symbol 1 among them
+            size = fact[m] // (fact[k - 1] * centralizer)
+            f = 1
+            if k > 1:
+                f = factors[type_key + k * unit[1]] = factor_fn(counts)
+            a_factors = (1,) + (f,) * (k - 1)
+            fix = f ** (k - 1)
+            # one factor per cycle length, repeated per cycle, longest first
+            orbit_factors = ()
+            for l, mult in counts.items():
+                if l > 1:
+                    w = weights.get(l)
+                    if w is None:
+                        w = weights[l] = [gcd(l, d) << (b * (d // gcd(l, d)))
+                                          for d in range(n + 1)]
+                    key = 0
+                    for d, dmult in counts.items():
+                        key += dmult * w[d]
+                    o = factors[key]
+                    orbit_factors += (o,) * mult
+                    fix *= o ** mult
+            contributions.append(ClassContribution(rep or "()", size, len(orbit_factors), k,
+                                                   a_factors, orbit_factors, fix))
+    return _assemble(method, n, fact[m], contributions, label, WHOLE_STABILIZER, True)
 
 
 def ict_sym(n: int) -> IctReport:

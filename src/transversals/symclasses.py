@@ -11,28 +11,42 @@ from math import factorial
 
 
 def partitions(m: int):
-    """All partitions of m in reverse-lexicographic order, [m] first, [1]*m last."""
+    """All partitions of m in reverse-lexicographic order, [m] first, [1]*m last.
+
+    Zoghbi and Stojmenovic's ZS1 (Int. J. Comput. Math. 70, 1998): the
+    parts live in one array padded with ones, and each step lowers the last
+    part above 1 by one and spreads the freed units over parts of the new
+    size, so it touches only the tail it rewrites.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
         return [()]
-    out = []
-    part = [m]
-    while True:
-        out.append(tuple(part))
-        # find rightmost part > 1, spread the tail over parts of that size
-        i = len(part) - 1
-        while i >= 0 and part[i] == 1:
-            i -= 1
-        if i < 0:
-            break
-        rest = len(part) - i - 1 + part[i]
-        new = part[i] - 1
-        part[i:] = []
-        while rest:
-            take = min(new, rest)
-            part.append(take)
-            rest -= take
+    x = [1] * (m + 1)
+    x[0] = m
+    k = h = 0  # x[:k + 1] is the partition, x[h] its last part > 1
+    out = [(m,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            k += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = k - h + 1  # units freed: the ones after h, and one from x[h]
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                k = h
+            else:
+                k = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        out.append(tuple(x[:k + 1]))
     return out
 
 
@@ -49,13 +63,6 @@ def partitions_exceed(m: int, cap: int) -> bool:
             j += 1
         p.append(total)
     return p[-1] > cap
-
-
-def multiplicities(parts) -> dict:
-    mult = {}
-    for l in parts:
-        mult[l] = mult.get(l, 0) + 1
-    return mult
 
 
 def centralizer_order(counts: dict) -> int:

@@ -1,5 +1,5 @@
-"""Run the same fixture commands against two source trees and report every
-difference in stdout, stderr or exit code.
+"""Run the same fixture and closed-form commands against two source trees
+and report every difference in stdout, stderr or exit code.
 
     python tests/compare_cli_outputs.py OLD_SRC NEW_SRC [--count 60] [--seed 25]
 
@@ -12,9 +12,12 @@ intransitive ones (oracles.random_intransitive_generators, order at most
 the order-18 group, S5 x S5 and PSL(2,5).  Each fixture runs `ict` (human,
 JSON and `--method oracle`, all `--no-cache`), `ict --cache-dir` twice, a
 miss that stores the report and then a hit that serves it, `crosscheck`,
-and `classes` (human and JSON).  Each tree has a cache directory of its
-own, so neither reads what the other stored.  Exits 1 when any command
-differs.
+and `classes` (human and JSON).  The closed forms run as `ict --sym N` and
+`ict --alt N` for N = 2..30 (human and JSON; `--alt` below 4 is an input
+error), `ict --sym 42`, the largest under the class cap, and `ict --sym
+43`, refused by it.  Each tree has a cache directory of its own, so neither
+reads what the other stored.  Outputs are compared by their SHA-256, so the
+157 MB of `--sym 42` is never held.  Exits 1 when any command differs.
 """
 
 import argparse
@@ -49,18 +52,33 @@ COMMANDS = [["ict", "--no-cache"], ["ict", "--no-cache", "--format", "json"],
             ["ict", "--cache-dir", CACHE], ["ict", "--cache-dir", CACHE],
             ["crosscheck"], ["classes"], ["classes", "--format", "json"]]
 
+CLOSED_FORMS = [["ict", f"--{family}", str(n), "--no-cache", *fmt]
+                for family in ("sym", "alt") for n in range(2, 31)
+                for fmt in ([], ["--format", "json"])]
+CLOSED_FORMS += [["ict", "--sym", "42", "--no-cache"], ["ict", "--sym", "43", "--no-cache"]]
+
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, hashlib, json, sys
 from transversals.cli import main
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+    def flush(self):
+        pass
+
 results = []
 for argv in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
+    out, err = Digest(), Digest()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    results.append([out.getvalue(), err.getvalue(), code])
+    results.append([out.sha.hexdigest(), err.sha.hexdigest(), code])
 json.dump(results, sys.stdout)
 """
 
@@ -101,12 +119,14 @@ def main() -> int:
             path = Path(tmp) / f"f{i}.group"
             path.write_text(text)
             argvs += [[cmd[0], "--fixture", str(path), *cmd[1:]] for cmd in COMMANDS]
+        fixture_count = len(argvs) // len(COMMANDS)
+        argvs += CLOSED_FORMS
         old, new = run_tree(args.old_src, argvs), run_tree(args.new_src, argvs)
     differ = [argv for argv, a, b in zip(argvs, old, new) if a != b]
     for argv in differ:
         print("differs:", " ".join(argv))
     codes = sorted({code for _, _, code in new})
-    print(f"{len(argvs)} commands, {len(argvs) // len(COMMANDS)} fixtures, "
+    print(f"{len(argvs)} commands, {fixture_count} fixtures, {len(CLOSED_FORMS)} closed forms, "
           f"{len(differ)} differ; exit codes seen: {codes}")
     return 1 if differ else 0
 

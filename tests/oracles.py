@@ -13,13 +13,14 @@ built the old way, by Permutation conjugation and closure (the reference
 for ict_formulas._affine_rows), the normal regular cycle found the old way,
 by closing each n-cycle (the reference for
 ict_formulas._find_regular_normal_cycle), the order-18 example pair
-behind acceptance criterion 10, the closed forms' class rows evaluated
-orbit by orbit through cycle types of powers (the reference for
-ict_formulas._closed_form), and the action of G on the left cosets of any
-subgroup H, naming every coset of G first (the reference for
-groups.pair_from_fixture, whose H is G_1, and the builder of the tests'
-pairs over other subgroups), with seeded random intransitive generating
-sets to feed it.  Import them as `from oracles import ...`;
+behind acceptance criterion 10, partitions built recursively (the
+reference for symclasses.partitions) and their multiplicities, the closed
+forms' class rows evaluated orbit by orbit through cycle types of powers
+(the reference for ict_formulas._closed_form), and the action of G on the
+left cosets of any subgroup H, naming every coset of G first (the
+reference for groups.pair_from_fixture, whose H is G_1, and the builder of
+the tests' pairs over other subgroups), with seeded random intransitive
+generating sets to feed it.  Import them as `from oracles import ...`;
 pytest puts this directory on the path.
 """
 
@@ -44,7 +45,7 @@ from transversals.groups import (
 from transversals.ict_formulas import _contribution
 from transversals.oracle import LoopTable, _canonical_forms, classify_by_table_iso
 from transversals.perm import Permutation, format_cycles, parse_cycles
-from transversals.symclasses import class_size, multiplicities, partitions
+from transversals.symclasses import class_size, partitions
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -180,6 +181,26 @@ def power_cycle_counts(cycle_counts: dict, m: int) -> dict:
         g = gcd(l, m)
         out[l // g] = out.get(l // g, 0) + mult * g
     return out
+
+
+def multiplicities(parts) -> dict:
+    """A partition's cycle type: length -> multiplicity."""
+    mult = {}
+    for l in parts:
+        mult[l] = mult.get(l, 0) + 1
+    return mult
+
+
+def partitions_reference(m: int, largest: int | None = None) -> list:
+    """The partitions of m with every part at most `largest` (default m),
+    in reverse-lexicographic order, built recursively: each first part from
+    the largest down, followed by every partition of the rest into parts no
+    larger.  The reference for symclasses.partitions."""
+    if m == 0:
+        return [()]
+    top = m if largest is None else min(m, largest)
+    return [(first,) + rest for first in range(top, 0, -1)
+            for rest in partitions_reference(m - first, first)]
 
 
 def closed_form_reference(n: int, factor_fn) -> tuple:

@@ -61,7 +61,7 @@ from transversals.perm import (
     format_cycles,
     parse_cycles,
 )
-from transversals.symclasses import multiplicities, partitions
+from transversals.symclasses import partitions
 
 from oracles import (
     affine_elements,
@@ -77,6 +77,7 @@ from oracles import (
     find_regular_normal_cycle,
     group_of,
     is_subgroup,
+    multiplicities,
     parity,
     perms,
     power,

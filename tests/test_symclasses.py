@@ -11,7 +11,6 @@ from transversals.perm import Permutation
 from transversals.symclasses import (
     centralizer_order,
     class_size,
-    multiplicities,
     partitions,
     partitions_exceed,
 )
@@ -20,6 +19,8 @@ from oracles import (
     class_representative,
     compose,
     cycle_type,
+    multiplicities,
+    partitions_reference,
     representative_from_cycles,
     row_of,
 )
@@ -35,6 +36,14 @@ def test_partition_counts_match_oeis():
     # p(0..10) = 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert [len(partitions(m)) for m in range(11)] == expected
+
+
+def test_partitions_match_recursive_reference():
+    """The same partitions in the same order as an independent recursive
+    enumeration, and p(41) = 44,583, the most rows a closed form writes."""
+    for m in range(31):
+        assert partitions(m) == partitions_reference(m), m
+    assert len(partitions(41)) == 44_583
 
 
 def test_partitions_exceed_agrees_with_enumeration():
