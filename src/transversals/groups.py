@@ -20,7 +20,8 @@ by image of 1, split once per pair, the other blocks being the cosets), and
 H core-free.  A fixture's pair is its generators' action on the orbit of 1,
 which is G's action on the left cosets of G_1 (the coset g G_1 is the point
 g(1)).  A transversal is an (n, n) array of 0-based rows, one per coset in
-order.
+order.  `generates` tests one (k, n) array of rows or a (T, k, n) stack of
+them in array passes; an image outside 0..n-1 puts its row outside G.
 """
 
 from __future__ import annotations
@@ -29,17 +30,18 @@ import re
 from itertools import chain as _chain
 from itertools import islice as _islice
 from itertools import permutations as _itpermutations
-from math import factorial, prod
+from math import factorial, isqrt, prod
 
 import numpy as np
 
 from .errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, PRINT_LIMIT, CapExceeded
 from .perm import parse_cycles
 
-# Candidates conjugated per gather in the normalizer sweep: large enough to
-# amortize numpy's per-call cost, small enough that an (n-1)! stream is
-# never held whole.
+# Candidates per gather in the normalizer sweep, and element slots (items x
+# |G| x rows) per pass of `generates`: large enough to amortize numpy's
+# per-call cost, small enough that neither input is ever held whole.
 NORMALIZER_CHUNK = 4096
+GENERATES_BATCH = 1 << 20
 
 
 def _row_dtype(degree: int) -> np.dtype:
@@ -148,7 +150,7 @@ class PermGroup:
     in sorted order, so the identity is row 0.  Its size is `order`; the
     trivial group of degree n is `from_generators(np.empty((0, n), np.uint8))`."""
 
-    __slots__ = ("degree", "generators", "_rows", "_keys", "_left")
+    __slots__ = ("degree", "generators", "_rows", "_keys")
 
     def __init__(self, rows: np.ndarray, generators: np.ndarray | None = None):
         """The group whose elements are these rows, already sorted, and
@@ -159,7 +161,6 @@ class PermGroup:
         object.__setattr__(self, "generators", rows if generators is None else generators)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_keys", _row_keys(rows))
-        object.__setattr__(self, "_left", {})
 
     def __setattr__(self, *a):
         raise AttributeError("PermGroup is immutable")
@@ -230,38 +231,6 @@ class PermGroup:
             classes.append((x, int(members.sum())))
         return sorted(classes, key=lambda c: _class_order_key(c[0].tolist()))
 
-    def _left_row(self, i: int) -> list:
-        """Index of g x for every element x, g the i-th element (built on
-        first use, one gather)."""
-        row = self._left.get(i)
-        if row is None:
-            row = self._left[i] = self._locate(self._rows[i][self._rows]).tolist()
-        return row
-
-    def _generated_by(self, indices) -> bool:
-        """Do the elements with these indices generate the whole group?
-        Breadth-first search from the identity over element indices."""
-        order = len(self._keys)
-        gens = [self._left_row(i) for i in set(indices)]
-        seen = bytearray(order)
-        seen[0] = 1
-        count = 1
-        frontier = [0]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for row in gens:
-                    y = row[x]
-                    if not seen[y]:
-                        seen[y] = 1
-                        fresh.append(y)
-            count += len(fresh)
-            # Lagrange: a subgroup with more than half the elements is all of them
-            if 2 * count > order:
-                return True
-            frontier = fresh
-        return False
-
 
 def _class_order_key(row):
     """Presentation order of conjugacy classes by representative, given as
@@ -330,7 +299,7 @@ def _section_rows(blocks, index, degree: int) -> np.ndarray:
     return rows
 
 
-# Transversals built per _section_rows call while enumerating
+# Transversals per _section_rows call while enumerating, and per generates call in the cyclic scan
 SECTION_CHUNK = 4096
 
 
@@ -401,14 +370,7 @@ def make_pq(p: int, q: int) -> PairGH:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _primitive_root_of_unity(p: int, q: int) -> int:
@@ -471,14 +433,47 @@ def _normalizing(group: PermGroup, alphas: np.ndarray) -> np.ndarray:
     return keep
 
 
-def generates(pair: PairGH, rows) -> bool:
+def generates(pair: PairGH, rows) -> bool | np.ndarray:
     """Do these 0-based image rows, a (k, n) array such as a transversal,
-    generate G?  A row outside G never does."""
+    generate G?  A (T, k, n) stack gets a bool array, one per item.  An item
+    with a row outside G, an image outside 0..n-1 included, never does.
+
+    Each pass of items locates every row at once and builds x -> g x for
+    the elements g it uses; breadth-first levels then grow every live
+    item's reached set by each of its rows in turn.  An item settles True
+    once it reaches more than half of G, False when a level adds nothing."""
     rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != pair.degree:
+    if rows.ndim not in (2, 3) or rows.shape[-1] != pair.degree:
         raise ValueError(f"rows of shape {rows.shape} are not of degree {pair.degree}")
-    indices = pair.group._locate(rows.astype(_row_dtype(pair.degree), copy=False))
-    return bool((indices >= 0).all()) and pair.group._generated_by(indices.tolist())
+    stack = rows[None] if rows.ndim == 2 else rows
+    group, order, n = pair.group, pair.group.order, pair.degree
+    answer = np.zeros(len(stack), dtype=bool)
+    step = max(1, GENERATES_BATCH // (order * max(1, stack.shape[1])))
+    for lo in range(0, len(stack), step):
+        chunk = stack[lo:lo + step]
+        inside = ((chunk >= 0) & (chunk < n)).all(axis=2)
+        rows_in = np.where(inside[..., None], chunk, 0).astype(_row_dtype(n))
+        index = np.where(inside, group._locate(rows_in.reshape(-1, n)).reshape(inside.shape), -1)
+        live = np.flatnonzero((index >= 0).all(axis=1))
+        index = index[live][:, (index[live] != 0).any(axis=0)]  # the identity adds nothing
+        used = np.flatnonzero(np.bincount(index.ravel(), minlength=order))  # ascending
+        slot = np.searchsorted(used, index)
+        # left[u, x]: the index of g x, g the used[u]-th element
+        left = group._locate(group._rows[used][:, group._rows].reshape(-1, n)).reshape(-1, order)
+        reached = np.eye(1, order, dtype=bool).repeat(len(live), axis=0)  # the identity
+        count = np.ones(len(live), dtype=np.int64)
+        while len(live):
+            offset, flat = np.arange(0, len(live) * order, order)[:, None], reached.ravel()
+            for s in range(slot.shape[1]):
+                # x joins once g x is in: closing under g^-1 gives the same subgroup
+                reached |= flat[left[slot[:, s]] + offset]
+            before, count = count, reached.sum(axis=1)
+            # Lagrange: a subgroup with more than half the elements is all of them
+            done = 2 * count > order
+            answer[lo + live[done]] = True
+            keep = ~done & (count > before)
+            live, reached, count, slot = live[keep], reached[keep], count[keep], slot[keep]
+    return answer if rows.ndim == 3 else bool(answer[0])
 
 
 def parse_fixture(text: str):

@@ -446,8 +446,9 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     regular cyclic transversal, the group it forms, what was checked, and
     whether both the brute normalizer check and the non-generator scan ran."""
     import numpy as np
-    from .groups import (PermGroup, _row_keys, closure, enumerate_transversals, generates,
-                         normalizer_in_stab)
+    from itertools import islice
+    from .groups import (SECTION_CHUNK, PermGroup, _row_keys, closure, enumerate_transversals,
+                         generates, normalizer_in_stab)
 
     notes = []
     if pair.degree != n or pair.subgroup_order != h:
@@ -477,7 +478,9 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     count = pair.transversal_count()
     scanned = count <= NONGENERATOR_SCAN_CAP
     if scanned:
-        nongen = [T for T in enumerate_transversals(pair) if not generates(pair, T)]
+        transversals, nongen = enumerate_transversals(pair), []
+        while stack := list(islice(transversals, SECTION_CHUNK)):
+            nongen += [T for T, ok in zip(stack, generates(pair, np.stack(stack))) if not ok]
         # T holds the identity, so it is a subgroup exactly when its closure adds nothing
         if not all(len(closure(T)) == len(T) for T in nongen):
             raise HypothesisViolation("a non-generating transversal is not a subgroup")

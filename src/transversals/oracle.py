@@ -94,7 +94,7 @@ def _classification(tables: np.ndarray, pair: PairGH, sizes: np.ndarray,
         representatives=tuple(LoopTable(tables.shape[2], tuple(map(tuple, table)))
                               for table in (tables.astype(np.int64) + 1).tolist()),
         class_sizes=tuple(sizes.tolist()),
-        generating_flags=tuple(generates(pair, table) for table in tables),
+        generating_flags=tuple(generates(pair, tables).tolist()),
         labels=tuple(labels.tolist()),
     )
 

@@ -20,7 +20,9 @@ forms' class rows evaluated orbit by orbit through cycle types of powers
 left cosets of any subgroup H, naming every coset of G first (the
 reference for groups.pair_from_fixture, whose H is G_1, and the builder of
 the tests' pairs over other subgroups), with seeded random intransitive
-generating sets to feed it.  Import them as `from oracles import ...`;
+generating sets to feed it, and the generation test one set of rows at a
+time, by breadth-first search over element indices (the reference for
+groups.generates, which answers a stack of them at once).  Import them as `from oracles import ...`;
 pytest puts this directory on the path.
 """
 
@@ -422,6 +424,44 @@ def is_normal(sub: PermGroup, group: PermGroup) -> bool:
     """Is sub a normal subgroup of group?  A subgroup that every generator
     of group normalizes."""
     return is_subgroup_of(sub, group) and bool(_normalizing(sub, group.generators).all())
+
+
+def _left_row(group: PermGroup, i: int) -> list:
+    """Index of g x for every element x, g the i-th element (one gather)."""
+    return group._locate(group._rows[i][group._rows]).tolist()
+
+
+def generates_reference(group: PermGroup, rows) -> bool:
+    """Do these (k, degree) 0-based image rows generate the group?  One set
+    of rows per call: each row is checked for range and located, then a
+    breadth-first search from the identity runs over element indices; a row
+    outside the group never generates."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, group.degree)
+    if not ((rows >= 0) & (rows < group.degree)).all():
+        return False
+    indices = group._locate(rows.astype(_row_dtype(group.degree)))
+    if not (indices >= 0).all():
+        return False
+    order = group.order
+    gens = [_left_row(group, i) for i in set(indices.tolist())]
+    seen = bytearray(order)
+    seen[0] = 1
+    count = 1
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for row in gens:
+                y = row[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    fresh.append(y)
+        count += len(fresh)
+        # Lagrange: a subgroup with more than half the elements is all of them
+        if 2 * count > order:
+            return True
+        frontier = fresh
+    return False
 
 
 def random_intransitive_generators(rng, n: int) -> list:

@@ -3,6 +3,7 @@
 import random
 import time
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     coset_representation_reference,
     elements,
     format_fixture,
+    generates_reference,
     group_of,
     is_abelian,
     is_normal,
@@ -377,6 +379,12 @@ def test_normalizer_in_stab():
     assert normalizer_in_stab(make_dihedral(8)).order == 4
 
 
+@pytest.mark.parametrize("p, q", [(0, 5), (1, 3), (2, 1), (2, 9), (4, 13), (3, 49)])
+def test_make_pq_refuses_a_non_prime(p, q):
+    with pytest.raises(ValueError, match="must be prime"):
+        make_pq(p, q)
+
+
 def test_generates():
     pair = make_sym(3)
     e = Permutation.identity(3)
@@ -387,8 +395,89 @@ def test_generates():
     assert generates(pair, [[1, 0, 2], [2, 0, 1]])  # any (k, n) rows, any integer type
 
 
+@pytest.mark.parametrize("rows", [
+    [[257, 0, 2], [2, 0, 1]],  # 257 wraps to 1 in a byte: the transposition (1,2)
+    [[1, 0, 2], [258, 0, 1]],
+    [[1, 0, 2], [2, -256, 1]],
+    [[1, 256, 2], [2, 0, 1]],
+])
+def test_generates_is_false_for_an_image_out_of_range(rows):
+    good = [[1, 0, 2], [2, 0, 1]]
+    pair = make_sym(3)
+    assert generates(pair, good) and not generates(pair, rows)
+    assert not generates_reference(pair.group, rows)
+    assert generates(pair, [good, rows, good]).tolist() == [True, False, True]
+
+
+def _all_transversals(pair):
+    return _section_rows(pair.cosets()[1:], np.arange(pair.transversal_count()), pair.degree)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_pq(2, 11), lambda: make_pq(3, 7), lambda: make_dihedral(9),
+    lambda: make_sym(4), lambda: make_alt(4),
+], ids=["pq(2,11)", "pq(3,7)", "dihedral(9)", "sym(4)", "alt(4)"])
+def test_generates_stack_matches_the_per_item_search(build):
+    pair = build()
+    stack = _all_transversals(pair)
+    flags = generates(pair, stack)
+    assert flags.dtype == bool and flags.shape == (len(stack),)
+    assert flags.tolist() == [generates_reference(pair.group, T) for T in stack]
+    assert flags.any()
+    # a generating item with one row swapped for the transposition (1,2),
+    # which lies outside G except in sym(4)
+    swapped = stack[flags.argmax()].copy()
+    swapped[1] = [1, 0, *range(2, pair.degree)]
+    mixed = np.stack([stack[-1], swapped, stack[0]])
+    want = [generates_reference(pair.group, T) for T in mixed]
+    assert generates(pair, mixed).tolist() == want
+    assert pair.name == "sym(4)" or not want[1]
+
+
+def test_generates_stack_on_the_order18_transversals():
+    """None of the transversals of H in the order-18 group generate it.  G
+    is intransitive on its 6 points, so no PairGH holds it; generates reads
+    only a pair's group and degree."""
+    G, H = order18_example()
+    stack = _section_rows(_left_coset_blocks(G, H)[1:], np.arange(H.order ** 2), G.degree)
+    flags = generates(SimpleNamespace(group=G, degree=G.degree), stack)
+    assert flags.tolist() == [generates_reference(G, T) for T in stack] == [False] * 36
+
+
+def test_generates_empty_stacks_and_items_of_no_rows():
+    pair = make_sym(3)
+    empty = generates(pair, np.zeros((0, 3, 3), dtype=np.uint8))
+    assert empty.dtype == bool and empty.shape == (0,)
+    assert not generates(pair, np.zeros((0, 3), dtype=np.uint8))
+    assert generates(pair, np.zeros((4, 0, 3), dtype=np.uint8)).tolist() == [False] * 4
+    assert not generates_reference(pair.group, np.zeros((0, 3)))
+    # only the trivial group is generated by nothing
+    trivial = pair_from_fixture("degree 1\ngen ()\n")
+    assert trivial.group.order == 1
+    assert generates(trivial, np.zeros((0, 1), dtype=np.uint8))
+    assert generates(trivial, np.zeros((2, 0, 1), dtype=np.uint8)).tolist() == [True, True]
+    assert generates_reference(trivial.group, np.zeros((0, 1)))
+    assert generates(trivial, [[[0]], [[1]]]).tolist() == [True, False]
+
+
+def test_psl25_nongenerating_transversals_close_to_five_groups_of_order_12():
+    """ROADMAP item 1's cause: PSL(2,5) on 6 points has 100,000
+    transversals, 99,840 of which generate it; each of the other 160 closes
+    to a subgroup of order 12, and there are 5 such closures."""
+    pair = pair_from_fixture("degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n")
+    assert pair.group.order == 60
+    stack = _all_transversals(pair)
+    flags = generates(pair, stack)
+    assert len(flags) == 100_000 and int(flags.sum()) == 99_840
+    closures = [closure(T) for T in stack[~flags]]
+    assert all(len(K) == 12 for K in closures)
+    assert len({K.tobytes() for K in closures}) == 5
+
+
 @pytest.mark.parametrize("rows", [np.zeros((2, 4), dtype=np.uint8), [[0, 1]], [0, 1, 2],
-                                  np.zeros((0, 2), dtype=np.uint8)])
+                                  np.zeros((0, 2), dtype=np.uint8),
+                                  np.zeros((2, 2, 4), dtype=np.uint8),
+                                  np.zeros((1, 1, 1, 3), dtype=np.uint8)])
 def test_generates_rejects_rows_of_another_degree(rows):
     with pytest.raises(ValueError, match="not of degree 3"):
         generates(make_sym(3), rows)
