@@ -9,7 +9,10 @@ A group is stored once, as the sorted (order, degree) array of its elements'
 downstream count is a filter or a gather over these rows.  A row's key is
 its bytes, which sort like the row, so a binary search maps rows to element
 indices.  The rows sort by the image of 1, so the stabilizer of 1 and its
-cosets are slices.  PermGroup.from_generators closes a (k, degree) array of
+cosets are slices.  Sym(n), Alt(n) and Sym(n)_1 come from one builder,
+_all_rows; stabilizer_candidates yields Sym(n)_1 in batches, which are what
+perfbench's groups.normalizer_candidates and oracle.relabelings_applied
+count.  PermGroup.from_generators closes a (k, degree) array of
 generator rows into a group; fixture Permutations become rows once, in
 pair_from_fixture, and no Permutation is built from rows: callers read
 elements and transversals as rows.
@@ -28,8 +31,6 @@ from __future__ import annotations
 
 import re
 from itertools import chain as _chain
-from itertools import islice as _islice
-from itertools import permutations as _itpermutations
 from math import factorial, isqrt, prod
 
 import numpy as np
@@ -39,7 +40,7 @@ from .perm import parse_cycles
 
 # Candidates per gather in the normalizer sweep, and element slots (items x
 # |G| x rows) per pass of `generates`: large enough to amortize numpy's
-# per-call cost, small enough that neither input is ever held whole.
+# per-call cost, small enough to bound the working arrays of each pass.
 NORMALIZER_CHUNK = 4096
 GENERATES_BATCH = 1 << 20
 
@@ -74,20 +75,20 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def _all_rows(n: int) -> np.ndarray:
-    """Every permutation of degree n as 0-based rows, in sorted order, which
-    is the order itertools.permutations yields them in."""
-    return np.fromiter(_chain.from_iterable(_itpermutations(range(n))),
-                       dtype=_row_dtype(n), count=factorial(n) * n).reshape(-1, n)
-
-
-def _even(rows: np.ndarray) -> np.ndarray:
-    """Mask of the even permutations among the rows: the parity of each
-    row's inversion count, accumulated one position at a time."""
-    odd = np.zeros(len(rows), dtype=bool)
-    for i in range(rows.shape[1] - 1):
-        odd ^= np.logical_xor.reduce(rows[:, i, None] > rows[:, i + 1:], axis=1)
-    return ~odd
+def _all_rows(n: int):
+    """Every permutation of degree n as sorted 0-based rows, and the mask of
+    the odd ones.  Degree k comes from degree k - 1: the rows with first image
+    f are f, then every shorter row with its images >= f raised by one (which
+    keeps their order); putting f first adds exactly f inversions."""
+    dtype = _row_dtype(n)
+    rows, odd = np.zeros((1, 0), dtype), np.zeros(1, dtype=bool)
+    for k in range(1, n + 1):
+        out = np.empty((k, len(rows), k), dtype)
+        for f in range(k):
+            out[f, :, 0] = f
+            np.add(rows, rows >= f, out=out[f, :, 1:])
+        rows, odd = out.reshape(-1, k), np.concatenate([odd ^ bool(f % 2) for f in range(k)])
+    return rows, odd
 
 
 def _cap_factorial_order(n: int, divisor: int, cap: int):
@@ -176,17 +177,17 @@ class PermGroup:
     def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
         _cap_factorial_order(n, 1, cap)
         gens = np.stack([_cycle_row(n, range(min(n, 2))), _cycle_row(n, range(n))])
-        return cls(_all_rows(n), gens)
+        return cls(_all_rows(n)[0], gens)
 
     @classmethod
     def alternating(cls, n: int, cap=CAP_GROUP_ORDER):
         if n < 3:
             raise ValueError("alternating group needs degree >= 3")
         _cap_factorial_order(n, 2, cap)
-        rows = _all_rows(n)
+        rows, odd = _all_rows(n)
         # (1,2,3) and the cycle of odd length (1,...,n) or (2,...,n)
         gens = np.stack([_cycle_row(n, range(3)), _cycle_row(n, range(1 - n % 2, n))])
-        return cls(rows[_even(rows)], gens)
+        return cls(rows[~odd], gens)
 
     @property
     def order(self) -> int:
@@ -382,27 +383,17 @@ def _primitive_root_of_unity(p: int, q: int) -> int:
     raise ValueError(f"no element of order {p} mod {q}")
 
 
-def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM):
-    """All of the stabilizer of 1 inside Sym(n), i.e. permutations of 2..n,
-    lazily and in sorted order, each as its 0-based image tuple.  The search
-    space has (n-1)! elements; `cap` guards it."""
+def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM, *, size: int):
+    """Sym(n)_1, the permutations of 2..n, as sorted 0-based rows, `size` per
+    batch (the last may be shorter).  Its (n-1)! rows, capped by `cap`, are
+    built at once: a zero column beside _all_rows(n - 1) raised by one."""
     total = factorial(n - 1)
     if total > cap:
         raise CapExceeded("stabilizer_enum", cap, total)
-    for tail in _itpermutations(range(1, n)):
-        yield (0,) + tail
-
-
-def _stabilizer_batches(n: int, size: int, cap: int):
-    """The stabilizer_candidates as rows, `size` rows per batch (the last
-    may be shorter): the one row source for Sym(n)_1, streamed so that
-    (n-1)! rows are never held at once."""
-    candidates = stabilizer_candidates(n, cap=cap)
-    total = factorial(n - 1)
-    for start in range(0, total, size):
-        count = min(size, total - start)
-        yield np.fromiter(_chain.from_iterable(_islice(candidates, count)),
-                          _row_dtype(n), count=count * n).reshape(count, n)
+    rows = np.zeros((total, n), _row_dtype(n))
+    rows[:, 1:] = _all_rows(n - 1)[0] + 1
+    for lo in range(0, total, size):
+        yield rows[lo:lo + size]
 
 
 def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
@@ -416,7 +407,7 @@ def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
     if pair._normalizer is None:
         # the candidates come sorted, so the rows kept from them are too
         found = [rows[_normalizing(pair.group, rows)]
-                 for rows in _stabilizer_batches(pair.degree, NORMALIZER_CHUNK, cap)]
+                 for rows in stabilizer_candidates(pair.degree, cap, size=NORMALIZER_CHUNK)]
         object.__setattr__(pair, "_normalizer", PermGroup(np.concatenate(found)))
     return pair._normalizer
 

@@ -24,8 +24,8 @@ from .groups import (
     _normalizing,
     _row_keys,
     _section_rows,
-    _stabilizer_batches,
     generates,
+    stabilizer_candidates,
 )
 from .perm import format_cycles
 
@@ -119,7 +119,7 @@ def _canonical_forms(tables: np.ndarray, n: int, cap: int = CAP_RELABELINGS) -> 
     relabeling fixes them.  The caller has capped the relabelings.
     """
     flat = tables.reshape(len(tables), n * n)
-    F = np.concatenate(list(_stabilizer_batches(n, BATCH, cap)))
+    F = np.concatenate(list(stabilizer_candidates(n, cap, size=BATCH)))
     m = len(F)
     Finv = _invert_rows(F).T.astype(np.uint16 if n <= 255 else np.int64)
     # by_cell[c, k]: source position of flattened cell c after relabeling by F[k]
@@ -232,7 +232,7 @@ def _candidate_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
     sweep.  `stab_cap` bounds the (n-1)! alphas before any is built."""
     n = pair.degree
     kept = [np.empty((0, n - 1, pair.subgroup_order), dtype=np.int64)]
-    for alphas in _stabilizer_batches(n, max(1, BATCH // pair.group.order), stab_cap):
+    for alphas in stabilizer_candidates(n, stab_cap, size=max(1, BATCH // pair.group.order)):
         index = _conjugates(pair, alphas)
         kept.append(index[(index >= 0).any(axis=2).all(axis=1)])
     return np.concatenate(kept)

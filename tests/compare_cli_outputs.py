@@ -15,7 +15,14 @@ miss that stores the report and then a hit that serves it, `crosscheck`,
 and `classes` (human and JSON).  The closed forms run as `ict --sym N` and
 `ict --alt N` for N = 2..30 (human and JSON; `--alt` below 4 is an input
 error), `ict --sym 42`, the largest under the class cap, and `ict --sym
-43`, refused by it.  Each tree has a cache directory of its own, so neither
+43`, refused by it.  The family commands build their groups through the
+family builders and the normalizer sweep: `ict --sym N` and `--alt N`
+(`--no-cache`) with `--method theorem6` up to N = 8 and `--method oracle`
+up to N = 5, `crosscheck` and `classes` on Sym and Alt up to degree 5,
+`census 1` to `census 4`, `ict --dihedral N` for N = 3..10 (auto and
+theorem6, whose normalizer sweeps reach 9! candidates), `ict --pq` on
+(2, 3), (2, 5), (3, 7), (2, 7) and (2, 11), and the default `sweep`.
+Each tree has a cache directory of its own, so neither
 reads what the other stored.  Outputs are compared by their SHA-256, so the
 157 MB of `--sym 42` is never held.  Exits 1 when any command differs.
 """
@@ -56,6 +63,19 @@ CLOSED_FORMS = [["ict", f"--{family}", str(n), "--no-cache", *fmt]
                 for family in ("sym", "alt") for n in range(2, 31)
                 for fmt in ([], ["--format", "json"])]
 CLOSED_FORMS += [["ict", "--sym", "42", "--no-cache"], ["ict", "--sym", "43", "--no-cache"]]
+
+# family pairs built from the family builders, not from fixtures
+FAMILIES = [["ict", f"--{family}", str(n), "--no-cache", "--method", method]
+            for method, top in (("theorem6", 8), ("oracle", 5))
+            for family, low in (("sym", 2), ("alt", 4)) for n in range(low, top + 1)]
+FAMILIES += [[command, f"--{family}", str(n)] for command in ("crosscheck", "classes")
+             for family, low in (("sym", 2), ("alt", 4)) for n in range(low, 6)]
+FAMILIES += [["census", str(n)] for n in range(1, 5)]
+FAMILIES += [["ict", "--dihedral", str(n), "--no-cache", "--method", method]
+             for n in range(3, 11) for method in ("auto", "theorem6")]
+FAMILIES += [["ict", "--pq", p, q, "--no-cache"]
+             for p, q in (("2", "3"), ("2", "5"), ("3", "7"), ("2", "7"), ("2", "11"))]
+FAMILIES += [["sweep"]]
 
 CHILD = """
 import contextlib, hashlib, json, sys
@@ -120,14 +140,14 @@ def main() -> int:
             path.write_text(text)
             argvs += [[cmd[0], "--fixture", str(path), *cmd[1:]] for cmd in COMMANDS]
         fixture_count = len(argvs) // len(COMMANDS)
-        argvs += CLOSED_FORMS
+        argvs += CLOSED_FORMS + FAMILIES
         old, new = run_tree(args.old_src, argvs), run_tree(args.new_src, argvs)
     differ = [argv for argv, a, b in zip(argvs, old, new) if a != b]
     for argv in differ:
         print("differs:", " ".join(argv))
     codes = sorted({code for _, _, code in new})
     print(f"{len(argvs)} commands, {fixture_count} fixtures, {len(CLOSED_FORMS)} closed forms, "
-          f"{len(differ)} differ; exit codes seen: {codes}")
+          f"{len(FAMILIES)} family commands, {len(differ)} differ; exit codes seen: {codes}")
     return 1 if differ else 0
 
 

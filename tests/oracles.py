@@ -22,10 +22,13 @@ reference for groups.pair_from_fixture, whose H is G_1, and the builder of
 the tests' pairs over other subgroups), with seeded random intransitive
 generating sets to feed it, and the generation test one set of rows at a
 time, by breadth-first search over element indices (the reference for
-groups.generates, which answers a stack of them at once).  Import them as `from oracles import ...`;
+groups.generates, which answers a stack of them at once), and the stabilizer
+of 1 in Sym(n) listed by itertools.permutations (the reference for
+groups.stabilizer_candidates).  Import them as `from oracles import ...`;
 pytest puts this directory on the path.
 """
 
+from itertools import permutations
 from math import gcd, prod
 
 import numpy as np
@@ -40,9 +43,9 @@ from transversals.groups import (
     _perm_rows,
     _row_dtype,
     _section_rows,
-    _stabilizer_batches,
     closure,
     enumerate_transversals,
+    stabilizer_candidates,
 )
 from transversals.ict_formulas import _contribution
 from transversals.oracle import LoopTable, _canonical_forms, classify_by_table_iso
@@ -406,7 +409,15 @@ def pair_isomorphic(p1: PairGH, p2: PairGH, cap: int = CAP_STAB_ENUM) -> bool:
     if p1.degree != p2.degree or p1.group.order != p2.group.order:
         return False
     return any(_conjugates_inside(p1.group, sigmas, p2.group).any()
-               for sigmas in _stabilizer_batches(p1.degree, NORMALIZER_CHUNK, cap))
+               for sigmas in stabilizer_candidates(p1.degree, cap, size=NORMALIZER_CHUNK))
+
+
+def stabilizer_rows_reference(n: int) -> np.ndarray:
+    """Sym(n)_1 listed by itertools, one tuple per permutation of 2..n:
+    the sorted ((n-1)!, n) array of 0-based rows (the reference for
+    groups.stabilizer_candidates and groups._all_rows)."""
+    tails = permutations(range(1, n))
+    return np.array([(0, *tail) for tail in tails], dtype=_row_dtype(n)).reshape(-1, n)
 
 
 def _conjugates_inside(group: PermGroup, alphas: np.ndarray, target: PermGroup) -> np.ndarray:

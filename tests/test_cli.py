@@ -770,6 +770,34 @@ def test_census_order_one(capsys):
     assert "classes: 1" in out
 
 
+THEOREM6_HYPOTHESIS = ("hypothesis (validated): the acting group is the whole stabilizer of "
+                       "symbol 1, which contains every relabeling that could link classes\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["census", "1"], "order: 1\ntables: 1\nclasses: 1\ngenerating classes: 1\n"
+                      "class size distribution:\n  size 1: 1 classes\n"),
+    (["ict", "--fixture", "<degree 1>", "--no-cache"],
+     "pair: fixture(degree=1)\nmethod: theorem6\ngamma order: 1\n"
+     "representative  size  k  t  a_factors  orbit_factors  fix\n"
+     "()              1     1  0  1          -              1\n"
+     "numerator: 1\nvalue: 1\n" + THEOREM6_HYPOTHESIS),
+    (["ict", "--sym", "2", "--method", "theorem6", "--no-cache"],
+     "pair: sym(2)\nmethod: theorem6\ngamma order: 1\n"
+     "representative  size  k  t  a_factors  orbit_factors  fix\n"
+     "()              1     2  0  1,1        -              1\n"
+     "numerator: 1\nvalue: 1\n" + THEOREM6_HYPOTHESIS),
+])
+def test_degree_one_and_two_outputs(tmp_path, capsys, argv, want):
+    """Sym(0) and Sym(1), the stabilizers of 1 at degrees 1 and 2, are one
+    row each: census 1, a degree-1 fixture and theorem6 on sym(2) print
+    these bytes."""
+    fixture = tmp_path / "one.group"
+    fixture.write_text("degree 1\ngen ()\n")
+    argv = [str(fixture) if arg == "<degree 1>" else arg for arg in argv]
+    assert run(capsys, *argv) == (EXIT_OK, want, "")
+
+
 def test_census_invalid_order(capsys):
     code, _, err = run(capsys, "census", "0")
     assert code == EXIT_USAGE
@@ -847,13 +875,13 @@ def test_crosscheck_sweeps_the_normalizer_once(capsys, monkeypatch):
     import transversals.groups as groups
 
     sweeps = []
-    batches = groups._stabilizer_batches
+    candidates = groups.stabilizer_candidates
 
-    def counted(n, size, cap):
+    def counted(n, *args, **kwargs):
         sweeps.append(n)
-        return batches(n, size, cap)
+        return candidates(n, *args, **kwargs)
 
-    monkeypatch.setattr(groups, "_stabilizer_batches", counted)
+    monkeypatch.setattr(groups, "stabilizer_candidates", counted)
     code, out, _ = run(capsys, "crosscheck", "--dihedral", "8")
     assert code == EXIT_OK
     assert "cyclic_closed" in out and "theorem6" in out

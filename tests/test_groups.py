@@ -8,14 +8,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from transversals.errors import CAP_STAB_ENUM, CapExceeded
+from transversals.errors import CapExceeded
 from transversals.groups import (
     NORMALIZER_CHUNK,
     PairGH,
     PermGroup,
+    _all_rows,
     _perm_rows,
     _section_rows,
-    _stabilizer_batches,
     closure,
     enumerate_transversals,
     generates,
@@ -48,6 +48,7 @@ from oracles import (
     perms,
     random_intransitive_generators,
     stabilizer_of_1,
+    stabilizer_rows_reference,
     subgroup_transversal_sets,
 )
 
@@ -352,24 +353,46 @@ def test_family_orders_are_capped_before_any_work(build, required):
 
 
 def test_stabilizer_candidates():
-    cands = list(stabilizer_candidates(4))
-    assert len(cands) == 6
-    assert all(a[0] == 0 for a in cands)
-    assert len(set(cands)) == 6
+    cands = np.concatenate(list(stabilizer_candidates(4, size=4)))
+    assert cands.shape == (6, 4)
+    assert (cands[:, 0] == 0).all()
+    assert len(np.unique(cands, axis=0)) == 6
     with pytest.raises(CapExceeded):
-        list(stabilizer_candidates(12))
+        next(stabilizer_candidates(12, size=NORMALIZER_CHUNK))
+    # the batch size is keyword-only: a cap passed second is not read as one
+    with pytest.raises(TypeError):
+        next(stabilizer_candidates(4, 100, 7))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_stabilizer_batches_are_the_stabilizer_of_sym(n):
-    """The batches, concatenated, are the rows of Sym(n)_1 as the stabilizer
-    of 1 in PermGroup.symmetric(n): two independent builders of Sym(n)_1."""
-    want = stabilizer_of_1(PermGroup.symmetric(n))._rows
-    for size in (NORMALIZER_CHUNK, 7):
-        batches = list(_stabilizer_batches(n, size, CAP_STAB_ENUM))
-        assert all(len(b) == size for b in batches[:-1]) and len(batches[-1]) <= size
+    """The batches, concatenated, are Sym(n)_1 as itertools lists it, in the
+    same order and dtype, and every batch but the last is `size` rows long."""
+    want = stabilizer_rows_reference(n)
+    for size in (1, 7, NORMALIZER_CHUNK, factorial(n - 1) + 1):
+        batches = list(stabilizer_candidates(n, size=size))
+        assert all(len(b) == size for b in batches[:-1]) and 1 <= len(batches[-1]) <= size
         rows = np.concatenate(batches)
         assert rows.dtype == want.dtype and np.array_equal(rows, want)
+
+
+@pytest.mark.parametrize("build, order", [(PermGroup.symmetric, 3628800),
+                                          (PermGroup.alternating, 1814400)])
+def test_degree_ten_family_groups_build_in_array_passes(build, order):
+    """Sym(10) and Alt(10) are built by prefix, one array pass per first
+    image, with the parity read off the prefixes: well under half a second,
+    where one itertools tuple per row and an inversion count took seconds."""
+    start = time.perf_counter()
+    group = build(10)
+    elapsed = time.perf_counter() - start
+    assert group.order == order
+    assert elapsed < 0.5, elapsed
+
+
+def test_all_rows_of_degree_zero_is_one_empty_even_row():
+    rows, odd = _all_rows(0)
+    assert rows.shape == (1, 0) and rows.dtype == np.uint8
+    assert odd.tolist() == [False]
 
 
 def test_normalizer_in_stab():
