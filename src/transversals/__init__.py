@@ -47,7 +47,7 @@ from .ict_formulas import (
 _LAZY = dict.fromkeys(["PairGH", "PermGroup", "enumerate_transversals", "make_alt",
                        "make_dihedral", "make_pq", "make_sym", "pair_from_fixture"],
                       "groups")
-_LAZY.update(dict.fromkeys(["ClassificationResult", "LoopTable", "census_left_loops",
+_LAZY.update(dict.fromkeys(["ClassificationResult", "census_left_loops",
                             "classify_by_conjugation", "classify_by_table_iso",
                             "render_classes_dump"], "oracle"))
 

@@ -279,7 +279,7 @@ def _oracle_report(pair, args) -> IctReport:
         contributions=(),
         pair_label=pair.name,
         justification=(f"exhaustive classification of "
-                       f"{sum(result.class_sizes)} transversals by "
+                       f"{len(result.labels)} transversals by "
                        f"conjugation sweep"),
         validated=True,
     )
@@ -452,8 +452,8 @@ def cmd_census(args) -> int:
     result = oracle.census_left_loops(args.order, cap=args.cap_transversals,
                                       relabel_cap=args.cap_relabelings)
     total = len(result.labels)
-    generating = sum(1 for f in result.generating_flags if f)
-    distribution = Counter(result.class_sizes)
+    generating = int(result.generating_flags.sum())
+    distribution = Counter(result.class_sizes.tolist())
 
     if args.format == "json":
         payload = oracle.classification_to_json(result)

@@ -30,73 +30,27 @@ from .groups import (
 from .perm import format_cycles
 
 
-@dataclass(frozen=True)
-class LoopTable:
-    """Multiplication table of a left loop on symbols 1..n with identity 1.
-
-    Row 1 and column 1 are identity row/column and every row is a
-    permutation; in particular row i sends 1 to i, so the rows, read as
-    permutations, form a transversal of the stabilizer of 1 in Sym(n).
-    """
-
-    order: int
-    table: tuple
-
-    def __post_init__(self):
-        n = self.order
-        if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise ValueError(f"table must be {n}x{n}")
-        full = tuple(range(1, n + 1))
-        if self.table[0] != full:
-            raise ValueError("row 1 must be the identity row")
-        for i, row in enumerate(self.table, start=1):
-            if row[0] != i:
-                raise ValueError("column 1 must be the identity column")
-            if tuple(sorted(row)) != full:
-                raise ValueError(f"row {i} is not a permutation of 1..{n}")
-
-    def __lt__(self, other):
-        return self.table < other.table
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationResult:
-    """Partition of an enumerated transversal family into isomorphism classes.
+    """Partition of an enumerated transversal family into isomorphism
+    classes, as the classifiers build it: numpy arrays throughout.
 
     labels[i] is the class index of the i-th transversal in enumeration
-    order; representatives[c] is the induced table of the first transversal
-    of class c, and generating_flags[c] says whether that transversal
-    generates the group (a class invariant).
+    order and class_sizes[c] the number of members of class c.
+    representatives[c] is the (n, n) 0-based induced table of the first
+    transversal of class c: row i is the member over coset i, so i*j is
+    member i after member j, read off at 1.  generating_flags[c] says
+    whether those rows generate G (a class invariant).
     """
 
-    class_count: int
-    representatives: tuple
-    class_sizes: tuple
-    generating_flags: tuple
-    labels: tuple
+    representatives: np.ndarray
+    class_sizes: np.ndarray
+    generating_flags: np.ndarray
+    labels: np.ndarray
 
-    def __post_init__(self):
-        assert self.class_count == len(self.representatives) == len(self.class_sizes)
-        assert len(self.generating_flags) == self.class_count
-        assert sum(self.class_sizes) == len(self.labels)
-
-
-def _classification(tables: np.ndarray, pair: PairGH, sizes: np.ndarray,
-                    labels: np.ndarray) -> ClassificationResult:
-    """The result whose class c has the 0-based induced table tables[c] as
-    its representative and sizes[c] members; a class is generating when the
-    rows of its table, the members of its transversal, generate G.
-
-    The induced table of a transversal has row i = the images of the member
-    over coset i: i*j is member i after member j, read off at 1."""
-    return ClassificationResult(
-        class_count=len(sizes),
-        representatives=tuple(LoopTable(tables.shape[2], tuple(map(tuple, table)))
-                              for table in (tables.astype(np.int64) + 1).tolist()),
-        class_sizes=tuple(sizes.tolist()),
-        generating_flags=tuple(generates(pair, tables).tolist()),
-        labels=tuple(labels.tolist()),
-    )
+    @property
+    def class_count(self) -> int:
+        return len(self.class_sizes)
 
 
 # Candidate (table, relabeling) pairs, conjugated rows or transversal images
@@ -169,7 +123,8 @@ def classify_by_table_iso(pair: PairGH, cap: int = CAP_TRANSVERSALS,
     # row keys sort like the rows, so classes come out by canonical form
     _, first, inverse, counts = np.unique(
         _row_keys(canon), return_index=True, return_inverse=True, return_counts=True)
-    return _classification(tables[first], pair, counts, inverse)
+    reps = tables[first]
+    return ClassificationResult(reps, counts, generates(pair, reps), inverse)
 
 
 class UnionFind:
@@ -291,7 +246,8 @@ def classify_by_conjugation(pair: PairGH, cap: int = CAP_TRANSVERSALS,
         least = _sweep_labels(pair, stab_cap)
     # the least index of a class is its first member in enumeration order
     first, labels, sizes = np.unique(least, return_inverse=True, return_counts=True)
-    return _classification(_section_rows(pair.cosets()[1:], first, n), pair, sizes, labels)
+    reps = _section_rows(pair.cosets()[1:], first, n)
+    return ClassificationResult(reps, sizes, generates(pair, reps), labels)
 
 
 def census_left_loops(n: int, cap: int = CAP_TRANSVERSALS,
@@ -314,40 +270,47 @@ def census_left_loops(n: int, cap: int = CAP_TRANSVERSALS,
     return classify_by_table_iso(PairGH(PermGroup.symmetric(n)), cap, relabel_cap)
 
 
+def _one_based(result: ClassificationResult) -> list:
+    """The representatives as nested lists of 1-based ints."""
+    return (result.representatives.astype(np.int64) + 1).tolist()
+
+
 def render_classes_dump(result: ClassificationResult, heading: str = "") -> str:
     """One block per class, in the result's class order (sorted by canonical
     table form for classify_by_table_iso and census_left_loops, first seen
     for classify_by_conjugation): size, generating flag, members in cycle
-    notation, table rows."""
+    notation, table rows, all 1-based."""
     lines = []
     if heading:
         lines.append(heading)
     lines.append(f"classes: {result.class_count}")
     lines.append(f"transversals: {len(result.labels)}")
-    for pos, (rep, size, generating) in enumerate(zip(
-            result.representatives, result.class_sizes, result.generating_flags), start=1):
+    for pos, (table, size, generating) in enumerate(zip(
+            _one_based(result), result.class_sizes.tolist(),
+            result.generating_flags.tolist()), start=1):
         flag = "yes" if generating else "no"
         lines.append("")
         lines.append(f"class {pos}: size {size}, generates: {flag}")
         # row i of the table is the images of the member over coset i
-        members = ", ".join(format_cycles(row) for row in rep.table)
+        members = ", ".join(format_cycles(row) for row in table)
         lines.append(f"members: {members}")
         lines.append("table:")
-        for row in rep.table:
+        for row in table:
             lines.append("  " + " ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def classification_to_json(result: ClassificationResult) -> dict:
-    """JSON-ready dict; per-transversal labels are left out deliberately
-    (they can be huge and the partition is recoverable from a rerun)."""
+    """JSON-ready dict of Python ints, bools and lists; per-transversal
+    labels are left out deliberately (they can be huge and the partition is
+    recoverable from a rerun)."""
     from ._version import __version__
 
     return {
         "schema": "classification/1",
         "version": __version__,
         "class_count": result.class_count,
-        "class_sizes": list(result.class_sizes),
-        "generating_flags": list(result.generating_flags),
-        "representatives": [list(map(list, rep.table)) for rep in result.representatives],
+        "class_sizes": result.class_sizes.tolist(),
+        "generating_flags": result.generating_flags.tolist(),
+        "representatives": _one_based(result),
     }

@@ -7,9 +7,11 @@ built from image tuples and from cycles), the permutation and group algebra
 the package no longer needs (composition, conjugation, powers, inverses,
 Permutations from rows, a group generated by Permutations, a group's
 elements, its stabilizer of 1 and membership in it, commutativity,
-transitivity, subgroup and normality flags, induced tables of transversals
-and their members, fixture text), the affine relabeling group of a cyclic pair
-built the old way, by Permutation conjugation and closure (the reference
+transitivity, subgroup and normality flags, validated left-loop tables
+(LoopTable), induced tables of transversals and their members, a
+classification result as tuples of Python values, fixture text), the
+affine relabeling group of a cyclic pair built the old way, by
+Permutation conjugation and closure (the reference
 for ict_formulas._affine_rows), the normal regular cycle found the old way,
 by closing each n-cycle (the reference for
 ict_formulas._find_regular_normal_cycle), the order-18 example pair
@@ -28,8 +30,10 @@ groups.stabilizer_candidates).  Import them as `from oracles import ...`;
 pytest puts this directory on the path.
 """
 
+from dataclasses import dataclass
 from itertools import permutations
 from math import gcd, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from transversals.groups import (
     stabilizer_candidates,
 )
 from transversals.ict_formulas import _contribution
-from transversals.oracle import LoopTable, _canonical_forms, classify_by_table_iso
+from transversals.oracle import _canonical_forms, classify_by_table_iso
 from transversals.perm import Permutation, format_cycles, parse_cycles
 from transversals.symclasses import class_size, partitions
 
@@ -143,6 +147,57 @@ def format_fixture(name: str, degree: int, generators) -> str:
     for g in generators:
         lines.append(f"gen {format_cycles(g)}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class LoopTable:
+    """Multiplication table of a left loop on symbols 1..n with identity 1.
+
+    Row 1 and column 1 are identity row/column and every row is a
+    permutation; in particular row i sends 1 to i, so the rows, read as
+    permutations, form a transversal of the stabilizer of 1 in Sym(n).
+    """
+
+    order: int
+    table: tuple
+
+    def __post_init__(self):
+        n = self.order
+        if len(self.table) != n or any(len(r) != n for r in self.table):
+            raise ValueError(f"table must be {n}x{n}")
+        full = tuple(range(1, n + 1))
+        if self.table[0] != full:
+            raise ValueError("row 1 must be the identity row")
+        for i, row in enumerate(self.table, start=1):
+            if row[0] != i:
+                raise ValueError("column 1 must be the identity column")
+            if tuple(sorted(row)) != full:
+                raise ValueError(f"row {i} is not a permutation of 1..{n}")
+
+
+class Classification(NamedTuple):
+    """A classification as Python values: the form the references build."""
+
+    class_count: int
+    representatives: tuple  # one LoopTable per class
+    class_sizes: tuple
+    generating_flags: tuple
+    labels: tuple
+
+
+def classification_tuples(result) -> Classification:
+    """An oracle.ClassificationResult, whose fields are arrays, as a
+    Classification: each 0-based representative becomes a validated 1-based
+    LoopTable, every other field a tuple of Python ints or bools."""
+    reps = result.representatives
+    return Classification(
+        class_count=result.class_count,
+        representatives=tuple(LoopTable(reps.shape[-1], tuple(map(tuple, table)))
+                              for table in (reps.astype(np.int64) + 1).tolist()),
+        class_sizes=tuple(result.class_sizes.tolist()),
+        generating_flags=tuple(result.generating_flags.tolist()),
+        labels=tuple(result.labels.tolist()),
+    )
 
 
 def members(table: LoopTable) -> tuple:

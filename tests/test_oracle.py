@@ -7,6 +7,7 @@ sweep over every relabeling, and conjugation classes as union-find over
 transversals keyed by Python tuples.
 """
 
+import json
 import random
 import time
 from itertools import permutations
@@ -32,8 +33,6 @@ from transversals.groups import (
 )
 from transversals.ict_formulas import ict_alt, ict_sym, ict_theorem6
 from transversals.oracle import (
-    ClassificationResult,
-    LoopTable,
     _canonical_forms,
     census_left_loops,
     classification_to_json,
@@ -44,7 +43,10 @@ from transversals.oracle import (
 from transversals.perm import Permutation, parse_cycles
 
 from oracles import (
+    Classification,
+    LoopTable,
     _right_transversals,
+    classification_tuples,
     compose,
     conjugate,
     coset_representation_reference,
@@ -196,7 +198,7 @@ def ref_classify_by_conjugation(pair, sweep="auto"):
     for i, label in enumerate(labels):
         sizes[label] += 1
         first.setdefault(label, i)
-    return ClassificationResult(
+    return Classification(
         class_count=len(roots),
         representatives=tuple(induced_table(pair, transversals[i]) for i in first.values()),
         class_sizes=tuple(sizes),
@@ -452,18 +454,18 @@ def test_census_matches_symmetric_pair_classification():
     for n in (3, 4):
         census = census_left_loops(n)
         tab = classify_by_table_iso(make_sym(n))
-        assert census.labels == tab.labels
-        assert census.class_sizes == tab.class_sizes
-        assert census.generating_flags == tab.generating_flags
-        assert census.representatives == tab.representatives
+        assert np.array_equal(census.labels, tab.labels)
+        assert np.array_equal(census.class_sizes, tab.class_sizes)
+        assert np.array_equal(census.generating_flags, tab.generating_flags)
+        assert np.array_equal(census.representatives, tab.representatives)
 
 
 def test_census_representatives_are_valid_tables():
-    result = census_left_loops(3)
-    for rep in result.representatives:
+    representatives = classification_tuples(census_left_loops(3)).representatives
+    for rep in representatives:
         assert isinstance(rep, LoopTable)
         assert members(rep)[0] == Permutation.identity(3)
-    assert len({rep.table for rep in result.representatives}) == 3
+    assert len({rep.table for rep in representatives}) == 3
 
 
 def test_census_cap():
@@ -604,8 +606,8 @@ def test_render_classes_dump():
     for k, block in enumerate(blocks, start=1):
         assert block.startswith(f"class {k}: size")
         rows = block.split("table:\n")[1].splitlines()
-        assert tuple(tuple(map(int, row.split())) for row in rows) == \
-            result.representatives[k - 1].table
+        assert np.array_equal([list(map(int, row.split())) for row in rows],
+                              result.representatives[k - 1] + 1)
 
 
 def test_classification_to_json():
@@ -617,6 +619,22 @@ def test_classification_to_json():
     assert len(data["representatives"]) == 7
     assert all(row[0] == i + 1 for rep in data["representatives"] for i, row in enumerate(rep))
     assert "labels" not in data
+
+
+def test_classification_result_is_arrays():
+    """Both classifiers return arrays: 0-based (C, n, n) representatives,
+    one size and one flag per class, one label per transversal.  The JSON
+    dict holds Python values only, which json.dumps accepts."""
+    pair = make_alt(4)
+    for result in (classify_by_conjugation(pair), classify_by_table_iso(pair)):
+        assert result.representatives.shape == (7, 4, 4)
+        assert np.array_equal(result.representatives[:, :, 0], np.tile(np.arange(4), (7, 1)))
+        assert result.class_sizes.shape == result.generating_flags.shape == (7,)
+        assert result.generating_flags.dtype == bool
+        assert result.labels.shape == (27,)
+        assert type(result.class_count) is int
+        data = classification_to_json(result)
+        assert json.loads(json.dumps(data)) == data
 
 
 # ------------------------------------------- against the references
@@ -650,7 +668,7 @@ def ref_table_classes(pair):
     canon = ref_canonical_forms(tables, pair.degree)
     forms, first, labels, sizes = np.unique(
         canon, axis=0, return_index=True, return_inverse=True, return_counts=True)
-    return ClassificationResult(
+    return Classification(
         class_count=len(forms),
         representatives=tuple(induced_table(pair, perms(tables[i])) for i in first),
         class_sizes=tuple(sizes.tolist()),
@@ -671,7 +689,7 @@ def test_conjugation_matches_reference(name, sweep):
     pair = FAMILIES[name]()
     want = ref_classify_by_conjugation(pair, sweep)
     if sweep == "auto":
-        assert classify_by_conjugation(pair) == want
+        assert classification_tuples(classify_by_conjugation(pair)) == want
     else:
         assert oracle._sweep_labels(pair, CAP_STAB_ENUM).tolist() == least_members(want)
 
@@ -680,7 +698,7 @@ def test_conjugation_matches_reference(name, sweep):
 def test_table_classes_match_reference(name):
     pair = FAMILIES[name]()
     ref = ref_table_classes(pair)
-    assert classify_by_table_iso(pair) == ref
+    assert classification_tuples(classify_by_table_iso(pair)) == ref
     tables = transversal_tables(pair)
     assert np.array_equal(_canonical_forms(tables, pair.degree),
                           ref_canonical_forms(tables, pair.degree))
@@ -689,7 +707,7 @@ def test_table_classes_match_reference(name):
 @pytest.mark.parametrize("n", [3, 4])
 def test_census_matches_reference(n):
     """The order-n census is the table classification of Sym(n)'s pair."""
-    assert census_left_loops(n) == ref_table_classes(make_sym(n))
+    assert classification_tuples(census_left_loops(n)) == ref_table_classes(make_sym(n))
 
 
 @pytest.mark.parametrize("name", ["sym4", "alt4", "dihedral6", "dihedral7", "pq3_7",
@@ -700,10 +718,11 @@ def test_classifiers_match_reference_on_relabelings(name, monkeypatch):
     rng = random.Random(name)
     pair = relabel(FAMILIES[name](), random_relabeling(rng, FAMILIES[name]().degree))
     monkeypatch.setattr(oracle, "BATCH", 5)
-    assert classify_by_conjugation(pair) == ref_classify_by_conjugation(pair)
+    assert classification_tuples(classify_by_conjugation(pair)) == \
+        ref_classify_by_conjugation(pair)
     assert oracle._sweep_labels(pair, CAP_STAB_ENUM).tolist() == least_members(
         ref_classify_by_conjugation(pair, "all"))
-    assert classify_by_table_iso(pair) == ref_table_classes(pair)
+    assert classification_tuples(classify_by_table_iso(pair)) == ref_table_classes(pair)
 
 
 def table_with_automorphism(rng, n, d):
