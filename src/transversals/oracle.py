@@ -53,9 +53,10 @@ class ClassificationResult:
         return len(self.class_sizes)
 
 
-# Candidate (table, relabeling) pairs, conjugated rows or transversal images
-# handled per numpy batch: enough to amortize numpy's per-call cost, few
-# enough to keep the working arrays at a few MB.
+# Searched cells (tables times the (n-1)^2 cells past row 0 and column 0),
+# conjugated rows or transversal images handled per numpy batch: enough to
+# amortize numpy's per-call cost, few enough to keep the working arrays at a
+# few MB.
 BATCH = 65536
 
 
@@ -65,43 +66,82 @@ def _canonical_forms(tables: np.ndarray, n: int, cap: int = CAP_RELABELINGS) -> 
     tables is (N, n, n), 0-based entries.  A relabeling f rewrites a table T
     to f[T[finv[i], finv[j]]]; the minimum over all identity-fixing f is a
     complete isomorphism invariant for tables with our invariants.  It is
-    found by refinement: every (table, relabeling) pair starts as a
-    candidate, and the cells are visited in row-major order, each keeping
-    only the pairs that reach their table's least value there, until every
-    table has one candidate left.  Candidates still tied after the last
-    cell give the same table.  Row 1 and column 1 are skipped: every
-    relabeling fixes them.  The caller has capped the relabelings.
+    found by search, a block of tables at a time.  A state is a table and a
+    partial relabeling: labels 1..r fixed, r the same for every state of a
+    table, and the first of the (n-1-r)! consecutive rows of
+    `stabilizer_candidates` that share finv[1..r], read as finv.  Cells are
+    visited in row-major order (row 0 and column 0 are the same under every
+    relabeling).  Cell (1, j) branches label j over the unlabelled symbols
+    when no earlier cell fixed it, so every label is fixed by the end of
+    row 1.  A cell holding an unlabelled symbol takes the next free label,
+    r + 1: the relabelings of the state give that symbol each free label,
+    so r + 1 is the least value the cell can take, and forcing it is exact.
+    After each cell a table keeps only the states that reach its least
+    value there, and from row 2 on a table with one state left is settled
+    and leaves the working arrays.  States still tied after the last cell
+    are the table's automorphisms: they give the same table.  The caller
+    has capped the relabelings.
     """
     flat = tables.reshape(len(tables), n * n)
     F = np.concatenate(list(stabilizer_candidates(n, cap, size=BATCH)))
-    m = len(F)
-    Finv = _invert_rows(F).T.astype(np.uint16 if n <= 255 else np.int64)
-    # by_cell[c, k]: source position of flattened cell c after relabeling by F[k]
-    by_cell = (Finv[:, None, :] * n + Finv[None, :, :]).reshape(n * n, m)
-    cells = [i * n + j for i in range(1, n) for j in range(1, n)]
     canon = flat.copy()
-    if not cells:
+    if n < 2:
         return canon
-    offsets = np.arange(0, m * n, n)[None, :]
-    step = max(1, BATCH // m)
+    cols, Finv = F.T, _invert_rows(F).ravel()
+    # span[r]: the rows sharing finv[1..r]
+    span = np.array([factorial(n - 1 - r) for r in range(n)] + [0])
+    step = max(1, BATCH // ((n - 1) * (n - 1)))
     for lo in range(0, len(flat), step):
         block = flat[lo:lo + step]
-        # the first cell for every pair at once: v[t, k] = F[k, block[t, by_cell[c, k]]]
-        v = F.ravel()[offsets + block[:, by_cell[cells[0]]]]
-        t, k = np.nonzero(v == v.min(axis=1, keepdims=True))
-        for c in cells[1:]:
-            if len(t) == len(block):
+        cells, size = block.ravel(), len(block)
+        # state s: table t[s] and row k[s], table-major; r = fixed[t[s]].
+        # Label 1 goes to each symbol in turn.
+        t = np.repeat(np.arange(size), n - 1)
+        k = np.tile(np.arange(n - 1) * span[1], size)
+        fixed = np.ones(size, dtype=F.dtype)
+        final = np.empty(size, dtype=np.intp)
+        for i in range(1, n):
+            for j in range(1, n):
+                if i == 1:
+                    # label j, where unfixed, goes to each unlabelled symbol
+                    # (at j = n - 1 one is left, and row k already gives it label j)
+                    if 1 < j < n - 1:
+                        grow = np.where(fixed < j, n - j, 1)[t]
+                        t, k, row = np.repeat(t, grow), np.repeat(k, grow), np.repeat(row, grow)
+                        k += (np.arange(len(k)) - np.repeat(np.cumsum(grow) - grow, grow)) * span[j]
+                    fixed = np.maximum(fixed, j)
+                if j == 1:
+                    row = t * (n * n) + cols[i][k].astype(np.intp) * n
+                # where the cell's symbol stands in row k: its label if fixed
+                p = Finv[k * n + cells[row + cols[j][k]]]
+                v = np.minimum(p, (fixed + 1)[t]) if i == 1 else p
+                head = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+                least = np.zeros(size, dtype=v.dtype)
+                least[t[head]] = np.minimum.reduceat(v, head)
+                keep = v == least[t]
+                t, k, row = t[keep], k[keep], row[keep]
+                if i == 1:
+                    fresh = least == fixed + 1
+                    if fresh.any():
+                        # the symbol takes label r + 1: move to the rows that give it
+                        v = v[keep]
+                        k += (p[keep] - v) * span[v]
+                        fixed += fresh
+                else:
+                    done = (np.bincount(t, minlength=size) == 1)[t]
+                    final[t[done]] = k[done]
+                    t, k, row = t[~done], k[~done], row[~done]
+                    if not len(t):
+                        break
+            if not len(t):
                 break
-            v = F[k, block[t, by_cell[c][k]]]
-            least = np.full(len(block), n, dtype=v.dtype)
-            np.minimum.at(least, t, v)
-            keep = v == least[t]
-            t, k = t[keep], k[keep]
-        # pairs are table-major: keep each table's first survivor
-        first = np.concatenate(([True], t[1:] != t[:-1]))
-        t, k = t[first], k[first]
-        sources = by_cell[:, k].T
-        canon[lo:lo + step] = np.take_along_axis(F[k], block[t[:, None], sources], axis=1)
+        final[t] = k
+        # relabel each table by its survivor; row 0 and column 0 stay
+        finv = F[final, 1:].astype(np.intp)
+        starts = np.arange(size)[:, None] * (n * n) + finv * n
+        out = canon[lo:lo + step].reshape(size, n, n)
+        for i in range(1, n):
+            out[:, i, 1:] = Finv[final[:, None] * n + cells[starts[:, i - 1, None] + finv]]
     return canon
 
 
@@ -118,12 +158,13 @@ def classify_by_table_iso(pair: PairGH, cap: int = CAP_TRANSVERSALS,
         raise CapExceeded("transversals", cap, total)
     if factorial(n - 1) > relabel_cap:
         raise CapExceeded("relabelings", relabel_cap, factorial(n - 1))
-    tables = _section_rows(pair.cosets()[1:], np.arange(total), n)
-    canon = _canonical_forms(tables, n, cap=relabel_cap)
+    # the tables are rebuilt for the representatives, so none is held past here
+    canon = _canonical_forms(_section_rows(pair.cosets()[1:], np.arange(total), n), n,
+                             cap=relabel_cap)
     # row keys sort like the rows, so classes come out by canonical form
     _, first, inverse, counts = np.unique(
         _row_keys(canon), return_index=True, return_inverse=True, return_counts=True)
-    reps = tables[first]
+    reps = _section_rows(pair.cosets()[1:], first, n)
     return ClassificationResult(reps, counts, generates(pair, reps), inverse)
 
 
@@ -285,6 +326,8 @@ def render_classes_dump(result: ClassificationResult, heading: str = "") -> str:
         lines.append(heading)
     lines.append(f"classes: {result.class_count}")
     lines.append(f"transversals: {len(result.labels)}")
+    # the members are at most |G| distinct rows: each is rendered once
+    text = {}
     for pos, (table, size, generating) in enumerate(zip(
             _one_based(result), result.class_sizes.tolist(),
             result.generating_flags.tolist()), start=1):
@@ -292,11 +335,13 @@ def render_classes_dump(result: ClassificationResult, heading: str = "") -> str:
         lines.append("")
         lines.append(f"class {pos}: size {size}, generates: {flag}")
         # row i of the table is the images of the member over coset i
-        members = ", ".join(format_cycles(row) for row in table)
-        lines.append(f"members: {members}")
+        rows = [tuple(row) for row in table]
+        for row in rows:
+            if row not in text:
+                text[row] = format_cycles(row), "  " + " ".join(map(str, row))
+        lines.append(f"members: {', '.join(text[row][0] for row in rows)}")
         lines.append("table:")
-        for row in table:
-            lines.append("  " + " ".join(str(v) for v in row))
+        lines.extend(text[row][1] for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,9 @@ generating sets to feed it, and the generation test one set of rows at a
 time, by breadth-first search over element indices (the reference for
 groups.generates, which answers a stack of them at once), and the stabilizer
 of 1 in Sym(n) listed by itertools.permutations (the reference for
-groups.stabilizer_candidates).  Import them as `from oracles import ...`;
+groups.stabilizer_candidates), and canonical forms by refining every
+(table, relabeling) pair (sweep_canonical_forms, the reference for
+oracle._canonical_forms, which searches).  Import them as `from oracles import ...`;
 pytest puts this directory on the path.
 """
 
@@ -37,7 +39,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from transversals.errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, CapExceeded
+from transversals.errors import (
+    CAP_GROUP_ORDER,
+    CAP_RELABELINGS,
+    CAP_STAB_ENUM,
+    CAP_TRANSVERSALS,
+    CapExceeded,
+)
 from transversals.groups import (
     NORMALIZER_CHUNK,
     PairGH,
@@ -52,7 +60,7 @@ from transversals.groups import (
     stabilizer_candidates,
 )
 from transversals.ict_formulas import _contribution
-from transversals.oracle import _canonical_forms, classify_by_table_iso
+from transversals.oracle import BATCH, _canonical_forms, classify_by_table_iso
 from transversals.perm import Permutation, format_cycles, parse_cycles
 from transversals.symclasses import class_size, partitions
 
@@ -473,6 +481,53 @@ def stabilizer_rows_reference(n: int) -> np.ndarray:
     groups.stabilizer_candidates and groups._all_rows)."""
     tails = permutations(range(1, n))
     return np.array([(0, *tail) for tail in tails], dtype=_row_dtype(n)).reshape(-1, n)
+
+
+def sweep_canonical_forms(tables: np.ndarray, n: int, cap: int = CAP_RELABELINGS) -> np.ndarray:
+    """Lexicographically minimal flattened relabeling of each table, the way
+    oracle._canonical_forms found it before it searched (its reference).
+
+    tables is (N, n, n), 0-based entries.  A relabeling f rewrites a table T
+    to f[T[finv[i], finv[j]]]; the minimum over all identity-fixing f is a
+    complete isomorphism invariant for tables with our invariants.  It is
+    found by refinement: every (table, relabeling) pair starts as a
+    candidate, and the cells are visited in row-major order, each keeping
+    only the pairs that reach their table's least value there, until every
+    table has one candidate left.  Candidates still tied after the last
+    cell give the same table.  Row 1 and column 1 are skipped: every
+    relabeling fixes them.  The caller has capped the relabelings.
+    """
+    flat = tables.reshape(len(tables), n * n)
+    F = np.concatenate(list(stabilizer_candidates(n, cap, size=BATCH)))
+    m = len(F)
+    Finv = _invert_rows(F).T.astype(np.uint16 if n <= 255 else np.int64)
+    # by_cell[c, k]: source position of flattened cell c after relabeling by F[k]
+    by_cell = (Finv[:, None, :] * n + Finv[None, :, :]).reshape(n * n, m)
+    cells = [i * n + j for i in range(1, n) for j in range(1, n)]
+    canon = flat.copy()
+    if not cells:
+        return canon
+    offsets = np.arange(0, m * n, n)[None, :]
+    step = max(1, BATCH // m)
+    for lo in range(0, len(flat), step):
+        block = flat[lo:lo + step]
+        # the first cell for every pair at once: v[t, k] = F[k, block[t, by_cell[c, k]]]
+        v = F.ravel()[offsets + block[:, by_cell[cells[0]]]]
+        t, k = np.nonzero(v == v.min(axis=1, keepdims=True))
+        for c in cells[1:]:
+            if len(t) == len(block):
+                break
+            v = F[k, block[t, by_cell[c][k]]]
+            least = np.full(len(block), n, dtype=v.dtype)
+            np.minimum.at(least, t, v)
+            keep = v == least[t]
+            t, k = t[keep], k[keep]
+        # pairs are table-major: keep each table's first survivor
+        first = np.concatenate(([True], t[1:] != t[:-1]))
+        t, k = t[first], k[first]
+        sources = by_cell[:, k].T
+        canon[lo:lo + step] = np.take_along_axis(F[k], block[t[:, None], sources], axis=1)
+    return canon
 
 
 def _conjugates_inside(group: PermGroup, alphas: np.ndarray, target: PermGroup) -> np.ndarray:

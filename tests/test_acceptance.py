@@ -1,4 +1,4 @@
-"""Acceptance gate: ten exact-integer criteria, one test each.
+"""Acceptance gate: eleven exact-integer criteria, one test each.
 
 Run with -v to get one pass/fail line per criterion.  Every comparison is
 exact; the time budgets are generous on purpose and enforced with
@@ -208,3 +208,12 @@ def test_criterion_10_order18_no_transversal_generates():
     assert image.subgroup_order == 2 and image.degree == 3
     assert image.transversal_count() == 2 ** 2
     assert any(generates(image, T) for T in enumerate_transversals(image))
+
+
+def test_criterion_11_table_iso_past_the_relabeling_cap():
+    """dihedral(10) classified by canonical forms over all 9! identity-fixing
+    relabelings, the default cap raised to let them in: the 512 tables fall
+    into ict_cyclic's 140 classes within 2 s."""
+    result, elapsed = timed(classify_by_table_iso, make_dihedral(10), relabel_cap=factorial(9))
+    assert result.class_count == ict_cyclic(10, 2).value == 140
+    assert elapsed < 2.0

@@ -818,6 +818,19 @@ def test_census_relabeling_cap_exit(capsys):
     assert "cap 'relabelings' exceeded: requires 6, limit is 1" in err
 
 
+def test_classes_relabeling_cap_refuses_before_building_tables(capsys, monkeypatch):
+    """dihedral(9) needs 8! = 40,320 relabelings; one fewer is refused by
+    name before any table is built."""
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(oracle, "_section_rows", no_tables)
+    code, out, err = run(capsys, "classes", "--dihedral", "9", "--cap-relabelings", "40319")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "cap 'relabelings' exceeded: requires 40320, limit is 40319" in err
+
+
 def test_crosscheck_skips_census_over_the_relabeling_cap(capsys):
     code, out, _ = run(capsys, "crosscheck", "--sym", "3", "--cap-relabelings", "1")
     assert code == EXIT_OK

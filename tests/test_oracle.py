@@ -3,8 +3,9 @@ each other, with the counting engines, and with hand-checkable small cases.
 
 Both classifiers are also checked against reference copies of the
 implementations they replaced: canonical forms as a lexicographic-minimum
-sweep over every relabeling, and conjugation classes as union-find over
-transversals keyed by Python tuples.
+sweep over every relabeling and as a refinement of every (table,
+relabeling) pair, and conjugation classes as union-find over transversals
+keyed by Python tuples.
 """
 
 import json
@@ -60,6 +61,7 @@ from oracles import (
     perms,
     relabel,
     subgroup_transversals,
+    sweep_canonical_forms,
 )
 
 
@@ -699,9 +701,31 @@ def test_table_classes_match_reference(name):
     pair = FAMILIES[name]()
     ref = ref_table_classes(pair)
     assert classification_tuples(classify_by_table_iso(pair)) == ref
+
+
+# Tables the search must canonicalize as both references do: every family
+# pair, the census tables of orders 1-4, a seeded relabeling of dihedral(8),
+# and dihedral(9), where the sweep reads 40,320 relabelings per table.
+CANONICAL_INPUTS = {
+    **FAMILIES,
+    **{f"census{n}": (lambda n=n: PairGH(PermGroup.symmetric(n))) for n in range(1, 5)},
+    "dihedral8_relabeled": lambda: relabel(
+        make_dihedral(8), random_relabeling(random.Random("dihedral8"), 8)),
+    "dihedral9": lambda: make_dihedral(9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_INPUTS))
+def test_canonical_forms_match_references(name):
+    """The search equals the sweep it replaced, in values and dtype, and
+    the one-relabeling-at-a-time reference (about 4 s at degree 9)."""
+    pair = CANONICAL_INPUTS[name]()
     tables = transversal_tables(pair)
-    assert np.array_equal(_canonical_forms(tables, pair.degree),
-                          ref_canonical_forms(tables, pair.degree))
+    canon = _canonical_forms(tables, pair.degree)
+    sweep = sweep_canonical_forms(tables, pair.degree)
+    assert canon.dtype == sweep.dtype
+    assert np.array_equal(canon, sweep)
+    assert np.array_equal(canon, ref_canonical_forms(tables, pair.degree))
 
 
 @pytest.mark.parametrize("n", [3, 4])
