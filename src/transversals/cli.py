@@ -524,6 +524,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except MemoryError:  # numpy's _ArrayMemoryError included
+        sys.stderr.write("error: this input needs more memory than is available\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

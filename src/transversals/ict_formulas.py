@@ -7,8 +7,9 @@ coset x(i).  A transversal fixed by x is therefore assembled from one free
 choice per orbit of x on coset numbers; walking an orbit of length m back to
 its start forces the chosen member q to satisfy q x^m = x^m q.  The engines
 differ only in where the per-orbit counts come from: a direct filter over
-G's elements in ict_theorem6, closed forms from cycle types in ict_sym and
-ict_alt, and fixed-point gcd arithmetic in ict_cyclic.
+G's elements in ict_theorem6 (_orbit_counts), closed forms from cycle types
+in ict_sym and ict_alt, and fixed-point gcd arithmetic in ict_cyclic, which
+runs the same filter on each relabeling when given a pair.
 
 The resulting value is the number of conjugation orbits.  Whether that equals
 the number of isomorphism classes depends on a hypothesis about the pair
@@ -33,7 +34,7 @@ from .symclasses import centralizer_order, partitions, partitions_exceed
 # when they run, so the closed forms and the renderers load without numpy
 if TYPE_CHECKING:
     import numpy as np
-    from .groups import PairGH, PermGroup
+    from .groups import PairGH
 
 # Transversal sets larger than this are not swept for non-generators during
 # cyclic hypothesis validation; the report notes the skip instead.
@@ -116,28 +117,6 @@ def _assemble(method, degree, gamma_order, contributions, pair_label, justificat
     )
 
 
-def orbit_profile(row):
-    """Fixed symbols beyond 0 and long orbits of a 0-based image row (a
-    list or tuple) fixing 0; symbol j stands for coset j + 1.
-
-    Returns (fixed, long) where fixed is a tuple of symbols j > 0 with
-    row[j] = j and long is a tuple of (smallest member, length) pairs, one
-    per orbit of length > 1.  Symbol 0's own orbit is omitted: the identity
-    member of a transversal is pinned and contributes no choice.
-    """
-    if row[0] != 0:
-        raise ValueError("expected a permutation fixing symbol 1")
-    fixed = []
-    long_orbits = []
-    for orb in _orbits(row, 0):
-        if len(orb) == 1:
-            if orb[0] != 0:
-                fixed.append(orb[0])
-        else:
-            long_orbits.append((orb[0], len(orb)))
-    return tuple(fixed), tuple(long_orbits)
-
-
 def _commuting_in_coset(coset: np.ndarray, z: np.ndarray) -> int:
     """Members q of the coset with q z = z q, all as 0-based image rows."""
     return int((coset[:, z] == z[coset]).all(axis=1).sum())
@@ -151,44 +130,39 @@ def _row_power(x: np.ndarray, m: int) -> np.ndarray:
     return power
 
 
-def ict_theorem6(pair: PairGH, gamma: PermGroup | None = None,
-                 cap: int = CAP_STAB_ENUM) -> IctReport:
-    """Burnside count of gamma-conjugation orbits on the pair's transversals.
+def _orbit_counts(cosets: np.ndarray, x: np.ndarray) -> list:
+    """(m, count) per orbit of the 0-based row x, which fixes 0, on symbols
+    1..n-1, in _orbits order: m is the orbit's length and count the members
+    q of its least member's coset with q x^m = x^m q.  A fixed symbol is an
+    orbit of length 1; symbol 0's own orbit is left out, as the identity
+    member of a transversal is pinned and contributes no choice."""
+    return [(len(orb), _commuting_in_coset(cosets[orb[0]], _row_power(x, len(orb))))
+            for orb in _orbits(x.tolist(), 0)[1:]]
 
-    gamma defaults to the full normalizer of G inside the stabilizer of
-    symbol 1, found by brute sweep.  Per conjugacy class of gamma the fixed
+
+def ict_theorem6(pair: PairGH, *, cap: int = CAP_STAB_ENUM) -> IctReport:
+    """Burnside count of gamma-conjugation orbits on the pair's transversals,
+    for gamma the full normalizer of G inside the stabilizer of symbol 1,
+    found by brute sweep.  Per conjugacy class of gamma the fixed
     transversals are counted orbit by orbit with a direct filter over G's
-    elements; no formula is assumed.  The quotient must come out exact, and
-    a gamma passed in must have the pair's degree, fix 1 and normalize G,
-    else HypothesisViolation; the default is built by that same test.
+    elements; no formula is assumed.  The quotient must come out exact,
+    else HypothesisViolation.
 
     The report is validated only when gamma is all of Sym(n)_1: two
     transversals generating a proper subgroup of G may be linked only by a
     relabeling outside a smaller gamma, which then overcounts.
     """
-    from .groups import _normalizing, normalizer_in_stab
+    from .groups import normalizer_in_stab
 
     n = pair.degree
-    if gamma is None:
-        gamma = normalizer_in_stab(pair, cap=cap)
-    elif gamma.degree != n:
-        raise HypothesisViolation(
-            f"acting group degree {gamma.degree} does not match pair degree {n}")
-    elif gamma._rows[:, 0].any():
-        raise HypothesisViolation("acting group must fix symbol 1")
-    elif not _normalizing(pair.group, gamma.generators).all():
-        raise HypothesisViolation("acting group must normalize the group")
-
+    gamma = normalizer_in_stab(pair, cap=cap)
     cosets = pair.cosets()
     contributions = []
     for x, size in gamma.conjugacy_classes():
-        fixed, long_orbits = orbit_profile(x.tolist())
-        a_factors = [1]
-        a_factors += [_commuting_in_coset(cosets[j], x) for j in fixed]
-        orbit_factors = [_commuting_in_coset(cosets[i0], _row_power(x, m))
-                         for (i0, m) in long_orbits]
-        contributions.append(
-            _contribution(format_cycles((x + 1).tolist()), size, a_factors, orbit_factors))
+        counts = _orbit_counts(cosets, x)
+        contributions.append(_contribution(
+            format_cycles((x + 1).tolist()), size,
+            [1] + [f for m, f in counts if m == 1], [f for m, f in counts if m > 1]))
     whole = gamma.order == factorial(n - 1)
     justification = WHOLE_STABILIZER if whole else (
         f"the acting group has order {gamma.order}, not (n-1)! = {factorial(n - 1)}; "
@@ -441,14 +415,17 @@ def _find_regular_normal_cycle(pair: PairGH) -> np.ndarray:
 
 def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     """Machine-check the structural hypotheses behind the cyclic closed form
-    against a concrete pair.  Returns (units, rows, gamma, notes,
-    validated): the affine family (see _affine_rows) of the n-cycle generating the normal
-    regular cyclic transversal, the group it forms, what was checked, and
-    whether both the brute normalizer check and the non-generator scan ran."""
+    against a concrete pair: the affine family of the n-cycle generating the
+    normal regular cyclic transversal is closed under composition,
+    normalizes G and, when the sweep fits the cap, is the brute normalizer;
+    the non-generating transversals are distinguishable subgroups.  Returns
+    (units, rows, notes, validated): the family (see _affine_rows), what was
+    checked, and whether both the brute normalizer check and the
+    non-generator scan ran."""
     import numpy as np
     from itertools import islice
-    from .groups import (SECTION_CHUNK, PermGroup, _row_keys, closure, enumerate_transversals,
-                         generates, normalizer_in_stab)
+    from .groups import (SECTION_CHUNK, PermGroup, _normalizing, _row_keys, closure,
+                         enumerate_transversals, generates, normalizer_in_stab)
 
     notes = []
     if pair.degree != n or pair.subgroup_order != h:
@@ -463,7 +440,9 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     # composing every pair of relabelings (compose(x, y) is x[y]) stays inside
     assert (gamma._locate(rows[:, rows].reshape(-1, n)) >= 0).all()
     # G lies in the holomorph x -> ux + b of its normal cycle, and x -> j^-1 x
-    # conjugates that to x -> ux + j^-1 b, again in G; ict_theorem6 checks it
+    # conjugates that to x -> ux + j^-1 b, again in G
+    if not _normalizing(pair.group, rows).all():
+        raise HypothesisViolation("acting group must normalize the group")
     brute_checked = factorial(n - 1) <= cap
     if brute_checked:
         brute = normalizer_in_stab(pair, cap=cap)
@@ -497,7 +476,7 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     else:
         notes.append(
             f"non-generator scan skipped ({count} transversals exceed the cap)")
-    return units, rows, gamma, notes, brute_checked and scanned
+    return units, rows, notes, brute_checked and scanned
 
 
 def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
@@ -508,10 +487,11 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
     Every per-orbit count for these pairs equals h (the whole coset commutes
     with the relevant power), so each unit j contributes h^(t + k - 1) and
     the average runs over the phi(n) affine relabelings.  Given a concrete
-    pair the structural hypotheses are machine-checked and the value is
-    cross-checked against the direct engine; the report is flagged
-    validated only when the brute normalizer check and the non-generator
-    scan both ran, so never without a pair.
+    pair the structural hypotheses are machine-checked, and each
+    relabeling's per-orbit counts are taken with ict_theorem6's filter and
+    must all equal h; the report is flagged validated only when the brute
+    normalizer check and the non-generator scan both ran, so never without
+    a pair.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -523,40 +503,29 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
         justification = ("formula-only: structural hypotheses not checked "
                          "against a concrete pair")
         validated = False
-        gamma = None
     else:
-        units, rows, gamma, notes, validated = _validate_cyclic_pair(pair, n, h, cap)
+        units, rows, notes, validated = _validate_cyclic_pair(pair, n, h, cap)
         label = pair.name
         justification = "; ".join(notes)
+        cosets = pair.cosets()
 
     contributions = []
-    for j, row, images in zip(units, rows.tolist(), (rows + 1).tolist()):
+    for j, row, images in zip(units, rows, (rows + 1).tolist()):
         k, t = cyclic_fixed_and_orbit_data(n, j)
-        fixed, long_orbits = orbit_profile(row)
-        if len(fixed) + 1 != k or len(long_orbits) != t:
+        lengths = [len(orb) for orb in _orbits(row.tolist(), 0)]
+        got = (lengths.count(1), len(lengths) - lengths.count(1))
+        if got != (k, t):
             raise DisagreementError(
                 f"gcd arithmetic gives (k, t) = ({k}, {t}) but the affine "
-                f"relabeling for j = {j} has ({len(fixed) + 1}, {len(long_orbits)})",
-                values=((k, t), (len(fixed) + 1, len(long_orbits))))
-        contributions.append(
-            _contribution(format_cycles(images), 1, [1] + [h] * (k - 1), [h] * t))
-    report = _assemble("cyclic_closed", n, len(units), contributions, label,
-                       justification, validated)
-
-    if pair is not None:
-        direct = ict_theorem6(pair, gamma=gamma)
-        for c in direct.contributions:
-            bad = [f for f in c.a_factors[1:] if f != h]
-            bad += [f for f in c.orbit_factors if f != h]
-            if bad:
-                raise HypothesisViolation(
-                    f"a commuting count for {c.representative} "
-                    f"is {bad[0]}, not the subgroup order {h}")
-        if direct.value != report.value:
-            raise DisagreementError(
-                "closed form and direct engine disagree",
-                values=(report.value, direct.value))
-    return report
+                f"relabeling for j = {j} has {got}", values=((k, t), got))
+        text = format_cycles(images)
+        bad = [] if pair is None else [f for _, f in _orbit_counts(cosets, row) if f != h]
+        if bad:
+            raise HypothesisViolation(
+                f"a commuting count for {text} is {bad[0]}, not the subgroup order {h}")
+        contributions.append(_contribution(text, 1, [1] + [h] * (k - 1), [h] * t))
+    return _assemble("cyclic_closed", n, len(units), contributions, label,
+                     justification, validated)
 
 
 class _Decimal(dict):

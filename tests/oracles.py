@@ -18,7 +18,8 @@ ict_formulas._find_regular_normal_cycle), the order-18 example pair
 behind acceptance criterion 10, partitions built recursively (the
 reference for symclasses.partitions) and their multiplicities, the closed
 forms' class rows evaluated orbit by orbit through cycle types of powers
-(the reference for ict_formulas._closed_form), and the action of G on the
+(the reference for ict_formulas._closed_form), theorem6's per-class
+factors in orbit order (theorem6_factors_reference), and the action of G on the
 left cosets of any subgroup H, naming every coset of G first (the
 reference for groups.pair_from_fixture, whose H is G_1, and the builder of
 the tests' pairs over other subgroups), with seeded random intransitive
@@ -289,6 +290,24 @@ def closed_form_reference(n: int, factor_fn) -> tuple:
         rep = format_cycles(class_representative(parts, m))
         rows.append(_contribution(rep, size, a_factors, orbit_factors))
     return tuple(rows)
+
+
+def theorem6_factors_reference(pair: PairGH, x: Permutation) -> tuple:
+    """(a_factors, orbit_factors) of ict_theorem6's row for the class of x,
+    from x.orbits(): symbol 1's factor 1, then one factor per fixed symbol
+    in ascending order, then one per orbit of length m > 1 ordered by least
+    member, each the count of elements q of G sending 1 to that member with
+    q x^m = x^m q, composed as Permutations."""
+    fixed = sorted(orb[0] for orb in x.orbits() if len(orb) == 1 and orb[0] != 1)
+    long_orbits = sorted((min(orb), len(orb)) for orb in x.orbits() if len(orb) > 1)
+    group = elements(pair.group)
+
+    def commuting(s, m):
+        z = power(x, m)
+        return sum(1 for q in group if q(1) == s and compose(q, z) == compose(z, q))
+
+    return (tuple([1] + [commuting(s, 1) for s in fixed]),
+            tuple(commuting(s, m) for s, m in long_orbits))
 
 
 def class_representative(parts, m):

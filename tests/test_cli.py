@@ -1109,6 +1109,26 @@ def test_alt_below_four_is_an_input_error(capsys, command):
     assert "Traceback" not in err
 
 
+class _ArrayMemoryError(MemoryError):
+    """A MemoryError subclass, as numpy's own allocation error is."""
+
+
+@pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, error):
+    """An input whose arrays do not fit in memory exits 1 with one stderr
+    line, not a traceback; the builder raises without allocating."""
+    import transversals.groups as groups
+
+    def exhausted(*params):
+        raise error()
+
+    monkeypatch.setattr(groups, "make_dihedral", exhausted)
+    code, out, err = run(capsys, "--dihedral", "7", "--no-cache")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: this input needs more memory than is available\n"
+    assert "Traceback" not in err
+
+
 def test_oracle_cap_exit(capsys):
     code, _, err = run(capsys, "--sym", "9", "--method", "oracle", "--no-cache")
     assert code == EXIT_CAP

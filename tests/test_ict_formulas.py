@@ -40,7 +40,6 @@ from transversals.ict_formulas import (
     ict_cyclic,
     ict_sym,
     ict_theorem6,
-    orbit_profile,
     report_from_json,
     report_to_json,
     report_to_text,
@@ -335,24 +334,19 @@ def test_theorem6_on_normal_pairs_gives_one():
     assert report.gamma_order == 24  # the automorphism group of the quaternions
 
 
-def test_theorem6_rejects_bad_gamma():
-    pair = make_dihedral(4)
-    with pytest.raises(HypothesisViolation, match="fix symbol 1"):
-        ict_theorem6(pair, gamma=PermGroup.symmetric(4))
-    full_stab = group_of([parse_cycles(4, "(2,3)"), parse_cycles(4, "(2,3,4)")])
-    with pytest.raises(HypothesisViolation, match="normalize"):
-        ict_theorem6(pair, gamma=full_stab)
-    swap = group_of([parse_cycles(5, "(2,3)")])
-    with pytest.raises(HypothesisViolation, match="acting group must normalize the group"):
-        ict_theorem6(make_dihedral(5), gamma=swap)
-    with pytest.raises(HypothesisViolation, match="degree"):
-        ict_theorem6(pair, gamma=group_of([], degree=5))
+def test_theorem6_takes_no_acting_group():
+    """Gamma is always the normalizer sweep's, and the cap is keyword-only:
+    a second positional argument is refused, not read as a cap."""
+    with pytest.raises(TypeError):
+        ict_theorem6(make_dihedral(4), PermGroup.symmetric(4))
+    with pytest.raises(TypeError):
+        ict_theorem6(make_dihedral(4), 10)
 
 
-def test_theorem6_guards_only_a_supplied_gamma(monkeypatch):
-    """The default gamma is built by the normalizing test, so only a gamma
-    passed in is tested again: the default costs exactly the tests of a bare
-    normalizer_in_stab, a supplied gamma exactly one more."""
+def test_normalizing_runs_once_per_engine(monkeypatch):
+    """theorem6 tests normalizing only inside its normalizer sweep: exactly
+    the calls of a bare normalizer_in_stab.  The cyclic engine adds exactly
+    one call, over its phi(n) affine rows, ahead of that sweep."""
     calls = []
 
     def counted(group, alphas):
@@ -360,15 +354,61 @@ def test_theorem6_guards_only_a_supplied_gamma(monkeypatch):
         return _normalizing(group, alphas)
 
     monkeypatch.setattr(groups, "_normalizing", counted)
-    gamma = normalizer_in_stab(make_sym(5))
+    normalizer_in_stab(make_sym(5))
     sweep, calls[:] = list(calls), []
     assert sweep
-    pair = make_sym(5)
-    report = ict_theorem6(pair)
+    ict_theorem6(make_sym(5))
     assert calls == sweep
     calls.clear()
-    assert ict_theorem6(pair, gamma=gamma) == report
-    assert calls == [len(gamma.generators)]
+    normalizer_in_stab(make_dihedral(7))
+    sweep, calls[:] = list(calls), []
+    ict_cyclic(7, 2, pair=make_dihedral(7))
+    assert calls == [6] + sweep
+
+
+def _not_closed(a):
+    units, rows = _affine_rows(a)
+    rows[-1] = np.r_[0, 2, 3, 1, 4:len(a)]  # a 3-cycle, whose square is not in the family
+    return units, rows
+
+
+# Each check of the cyclic engine on a pair, the patches that make it fail,
+# and the error it then raises
+CYCLIC_CHECKS = {
+    "closure": ([(ict_formulas, "_affine_rows", _not_closed)], AssertionError, None),
+    # refused ahead of the brute sweep, which is never reached
+    "normalizes G": (
+        [(groups, "_normalizing", lambda group, alphas: np.zeros(len(alphas), dtype=bool)),
+         (groups, "normalizer_in_stab", None)],
+        HypothesisViolation, "acting group must normalize the group"),
+    "brute normalizer": (
+        [(groups, "normalizer_in_stab", lambda pair, cap: PermGroup(np.arange(6)[None]))],
+        HypothesisViolation, "affine family has order 2; they differ"),
+    "non-generators are subgroups": (
+        [(groups, "closure", lambda rows: np.r_[rows, rows[:1]])],
+        HypothesisViolation, "not a subgroup"),
+    "non-generators are distinguishable": (
+        [(groups, "generates", lambda pair, stack: np.zeros(len(stack), dtype=bool)),
+         (groups, "closure", lambda rows: rows)],
+        HypothesisViolation, "share an element-order profile"),
+    "gcd (k, t)": ([(ict_formulas, "cyclic_fixed_and_orbit_data", lambda n, j: (1, 0))],
+                   DisagreementError, "gcd arithmetic gives"),
+    "each count is h": ([(ict_formulas, "_commuting_in_coset", lambda coset, z: 1)],
+                        HypothesisViolation,
+                        r"a commuting count for \(\) is 1, not the subgroup order 2"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CYCLIC_CHECKS))
+def test_each_cyclic_check_refuses(monkeypatch, check):
+    """Every structural check of ict_cyclic on dihedral(6) still runs: each
+    one, made to fail, stops the report with its own error."""
+    patches, error, message = CYCLIC_CHECKS[check]
+    pair = make_dihedral(6)
+    for module, name, replacement in patches:
+        monkeypatch.setattr(module, name, replacement)
+    with pytest.raises(error, match=message):
+        ict_cyclic(6, 2, pair=pair)
 
 
 def test_disagreement_error_values_default_to_empty_tuple():
@@ -413,6 +453,20 @@ def test_theorem6_does_not_validate_the_psl25_orbit_count():
     assert report.gamma_order == 20
     assert report.validated is False or report.value == truth
     assert not report.validated
+
+
+def test_theorem6_does_not_validate_the_pgl25_orbit_count():
+    """PGL(2,5) on the same six points.  Its normalizer in Sym(6)_1 again
+    has order 20, and theorem6's 160,404 orbits exceed the 160,284 classes
+    both oracles find (too slow to run here: 3,200,000 transversals)."""
+    pair = pair_from_fixture(
+        "degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\ngen (2,3,5,4)\n")
+    assert pair.degree == 6 and pair.group.order == 120
+    report = ict_theorem6(pair)
+    assert report.gamma_order == 20
+    assert report.validated is False or report.value == 160284
+    assert not report.validated
+    assert report.value == 160404
 
 
 # ------------------------------------------------------ cyclic engine
@@ -524,10 +578,10 @@ def test_gcd_data_matches_affine_orbit_structure():
         units, rows = _affine_rows(np.roll(np.arange(n), -1))
         for j, row in zip(units, rows.tolist()):
             k, t = cyclic_fixed_and_orbit_data(n, j)
-            fixed, long_orbits = orbit_profile(row)
-            assert k == len(fixed) + 1, (n, j)
-            assert t == len(long_orbits), (n, j)
-            assert k + sum(m for _, m in long_orbits) == n
+            lengths = [len(orb) for orb in _orbits(row, 0)]
+            assert k == lengths.count(1), (n, j)
+            assert t == len(lengths) - k, (n, j)
+            assert sum(lengths) == n
 
 
 def test_gcd_data_validation():
@@ -582,10 +636,11 @@ def test_validated_cyclic_gamma_is_the_conjugation_construction():
     for pair in pairs:
         n, h = pair.degree, pair.subgroup_order
         a = Permutation((_find_regular_normal_cycle(pair) + 1).tolist())
-        units, _, gamma, _, _ = _validate_cyclic_pair(pair, n, h, cap=0)
+        units, rows, _, _ = _validate_cyclic_pair(pair, n, h, cap=0)
         want = affine_elements(n, a)
         assert units == [j for j, _ in want]
-        assert gamma == cyclic_gamma(n, a), pair.name
+        assert [tuple(r) for r in (rows + 1).tolist()] == [g.images for _, g in want]
+        assert PermGroup(rows[np.argsort(_row_keys(rows))]) == cyclic_gamma(n, a), pair.name
 
 
 def test_row_finder_matches_the_closure_reference():

@@ -31,6 +31,7 @@ from transversals.groups import (
     make_dihedral,
     make_pq,
     make_sym,
+    pair_from_fixture,
 )
 from transversals.ict_formulas import ict_alt, ict_sym, ict_theorem6
 from transversals.oracle import (
@@ -62,6 +63,7 @@ from oracles import (
     relabel,
     subgroup_transversals,
     sweep_canonical_forms,
+    theorem6_factors_reference,
 )
 
 
@@ -726,6 +728,30 @@ def test_canonical_forms_match_references(name):
     assert canon.dtype == sweep.dtype
     assert np.array_equal(canon, sweep)
     assert np.array_equal(canon, ref_canonical_forms(tables, pair.degree))
+
+
+THEOREM6_INPUTS = {
+    **FAMILIES,
+    "psl25": lambda: pair_from_fixture("degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n"),
+    "dihedral8_relabeled": CANONICAL_INPUTS["dihedral8_relabeled"],
+    # rows whose factors are not all equal, so that their order shows:
+    # (2,3)(4,5,6) has orbit factors 6, 12; in this order-288 group (4,5,8)
+    # has fixed-symbol factors 9, 0, 9, 9
+    "sym6": lambda: make_sym(6),
+    "order288": lambda: pair_from_fixture("degree 8\ngen (4,5,8)\ngen (1,8,7,5)(2,3,6,4)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM6_INPUTS))
+def test_theorem6_factors_follow_the_orbits_in_order(name):
+    """Each class row of theorem6 lists its factors as the reference does:
+    symbol 1's 1, the fixed symbols ascending, then the long orbits by
+    least member, not merely the same multiset."""
+    pair = THEOREM6_INPUTS[name]()
+    for c in ict_theorem6(pair).contributions:
+        x = parse_cycles(pair.degree, c.representative)
+        assert (c.a_factors, c.orbit_factors) == theorem6_factors_reference(pair, x), (
+            c.representative)
 
 
 @pytest.mark.parametrize("n", [3, 4])
