@@ -397,7 +397,9 @@ def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM, *, size: int):
 
 
 def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
-    """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}, by brute sweep.
+    """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}, by brute sweep
+    over Sym(n)_1 that narrows: each generator of G is conjugated only by the
+    candidates that kept the earlier ones in G (`_normalizing`).
 
     The sweep runs once per pair and its result is kept on the pair; the
     cap is checked on every call."""
@@ -412,15 +414,31 @@ def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
     return pair._normalizer
 
 
+def _conjugating_into(group: PermGroup, alphas: np.ndarray, row_sets) -> np.ndarray:
+    """Indices, ascending, of the rows alpha that pass every set of rows in
+    `row_sets`: alpha passes a set when alpha r alpha^-1 lies in G for some
+    row r of it.  The sets are tested in turn, each only on the alphas that
+    passed the ones before, so an alpha that fails costs no later gather."""
+    kept = np.arange(len(alphas))
+    inverses = _invert_rows(alphas)
+    for rows in row_sets:
+        if not len(kept):
+            break
+        live, live_inv = alphas[kept], inverses[kept]
+        hit = np.zeros(len(kept), dtype=bool)
+        for r in rows:
+            # row k: alpha_k r alpha_k^-1, i.e. alpha_k[r[alpha_k^-1[j]]]
+            hit |= group._locate(np.take_along_axis(live, r[live_inv], axis=1)) >= 0
+        kept = kept[hit]
+    return kept
+
+
 def _normalizing(group: PermGroup, alphas: np.ndarray) -> np.ndarray:
     """Mask of the rows alpha that normalize G (alpha G alpha^-1 inside G):
-    G's generators conjugated by every alpha at once, one gather per
-    generator."""
-    alphas_inv = _invert_rows(alphas)
-    keep = np.ones(len(alphas), dtype=bool)
-    for g in group.generators:
-        # row k: alpha_k g alpha_k^-1, i.e. alpha_k[g[alpha_k^-1[j]]]
-        keep &= group._locate(np.take_along_axis(alphas, g[alphas_inv], axis=1)) >= 0
+    each of G's generators is a set of one row for `_conjugating_into`, so
+    it is conjugated only by the alphas that kept the earlier ones in G."""
+    keep = np.zeros(len(alphas), dtype=bool)
+    keep[_conjugating_into(group, alphas, group.generators[:, None])] = True
     return keep
 
 

@@ -135,9 +135,12 @@ def _orbit_counts(cosets: np.ndarray, x: np.ndarray) -> list:
     1..n-1, in _orbits order: m is the orbit's length and count the members
     q of its least member's coset with q x^m = x^m q.  A fixed symbol is an
     orbit of length 1; symbol 0's own orbit is left out, as the identity
-    member of a transversal is pinned and contributes no choice."""
-    return [(len(orb), _commuting_in_coset(cosets[orb[0]], _row_power(x, len(orb))))
-            for orb in _orbits(x.tolist(), 0)[1:]]
+    member of a transversal is pinned and contributes no choice.  x^m is
+    built once per distinct length m."""
+    orbits = _orbits(x.tolist(), 0)[1:]
+    powers = {m: _row_power(x, m) for m in {len(orb) for orb in orbits}}
+    return [(len(orb), _commuting_in_coset(cosets[orb[0]], powers[len(orb)]))
+            for orb in orbits]
 
 
 def ict_theorem6(pair: PairGH, *, cap: int = CAP_STAB_ENUM) -> IctReport:

@@ -19,6 +19,7 @@ from .errors import CAP_RELABELINGS, CAP_STAB_ENUM, CAP_TRANSVERSALS, PRINT_LIMI
 from .groups import (
     PairGH,
     PermGroup,
+    _conjugating_into,
     _cycle_row,
     _invert_rows,
     _normalizing,
@@ -225,13 +226,15 @@ def _candidate_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
     """_conjugates of every identity-fixing alpha that could map some
     transversal back into the family: one that conjugates some member of
     each coset into G.  The others are dropped before the per-transversal
-    sweep.  `stab_cap` bounds the (n-1)! alphas before any is built."""
-    n = pair.degree
-    kept = [np.empty((0, n - 1, pair.subgroup_order), dtype=np.int64)]
-    for alphas in stabilizer_candidates(n, stab_cap, size=max(1, BATCH // pair.group.order)):
-        index = _conjugates(pair, alphas)
-        kept.append(index[(index >= 0).any(axis=2).all(axis=1)])
-    return np.concatenate(kept)
+    sweep.  In each batch the cosets are tested slot by slot, each only on
+    the alphas that passed the slots before (`_conjugating_into`); the
+    survivors, in candidate order, are then conjugated in full at once.
+    `stab_cap` bounds the (n-1)! alphas before any is built."""
+    cosets = pair.cosets()[1:]
+    survivors = [alphas[_conjugating_into(pair.group, alphas, cosets)] for alphas in
+                 stabilizer_candidates(pair.degree, stab_cap,
+                                       size=max(1, BATCH // pair.group.order))]
+    return _conjugates(pair, np.concatenate(survivors))
 
 
 def _sweep_labels(pair: PairGH, stab_cap: int) -> np.ndarray:

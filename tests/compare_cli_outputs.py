@@ -21,7 +21,9 @@ family builders and the normalizer sweep: `ict --sym N` and `--alt N`
 up to N = 5, `crosscheck` and `classes` on Sym and Alt up to degree 5,
 `census 1` to `census 4`, `ict --dihedral N` for N = 3..10 (auto and
 theorem6, whose normalizer sweeps reach 9! candidates), `ict --pq` on
-(2, 3), (2, 5), (3, 7), (2, 7) and (2, 11), and the default `sweep`.
+(2, 3), (2, 5), (3, 7), (2, 7) and (2, 11), `crosscheck` on the same pq
+pairs and on `--dihedral N` for N = 3..10 (whose conjugation classifier
+sweeps up to 9! relabelings), and the default `sweep`.
 Each tree has a cache directory of its own, so neither
 reads what the other stored.  Outputs are compared by their SHA-256, so the
 157 MB of `--sym 42` is never held.  Exits 1 when any command differs.
@@ -73,8 +75,10 @@ FAMILIES += [[command, f"--{family}", str(n)] for command in ("crosscheck", "cla
 FAMILIES += [["census", str(n)] for n in range(1, 5)]
 FAMILIES += [["ict", "--dihedral", str(n), "--no-cache", "--method", method]
              for n in range(3, 11) for method in ("auto", "theorem6")]
-FAMILIES += [["ict", "--pq", p, q, "--no-cache"]
-             for p, q in (("2", "3"), ("2", "5"), ("3", "7"), ("2", "7"), ("2", "11"))]
+PQS = (("2", "3"), ("2", "5"), ("3", "7"), ("2", "7"), ("2", "11"))
+FAMILIES += [["ict", "--pq", p, q, "--no-cache"] for p, q in PQS]
+FAMILIES += [["crosscheck", "--dihedral", str(n)] for n in range(3, 11)]
+FAMILIES += [["crosscheck", "--pq", p, q] for p, q in PQS]
 FAMILIES += [["sweep"]]
 
 CHILD = """

@@ -29,7 +29,10 @@ groups.generates, which answers a stack of them at once), and the stabilizer
 of 1 in Sym(n) listed by itertools.permutations (the reference for
 groups.stabilizer_candidates), and canonical forms by refining every
 (table, relabeling) pair (sweep_canonical_forms, the reference for
-oracle._canonical_forms, which searches).  Import them as `from oracles import ...`;
+oracle._canonical_forms, which searches), and the relabeling sweeps at full
+width, every test on every alpha (candidate_relabelings_reference and
+normalizing_reference, the references for oracle._candidate_relabelings and
+groups._normalizing, which narrow).  Import them as `from oracles import ...`;
 pytest puts this directory on the path.
 """
 
@@ -61,7 +64,7 @@ from transversals.groups import (
     stabilizer_candidates,
 )
 from transversals.ict_formulas import _contribution
-from transversals.oracle import BATCH, _canonical_forms, classify_by_table_iso
+from transversals.oracle import BATCH, _canonical_forms, _conjugates, classify_by_table_iso
 from transversals.perm import Permutation, format_cycles, parse_cycles
 from transversals.symclasses import class_size, partitions
 
@@ -558,6 +561,24 @@ def _conjugates_inside(group: PermGroup, alphas: np.ndarray, target: PermGroup) 
         # row k: alpha_k g alpha_k^-1, i.e. alpha_k[g[alpha_k^-1[j]]]
         keep &= target._locate(np.take_along_axis(alphas, g[alphas_inv], axis=1)) >= 0
     return keep
+
+
+def normalizing_reference(group: PermGroup, alphas: np.ndarray) -> np.ndarray:
+    """groups._normalizing as a full-width sweep: every generator of G is
+    conjugated by every alpha, whether or not an earlier one failed."""
+    return _conjugates_inside(group, alphas, group)
+
+
+def candidate_relabelings_reference(pair: PairGH, stab_cap: int = CAP_STAB_ENUM) -> np.ndarray:
+    """oracle._candidate_relabelings as a full-width sweep: each batch's
+    alphas all conjugate every element of G outside H, and an alpha is kept
+    when some member of each coset lands in G."""
+    n = pair.degree
+    kept = [np.empty((0, n - 1, pair.subgroup_order), dtype=np.int64)]
+    for alphas in stabilizer_candidates(n, stab_cap, size=max(1, BATCH // pair.group.order)):
+        index = _conjugates(pair, alphas)
+        kept.append(index[(index >= 0).any(axis=2).all(axis=1)])
+    return np.concatenate(kept)
 
 
 def is_normal(sub: PermGroup, group: PermGroup) -> bool:

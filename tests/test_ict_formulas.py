@@ -366,6 +366,34 @@ def test_normalizing_runs_once_per_engine(monkeypatch):
     assert calls == [6] + sweep
 
 
+def test_orbit_counts_build_one_power_per_length(monkeypatch):
+    """_orbit_counts builds x^m once per distinct orbit length m, and each
+    orbit's count is the commuting count of its coset with x^m.  Class rows
+    with repeated lengths: (2,3)(4,5) in Sym(5) (Sym(6)'s normalizer) and
+    the affine relabelings of dihedral(7) and dihedral(9)."""
+    built = []
+    row_power = ict_formulas._row_power
+
+    def counted(x, m):
+        built.append(m)
+        return row_power(x, m)
+
+    monkeypatch.setattr(ict_formulas, "_row_power", counted)
+    repeated = 0
+    for pair in (make_sym(6), make_dihedral(7), make_dihedral(9)):
+        cosets = pair.cosets()
+        for x, _ in normalizer_in_stab(pair).conjugacy_classes():
+            orbits = _orbits(x.tolist(), 0)[1:]
+            lengths = [len(orb) for orb in orbits]
+            built.clear()
+            got = ict_formulas._orbit_counts(cosets, x)
+            assert sorted(built) == sorted(set(lengths))
+            assert got == [(len(orb), ict_formulas._commuting_in_coset(
+                cosets[orb[0]], row_power(x, len(orb)))) for orb in orbits]
+            repeated += any(lengths.count(m) > 1 for m in lengths if m > 1)
+    assert repeated >= 3
+
+
 def _not_closed(a):
     units, rows = _affine_rows(a)
     rows[-1] = np.r_[0, 2, 3, 1, 4:len(a)]  # a 3-cycle, whose square is not in the family

@@ -20,6 +20,7 @@ import pytest
 import transversals.oracle as oracle
 from transversals.errors import CAP_STAB_ENUM, CapExceeded
 from transversals.groups import (
+    NORMALIZER_CHUNK,
     PairGH,
     PermGroup,
     _invert_rows,
@@ -31,7 +32,9 @@ from transversals.groups import (
     make_dihedral,
     make_pq,
     make_sym,
+    normalizer_in_stab,
     pair_from_fixture,
+    stabilizer_candidates,
 )
 from transversals.ict_formulas import ict_alt, ict_sym, ict_theorem6
 from transversals.oracle import (
@@ -48,6 +51,7 @@ from oracles import (
     Classification,
     LoopTable,
     _right_transversals,
+    candidate_relabelings_reference,
     classification_tuples,
     compose,
     conjugate,
@@ -58,6 +62,7 @@ from oracles import (
     inverse,
     left_right_agreement,
     members,
+    normalizing_reference,
     order18_example,
     perms,
     relabel,
@@ -752,6 +757,80 @@ def test_theorem6_factors_follow_the_orbits_in_order(name):
         x = parse_cycles(pair.degree, c.representative)
         assert (c.a_factors, c.orbit_factors) == theorem6_factors_reference(pair, x), (
             c.representative)
+
+
+# Every family pair, PSL(2,5), the seeded relabeling of dihedral(8), and
+# the pair of degree 1, Sym(1) (sym2 is the degree-2 one).
+NARROWING_INPUTS = {
+    **FAMILIES,
+    "psl25": THEOREM6_INPUTS["psl25"],
+    "dihedral8_relabeled": CANONICAL_INPUTS["dihedral8_relabeled"],
+    "census1": CANONICAL_INPUTS["census1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROWING_INPUTS))
+def test_narrowed_sweeps_match_full_width(name, monkeypatch):
+    """The relabeling sweeps that test one coset, or one generator, at a
+    time equal the full-width references in values, dtype and order, at
+    the default batch size and at 24 candidates per batch.  The normalizer
+    mask is also checked for the group whose generators are all of its
+    rows, for every candidate that does not normalize G (none passes), and
+    for the trivial group, which has no generator (all pass)."""
+    pair = NARROWING_INPUTS[name]()
+    n, want = pair.degree, candidate_relabelings_reference(pair)
+    sizes = []
+    conjugating_into = oracle._conjugating_into
+
+    def counted(group, alphas, row_sets):
+        kept = conjugating_into(group, alphas, row_sets)
+        sizes.append(len(kept))
+        return kept
+
+    monkeypatch.setattr(oracle, "_conjugating_into", counted)
+    for batch in (oracle.BATCH, 24 * pair.group.order):
+        monkeypatch.setattr(oracle, "BATCH", batch)
+        got = oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    if -(-factorial(n - 1) // 24) > len(want):
+        assert 0 in sizes  # more batches of 24 than survivors: one kept none
+
+    alphas = np.concatenate(list(stabilizer_candidates(n, size=NORMALIZER_CHUNK)))
+    trivial = PermGroup.from_generators(np.empty((0, n), dtype=alphas.dtype))
+    for group in (pair.group, PermGroup(pair.group._rows), trivial):
+        mask = _normalizing(group, alphas)
+        ref = normalizing_reference(group, alphas)
+        assert mask.dtype == ref.dtype and mask.shape == ref.shape
+        assert np.array_equal(mask, ref)
+    assert _normalizing(trivial, alphas).all()
+    outside = alphas[~_normalizing(pair.group, alphas)]
+    assert not _normalizing(pair.group, outside).any()
+    assert np.array_equal(_normalizing(pair.group, outside),
+                          normalizing_reference(pair.group, outside))
+
+
+def test_narrowed_sweeps_locate_few_rows(monkeypatch):
+    """Work count on dihedral(9), 8! candidates: the coset sweep tests slot
+    2's h members on every candidate and the later slots only on the few
+    that pass (the full-width sweep locates 8!·(n-1)·h rows), and the
+    normalizer sweep conjugates the second generator only by the
+    candidates that keep the first in G (full width: 2·8!)."""
+    pair, fresh = make_dihedral(9), make_dihedral(9)
+    h, located = pair.subgroup_order, []
+    locate = PermGroup._locate
+
+    def counted(self, rows):
+        located.append(len(rows))
+        return locate(self, rows)
+
+    monkeypatch.setattr(PermGroup, "_locate", counted)
+    oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
+    assert sum(located) <= 1.25 * factorial(8) * h
+    located.clear()
+    normalizer_in_stab(fresh)
+    assert len(fresh.group.generators) == 2
+    assert sum(located) <= 1.1 * factorial(8)
 
 
 @pytest.mark.parametrize("n", [3, 4])
