@@ -91,11 +91,11 @@ def _all_rows(n: int):
     return rows, odd
 
 
-def _cap_factorial_order(n: int, divisor: int, cap: int):
-    """Raise CapExceeded('group_order') when n!/divisor is past `cap`.  The
-    product is multiplied up only until it passes the cap, so a huge n
-    costs no more than a small one; an order longer than Python prints by
-    default is stated as its formula."""
+def _cap_factorial_order(name: str, n: int, divisor: int, cap: int):
+    """Raise CapExceeded(name) when n!/divisor is past `cap`.  The product
+    is multiplied up only until it passes the cap, so a huge n costs no
+    more than a small one; a size longer than Python prints by default is
+    stated as its formula."""
     bound = max(cap, PRINT_LIMIT) * divisor
     order = 1
     for k in range(2, n + 1):
@@ -106,7 +106,7 @@ def _cap_factorial_order(n: int, divisor: int, cap: int):
     order //= divisor
     if order > cap:
         formula = f"{n}!" if divisor == 1 else f"{n}!/{divisor}"
-        raise CapExceeded("group_order", cap, order if order < PRINT_LIMIT else formula)
+        raise CapExceeded(name, cap, order if order < PRINT_LIMIT else formula)
 
 
 def _cycle_row(n: int, symbols) -> np.ndarray:
@@ -175,7 +175,7 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, n: int, cap=CAP_GROUP_ORDER):
-        _cap_factorial_order(n, 1, cap)
+        _cap_factorial_order("group_order", n, 1, cap)
         gens = np.stack([_cycle_row(n, range(min(n, 2))), _cycle_row(n, range(n))])
         return cls(_all_rows(n)[0], gens)
 
@@ -183,7 +183,7 @@ class PermGroup:
     def alternating(cls, n: int, cap=CAP_GROUP_ORDER):
         if n < 3:
             raise ValueError("alternating group needs degree >= 3")
-        _cap_factorial_order(n, 2, cap)
+        _cap_factorial_order("group_order", n, 2, cap)
         rows, odd = _all_rows(n)
         # (1,2,3) and the cycle of odd length (1,...,n) or (2,...,n)
         gens = np.stack([_cycle_row(n, range(3)), _cycle_row(n, range(1 - n % 2, n))])
@@ -387,12 +387,10 @@ def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM, *, size: int):
     """Sym(n)_1, the permutations of 2..n, as sorted 0-based rows, `size` per
     batch (the last may be shorter).  Its (n-1)! rows, capped by `cap`, are
     built at once: a zero column beside _all_rows(n - 1) raised by one."""
-    total = factorial(n - 1)
-    if total > cap:
-        raise CapExceeded("stabilizer_enum", cap, total)
-    rows = np.zeros((total, n), _row_dtype(n))
+    _cap_factorial_order("stabilizer_enum", n - 1, 1, cap)
+    rows = np.zeros((factorial(n - 1), n), _row_dtype(n))
     rows[:, 1:] = _all_rows(n - 1)[0] + 1
-    for lo in range(0, total, size):
+    for lo in range(0, len(rows), size):
         yield rows[lo:lo + size]
 
 
@@ -403,9 +401,7 @@ def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
 
     The sweep runs once per pair and its result is kept on the pair; the
     cap is checked on every call."""
-    total = factorial(pair.degree - 1)
-    if total > cap:
-        raise CapExceeded("stabilizer_enum", cap, total)
+    _cap_factorial_order("stabilizer_enum", pair.degree - 1, 1, cap)
     if pair._normalizer is None:
         # the candidates come sorted, so the rows kept from them are too
         found = [rows[_normalizing(pair.group, rows)]
@@ -414,13 +410,18 @@ def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
     return pair._normalizer
 
 
-def _conjugating_into(group: PermGroup, alphas: np.ndarray, row_sets) -> np.ndarray:
-    """Indices, ascending, of the rows alpha that pass every set of rows in
-    `row_sets`: alpha passes a set when alpha r alpha^-1 lies in G for some
-    row r of it.  The sets are tested in turn, each only on the alphas that
+def _conjugating_into(group: PermGroup, alphas: np.ndarray, row_sets):
+    """(kept, index): the indices, ascending, of the rows alpha that pass
+    every set of rows in `row_sets`, and for each of them the element index
+    of alpha r alpha^-1 for every row r of every set, in order, -1 outside
+    G.  An alpha passes a set when alpha r alpha^-1 lies in G for some row
+    r of it.  The sets are tested in turn, each only on the alphas that
     passed the ones before, so an alpha that fails costs no later gather."""
     kept = np.arange(len(alphas))
     inverses = _invert_rows(alphas)
+    # index[c, k] locates alpha_k r_c alpha_k^-1, r_c the c-th row; set where alpha_k met r_c
+    index = np.empty((sum(len(rows) for rows in row_sets), len(alphas)), dtype=np.int64)
+    c = 0
     for rows in row_sets:
         if not len(kept):
             break
@@ -428,9 +429,11 @@ def _conjugating_into(group: PermGroup, alphas: np.ndarray, row_sets) -> np.ndar
         hit = np.zeros(len(kept), dtype=bool)
         for r in rows:
             # row k: alpha_k r alpha_k^-1, i.e. alpha_k[r[alpha_k^-1[j]]]
-            hit |= group._locate(np.take_along_axis(live, r[live_inv], axis=1)) >= 0
+            index[c, kept] = found = group._locate(np.take_along_axis(live, r[live_inv], axis=1))
+            hit |= found >= 0
+            c += 1
         kept = kept[hit]
-    return kept
+    return kept, index[:, kept].T
 
 
 def _normalizing(group: PermGroup, alphas: np.ndarray) -> np.ndarray:
@@ -438,7 +441,7 @@ def _normalizing(group: PermGroup, alphas: np.ndarray) -> np.ndarray:
     each of G's generators is a set of one row for `_conjugating_into`, so
     it is conjugated only by the alphas that kept the earlier ones in G."""
     keep = np.zeros(len(alphas), dtype=bool)
-    keep[_conjugating_into(group, alphas, group.generators[:, None])] = True
+    keep[_conjugating_into(group, alphas, group.generators[:, None])[0]] = True
     return keep
 
 

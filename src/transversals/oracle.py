@@ -19,6 +19,7 @@ from .errors import CAP_RELABELINGS, CAP_STAB_ENUM, CAP_TRANSVERSALS, PRINT_LIMI
 from .groups import (
     PairGH,
     PermGroup,
+    _cap_factorial_order,
     _conjugating_into,
     _cycle_row,
     _invert_rows,
@@ -157,8 +158,7 @@ def classify_by_table_iso(pair: PairGH, cap: int = CAP_TRANSVERSALS,
     total = pair.transversal_count()
     if total > cap:
         raise CapExceeded("transversals", cap, total)
-    if factorial(n - 1) > relabel_cap:
-        raise CapExceeded("relabelings", relabel_cap, factorial(n - 1))
+    _cap_factorial_order("relabelings", n - 1, 1, relabel_cap)
     # the tables are rebuilt for the representatives, so none is held past here
     canon = _canonical_forms(_section_rows(pair.cosets()[1:], np.arange(total), n), n,
                              cap=relabel_cap)
@@ -191,22 +191,18 @@ class UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _conjugates(pair: PairGH, alphas: np.ndarray) -> np.ndarray:
-    """Entry [k, s, c]: the element index of alphas[k] p alphas[k]^-1 for
-    the c-th member p over slot s + 2, or -1 when it is not in G."""
-    n, h = pair.degree, pair.subgroup_order
-    inverses = _invert_rows(alphas)
-    index = np.empty((len(alphas), (n - 1) * h), dtype=np.int64)
-    # G's rows past H's are the cosets over slots 2..n, in order
-    for e, p in enumerate(pair.group._rows[h:]):
-        # alpha p alpha^-1 is alpha[p[alpha^-1]]
-        index[:, e] = pair.group._locate(np.take_along_axis(alphas, p[inverses], axis=1))
-    return index.reshape(len(alphas), n - 1, h)
+def _coset_conjugates(pair: PairGH, alphas: np.ndarray) -> np.ndarray:
+    """`_conjugating_into` on the cosets past H, for the alphas that
+    conjugate some member of each coset into G: entry [k, s, c] is the
+    element index of alpha_k p alpha_k^-1 for the c-th member p over slot
+    s + 2, or -1 when it is not in G, alpha_k the k-th such alpha."""
+    kept, index = _conjugating_into(pair.group, alphas, pair.cosets()[1:])
+    return index.reshape(len(kept), pair.degree - 1, pair.subgroup_order)
 
 
 def _transversal_images(pair: PairGH, index: np.ndarray) -> np.ndarray:
     """The index of every transversal's image, one row per alpha, from the
-    alpha's _conjugates; negative where the image leaves the family.
+    alpha's `_coset_conjugates`; negative where the image leaves the family.
 
     Transversals are numbered in mixed radix by their members' positions in
     their cosets, first coset slowest (the `enumerate_transversals` order),
@@ -223,18 +219,16 @@ def _transversal_images(pair: PairGH, index: np.ndarray) -> np.ndarray:
 
 
 def _candidate_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
-    """_conjugates of every identity-fixing alpha that could map some
+    """`_coset_conjugates` of every identity-fixing alpha that could map some
     transversal back into the family: one that conjugates some member of
     each coset into G.  The others are dropped before the per-transversal
     sweep.  In each batch the cosets are tested slot by slot, each only on
-    the alphas that passed the slots before (`_conjugating_into`); the
-    survivors, in candidate order, are then conjugated in full at once.
-    `stab_cap` bounds the (n-1)! alphas before any is built."""
-    cosets = pair.cosets()[1:]
-    survivors = [alphas[_conjugating_into(pair.group, alphas, cosets)] for alphas in
-                 stabilizer_candidates(pair.degree, stab_cap,
-                                       size=max(1, BATCH // pair.group.order))]
-    return _conjugates(pair, np.concatenate(survivors))
+    the alphas that passed the slots before, and the survivors' conjugates
+    are the ones those tests located, in candidate order.  `stab_cap`
+    bounds the (n-1)! alphas before any is built."""
+    return np.concatenate([_coset_conjugates(pair, alphas) for alphas in
+                           stabilizer_candidates(pair.degree, stab_cap,
+                                                 size=max(1, BATCH // pair.group.order))])
 
 
 def _sweep_labels(pair: PairGH, stab_cap: int) -> np.ndarray:
@@ -257,7 +251,7 @@ def _walk_labels(pair: PairGH, gen_rows: np.ndarray) -> np.ndarray:
     relabeling group and normalize G, so that no image leaves the family."""
     total = pair.transversal_count()
     uf = UnionFind(total)
-    for image in _transversal_images(pair, _conjugates(pair, gen_rows)):
+    for image in _transversal_images(pair, _coset_conjugates(pair, gen_rows)):
         for i, j in enumerate(image.tolist()):
             if i != j:
                 uf.union(i, j)

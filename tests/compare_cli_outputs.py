@@ -9,10 +9,12 @@ instance the `src/` of a `git archive` of the parent commit and this tree's
 through transversals.cli.main.  The fixtures are `--count` seeded random
 intransitive ones (oracles.random_intransitive_generators, order at most
 720) and fixed edge cases: degree 1, `gen ()`, an orbit of 1 that is {1},
-the order-18 group, S5 x S5 and PSL(2,5).  Each fixture runs `ict` (human,
-JSON and `--method oracle`, all `--no-cache`), `ict --cache-dir` twice, a
-miss that stores the report and then a hit that serves it, `crosscheck`,
-and `classes` (human and JSON).  The closed forms run as `ict --sym N` and
+the order-18 group, S5 x S5, PSL(2,5) and the regular cyclic group of
+degree 1,600, which every command refuses on a cap of (n-1)! = 1599!
+relabelings.  Each fixture runs `ict` (human, JSON and `--method oracle`,
+all `--no-cache`), `ict --cache-dir` twice, a miss that stores the report
+and then a hit that serves it, `crosscheck`, and `classes` (human and
+JSON).  The closed forms run as `ict --sym N` and
 `ict --alt N` for N = 2..30 (human and JSON; `--alt` below 4 is an input
 error), `ict --sym 42`, the largest under the class cap, and `ict --sym
 43`, refused by it.  The family commands build their groups through the
@@ -51,6 +53,8 @@ EDGE_CASES = [
     "name order18\ndegree 6\ngen (1,2,3)\ngen (4,5,6)\ngen (2,3)(5,6)\n",
     "degree 10\ngen (1,2)\ngen (1,2,3,4,5)\ngen (6,7)\ngen (6,7,8,9,10)\n",
     "name psl25\ndegree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n",
+    # refused: its 1599! identity-fixing relabelings are past both caps on them
+    "degree 1600\ngen (" + ",".join(map(str, range(1, 1601))) + ")\n",
 ]
 
 # stands for the tree's own cache directory in an argv

@@ -30,8 +30,9 @@ of 1 in Sym(n) listed by itertools.permutations (the reference for
 groups.stabilizer_candidates), and canonical forms by refining every
 (table, relabeling) pair (sweep_canonical_forms, the reference for
 oracle._canonical_forms, which searches), and the relabeling sweeps at full
-width, every test on every alpha (candidate_relabelings_reference and
-normalizing_reference, the references for oracle._candidate_relabelings and
+width, every test on every alpha (conjugates_reference,
+candidate_relabelings_reference and normalizing_reference, the references
+for oracle._coset_conjugates, oracle._candidate_relabelings and
 groups._normalizing, which narrow).  Import them as `from oracles import ...`;
 pytest puts this directory on the path.
 """
@@ -64,7 +65,7 @@ from transversals.groups import (
     stabilizer_candidates,
 )
 from transversals.ict_formulas import _contribution
-from transversals.oracle import BATCH, _canonical_forms, _conjugates, classify_by_table_iso
+from transversals.oracle import BATCH, _canonical_forms, classify_by_table_iso
 from transversals.perm import Permutation, format_cycles, parse_cycles
 from transversals.symclasses import class_size, partitions
 
@@ -569,14 +570,29 @@ def normalizing_reference(group: PermGroup, alphas: np.ndarray) -> np.ndarray:
     return _conjugates_inside(group, alphas, group)
 
 
+def conjugates_reference(pair: PairGH, alphas: np.ndarray) -> np.ndarray:
+    """Entry [k, s, c]: the element index of alphas[k] p alphas[k]^-1 for
+    the c-th member p over slot s + 2, or -1 when it is not in G; every
+    element of G outside H conjugated by every alpha (the full-width
+    reference for the conjugates oracle._coset_conjugates keeps)."""
+    n, h = pair.degree, pair.subgroup_order
+    inverses = _invert_rows(alphas)
+    index = np.empty((len(alphas), (n - 1) * h), dtype=np.int64)
+    # G's rows past H's are the cosets over slots 2..n, in order
+    for e, p in enumerate(pair.group._rows[h:]):
+        # alpha p alpha^-1 is alpha[p[alpha^-1]]
+        index[:, e] = pair.group._locate(np.take_along_axis(alphas, p[inverses], axis=1))
+    return index.reshape(len(alphas), n - 1, h)
+
+
 def candidate_relabelings_reference(pair: PairGH, stab_cap: int = CAP_STAB_ENUM) -> np.ndarray:
     """oracle._candidate_relabelings as a full-width sweep: each batch's
-    alphas all conjugate every element of G outside H, and an alpha is kept
-    when some member of each coset lands in G."""
+    alphas all conjugate every element of G outside H (conjugates_reference),
+    and an alpha is kept when some member of each coset lands in G."""
     n = pair.degree
     kept = [np.empty((0, n - 1, pair.subgroup_order), dtype=np.int64)]
     for alphas in stabilizer_candidates(n, stab_cap, size=max(1, BATCH // pair.group.order)):
-        index = _conjugates(pair, alphas)
+        index = conjugates_reference(pair, alphas)
         kept.append(index[(index >= 0).any(axis=2).all(axis=1)])
     return np.concatenate(kept)
 

@@ -1159,6 +1159,31 @@ def test_group_order_refusals_are_one_short_line(capsys, argv, required):
                    f"limit is 10000000\n")
 
 
+# the regular cyclic group of degree 1,600, whose 1599! relabelings have 4,431 digits
+CYCLE_1600 = "degree 1600\ngen (" + ",".join(map(str, range(1, 1601))) + ")\n"
+STAB_ENUM_1599 = "cap 'stabilizer_enum' exceeded: requires 1599!, limit is 362880"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--fixture", "F", "--no-cache"], STAB_ENUM_1599),
+    (["--fixture", "F", "--method", "oracle", "--no-cache"], STAB_ENUM_1599),
+    (["crosscheck", "--fixture", "F"], STAB_ENUM_1599),
+    (["classes", "--fixture", "F"],
+     "cap 'relabelings' exceeded: requires 1599!, limit is 100000"),
+    (["--dihedral", "11", "--method", "theorem6", "--no-cache"],
+     "cap 'stabilizer_enum' exceeded: requires 3628800, limit is 362880"),
+], ids=["ict", "oracle", "crosscheck", "classes", "dihedral11"])
+def test_relabeling_refusals_are_one_short_line(tmp_path, capsys, argv, message):
+    """A pair past the cap on Sym(n)_1 exits 2 with nothing on stdout, and
+    states an (n-1)! of more than 4,300 digits as its formula; a shorter
+    one is printed in full."""
+    fixture = tmp_path / "cycle1600.group"
+    fixture.write_text(CYCLE_1600)
+    code, out, err = run(capsys, *[str(fixture) if arg == "F" else arg for arg in argv])
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == f"cap exceeded: {message}\n"
+
+
 @pytest.mark.parametrize("argv, m", [
     (["--sym", "300"], 299),
     (["--alt", HUGE_ORDER, "--format", "json"], 10**30 - 1),

@@ -17,6 +17,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+import transversals.groups as groups
 import transversals.oracle as oracle
 from transversals.errors import CAP_STAB_ENUM, CapExceeded
 from transversals.groups import (
@@ -783,9 +784,9 @@ def test_narrowed_sweeps_match_full_width(name, monkeypatch):
     conjugating_into = oracle._conjugating_into
 
     def counted(group, alphas, row_sets):
-        kept = conjugating_into(group, alphas, row_sets)
+        kept, index = conjugating_into(group, alphas, row_sets)
         sizes.append(len(kept))
-        return kept
+        return kept, index
 
     monkeypatch.setattr(oracle, "_conjugating_into", counted)
     for batch in (oracle.BATCH, 24 * pair.group.order):
@@ -831,6 +832,50 @@ def test_narrowed_sweeps_locate_few_rows(monkeypatch):
     normalizer_in_stab(fresh)
     assert len(fresh.group.generators) == 2
     assert sum(located) <= 1.1 * factorial(8)
+
+
+def test_sweeps_locate_each_conjugate_once(monkeypatch):
+    """Every row the relabeling sweeps locate is located inside
+    `_conjugating_into`: the survivors' conjugates are the ones its tests
+    located, not gathered a second time.  Checked on the coset sweep of
+    dihedral(9) and of a seeded relabeling of dihedral(8), and on the
+    union-find walk that classify_by_conjugation takes for alt(4)."""
+    state = {"counting": False, "inside": False, "inside_rows": 0, "outside_rows": 0}
+    locate, conjugating_into = PermGroup._locate, groups._conjugating_into
+
+    def counted_locate(self, rows):
+        if state["counting"]:
+            state["inside_rows" if state["inside"] else "outside_rows"] += len(rows)
+        return locate(self, rows)
+
+    def counted_into(*args):
+        state["inside"] = True
+        try:
+            return conjugating_into(*args)
+        finally:
+            state["inside"] = False
+
+    def counted(fn):
+        def run(*args):
+            state.update(counting=True, inside_rows=0, outside_rows=0)
+            try:
+                return fn(*args)
+            finally:
+                state["counting"] = False
+        return run
+
+    monkeypatch.setattr(PermGroup, "_locate", counted_locate)
+    monkeypatch.setattr(groups, "_conjugating_into", counted_into)
+    monkeypatch.setattr(oracle, "_conjugating_into", counted_into)
+    monkeypatch.setattr(oracle, "_walk_labels", counted(oracle._walk_labels))
+    for pair in (make_dihedral(9), CANONICAL_INPUTS["dihedral8_relabeled"]()):
+        counted(oracle._candidate_relabelings)(pair, CAP_STAB_ENUM)
+        assert state["inside_rows"] > 0
+        assert state["outside_rows"] == 0
+    state.update(inside_rows=0, outside_rows=0)
+    classify_by_conjugation(make_alt(4))
+    assert state["inside_rows"] > 0  # the walk ran
+    assert state["outside_rows"] == 0
 
 
 @pytest.mark.parametrize("n", [3, 4])
