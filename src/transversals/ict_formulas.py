@@ -9,7 +9,7 @@ its start forces the chosen member q to satisfy q x^m = x^m q.  The engines
 differ only in where the per-orbit counts come from: a direct filter over
 G's elements in ict_theorem6 (_orbit_counts), closed forms from cycle types
 in ict_sym and ict_alt, and fixed-point gcd arithmetic in ict_cyclic, which
-runs the same filter on each relabeling when given a pair.
+runs the same filter on each relabeling.
 
 The resulting value is the number of conjugation orbits.  Whether that equals
 the number of isomorphism classes depends on a hypothesis about the pair
@@ -416,7 +416,7 @@ def _find_regular_normal_cycle(pair: PairGH) -> np.ndarray:
         f"{pair.name or 'pair'}: no normal regular cyclic transversal found")
 
 
-def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
+def _validate_cyclic_pair(pair: PairGH, cap: int):
     """Machine-check the structural hypotheses behind the cyclic closed form
     against a concrete pair: the affine family of the n-cycle generating the
     normal regular cyclic transversal is closed under composition,
@@ -430,14 +430,10 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     from .groups import (SECTION_CHUNK, PermGroup, _normalizing, _row_keys, closure,
                          enumerate_transversals, generates, normalizer_in_stab)
 
-    notes = []
-    if pair.degree != n or pair.subgroup_order != h:
-        raise HypothesisViolation(
-            f"pair is degree {pair.degree} with subgroup order "
-            f"{pair.subgroup_order}, not ({n}, {h})")
+    n = pair.degree
     a = _find_regular_normal_cycle(pair)
-    notes.append("normal regular cyclic transversal generated by "
-                 + format_cycles((a + 1).tolist()))
+    notes = ["normal regular cyclic transversal generated by "
+             + format_cycles((a + 1).tolist())]
     units, rows = _affine_rows(a)
     gamma = PermGroup(rows[np.argsort(_row_keys(rows))])
     # composing every pair of relabelings (compose(x, y) is x[y]) stays inside
@@ -446,16 +442,18 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     # conjugates that to x -> ux + j^-1 b, again in G
     if not _normalizing(pair.group, rows).all():
         raise HypothesisViolation("acting group must normalize the group")
-    brute_checked = factorial(n - 1) <= cap
-    if brute_checked:
+    try:  # the (n-1)! cap is checked before any candidate is built
         brute = normalizer_in_stab(pair, cap=cap)
+    except CapExceeded:
+        brute_checked = False
+        notes.append("normalizer equality not brute-checked (degree too large)")
+    else:
+        brute_checked = True
         if brute != gamma:
             raise HypothesisViolation(
                 f"normalizer has order {brute.order}, affine family has "
                 f"order {gamma.order}; they differ")
         notes.append("affine family equals the brute-force normalizer")
-    else:
-        notes.append("normalizer equality not brute-checked (degree too large)")
 
     count = pair.transversal_count()
     scanned = count <= NONGENERATOR_SCAN_CAP
@@ -482,35 +480,22 @@ def _validate_cyclic_pair(pair: PairGH, n: int, h: int, cap: int):
     return units, rows, notes, brute_checked and scanned
 
 
-def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
-               cap: int = CAP_STAB_ENUM) -> IctReport:
+def ict_cyclic(pair: PairGH, *, cap: int = CAP_STAB_ENUM) -> IctReport:
     """Classes of transversals for a pair with a normal regular cyclic
-    transversal of order n and subgroup order h, by fixed-point arithmetic.
+    transversal, by fixed-point arithmetic: n is the pair's degree and h its
+    subgroup order.
 
     Every per-orbit count for these pairs equals h (the whole coset commutes
     with the relevant power), so each unit j contributes h^(t + k - 1) and
-    the average runs over the phi(n) affine relabelings.  Given a concrete
-    pair the structural hypotheses are machine-checked, and each
-    relabeling's per-orbit counts are taken with ict_theorem6's filter and
-    must all equal h; the report is flagged validated only when the brute
-    normalizer check and the non-generator scan both ran, so never without
-    a pair.
+    the average runs over the phi(n) affine relabelings.  The structural
+    hypotheses are machine-checked against the pair, and each relabeling's
+    per-orbit counts are taken with ict_theorem6's filter and must all equal
+    h; the report is flagged validated only when the brute normalizer check
+    and the non-generator scan both ran.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if h < 1:
-        raise ValueError("need h >= 1")
-    if pair is None:
-        units, rows = _affine_rows([*range(1, n), 0])
-        label = f"cyclic(n={n}, h={h})"
-        justification = ("formula-only: structural hypotheses not checked "
-                         "against a concrete pair")
-        validated = False
-    else:
-        units, rows, notes, validated = _validate_cyclic_pair(pair, n, h, cap)
-        label = pair.name
-        justification = "; ".join(notes)
-        cosets = pair.cosets()
+    n, h = pair.degree, pair.subgroup_order
+    units, rows, notes, validated = _validate_cyclic_pair(pair, cap)
+    cosets = pair.cosets()
 
     contributions = []
     for j, row, images in zip(units, rows, (rows + 1).tolist()):
@@ -522,13 +507,13 @@ def ict_cyclic(n: int, h: int, pair: PairGH | None = None,
                 f"gcd arithmetic gives (k, t) = ({k}, {t}) but the affine "
                 f"relabeling for j = {j} has {got}", values=((k, t), got))
         text = format_cycles(images)
-        bad = [] if pair is None else [f for _, f in _orbit_counts(cosets, row) if f != h]
+        bad = [f for _, f in _orbit_counts(cosets, row) if f != h]
         if bad:
             raise HypothesisViolation(
                 f"a commuting count for {text} is {bad[0]}, not the subgroup order {h}")
         contributions.append(_contribution(text, 1, [1] + [h] * (k - 1), [h] * t))
-    return _assemble("cyclic_closed", n, len(units), contributions, label,
-                     justification, validated)
+    return _assemble("cyclic_closed", n, len(units), contributions, pair.name,
+                     "; ".join(notes), validated)
 
 
 class _Decimal(dict):

@@ -25,7 +25,8 @@ up to N = 5, `crosscheck` and `classes` on Sym and Alt up to degree 5,
 theorem6, whose normalizer sweeps reach 9! candidates), `ict --pq` on
 (2, 3), (2, 5), (3, 7), (2, 7) and (2, 11), `crosscheck` on the same pq
 pairs and on `--dihedral N` for N = 3..10 (whose conjugation classifier
-sweeps up to 9! relabelings), and the default `sweep`.
+sweeps up to 9! relabelings), two crosschecks in which theorem6 or the
+table-iso oracle is over its (n-1)! cap, and the default `sweep`.
 Each tree has a cache directory of its own, so neither
 reads what the other stored.  Outputs are compared by their SHA-256, so the
 157 MB of `--sym 42` is never held.  Exits 1 when any command differs.
@@ -83,6 +84,9 @@ PQS = (("2", "3"), ("2", "5"), ("3", "7"), ("2", "7"), ("2", "11"))
 FAMILIES += [["ict", "--pq", p, q, "--no-cache"] for p, q in PQS]
 FAMILIES += [["crosscheck", "--dihedral", str(n)] for n in range(3, 11)]
 FAMILIES += [["crosscheck", "--pq", p, q] for p, q in PQS]
+# engines that drop out of a crosscheck on their own (n-1)! cap
+FAMILIES += [["crosscheck", "--sym", "4", "--cap-stab-enum", "5"],
+             ["crosscheck", "--dihedral", "9", "--cap-relabelings", "40319"]]
 FAMILIES += [["sweep"]]
 
 CHILD = """

@@ -82,12 +82,12 @@ def test_criterion_02_alt_closed_form():
 
 
 def test_criterion_03_cyclic_three_way_agreement():
-    assert ict_cyclic(3, 2, pair=make_dihedral(3)).value == 3
-    assert ict_cyclic(4, 2, pair=make_dihedral(4)).value == 6
+    assert ict_cyclic(make_dihedral(3)).value == 3
+    assert ict_cyclic(make_dihedral(4)).value == 6
     start = time.perf_counter()
     for n in range(3, 11):
         pair = make_dihedral(n)
-        closed = ict_cyclic(n, 2, pair=pair).value
+        closed = ict_cyclic(pair).value
         direct = ict_theorem6(pair).value
         oracle = classify_by_conjugation(pair).class_count
         assert closed == direct == oracle, (n, closed, direct, oracle)
@@ -128,9 +128,9 @@ def test_criterion_06_left_right_symmetry():
 
 
 def test_criterion_07_fact_sweep():
-    fixtures = [(make_dihedral(n), ict_cyclic(n, 2, pair=make_dihedral(n)).value)
+    fixtures = [(make_dihedral(n), ict_cyclic(make_dihedral(n)).value)
                 for n in range(3, 11)]
-    fixtures += [(make_pq(p, q), ict_cyclic(q, p, pair=make_pq(p, q)).value)
+    fixtures += [(make_pq(p, q), ict_cyclic(make_pq(p, q)).value)
                  for p, q in ((2, 3), (2, 5), (3, 7), (2, 7))]
     fixtures += [(make_sym(n), ict_sym(n).value) for n in range(2, 6)]
     fixtures += [(make_alt(n), ict_alt(n).value) for n in (4, 5)]
@@ -164,7 +164,7 @@ def test_criterion_08_structural_checks():
 
     reports = [ict_sym(n) for n in range(2, 8)]
     reports += [ict_alt(n) for n in (4, 5, 6)]
-    reports += [ict_cyclic(n, 2, pair=make_dihedral(n)) for n in range(3, 11)]
+    reports += [ict_cyclic(make_dihedral(n)) for n in range(3, 11)]
     reports += [ict_theorem6(make_dihedral(n)) for n in (5, 7)]
     for report in reports:
         assert report.numerator == report.value * report.gamma_order
@@ -214,6 +214,7 @@ def test_criterion_11_table_iso_past_the_relabeling_cap():
     """dihedral(10) classified by canonical forms over all 9! identity-fixing
     relabelings, the default cap raised to let them in: the 512 tables fall
     into ict_cyclic's 140 classes within 2 s."""
-    result, elapsed = timed(classify_by_table_iso, make_dihedral(10), relabel_cap=factorial(9))
-    assert result.class_count == ict_cyclic(10, 2).value == 140
+    pair = make_dihedral(10)
+    result, elapsed = timed(classify_by_table_iso, pair, relabel_cap=factorial(9))
+    assert result.class_count == ict_cyclic(pair, cap=0).value == 140
     assert elapsed < 2.0

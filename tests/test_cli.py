@@ -135,6 +135,21 @@ def test_intransitive_s5_by_s5_fixture(tmp_path, capsys):
     assert out.endswith("agreement: yes\n") and "14022" in out
 
 
+def test_psl32_theorem6_prints_its_orbit_count_unvalidated(tmp_path, capsys):
+    """PSL(3,2) on the 7 points of the Fano plane, order 168.  Its
+    normalizer in Sym(7)_1 has order 24, and theorem6 prints that group's
+    orbit count, 7,962,816, flagged unvalidated.  The class count is
+    7,962,697 by two independent prototypes (ROADMAP, item 1), so making
+    the default path exact changes this value on purpose."""
+    path = tmp_path / "psl32.group"
+    path.write_text("degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)(3,6)\n")
+    code, out, err = run(capsys, "ict", "--fixture", str(path), "--no-cache")
+    assert (code, err) == (EXIT_OK, "")
+    assert "gamma order: 24\n" in out
+    assert "value: 7962816\n" in out
+    assert "hypothesis (unvalidated)" in out
+
+
 def test_intransitive_s6_cubed_fixture_in_a_second(tmp_path, capsys):
     """S6^3 (order 720^3, past the group-order cap) acts on the orbit of 1
     as Sym(6), the only group built: theorem6 prints Sym(6)'s count."""
@@ -837,6 +852,27 @@ def test_crosscheck_skips_census_over_the_relabeling_cap(capsys):
     assert "census" not in out and "oracle_table_iso" not in out
 
 
+def test_crosscheck_skips_theorem6_over_the_stabilizer_cap(capsys):
+    """Sym(4)'s theorem6 needs 3! = 6 stabilizer candidates; a cap of 5
+    drops its row, and the four rows left agree."""
+    code, out, err = run(capsys, "crosscheck", "--sym", "4", "--cap-stab-enum", "5")
+    assert (code, err) == (EXIT_OK, "")
+    assert "theorem6" not in out
+    assert out.count("  44\n") == 4
+    assert out.endswith("agreement: yes\n")
+
+
+def test_crosscheck_skips_table_iso_over_the_relabeling_cap(capsys):
+    """dihedral(9)'s table-iso oracle needs 8! = 40,320 relabelings; one
+    fewer drops its row, and the engines left agree on 52."""
+    code, out, err = run(capsys, "crosscheck", "--dihedral", "9",
+                         "--cap-relabelings", "40319")
+    assert (code, err) == (EXIT_OK, "")
+    assert "oracle_table_iso" not in out
+    assert "oracle_conjugation  52\n" in out
+    assert out.endswith("agreement: yes\n")
+
+
 # ------------------------------------------------------------ crosscheck
 
 
@@ -966,7 +1002,7 @@ def test_sweep_violation_exit(capsys, monkeypatch):
     """A fact violation still prints the table, then exits 3."""
     monkeypatch.setattr(
         "transversals.cli.ict_cyclic",
-        lambda n, h, pair=None, cap=None: SimpleNamespace(value=4),
+        lambda pair, cap=None: SimpleNamespace(value=4),
     )
     code, out, err = run(capsys, "sweep", "--dihedral", "3..4")
     assert code == EXIT_HYPOTHESIS
@@ -976,7 +1012,7 @@ def test_sweep_violation_exit(capsys, monkeypatch):
 
 
 def test_hypothesis_violation_from_engine(capsys, monkeypatch):
-    def boom(n, h, pair=None, cap=None):
+    def boom(pair, cap=None):
         raise HypothesisViolation("no normal regular cyclic transversal found")
 
     monkeypatch.setattr("transversals.cli.ict_cyclic", boom)

@@ -362,7 +362,7 @@ def test_normalizing_runs_once_per_engine(monkeypatch):
     calls.clear()
     normalizer_in_stab(make_dihedral(7))
     sweep, calls[:] = list(calls), []
-    ict_cyclic(7, 2, pair=make_dihedral(7))
+    ict_cyclic(make_dihedral(7))
     assert calls == [6] + sweep
 
 
@@ -436,7 +436,7 @@ def test_each_cyclic_check_refuses(monkeypatch, check):
     for module, name, replacement in patches:
         monkeypatch.setattr(module, name, replacement)
     with pytest.raises(error, match=message):
-        ict_cyclic(6, 2, pair=pair)
+        ict_cyclic(pair)
 
 
 def test_disagreement_error_values_default_to_empty_tuple():
@@ -501,25 +501,25 @@ def test_theorem6_does_not_validate_the_pgl25_orbit_count():
 
 
 def test_cyclic_values_frozen_dihedral():
-    values = [ict_cyclic(n, 2, pair=make_dihedral(n)).value for n in range(3, 11)]
+    values = [ict_cyclic(make_dihedral(n)).value for n in range(3, 11)]
     assert values == [3, 6, 6, 20, 14, 48, 52, 140]
 
 
 def test_cyclic_values_frozen_pq():
-    assert ict_cyclic(3, 2, pair=make_pq(2, 3)).value == 3
-    assert ict_cyclic(5, 2, pair=make_pq(2, 5)).value == 6
-    assert ict_cyclic(7, 2, pair=make_pq(2, 7)).value == 14
-    assert ict_cyclic(7, 3, pair=make_pq(3, 7)).value == 130
+    assert ict_cyclic(make_pq(2, 3)).value == 3
+    assert ict_cyclic(make_pq(2, 5)).value == 6
+    assert ict_cyclic(make_pq(2, 7)).value == 14
+    assert ict_cyclic(make_pq(3, 7)).value == 130
 
 
 def test_cyclic_agrees_with_default_theorem6():
     for n in (5, 6, 9):
         pair = make_dihedral(n)
-        assert ict_cyclic(n, 2, pair=pair).value == ict_theorem6(pair).value
+        assert ict_cyclic(pair).value == ict_theorem6(pair).value
 
 
 def test_cyclic_validated_reports():
-    report = ict_cyclic(7, 3, pair=make_pq(3, 7))
+    report = ict_cyclic(make_pq(3, 7))
     assert report.validated
     assert report.gamma_order == 6
     assert "normal regular cyclic transversal" in report.justification
@@ -548,28 +548,21 @@ def test_nongenerator_scan_is_the_same_in_chunks_of_7(monkeypatch):
     """The scan tests one SECTION_CHUNK of transversals per generates call;
     pq(2,11)'s 1,024 transversals in 147 calls give the same report, byte
     for byte, as in one."""
-    whole = ict_cyclic(11, 2, pair=make_pq(2, 11))
+    whole = ict_cyclic(make_pq(2, 11))
     monkeypatch.setattr(groups, "SECTION_CHUNK", 7)
     calls, real = [], groups.generates
     monkeypatch.setattr(groups, "generates",
                         lambda pair, rows: calls.append(len(rows)) or real(pair, rows))
-    chunked = ict_cyclic(11, 2, pair=make_pq(2, 11))
+    chunked = ict_cyclic(make_pq(2, 11))
     assert calls == [7] * 146 + [2]
     assert report_to_text(chunked) == report_to_text(whole)
     assert report_to_json(chunked) == report_to_json(whole)
     assert "1 non-generating transversal(s), all subgroups" in whole.justification
 
 
-def test_cyclic_formula_only_is_flagged():
-    report = ict_cyclic(12, 5)
-    assert not report.validated
-    assert "formula-only" in report.justification
-    assert report.value == 12_328_125
-
-
 def test_cyclic_large_degree_skips_brute_normalizer():
     pair = make_dihedral(11)
-    report = ict_cyclic(11, 2, pair=pair, cap=1000)
+    report = ict_cyclic(pair, cap=1000)
     assert not report.validated
     assert "not brute-checked" in report.justification
     assert report.value == 108
@@ -577,7 +570,7 @@ def test_cyclic_large_degree_skips_brute_normalizer():
 
 def test_cyclic_skipped_scan_is_unvalidated(monkeypatch):
     monkeypatch.setattr(ict_formulas, "NONGENERATOR_SCAN_CAP", 100)
-    report = ict_cyclic(7, 3, pair=make_pq(3, 7))
+    report = ict_cyclic(make_pq(3, 7))
     assert not report.validated
     assert "brute-force normalizer" in report.justification
     assert "non-generator scan skipped (729 transversals" in report.justification
@@ -586,19 +579,17 @@ def test_cyclic_skipped_scan_is_unvalidated(monkeypatch):
 
 def test_cyclic_rejects_wrong_pairs():
     with pytest.raises(HypothesisViolation, match="no normal regular cyclic"):
-        ict_cyclic(4, 6, pair=make_sym(4))
-    with pytest.raises(HypothesisViolation, match="not \\(5, 2\\)"):
-        ict_cyclic(5, 2, pair=make_dihedral(6))
-    with pytest.raises(ValueError):
-        ict_cyclic(0, 2)
-    with pytest.raises(ValueError):
-        ict_cyclic(5, 0)
+        ict_cyclic(make_sym(4))
 
 
 def test_cyclic_trivial_subgroup_always_one():
+    """The regular cyclic group of each degree: H is trivial, so there is
+    one transversal and one class."""
     for n in range(1, 40):
-        assert ict_cyclic(n, 1).value == 1
-    assert ict_cyclic(9, 1).value == 1
+        cycle = ",".join(map(str, range(1, n + 1))) if n > 1 else ""
+        pair = pair_from_fixture(f"degree {n}\ngen ({cycle})\n")
+        assert (pair.degree, pair.subgroup_order) == (n, 1)
+        assert ict_cyclic(pair, cap=0).value == 1
 
 
 def test_gcd_data_matches_affine_orbit_structure():
@@ -662,9 +653,9 @@ def test_validated_cyclic_gamma_is_the_conjugation_construction():
     pairs = [make_dihedral(n) for n in range(3, 10)]
     pairs += [make_pq(p, q) for p, q in ((2, 5), (3, 7), (2, 11))]
     for pair in pairs:
-        n, h = pair.degree, pair.subgroup_order
+        n = pair.degree
         a = Permutation((_find_regular_normal_cycle(pair) + 1).tolist())
-        units, rows, _, _ = _validate_cyclic_pair(pair, n, h, cap=0)
+        units, rows, _, _ = _validate_cyclic_pair(pair, cap=0)
         want = affine_elements(n, a)
         assert units == [j for j, _ in want]
         assert [tuple(r) for r in (rows + 1).tolist()] == [g.images for _, g in want]
@@ -715,9 +706,9 @@ def spy_on_permutations(monkeypatch) -> list:
 
 
 def test_engines_build_no_permutation(monkeypatch):
-    """theorem6, the cyclic engine with and without its validation scan, the
-    normal-cycle finder and the class dump work on rows: while each runs, no
-    Permutation is built."""
+    """theorem6, the cyclic engine with its validation scan, the normal-cycle
+    finder and the class dump work on rows: while each runs, no Permutation
+    is built."""
     sym6 = make_sym(6)
     sigma = Permutation([1, *random.Random(8).sample(range(2, 9), 7)])
     dihedral8 = relabel(make_dihedral(8), sigma)
@@ -727,10 +718,9 @@ def test_engines_build_no_permutation(monkeypatch):
     runs = {
         "theorem6 sym(6)": lambda: ict_theorem6(sym6),
         "theorem6 relabeled dihedral(8)": lambda: ict_theorem6(dihedral8),
-        "cyclic(7, 2)": lambda: ict_cyclic(7, 2),
-        "cyclic(12, 3)": lambda: ict_cyclic(12, 3),
+        "cyclic relabeled dihedral(8)": lambda: ict_cyclic(dihedral8),
         # 1,024 transversals scanned for non-generators, on rows
-        "cyclic(11, 2) on pq(2,11)": lambda: ict_cyclic(11, 2, pair=pq2_11),
+        "cyclic pq(2,11)": lambda: ict_cyclic(pq2_11),
         "normal cycle": lambda: _find_regular_normal_cycle(dihedral8),
         "classes dump pq(2,5)": lambda: render_classes_dump(pq25),
     }
@@ -770,8 +760,8 @@ def test_ict_cyclic_builds_the_affine_family_once(monkeypatch):
         return _affine_rows(a)
 
     monkeypatch.setattr(ict_formulas, "_affine_rows", spy)
-    assert ict_cyclic(7, 2, pair=make_dihedral(7)).value == ict_cyclic(7, 2).value
-    assert builds == [7, 7]  # one build per call, validated or not
+    assert ict_cyclic(make_dihedral(7)).value == 14
+    assert builds == [7]
 
 
 # ------------------------------------------------ commuting counts
@@ -856,7 +846,8 @@ def test_all_even_centralizer_validation():
 
 
 def test_report_round_trip():
-    for report in (ict_sym(4), ict_alt(5), ict_cyclic(8, 2, pair=make_dihedral(8)), ict_cyclic(6, 4)):
+    for report in (ict_sym(4), ict_alt(5), ict_cyclic(make_dihedral(8)),
+                   ict_cyclic(make_pq(2, 11))):
         data = report_to_json(report)
         assert report_from_json(data) == report
 
@@ -881,7 +872,7 @@ def test_report_text_rendering():
     assert "value: 44" in text
     assert "numerator: 264" in text
     assert "hypothesis (validated)" in text
-    unval = report_to_text(ict_cyclic(10, 3))
+    unval = report_to_text(ict_cyclic(make_pq(2, 11)))
     assert "hypothesis (unvalidated)" in unval
 
 
