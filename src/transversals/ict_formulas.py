@@ -20,9 +20,8 @@ justification claimed for it and whether it was machine-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import factorial, gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._version import __version__
 from .errors import (CAP_CLASSES, CAP_STAB_ENUM, CapExceeded, DisagreementError,
@@ -47,8 +46,7 @@ WHOLE_STABILIZER = ("the acting group is the whole stabilizer of symbol 1, "
                     "which contains every relabeling that could link classes")
 
 
-@dataclass(frozen=True)
-class ClassContribution:
+class ClassContribution(NamedTuple):
     """One conjugacy class of the acting group and its fixed-transversal count.
 
     representative is the class representative in canonical cycle notation,
@@ -67,8 +65,7 @@ class ClassContribution:
     fix_count: int
 
 
-@dataclass(frozen=True)
-class IctReport:
+class IctReport(NamedTuple):
     value: int
     method: str
     gamma_order: int
@@ -237,9 +234,11 @@ def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
     (m = n - 1), one per partition of m.
 
     Rows come in groups._class_order_key order: by moved count, then parts
-    ascending.  partitions(m) is descending, so its sublist of one moved
-    count, popped from the end, is ascending: bucketing on moved count
-    gives the order without a sort.  factor_fn (a commuting count) is
+    ascending.  reversed(partitions(m)) is ascending, and there the moved
+    parts of a partition less its last part are the moved parts last seen
+    at one depth (number of moved parts) less, so one preorder walk builds
+    each row from that parent by one cycle; appended to the bucket of its
+    moved count, each row lands in order.  factor_fn (a commuting count) is
     evaluated once per cycle type that fixes symbol 1 and another symbol,
     on that type's own row.  A cycle of length l contributes factor_fn of
     the type of x^l, which fixes both and moves fewer symbols than x, so
@@ -249,9 +248,6 @@ def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
     m = n - 1
     if partitions_exceed(m, CAP_CLASSES):
         raise CapExceeded("classes", CAP_CLASSES, f"p({m})")
-    buckets = [[] for _ in range(m + 1)]
-    for parts in partitions(m):
-        buckets[m - parts.count(1)].append(parts)
     fact = [1]
     for i in range(1, n):
         fact.append(fact[-1] * i)
@@ -261,37 +257,34 @@ def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
     # field carries
     b = m.bit_length() + 1
     unit = [1 << (b * l) for l in range(n + 1)]
-    factors = {}  # type key -> factor_fn of the type
-    weights = {}  # l -> [key of the gcd(l, d) cycles a d-cycle makes in x^l, by d]
     # texts[start][l]: text of the cycle (start, start + 1, ..., start + l - 1)
     texts = [[None] * (n + 1) for _ in range(n + 1)]
+    # a row is (counts of its cycle lengths, longest first; centralizer, the
+    # product over l > 1 of mult! * l^mult; its type key less the fixed
+    # symbols; representative text; next free symbol): representatives fill
+    # cycles longest-first on consecutive symbols from 2, so each cycle's
+    # text is one run of symbols
+    identity = ({}, 1, 0, "", 2)
+    stack = [identity] * (m // 2 + 1)  # stack[d]: the last row with d cycles of length > 1
+    buckets = [[identity]] + [[] for _ in range(m)]
+    walk = reversed(partitions(m))
+    next(walk)  # (1,) * m, the identity's row
+    for parts in walk:
+        d = len(parts) - parts.count(1)
+        counts, centralizer, type_key, rep, a = stack[d - 1]
+        l = parts[d - 1]
+        counts = counts.copy()
+        mult = counts[l] = counts.get(l, 0) + 1
+        text = texts[a][l]
+        if text is None:
+            text = texts[a][l] = "(" + ",".join(symbols[a:a + l]) + ")"
+        row = stack[d] = (counts, centralizer * l * mult, type_key + unit[l], rep + text, a + l)
+        buckets[a + l - 2].append(row)
+    factors = {}  # type key -> factor_fn of the type
+    weights = {}  # l -> [key of the gcd(l, d) cycles a d-cycle makes in x^l, by d]
     contributions = []
     for bucket in buckets:
-        while bucket:
-            # popped, each partition is freed once its row is built
-            parts = bucket.pop()
-            # representatives fill cycles longest-first on consecutive
-            # symbols from 2, so each cycle's text is one run of symbols
-            counts = {}
-            centralizer = 1  # prod over l > 1 of mult! * l^mult, one factor per cycle
-            type_key = 0
-            rep = ""
-            a = 2
-            mult = last = 0
-            for l in parts:
-                if l == 1:
-                    break
-                # parts are non-increasing, so equal lengths are adjacent
-                mult = mult + 1 if l == last else 1
-                counts[l] = mult
-                last = l
-                centralizer *= l * mult
-                type_key += unit[l]
-                text = texts[a][l]
-                if text is None:
-                    text = texts[a][l] = "(" + ",".join(symbols[a:a + l]) + ")"
-                rep += text
-                a += l
+        for counts, centralizer, type_key, rep, a in bucket:
             k = counts[1] = n + 2 - a  # fixed symbols, symbol 1 among them
             size = fact[m] // (fact[k - 1] * centralizer)
             f = 1
@@ -534,23 +527,18 @@ def report_to_text(report: IctReport) -> str:
         f"gamma order: {report.gamma_order}",
     ]
     if report.contributions:
-        decimal = _Decimal()  # a factor repeats along a row and down the table
+        decimal = _Decimal()  # a factor, k or t repeats along a row and down the table
         rows = [("representative", "size", "k", "t", "a_factors", "orbit_factors", "fix")]
-        for c in report.contributions:
-            rows.append((
-                c.representative,
-                str(c.class_size),
-                str(c.k),
-                str(c.t),
-                ",".join(map(decimal.__getitem__, c.a_factors)),
-                ",".join(map(decimal.__getitem__, c.orbit_factors)) or "-",
-                str(c.fix_count),
-            ))
+        for rep, size, t, k, a_factors, orbit_factors, fix in report.contributions:
+            rows.append((rep, str(size), decimal[k], decimal[t],
+                         ",".join(map(decimal.__getitem__, a_factors)),
+                         ",".join(map(decimal.__getitem__, orbit_factors)) or "-",
+                         str(fix)))
         widths = [max(map(len, column)) for column in zip(*rows)]
         # the last column is left unpadded, so no row ends in spaces
-        layout = "".join(f"{{:<{w}}}  " for w in widths[:-1]) + "{}"
+        layout = "".join("%%-%ds  " % w for w in widths[:-1]) + "%s"
         for i, r in enumerate(rows):  # in place: each row's cells go once it is laid out
-            rows[i] = layout.format(*r)
+            rows[i] = layout % r
         lines += rows
     flag = "validated" if report.validated else "unvalidated"
     lines += [f"numerator: {report.numerator}", f"value: {report.value}",

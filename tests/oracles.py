@@ -18,7 +18,9 @@ ict_formulas._find_regular_normal_cycle), the order-18 example pair
 behind acceptance criterion 10, partitions built recursively (the
 reference for symclasses.partitions) and their multiplicities, the closed
 forms' class rows evaluated orbit by orbit through cycle types of powers
-(the reference for ict_formulas._closed_form), theorem6's per-class
+(the reference for ict_formulas._closed_form), a report's table rendered
+cell by cell with str.format (the reference for
+ict_formulas.report_to_text), theorem6's per-class
 factors in orbit order (theorem6_factors_reference), and the action of G on the
 left cosets of any subgroup H, naming every coset of G first (the
 reference for groups.pair_from_fixture, whose H is G_1, and the builder of
@@ -294,6 +296,38 @@ def closed_form_reference(n: int, factor_fn) -> tuple:
         rep = format_cycles(class_representative(parts, m))
         rows.append(_contribution(rep, size, a_factors, orbit_factors))
     return tuple(rows)
+
+
+def report_to_text_reference(report) -> str:
+    """ict_formulas.report_to_text built the long way: every cell read by
+    attribute and converted with str, and every row laid out by one
+    str.format call on a "{:<w}" layout.  The reference that
+    report_to_text, which formats each row with one %-format, must equal
+    byte for byte."""
+    lines = [
+        f"pair: {report.pair_label or '-'}",
+        f"method: {report.method}",
+        f"gamma order: {report.gamma_order}",
+    ]
+    if report.contributions:
+        rows = [("representative", "size", "k", "t", "a_factors", "orbit_factors", "fix")]
+        for c in report.contributions:
+            rows.append((
+                c.representative,
+                str(c.class_size),
+                str(c.k),
+                str(c.t),
+                ",".join(map(str, c.a_factors)),
+                ",".join(map(str, c.orbit_factors)) or "-",
+                str(c.fix_count),
+            ))
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        layout = "".join(f"{{:<{w}}}  " for w in widths[:-1]) + "{}"
+        lines += [layout.format(*r) for r in rows]
+    flag = "validated" if report.validated else "unvalidated"
+    lines += [f"numerator: {report.numerator}", f"value: {report.value}",
+              f"hypothesis ({flag}): {report.justification or '-'}", ""]
+    return "\n".join(lines)
 
 
 def theorem6_factors_reference(pair: PairGH, x: Permutation) -> tuple:

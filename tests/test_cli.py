@@ -24,10 +24,12 @@ from transversals.cli import (
     EXIT_USAGE,
     main,
 )
-from transversals.errors import HypothesisViolation
-from transversals.ict_formulas import ClassContribution, IctReport
+from transversals.errors import CAP_STAB_ENUM, CAP_TRANSVERSALS, HypothesisViolation
+from transversals.groups import make_dihedral, make_pq
+from transversals.ict_formulas import (ClassContribution, IctReport, ict_alt, ict_cyclic,
+                                       ict_sym, ict_theorem6, report_to_text)
 
-from oracles import is_normal
+from oracles import is_normal, report_to_text_reference
 
 
 def run(capsys, *argv):
@@ -272,16 +274,37 @@ HUGE = 10 ** 5000  # 5,001 digits, over Python's default str() limit of 4,300
 HUGE_TEXT = "1" + "0" * 5000
 
 
-@pytest.fixture
-def default_digit_limit():
-    """Python's default int/str conversion limit, which main must lift."""
+def _digit_limit(limit):
+    """Run with Python's int/str conversion limit set to `limit`."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+    sys.set_int_max_str_digits(limit)
     yield
     sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int/str conversion limit, which main must lift."""
+    yield from _digit_limit(4300)
+
+
+@pytest.fixture
+def no_digit_limit():
+    """No int/str conversion limit, as main leaves it."""
+    yield from _digit_limit(0)
+
+
+def huge_report(n):
+    """A report for `--sym N` whose value has 5,001 digits."""
+    return IctReport(
+        value=HUGE, method="sym_closed", gamma_order=1, numerator=HUGE,
+        contributions=(ClassContribution(
+            representative="()", class_size=1, t=0, k=2,
+            a_factors=(1, HUGE), orbit_factors=(), fix_count=HUGE),),
+        pair_label=f"sym({n})", justification="synthetic", degree=2)
 
 
 @pytest.fixture
@@ -292,12 +315,7 @@ def huge_sym(monkeypatch):
 
     def fake(n):
         calls.append(n)
-        return IctReport(
-            value=HUGE, method="sym_closed", gamma_order=1, numerator=HUGE,
-            contributions=(ClassContribution(
-                representative="()", class_size=1, t=0, k=2,
-                a_factors=(1, HUGE), orbit_factors=(), fix_count=HUGE),),
-            pair_label=f"sym({n})", justification="synthetic", degree=2)
+        return huge_report(n)
 
     monkeypatch.setattr("transversals.cli.ict_sym", fake)
     return calls
@@ -333,6 +351,20 @@ def test_huge_value_cache_round_trip(tmp_path, capsys, default_digit_limit, huge
     assert warm == cold
     assert huge_sym == [2, 2]
     assert not cache.exists()
+
+
+def test_report_text_matches_the_reference_renderer(no_digit_limit):
+    """report_to_text equals the cell-by-cell str.format renderer on the
+    closed forms, theorem6 and cyclic reports, an oracle report with no
+    rows, and the huge-value report."""
+    reports = [ict_sym(n) for n in range(2, 31)] + [ict_alt(n) for n in range(4, 31)]
+    for pair in (make_dihedral(7), make_pq(2, 7)):
+        reports += [ict_theorem6(pair), ict_cyclic(pair)]
+    caps = SimpleNamespace(cap_transversals=CAP_TRANSVERSALS, cap_stab_enum=CAP_STAB_ENUM)
+    reports += [cli._oracle_report(make_dihedral(4), caps), huge_report(2)]
+    assert reports[-2].contributions == ()
+    for report in reports:
+        assert report_to_text(report) == report_to_text_reference(report), report.pair_label
 
 
 # ---------------------------------------------------------------- caching
@@ -1259,12 +1291,12 @@ def test_module_entry_point():
     assert "value: 44" in proc.stdout
 
 
-def _main_in_fresh_process(argv, block_numpy=False, then=""):
-    """Run main(argv) in a new interpreter, with `import numpy` failing
-    when block_numpy, and then the statements `then`."""
+def _main_in_fresh_process(argv, block=(), then=""):
+    """Run main(argv) in a new interpreter, with the import of each module
+    named in `block` failing, and then the statements `then`."""
     script = "\n".join([
         "import sys",
-        "sys.modules['numpy'] = None" if block_numpy else "",
+        *(f"sys.modules[{name!r}] = None" for name in block),
         "from transversals.cli import main",
         "try:",
         f"    code = main({list(argv)!r})",
@@ -1279,16 +1311,19 @@ def _main_in_fresh_process(argv, block_numpy=False, then=""):
 
 def test_closed_forms_help_version_and_cache_hits_start_without_numpy(tmp_path):
     """Only a command that builds a group imports numpy, with groups and
-    oracle: the others run, byte for byte, where numpy cannot be imported."""
+    oracle: the others run, byte for byte, where numpy cannot be imported.
+    They import no dataclasses either (the reports are NamedTuples), so
+    they also run where dataclasses cannot be imported."""
     cache = ["--cache-dir", str(tmp_path / "cache")]
     for argv in (["--sym", "12", "--no-cache"],
                  ["--alt", "20", "--format", "json", "--no-cache"],
                  ["--version"], ["--help"],
-                 ["--dihedral", "5", *cache]):  # stored by the first run, hit by the second
+                 ["--dihedral", "5", *cache]):  # stored by the first run, hit by the others
         unblocked = _main_in_fresh_process(argv)
-        blocked = _main_in_fresh_process(argv, block_numpy=True)
-        assert unblocked.returncode == blocked.returncode == 0, (argv, blocked.stderr)
-        assert blocked.stdout == unblocked.stdout, argv
+        for block in (["numpy"], ["dataclasses"]):
+            blocked = _main_in_fresh_process(argv, block=block)
+            assert unblocked.returncode == blocked.returncode == 0, (argv, block, blocked.stderr)
+            assert blocked.stdout == unblocked.stdout, (argv, block)
     layers = ("perm", "symclasses", "groups", "ict_formulas", "oracle", "cli")
     built = _main_in_fresh_process(
         ["--dihedral", "5", "--no-cache"],

@@ -138,11 +138,13 @@ def test_alt4_burnside_breakdown():
 
 
 def test_closed_forms_match_the_orbit_by_orbit_reference():
-    for n in range(2, 21):
+    """Every degree up to 20, and the benchmark's degrees 22 to 28."""
+    benchmark = [22, 24, 26, 28]
+    for n in [*range(2, 21), *benchmark]:
         report = ict_sym(n)
         assert report.contributions == closed_form_reference(n, sym_commuting_count), n
         assert report.numerator == sum(c.class_size * c.fix_count for c in report.contributions)
-    for n in range(4, 21):
+    for n in [*range(4, 21), *benchmark]:
         report = ict_alt(n)
         assert report.contributions == closed_form_reference(n, alt_commuting_count), n
         assert report.numerator == sum(c.class_size * c.fix_count for c in report.contributions)
