@@ -12,7 +12,10 @@ indices.  The rows sort by the image of 1, so the stabilizer of 1 and its
 cosets are slices.  Sym(n), Alt(n) and Sym(n)_1 come from one builder,
 _all_rows; stabilizer_candidates yields Sym(n)_1 in batches, which are what
 perfbench's groups.normalizer_candidates and oracle.relabelings_applied
-count.  PermGroup.from_generators closes a (k, degree) array of
+count.  normalizer_in_stab reads those batches only when they are fewer
+than the relabelings built from G's generator images, so
+groups.normalizer_candidates counts sweep batches only; an image-path
+normalizer adds none.  PermGroup.from_generators closes a (k, degree) array of
 generator rows into a group; fixture Permutations become rows once, in
 pair_from_fixture, and no Permutation is built from rows: callers read
 elements and transversals as rows.
@@ -395,19 +398,75 @@ def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM, *, size: int):
 
 
 def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
-    """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}, by brute sweep
-    over Sym(n)_1 that narrows: each generator of G is conjugated only by the
-    candidates that kept the earlier ones in G (`_normalizing`).
+    """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}, from whichever
+    candidate set is smaller: the |G|^r relabelings that G's generator
+    images build (`_normalizer_from_images`, r the generators of its tree),
+    or a sweep over Sym(n)_1's (n-1)! rows.  Either set is filtered by
+    `_normalizing`, which conjugates each generator of G only by the
+    candidates that kept the earlier ones in G.
 
-    The sweep runs once per pair and its result is kept on the pair; the
-    cap is checked on every call."""
-    _cap_factorial_order("stabilizer_enum", pair.degree - 1, 1, cap)
+    Gamma is found once per pair and kept on the pair; the cap bounds both
+    paths and is checked on every call."""
+    n = pair.degree
+    _cap_factorial_order("stabilizer_enum", n - 1, 1, cap)
     if pair._normalizer is None:
-        # the candidates come sorted, so the rows kept from them are too
-        found = [rows[_normalizing(pair.group, rows)]
-                 for rows in stabilizer_candidates(pair.degree, cap, size=NORMALIZER_CHUNK)]
-        object.__setattr__(pair, "_normalizer", PermGroup(np.concatenate(found)))
+        tree = _generator_tree(pair.group.generators)
+        if pair.group.order ** len({s for _, s, _ in tree}) <= factorial(n - 1):
+            rows = _normalizer_from_images(pair.group, tree)
+        else:
+            # the candidates come sorted, so the rows kept from them are too
+            rows = np.concatenate([alphas[_normalizing(pair.group, alphas)] for alphas
+                                   in stabilizer_candidates(n, cap, size=NORMALIZER_CHUNK)])
+        object.__setattr__(pair, "_normalizer", PermGroup(rows))
     return pair._normalizer
+
+
+def _generator_tree(gens: np.ndarray) -> list:
+    """Edges (q, s, p) of a spanning tree of the orbit of 0 under these
+    generator rows, rooted at 0, each q already reached and p = gens[s][q]:
+    the path of the first generator whose cycle through 0 covers every
+    point when there is one, else breadth-first over the points, each
+    point's images in generator order."""
+    n = gens.shape[1]
+    order = range(len(gens))
+    for s in order:
+        q, length = gens[s][0], 1
+        while q:
+            q, length = gens[s][q], length + 1
+        if length == n:
+            order = [s]
+            break
+    edges, orbit, seen = [], [0], {0}
+    for q in orbit:  # breadth-first: orbit grows as it is swept
+        for s in order:
+            p = int(gens[s][q])
+            if p not in seen:
+                seen.add(p)
+                orbit.append(p)
+                edges.append((q, s, p))
+    return edges
+
+
+def _normalizer_from_images(group: PermGroup, tree: list) -> np.ndarray:
+    """Sorted rows of G's normalizer in Sym(n)_1, from the tuples of
+    elements of G, one per generator that `tree` uses.
+
+    An alpha fixing 0 that normalizes G sends each generator a to
+    g_a = alpha a alpha^-1 in G, so alpha(a(q)) = g_a(alpha(q)): along the
+    tree's edges, alpha is fixed by the tuple (g_a).  Each tuple builds its
+    alpha in one gather per point; the rows that are permutations, once
+    each, are then filtered by `_normalizing`."""
+    n, rows, order = group.degree, group._rows, group.order
+    used = list(dict.fromkeys(s for _, s, _ in tree))
+    # axis i of alphas is the element chosen as the image of generator used[i]
+    alphas = np.zeros((order,) * len(used) + (n,), _row_dtype(n))
+    choice = {s: np.arange(order).reshape([-1 if t == s else 1 for t in used]) for s in used}
+    for q, s, p in tree:
+        alphas[..., p] = rows[choice[s], alphas[..., q]]
+    alphas = alphas.reshape(-1, n)
+    alphas = alphas[(np.sort(alphas, axis=1) == np.arange(n)).all(axis=1)]
+    alphas = alphas[np.unique(_row_keys(alphas), return_index=True)[1]]
+    return alphas[_normalizing(group, alphas)]
 
 
 def _conjugating_into(group: PermGroup, alphas: np.ndarray, row_sets):

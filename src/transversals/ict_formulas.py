@@ -143,7 +143,7 @@ def _orbit_counts(cosets: np.ndarray, x: np.ndarray) -> list:
 def ict_theorem6(pair: PairGH, *, cap: int = CAP_STAB_ENUM) -> IctReport:
     """Burnside count of gamma-conjugation orbits on the pair's transversals,
     for gamma the full normalizer of G inside the stabilizer of symbol 1,
-    found by brute sweep.  Per conjugacy class of gamma the fixed
+    found exhaustively by normalizer_in_stab.  Per conjugacy class of gamma the fixed
     transversals are counted orbit by orbit with a direct filter over G's
     elements; no formula is assumed.  The quotient must come out exact,
     else HypothesisViolation.
@@ -413,11 +413,11 @@ def _validate_cyclic_pair(pair: PairGH, cap: int):
     """Machine-check the structural hypotheses behind the cyclic closed form
     against a concrete pair: the affine family of the n-cycle generating the
     normal regular cyclic transversal is closed under composition,
-    normalizes G and, when the sweep fits the cap, is the brute normalizer;
-    the non-generating transversals are distinguishable subgroups.  Returns
-    (units, rows, notes, validated): the family (see _affine_rows), what was
-    checked, and whether both the brute normalizer check and the
-    non-generator scan ran."""
+    normalizes G and, when the cap allows normalizer_in_stab, is the
+    normalizer it finds; the non-generating transversals are
+    distinguishable subgroups.  Returns (units, rows, notes, validated):
+    the family (see _affine_rows), what was checked, and whether both the
+    normalizer check and the non-generator scan ran."""
     import numpy as np
     from itertools import islice
     from .groups import (SECTION_CHUNK, PermGroup, _normalizing, _row_keys, closure,

@@ -18,11 +18,12 @@ JSON).  The closed forms run as `ict --sym N` and
 `ict --alt N` for N = 2..30 (human and JSON; `--alt` below 4 is an input
 error), `ict --sym 42`, the largest under the class cap, and `ict --sym
 43`, refused by it.  The family commands build their groups through the
-family builders and the normalizer sweep: `ict --sym N` and `--alt N`
+family builders and normalizer_in_stab: `ict --sym N` and `--alt N`
 (`--no-cache`) with `--method theorem6` up to N = 8 and `--method oracle`
 up to N = 5, `crosscheck` and `classes` on Sym and Alt up to degree 5,
 `census 1` to `census 4`, `ict --dihedral N` for N = 3..10 (auto and
-theorem6, whose normalizer sweeps reach 9! candidates), `ict --pq` on
+theorem6, whose normalizers come from the (n-1)! sweep for N = 3, 4 and
+from generator images above), `ict --pq` on
 (2, 3), (2, 5), (3, 7), (2, 7) and (2, 11), `crosscheck` on the same pq
 pairs and on `--dihedral N` for N = 3..10 (whose conjugation classifier
 sweeps up to 9! relabelings), two crosschecks in which theorem6 or the

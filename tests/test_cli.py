@@ -949,24 +949,35 @@ def test_crosscheck_json(capsys, pair, closed, value):
     assert {r["value"] for r in data["results"]} == {value}
 
 
-def test_crosscheck_sweeps_the_normalizer_once(capsys, monkeypatch):
-    """The cyclic row's normalizer check and the theorem6 row share one
-    (n-1)! sweep.  The oracle rows read Sym(n)_1 through their own binding
-    of the row source, so only the normalizer sweep passes the spy."""
+def _crosscheck_normalizer_builds(capsys, monkeypatch, n):
+    """Run `crosscheck --dihedral n` and return the degrees of its (n-1)!
+    sweeps and of its normalizers built from generator images.  The oracle
+    rows read Sym(n)_1 through their own binding of the row source, so only
+    the normalizer sweep passes the spy."""
     import transversals.groups as groups
 
-    sweeps = []
-    candidates = groups.stabilizer_candidates
-
-    def counted(n, *args, **kwargs):
-        sweeps.append(n)
-        return candidates(n, *args, **kwargs)
-
-    monkeypatch.setattr(groups, "stabilizer_candidates", counted)
-    code, out, _ = run(capsys, "crosscheck", "--dihedral", "8")
+    sweeps, builds = [], []
+    candidates, from_images = groups.stabilizer_candidates, groups._normalizer_from_images
+    monkeypatch.setattr(groups, "stabilizer_candidates",
+                        lambda n, *a, **k: sweeps.append(n) or candidates(n, *a, **k))
+    monkeypatch.setattr(groups, "_normalizer_from_images",
+                        lambda group, tree: builds.append(group.degree) or from_images(group, tree))
+    code, out, _ = run(capsys, "crosscheck", "--dihedral", str(n))
     assert code == EXIT_OK
     assert "cyclic_closed" in out and "theorem6" in out
-    assert sweeps == [8]
+    return sweeps, builds
+
+
+def test_crosscheck_sweeps_the_normalizer_once(capsys, monkeypatch):
+    """The cyclic row's normalizer check and the theorem6 row share one
+    (n-1)! sweep where |G| > (n-1)!: dihedral(4) has order 8 > 3!."""
+    assert _crosscheck_normalizer_builds(capsys, monkeypatch, 4) == ([4], [])
+
+
+def test_crosscheck_builds_the_normalizer_from_images_once(capsys, monkeypatch):
+    """Where |G| <= (n-1)!, the two rows share one normalizer built from the
+    images of the n-cycle generator, and no row of Sym(n)_1 is swept."""
+    assert _crosscheck_normalizer_builds(capsys, monkeypatch, 8) == ([], [8])
 
 
 def test_crosscheck_disagreement_exit(capsys, monkeypatch):

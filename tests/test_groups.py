@@ -43,6 +43,7 @@ from oracles import (
     is_normal,
     is_subgroup_of,
     is_transitive,
+    normalizing_reference,
     order18_example,
     pair_isomorphic,
     perms,
@@ -400,6 +401,76 @@ def test_normalizer_in_stab():
     # dihedral(n): relabelings preserving the group are the unit group mod n
     assert normalizer_in_stab(make_dihedral(5)).order == 4
     assert normalizer_in_stab(make_dihedral(8)).order == 4
+
+
+def _relabeled(pair, rng):
+    """The pair conjugated by a seeded random relabeling sigma fixing 1:
+    each generator row g becomes sigma g sigma^-1, i.e. sigma[g[sigma^-1]]."""
+    n = pair.degree
+    sigma = np.array([0, *rng.sample(range(1, n), n - 1)])
+    inverse = np.argsort(sigma)
+    gens = np.stack([sigma[g[inverse]] for g in pair.group.generators])
+    return PairGH(PermGroup.from_generators(gens), name=f"{pair.name} relabeled")
+
+
+def _order18_pair(involution):
+    """The order-18 group over its order-6 subgroup (degree 3), or over one
+    of its non-normal involutions (degree 9)."""
+    G, H = order18_example()
+    if involution:
+        H = group_of([parse_cycles(6, "(2,3)(5,6)")], degree=6)
+    return coset_representation_reference(G, H)
+
+
+PSL25 = "degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n"
+
+# Each pair and the path its normalizer takes: the generator images when
+# |G|^r <= (n-1)!, r the generators of the spanning tree, else the sweep
+NORMALIZER_PATHS = {
+    **{f"sym{n}": (lambda n=n: make_sym(n), "sweep") for n in range(3, 8)},
+    **{f"alt{n}": (lambda n=n: make_alt(n), "sweep") for n in range(4, 8)},
+    **{f"dihedral{n}": (lambda n=n: make_dihedral(n), "sweep" if n < 5 else "images")
+       for n in range(3, 11)},
+    "pq2_3": (lambda: make_pq(2, 3), "sweep"),
+    **{f"pq{p}_{q}": (lambda p=p, q=q: make_pq(p, q), "images")
+       for p, q in ((2, 5), (2, 7), (3, 7))},
+    "psl25": (lambda: pair_from_fixture(PSL25), "sweep"),
+    "pgl25": (lambda: pair_from_fixture(PSL25 + "gen (2,3,5,4)\n"), "sweep"),
+    "psl32": (lambda: pair_from_fixture("degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)(3,6)\n"),
+              "images"),
+    "order18": (lambda: _order18_pair(False), "sweep"),
+    "order18_involution": (lambda: _order18_pair(True), "images"),
+    **{f"dihedral{n}_relabeled{k}": (
+        lambda n=n, k=k: _relabeled(make_dihedral(n), random.Random(f"{n}/{k}")), "images")
+       for n in (9, 10) for k in range(2)},
+}
+
+
+@pytest.mark.parametrize("name", NORMALIZER_PATHS)
+def test_normalizer_paths_match_the_full_width_reference(name, monkeypatch):
+    """Both ways of finding gamma give the rows of the full-width reference
+    (every generator of G conjugated by every row of Sym(n)_1), in the same
+    order and dtype, and each pair takes the path its |G|, r and n choose:
+    the image path reads no row of Sym(n)_1, the sweep builds no image."""
+    import transversals.groups as groups
+
+    build, path = NORMALIZER_PATHS[name]
+    pair = build()
+    alphas = np.concatenate(list(stabilizer_candidates(pair.degree, size=NORMALIZER_CHUNK)))
+    want = alphas[normalizing_reference(pair.group, alphas)]
+
+    sweeps, builds = [], []
+    candidates, from_images = groups.stabilizer_candidates, groups._normalizer_from_images
+    monkeypatch.setattr(groups, "stabilizer_candidates",
+                        lambda n, *a, **k: sweeps.append(n) or candidates(n, *a, **k))
+    monkeypatch.setattr(groups, "_normalizer_from_images",
+                        lambda group, tree: builds.append(len(tree)) or from_images(group, tree))
+    got = normalizer_in_stab(pair)._rows
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if path == "images":
+        assert (sweeps, builds) == ([], [pair.degree - 1])
+    else:
+        assert (sweeps, builds) == ([pair.degree], [])
 
 
 @pytest.mark.parametrize("p, q", [(0, 5), (1, 3), (2, 1), (2, 9), (4, 13), (3, 49)])

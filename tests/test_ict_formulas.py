@@ -346,9 +346,10 @@ def test_theorem6_takes_no_acting_group():
 
 
 def test_normalizing_runs_once_per_engine(monkeypatch):
-    """theorem6 tests normalizing only inside its normalizer sweep: exactly
-    the calls of a bare normalizer_in_stab.  The cyclic engine adds exactly
-    one call, over its phi(n) affine rows, ahead of that sweep."""
+    """theorem6 tests normalizing only inside normalizer_in_stab: exactly
+    the calls of a bare normalizer_in_stab, a sweep for Sym(5) and one
+    image-path filter for dihedral(7).  The cyclic engine adds exactly one
+    call, over its phi(n) affine rows, ahead of that search."""
     calls = []
 
     def counted(group, alphas):
@@ -363,9 +364,10 @@ def test_normalizing_runs_once_per_engine(monkeypatch):
     assert calls == sweep
     calls.clear()
     normalizer_in_stab(make_dihedral(7))
-    sweep, calls[:] = list(calls), []
+    images, calls[:] = list(calls), []
+    assert len(images) == 1
     ict_cyclic(make_dihedral(7))
-    assert calls == [6] + sweep
+    assert calls == [6] + images
 
 
 def test_orbit_counts_build_one_power_per_length(monkeypatch):
