@@ -20,6 +20,7 @@ justification claimed for it and whether it was machine-checked.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from math import factorial, gcd
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -27,7 +28,7 @@ from ._version import __version__
 from .errors import (CAP_CLASSES, CAP_STAB_ENUM, CapExceeded, DisagreementError,
                      HypothesisViolation)
 from .perm import _orbits, format_cycles
-from .symclasses import centralizer_order, partitions, partitions_exceed
+from .symclasses import partitions, partitions_exceed
 
 # groups imports numpy; the engines that build or read a group import it
 # when they run, so the closed forms and the renderers load without numpy
@@ -171,48 +172,6 @@ def ict_theorem6(pair: PairGH, *, cap: int = CAP_STAB_ENUM) -> IctReport:
                      justification, whole)
 
 
-def sym_commuting_count(cycle_counts: dict) -> int:
-    """Permutations commuting with z that send 1 to a chosen fixed symbol of z.
-
-    This is the per-orbit count that ict_theorem6 filters G's coset for
-    (_commuting_in_coset), evaluated for G = Sym(n) from cycle types alone.
-    cycle_counts is z's cycle type on the full domain (fixed points under
-    key 1; symbol 1 itself must be fixed).  The centralizer of z permutes
-    z's fixed symbols transitively, so the count is its order divided by the
-    number f of fixed symbols: (f-1)! times centralizer_order.
-    """
-    f = cycle_counts.get(1, 0)
-    if f < 1:
-        raise ValueError("symbol 1 must be fixed")
-    return factorial(f - 1) * centralizer_order(cycle_counts)
-
-
-def alt_commuting_count(cycle_counts: dict) -> int:
-    """Even permutations commuting with z that send 1 to a fixed symbol i > 1.
-
-    This is the per-orbit count that ict_theorem6 filters G's coset for
-    (_commuting_in_coset), evaluated for G = Alt(n) from cycle types alone.
-    The candidates form a coset of the centralizer's stabilizer of 1 by the
-    odd transposition (1, i), so the count is half of sym_commuting_count
-    when that stabilizer contains an odd permutation and zero when it is
-    all-even.  With f >= 3 fixed symbols it never is (it holds the odd
-    transposition of two fixed symbols other than 1); with f = 2 it is the
-    centralizer of z on its moved symbols, which all_even_centralizer
-    decides.
-    """
-    f = cycle_counts.get(1, 0)
-    if f < 2:
-        raise ValueError("symbols 1 and i must both be fixed")
-    if f < 3:
-        moved = [l for l, mult in cycle_counts.items() if l > 1 for _ in range(mult)]
-        # no moved symbols: the centralizer is trivial, so all-even
-        if not moved or all_even_centralizer(moved):
-            return 0
-    half, rem = divmod(sym_commuting_count(cycle_counts), 2)
-    assert rem == 0
-    return half
-
-
 def all_even_centralizer(parts) -> bool:
     """Does the centralizer of a permutation of cycle type `parts`, taken in
     the symmetric group on its moved points, contain only even permutations?
@@ -229,21 +188,34 @@ def all_even_centralizer(parts) -> bool:
     return all(l % 2 == 1 for l in parts) and len(set(parts)) == len(parts)
 
 
-def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
+def _closed_form(n: int, label: str, method: str, even: bool) -> IctReport:
     """The class rows of Sym(n)_1, which acts as Sym(m) on symbols 2..n
-    (m = n - 1), one per partition of m.
+    (m = n - 1), one per partition of m, with the commuting counts of G =
+    Sym(n), or of G = Alt(n) when `even`.
+
+    A count is what ict_theorem6 filters a coset for (_commuting_in_coset):
+    the members of G that commute with x and send 1 to a fixed symbol i > 1.
+    In Sym(n) the centralizer of x permutes its k fixed symbols
+    transitively, so the count is its order over k: (k-1)! times the
+    centralizer order on the moved symbols.  In Alt(n) the candidates form
+    a coset, by the odd transposition (1, i), of the centralizer's
+    stabilizer of 1, so the count is half the Sym count (exact: that
+    stabilizer then holds an odd permutation, so its order is even) or 0
+    when the stabilizer is all-even.  With k >= 3 it never is (it holds the
+    transposition of two fixed symbols other than 1); with k = 2 it is the
+    centralizer of x on its moved symbols, which all_even_centralizer
+    decides.  Each fixed symbol i > 1 contributes the count of x, and each
+    cycle of length l the count of x^l, which fixes symbol i of that cycle.
 
     Rows come in groups._class_order_key order: by moved count, then parts
     ascending.  reversed(partitions(m)) is ascending, and there the moved
     parts of a partition less its last part are the moved parts last seen
     at one depth (number of moved parts) less, so one preorder walk builds
     each row from that parent by one cycle; appended to the bucket of its
-    moved count, each row lands in order.  factor_fn (a commuting count) is
-    evaluated once per cycle type that fixes symbol 1 and another symbol,
-    on that type's own row.  A cycle of length l contributes factor_fn of
-    the type of x^l, which fixes both and moves fewer symbols than x, so
-    that type's row came earlier: its factor is looked up by key, never
-    recomputed.
+    moved count, each row lands in order.  x^l splits each cycle of x into
+    cycles no longer and turns the l-cycles into fixed symbols, so its
+    partition is lexicographically less than x's: the walk met its row
+    first, and its count is looked up by type key.
     """
     m = n - 1
     if partitions_exceed(m, CAP_CLASSES):
@@ -254,61 +226,84 @@ def _closed_form(n: int, label: str, method: str, factor_fn) -> IctReport:
     symbols = [str(s) for s in range(n + 1)]
     # a cycle type (length -> multiplicity, on all n symbols) is keyed by the
     # sum of mult << (b * l); b bits hold any multiplicity (at most n), so no
-    # field carries
+    # field carries.  unit[l] is what one more l-cycle, taking l fixed
+    # symbols, adds to a key; adds[l][j] is what it adds to the key of the
+    # j-th power, the gcd(l, j) cycles of length l / gcd(l, j) it splits into
     b = m.bit_length() + 1
-    unit = [1 << (b * l) for l in range(n + 1)]
+    one = 1 << b
+    unit = [(1 << (b * l)) - l * one for l in range(n)]
+    adds = [None] + [[(gcd(l, j) << (b * (l // gcd(l, j)))) - l * one for j in range(n)]
+                     for l in range(1, n)]
     # texts[start][l]: text of the cycle (start, start + 1, ..., start + l - 1)
     texts = [[None] * (n + 1) for _ in range(n + 1)]
-    # a row is (counts of its cycle lengths, longest first; centralizer, the
-    # product over l > 1 of mult! * l^mult; its type key less the fixed
-    # symbols; representative text; next free symbol): representatives fill
-    # cycles longest-first on consecutive symbols from 2, so each cycle's
-    # text is one run of symbols
-    identity = ({}, 1, 0, "", 2)
+    # the identity fixes all n symbols; halving (n - 1)! is exact for n >= 4
+    f = fact[m] // 2 if even else fact[m]
+    factors = {n * one: f}  # type key -> commuting count of the type
+    # a row is (its moved lengths as (length, multiplicity) pairs, longest
+    # first; for each, the type key of x^length; centralizer, the product
+    # over l > 1 of mult! * l^mult; its type key; representative text; next
+    # free symbol): representatives fill cycles longest-first on consecutive
+    # symbols from 2, so each cycle's text is one run of symbols
+    identity = ((), (), 1, n * one, "", 2)
     stack = [identity] * (m // 2 + 1)  # stack[d]: the last row with d cycles of length > 1
-    buckets = [[identity]] + [[] for _ in range(m)]
+    new = tuple.__new__
+    buckets = [[new(ClassContribution, ("()", 1, 0, n, (1,) + (f,) * m, (), f ** m))]]
+    buckets += [[] for _ in range(m)]
     walk = reversed(partitions(m))
     next(walk)  # (1,) * m, the identity's row
     for parts in walk:
         d = len(parts) - parts.count(1)
-        counts, centralizer, type_key, rep, a = stack[d - 1]
+        pairs, keys, centralizer, type_key, rep, a = stack[d - 1]
         l = parts[d - 1]
-        counts = counts.copy()
-        mult = counts[l] = counts.get(l, 0) + 1
+        if d > 1 and parts[d - 2] == l:
+            mult = pairs[-1][1] + 1
+            pairs = pairs[:-1] + ((l, mult),)
+        else:  # a new length: the key of x^l over the parent's cycles
+            mult = 1
+            key = n * one
+            for j, mj in pairs:
+                key += mj * adds[j][l]
+            keys = [*keys, key]
+            pairs += ((l, 1),)
+        centralizer *= l * mult
+        type_key += unit[l]
         text = texts[a][l]
         if text is None:
             text = texts[a][l] = "(" + ",".join(symbols[a:a + l]) + ")"
-        row = stack[d] = (counts, centralizer * l * mult, type_key + unit[l], rep + text, a + l)
-        buckets[a + l - 2].append(row)
-    factors = {}  # type key -> factor_fn of the type
-    weights = {}  # l -> [key of the gcd(l, d) cycles a d-cycle makes in x^l, by d]
-    contributions = []
-    for bucket in buckets:
-        for counts, centralizer, type_key, rep, a in bucket:
-            k = counts[1] = n + 2 - a  # fixed symbols, symbol 1 among them
-            size = fact[m] // (fact[k - 1] * centralizer)
-            f = 1
-            if k > 1:
-                f = factors[type_key + k * unit[1]] = factor_fn(counts)
+        rep += text
+        a += l
+        k = n + 2 - a  # fixed symbols, symbol 1 among them
+        count = fact[k - 1] * centralizer  # the Sym count when k > 1
+        if k > 1:
+            f = count
+            if even:
+                if k == 2 and all_even_centralizer(parts[:d]):
+                    f = 0
+                else:
+                    f, rem = divmod(count, 2)
+                    assert rem == 0
+            factors[type_key] = f
             a_factors = (1,) + (f,) * (k - 1)
             fix = f ** (k - 1)
-            # one factor per cycle length, repeated per cycle, longest first
-            orbit_factors = ()
-            for l, mult in counts.items():
-                if l > 1:
-                    w = weights.get(l)
-                    if w is None:
-                        w = weights[l] = [gcd(l, d) << (b * (d // gcd(l, d)))
-                                          for d in range(n + 1)]
-                    key = 0
-                    for d, dmult in counts.items():
-                        key += dmult * w[d]
-                    o = factors[key]
-                    orbit_factors += (o,) * mult
-                    fix *= o ** mult
-            contributions.append(ClassContribution(rep or "()", size, len(orbit_factors), k,
-                                                   a_factors, orbit_factors, fix))
-    return _assemble(method, n, fact[m], contributions, label, WHOLE_STABILIZER, True)
+        else:
+            a_factors = (1,)
+            fix = 1
+        # the new l-cycle joins each inherited key; one factor per cycle
+        # length, repeated per cycle, longest first
+        add = adds[l]
+        child_keys = []
+        orbit_factors = ()
+        for (j, mj), key in zip(pairs, keys):
+            key += add[j]
+            child_keys.append(key)
+            o = factors[key]
+            orbit_factors += (o,) * mj
+            fix *= o ** mj
+        stack[d] = (pairs, child_keys, centralizer, type_key, rep, a)
+        buckets[a - 2].append(new(ClassContribution, (rep, fact[m] // count, d, k, a_factors,
+                                                       orbit_factors, fix)))
+    return _assemble(method, n, fact[m], [c for bucket in buckets for c in bucket], label,
+                     WHOLE_STABILIZER, True)
 
 
 def ict_sym(n: int) -> IctReport:
@@ -320,7 +315,7 @@ def ict_sym(n: int) -> IctReport:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return _closed_form(n, f"sym({n})", "sym_closed", sym_commuting_count)
+    return _closed_form(n, f"sym({n})", "sym_closed", False)
 
 
 def ict_alt(n: int) -> IctReport:
@@ -332,7 +327,7 @@ def ict_alt(n: int) -> IctReport:
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    return _closed_form(n, f"alt({n})", "alt_closed", alt_commuting_count)
+    return _closed_form(n, f"alt({n})", "alt_closed", True)
 
 
 def _affine_rows(a):
@@ -521,29 +516,26 @@ def report_to_text(report: IctReport) -> str:
     """Fixed-width table: one row per class with its representative, class
     size, fixed-symbol and long-orbit counts, the per-orbit factors, and the
     fixed-transversal count, followed by the Burnside totals."""
-    lines = [
-        f"pair: {report.pair_label or '-'}",
-        f"method: {report.method}",
-        f"gamma order: {report.gamma_order}",
-    ]
-    if report.contributions:
-        decimal = _Decimal()  # a factor, k or t repeats along a row and down the table
-        rows = [("representative", "size", "k", "t", "a_factors", "orbit_factors", "fix")]
-        for rep, size, t, k, a_factors, orbit_factors, fix in report.contributions:
-            rows.append((rep, str(size), decimal[k], decimal[t],
-                         ",".join(map(decimal.__getitem__, a_factors)),
-                         ",".join(map(decimal.__getitem__, orbit_factors)) or "-",
-                         str(fix)))
-        widths = [max(map(len, column)) for column in zip(*rows)]
-        # the last column is left unpadded, so no row ends in spaces
-        layout = "".join("%%-%ds  " % w for w in widths[:-1]) + "%s"
-        for i, r in enumerate(rows):  # in place: each row's cells go once it is laid out
-            rows[i] = layout % r
-        lines += rows
     flag = "validated" if report.validated else "unvalidated"
-    lines += [f"numerator: {report.numerator}", f"value: {report.value}",
-              f"hypothesis ({flag}): {report.justification or '-'}", ""]
-    return "\n".join(lines)
+    head = (f"pair: {report.pair_label or '-'}\nmethod: {report.method}\n"
+            f"gamma order: {report.gamma_order}\n")
+    tail = (f"numerator: {report.numerator}\nvalue: {report.value}\n"
+            f"hypothesis ({flag}): {report.justification or '-'}\n")
+    if not report.contributions:
+        return head + tail
+    decimal = _Decimal()  # a factor, k or t repeats along a row and down the table
+    cell = decimal.__getitem__
+    reps, sizes, ts, ks, a_factors, orbit_factors, fixes = zip(*report.contributions)
+    columns = [("representative", *reps), ("size", *map(str, sizes)), ("k", *map(cell, ks)),
+               ("t", *map(cell, ts)), ("a_factors", *[",".join(map(cell, f)) for f in a_factors]),
+               ("orbit_factors", *[",".join(map(cell, f)) or "-" for f in orbit_factors]),
+               ("fix", *map(str, fixes))]
+    widths = [max(map(len, column)) for column in columns]
+    # the last column is left unpadded, so no row ends in spaces; head and
+    # tail go in as cells, so the text is built once
+    layout = "".join("%%-%ds  " % w for w in widths[:-1]) + "%s"
+    table = "%s" + "\n".join([layout] * (len(reps) + 1)) + "\n%s"
+    return table % (head, *chain.from_iterable(zip(*columns)), tail)
 
 
 def report_to_json(report: IctReport) -> dict:

@@ -17,8 +17,10 @@ by closing each n-cycle (the reference for
 ict_formulas._find_regular_normal_cycle), the order-18 example pair
 behind acceptance criterion 10, partitions built recursively (the
 reference for symclasses.partitions) and their multiplicities, the closed
-forms' class rows evaluated orbit by orbit through cycle types of powers
-(the reference for ict_formulas._closed_form), a report's table rendered
+forms' class rows evaluated orbit by orbit through cycle types of powers,
+with one commuting count per cycle type for Sym(n) and Alt(n)
+(closed_form_reference, sym_commuting_count and alt_commuting_count, the
+references for ict_formulas._closed_form), a report's table rendered
 cell by cell with str.format (the reference for
 ict_formulas.report_to_text), theorem6's per-class
 factors in orbit order (theorem6_factors_reference), and the action of G on the
@@ -41,7 +43,7 @@ pytest puts this directory on the path.
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import gcd, prod
+from math import factorial, gcd, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -66,10 +68,10 @@ from transversals.groups import (
     enumerate_transversals,
     stabilizer_candidates,
 )
-from transversals.ict_formulas import _contribution
+from transversals.ict_formulas import _contribution, all_even_centralizer
 from transversals.oracle import BATCH, _canonical_forms, classify_by_table_iso
 from transversals.perm import Permutation, format_cycles, parse_cycles
-from transversals.symclasses import class_size, partitions
+from transversals.symclasses import centralizer_order, class_size, partitions
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -278,6 +280,42 @@ def partitions_reference(m: int, largest: int | None = None) -> list:
             for rest in partitions_reference(m - first, first)]
 
 
+def sym_commuting_count(cycle_counts: dict) -> int:
+    """Permutations commuting with z that send 1 to a chosen fixed symbol of z.
+
+    This is the per-orbit count that ict_theorem6 filters G's coset for
+    (_commuting_in_coset), evaluated for G = Sym(n) from cycle types alone.
+    cycle_counts is z's cycle type on the full domain (fixed points under
+    key 1; symbol 1 itself must be fixed): (f-1)! times centralizer_order
+    for f fixed symbols.  The reference for ict_formulas._closed_form's
+    Sym counts, whose docstring gives the reasoning.
+    """
+    f = cycle_counts.get(1, 0)
+    if f < 1:
+        raise ValueError("symbol 1 must be fixed")
+    return factorial(f - 1) * centralizer_order(cycle_counts)
+
+
+def alt_commuting_count(cycle_counts: dict) -> int:
+    """Even permutations commuting with z that send 1 to a fixed symbol i > 1:
+    half of sym_commuting_count, or zero when z fixes only 1 and i and its
+    centralizer on the moved symbols is all-even.  The reference for
+    ict_formulas._closed_form's Alt counts, whose docstring gives the
+    reasoning.
+    """
+    f = cycle_counts.get(1, 0)
+    if f < 2:
+        raise ValueError("symbols 1 and i must both be fixed")
+    if f < 3:
+        moved = [l for l, mult in cycle_counts.items() if l > 1 for _ in range(mult)]
+        # no moved symbols: the centralizer is trivial, so all-even
+        if not moved or all_even_centralizer(moved):
+            return 0
+    half, rem = divmod(sym_commuting_count(cycle_counts), 2)
+    assert rem == 0
+    return half
+
+
 def closed_form_reference(n: int, factor_fn) -> tuple:
     """The closed forms' class rows for Sym(n)_1, evaluated orbit by orbit:
     factor_fn is called afresh for every fixed symbol and every cycle, on
@@ -302,8 +340,8 @@ def report_to_text_reference(report) -> str:
     """ict_formulas.report_to_text built the long way: every cell read by
     attribute and converted with str, and every row laid out by one
     str.format call on a "{:<w}" layout.  The reference that
-    report_to_text, which formats each row with one %-format, must equal
-    byte for byte."""
+    report_to_text, which lays out the whole table with one %-format, must
+    equal byte for byte."""
     lines = [
         f"pair: {report.pair_label or '-'}",
         f"method: {report.method}",
