@@ -9,7 +9,7 @@ its start forces the chosen member q to satisfy q x^m = x^m q.  The engines
 differ only in where the per-orbit counts come from: a direct filter over
 G's elements in ict_theorem6 (_orbit_counts), closed forms from cycle types
 in ict_sym and ict_alt, and fixed-point gcd arithmetic in ict_cyclic, which
-runs the same filter on each relabeling.
+builds each relabeling's row as theorem6 does.
 
 The resulting value is the number of conjugation orbits.  Whether that equals
 the number of isomorphism classes depends on a hypothesis about the pair
@@ -78,21 +78,6 @@ class IctReport(NamedTuple):
     degree: int | None = None
 
 
-def _contribution(rep: str, size: int, a_factors, orbit_factors) -> ClassContribution:
-    a_factors = tuple(a_factors)
-    orbit_factors = tuple(orbit_factors)
-    fix = math.prod(a_factors) * math.prod(orbit_factors)
-    return ClassContribution(
-        representative=rep,
-        class_size=size,
-        t=len(orbit_factors),
-        k=len(a_factors),
-        a_factors=a_factors,
-        orbit_factors=orbit_factors,
-        fix_count=fix,
-    )
-
-
 def _assemble(method, degree, gamma_order, contributions, pair_label, justification,
               validated):
     numerator = sum(c.class_size * c.fix_count for c in contributions)
@@ -141,6 +126,17 @@ def _orbit_counts(cosets: np.ndarray, x: np.ndarray) -> list:
             for orb in orbits]
 
 
+def _class_row(cosets: np.ndarray, x: np.ndarray, size: int) -> ClassContribution:
+    """The row of a class of `size` members represented by the 0-based row
+    x, which fixes 0: its factors are x's _orbit_counts, symbol 1's 1 first."""
+    counts = _orbit_counts(cosets, x)
+    a_factors = (1, *[f for m, f in counts if m == 1])
+    orbit_factors = tuple(f for m, f in counts if m > 1)
+    return ClassContribution(format_cycles((x + 1).tolist()), size, len(orbit_factors),
+                             len(a_factors), a_factors, orbit_factors,
+                             math.prod(a_factors) * math.prod(orbit_factors))
+
+
 def ict_theorem6(pair: PairGH, *, cap: int = CAP_STAB_ENUM) -> IctReport:
     """Burnside count of gamma-conjugation orbits on the pair's transversals,
     for gamma the full normalizer of G inside the stabilizer of symbol 1,
@@ -158,12 +154,7 @@ def ict_theorem6(pair: PairGH, *, cap: int = CAP_STAB_ENUM) -> IctReport:
     n = pair.degree
     gamma = normalizer_in_stab(pair, cap=cap)
     cosets = pair.cosets()
-    contributions = []
-    for x, size in gamma.conjugacy_classes():
-        counts = _orbit_counts(cosets, x)
-        contributions.append(_contribution(
-            format_cycles((x + 1).tolist()), size,
-            [1] + [f for m, f in counts if m == 1], [f for m, f in counts if m > 1]))
+    contributions = [_class_row(cosets, x, size) for x, size in gamma.conjugacy_classes()]
     whole = gamma.order == factorial(n - 1)
     justification = WHOLE_STABILIZER if whole else (
         f"the acting group has order {gamma.order}, not (n-1)! = {factorial(n - 1)}; "
@@ -353,9 +344,10 @@ def _affine_rows(a):
 def cyclic_fixed_and_orbit_data(n: int, j: int):
     """(k, t) for the affine relabeling indexed by the unit j mod n.
 
-    k is its number of fixed symbols, gcd(n, j^-1 - 1); t is its number of
-    orbits of length > 1, obtained by averaging fixed-symbol counts over the
-    powers of j (Burnside on the cyclic group the relabeling generates).
+    k is its number of fixed symbols, gcd(n, j - 1): x -> j^-i x fixes the x
+    with (j^i - 1) x = 0 mod n, gcd(n, j^i - 1) of them.  t is its number of
+    orbits of length > 1, the mean of those counts over one walk of j's powers
+    to j^order = 1 (Burnside on the cyclic group it generates), less k.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -364,22 +356,12 @@ def cyclic_fixed_and_orbit_data(n: int, j: int):
     if n == 1:
         return 1, 0
     j %= n
-
-    def fixed_count(power: int) -> int:
-        pinv = pow(power, -1, n)
-        return gcd(n, (pinv - 1) % n)
-
-    k = fixed_count(j)
-    order = 1
-    val = j
-    while val != 1:
-        val = val * j % n
+    k = total = gcd(n, j - 1)
+    order, power = 1, j
+    while power != 1:
+        power = power * j % n
+        total += gcd(n, power - 1)
         order += 1
-    total = 0
-    val = j
-    for _ in range(order):
-        total += fixed_count(val)
-        val = val * j % n
     orbit_total, rem = divmod(total, order)
     assert rem == 0
     return k, orbit_total - k
@@ -477,29 +459,26 @@ def ict_cyclic(pair: PairGH, *, cap: int = CAP_STAB_ENUM) -> IctReport:
     with the relevant power), so each unit j contributes h^(t + k - 1) and
     the average runs over the phi(n) affine relabelings.  The structural
     hypotheses are machine-checked against the pair, and each relabeling's
-    per-orbit counts are taken with ict_theorem6's filter and must all equal
-    h; the report is flagged validated only when the brute normalizer check
-    and the non-generator scan both ran.
+    row is built by _class_row, as in ict_theorem6: its (k, t) must be the
+    gcd arithmetic's and its counts must all equal h; the report is flagged
+    validated only when the brute normalizer check and the non-generator
+    scan both ran.
     """
     n, h = pair.degree, pair.subgroup_order
     units, rows, notes, validated = _validate_cyclic_pair(pair, cap)
     cosets = pair.cosets()
-
-    contributions = []
-    for j, row, images in zip(units, rows, (rows + 1).tolist()):
+    contributions = [_class_row(cosets, x, 1) for x in rows]
+    for j, row in zip(units, contributions):
         k, t = cyclic_fixed_and_orbit_data(n, j)
-        lengths = [len(orb) for orb in _orbits(row.tolist(), 0)]
-        got = (lengths.count(1), len(lengths) - lengths.count(1))
+        got = (row.k, row.t)
         if got != (k, t):
             raise DisagreementError(
                 f"gcd arithmetic gives (k, t) = ({k}, {t}) but the affine "
                 f"relabeling for j = {j} has {got}", values=((k, t), got))
-        text = format_cycles(images)
-        bad = [f for _, f in _orbit_counts(cosets, row) if f != h]
+        bad = [f for f in row.a_factors[1:] + row.orbit_factors if f != h]
         if bad:
-            raise HypothesisViolation(
-                f"a commuting count for {text} is {bad[0]}, not the subgroup order {h}")
-        contributions.append(_contribution(text, 1, [1] + [h] * (k - 1), [h] * t))
+            raise HypothesisViolation(f"a commuting count for {row.representative} is "
+                                      f"{bad[0]}, not the subgroup order {h}")
     return _assemble("cyclic_closed", n, len(units), contributions, pair.name,
                      "; ".join(notes), validated)
 

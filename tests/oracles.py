@@ -68,7 +68,7 @@ from transversals.groups import (
     enumerate_transversals,
     stabilizer_candidates,
 )
-from transversals.ict_formulas import _contribution, all_even_centralizer
+from transversals.ict_formulas import ClassContribution, all_even_centralizer
 from transversals.oracle import BATCH, _canonical_forms, classify_by_table_iso
 from transversals.perm import Permutation, format_cycles, parse_cycles
 from transversals.symclasses import centralizer_order, class_size, partitions
@@ -328,11 +328,13 @@ def closed_form_reference(n: int, factor_fn) -> tuple:
         counts = multiplicities(parts)
         size = class_size(counts, m)
         counts[1] = counts.get(1, 0) + 1
-        a_factors = [1] + [factor_fn(counts) for _ in range(counts[1] - 1)]
-        orbit_factors = [factor_fn(power_cycle_counts(counts, l))
-                         for l, mult in counts.items() if l > 1 for _ in range(mult)]
+        a_factors = (1, *[factor_fn(counts) for _ in range(counts[1] - 1)])
+        orbit_factors = tuple(factor_fn(power_cycle_counts(counts, l))
+                              for l, mult in counts.items() if l > 1 for _ in range(mult))
         rep = format_cycles(class_representative(parts, m))
-        rows.append(_contribution(rep, size, a_factors, orbit_factors))
+        rows.append(ClassContribution(rep, size, len(orbit_factors), len(a_factors),
+                                      a_factors, orbit_factors,
+                                      prod(a_factors) * prod(orbit_factors)))
     return tuple(rows)
 
 

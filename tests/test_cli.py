@@ -444,6 +444,23 @@ def test_cache_entry_of_other_source_is_recomputed(tmp_path, capsys, monkeypatch
     assert json.loads(path.read_text()) == stale  # left alone, not overwritten
 
 
+def test_cache_entry_under_another_keys_name_is_recomputed(tmp_path, capsys):
+    """A file holding one key's entry, found under another key's file name,
+    is never served for that other key: the second key is recomputed,
+    prints its own bytes and is stored again under its own key."""
+    cache = tmp_path / "cache"
+    where = ("--format", "json", "--cache-dir", str(cache))
+    run(capsys, "--dihedral", "3", *where)
+    own = run(capsys, "--dihedral", "4", "--format", "json", "--no-cache")
+    args = cli.build_parser().parse_args(["ict", "--dihedral", "4", *where])
+    target = cli._cache_file(args, "dihedral:4|cyclic")
+    shutil.copyfile(entry_file(cache, "dihedral:3|cyclic"), target)
+    assert run(capsys, "--dihedral", "4", *where) == own
+    stored = json.loads(target.read_text())
+    assert stored["key"] == "dihedral:4|cyclic"
+    assert stored["report"] == json.loads(own[1])
+
+
 def test_editing_the_source_retires_its_cache_entries(tmp_path):
     """A copy of the package whose groups.py gains a comment line neither
     serves nor overwrites the entry the unedited copy wrote.  The digest is

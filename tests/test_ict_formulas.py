@@ -431,6 +431,17 @@ def test_each_cyclic_check_refuses(monkeypatch, check):
         ict_cyclic(pair)
 
 
+def test_assemble_refuses_a_numerator_the_acting_group_does_not_divide():
+    """Burnside's quotient must be exact: rows summing to 3 fixed
+    transversals under an acting group of order 2 are refused."""
+    rows = [ict_formulas.ClassContribution("()", 1, 0, 2, (1, 2), (), 2),
+            ict_formulas.ClassContribution("(2,3)", 1, 1, 1, (1,), (1,), 1)]
+    with pytest.raises(HypothesisViolation,
+                       match="numerator 3 is not divisible by the acting group order 2"):
+        ict_formulas._assemble("theorem6", 3, 2, rows, "", "", True)
+    assert ict_formulas._assemble("theorem6", 3, 3, rows, "", "", True).value == 1
+
+
 def test_disagreement_error_values_default_to_empty_tuple():
     assert DisagreementError("engines differ").values == ()
 
@@ -585,7 +596,7 @@ def test_cyclic_trivial_subgroup_always_one():
 
 
 def test_gcd_data_matches_affine_orbit_structure():
-    for n in range(1, 31):
+    for n in range(1, 121):
         units, rows = _affine_rows(np.roll(np.arange(n), -1))
         for j, row in zip(units, rows.tolist()):
             k, t = cyclic_fixed_and_orbit_data(n, j)
