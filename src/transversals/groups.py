@@ -469,17 +469,17 @@ def _normalizer_from_images(group: PermGroup, tree: list) -> np.ndarray:
     return alphas[_normalizing(group, alphas)]
 
 
-def _conjugating_into(group: PermGroup, alphas: np.ndarray, row_sets):
-    """(kept, index): the indices, ascending, of the rows alpha that pass
-    every set of rows in `row_sets`, and for each of them the element index
-    of alpha r alpha^-1 for every row r of every set, in order, -1 outside
-    G.  An alpha passes a set when alpha r alpha^-1 lies in G for some row
-    r of it.  The sets are tested in turn, each only on the alphas that
-    passed the ones before, so an alpha that fails costs no later gather."""
+def _conjugating_into(group: PermGroup, alphas: np.ndarray, row_sets, index=None):
+    """The indices, ascending, of the rows alpha that pass every set of rows
+    in `row_sets`.  An alpha passes a set when alpha r alpha^-1 lies in G
+    for some row r of it.  The sets are tested in turn, each only on the
+    alphas that passed the ones before, so an alpha that fails costs no
+    later gather.  When `index` is given, an int64 array of (rows in all
+    sets, len(alphas)), index[c, k] is set to the element index of
+    alpha_k r_c alpha_k^-1, r_c the c-th row, -1 outside G, for every alpha
+    that reached r_c's set; the columns of the kept alphas are then whole."""
     kept = np.arange(len(alphas))
     inverses = _invert_rows(alphas)
-    # index[c, k] locates alpha_k r_c alpha_k^-1, r_c the c-th row; set where alpha_k met r_c
-    index = np.empty((sum(len(rows) for rows in row_sets), len(alphas)), dtype=np.int64)
     c = 0
     for rows in row_sets:
         if not len(kept):
@@ -488,11 +488,13 @@ def _conjugating_into(group: PermGroup, alphas: np.ndarray, row_sets):
         hit = np.zeros(len(kept), dtype=bool)
         for r in rows:
             # row k: alpha_k r alpha_k^-1, i.e. alpha_k[r[alpha_k^-1[j]]]
-            index[c, kept] = found = group._locate(np.take_along_axis(live, r[live_inv], axis=1))
+            found = group._locate(np.take_along_axis(live, r[live_inv], axis=1))
+            if index is not None:
+                index[c, kept] = found
             hit |= found >= 0
             c += 1
         kept = kept[hit]
-    return kept, index[:, kept].T
+    return kept
 
 
 def _normalizing(group: PermGroup, alphas: np.ndarray) -> np.ndarray:
@@ -500,7 +502,7 @@ def _normalizing(group: PermGroup, alphas: np.ndarray) -> np.ndarray:
     each of G's generators is a set of one row for `_conjugating_into`, so
     it is conjugated only by the alphas that kept the earlier ones in G."""
     keep = np.zeros(len(alphas), dtype=bool)
-    keep[_conjugating_into(group, alphas, group.generators[:, None])[0]] = True
+    keep[_conjugating_into(group, alphas, group.generators[:, None])] = True
     return keep
 
 

@@ -26,7 +26,8 @@ theorem6, whose normalizers come from the (n-1)! sweep for N = 3, 4 and
 from generator images above), `ict --pq` on
 (2, 3), (2, 5), (3, 7), (2, 7) and (2, 11), `crosscheck` on the same pq
 pairs and on `--dihedral N` for N = 3..10 (whose conjugation classifier
-sweeps up to 9! relabelings), two crosschecks in which theorem6 or the
+sweeps Sym(n)_1 up to degree 6 and builds its candidates by cycle
+matching above), two crosschecks in which theorem6 or the
 table-iso oracle is over its (n-1)! cap, and the default `sweep`.
 Each tree has a cache directory of its own, so neither
 reads what the other stored.  Outputs are compared by their SHA-256, so the

@@ -37,8 +37,10 @@ oracle._canonical_forms, which searches), and the relabeling sweeps at full
 width, every test on every alpha (conjugates_reference,
 candidate_relabelings_reference and normalizing_reference, the references
 for oracle._coset_conjugates, oracle._candidate_relabelings and
-groups._normalizing, which narrow).  Import them as `from oracles import ...`;
-pytest puts this directory on the path.
+groups._normalizing, which narrow, and check_candidate_relabelings, which
+holds the candidates to theirs with and without the seeds forced).
+Import them as `from oracles import ...`; pytest puts this directory on
+the path.
 """
 
 from dataclasses import dataclass
@@ -48,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import transversals.oracle as oracle
 from transversals.errors import (
     CAP_GROUP_ORDER,
     CAP_RELABELINGS,
@@ -669,6 +672,21 @@ def candidate_relabelings_reference(pair: PairGH, stab_cap: int = CAP_STAB_ENUM)
         index = conjugates_reference(pair, alphas)
         kept.append(index[(index >= 0).any(axis=2).all(axis=1)])
     return np.concatenate(kept)
+
+
+def check_candidate_relabelings(pair: PairGH, monkeypatch):
+    """oracle._candidate_relabelings equals candidate_relabelings_reference
+    in values, dtype and order, both at its own choice between seeds and
+    sweep and with the seeds forced (SEED_COST_ROWS far below zero), which
+    seeds every pair with a coset to seed from."""
+    want = candidate_relabelings_reference(pair)
+    got = oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "SEED_COST_ROWS", -factorial(10))
+        assert (oracle._seeded_relabelings(pair) is None) == (pair.degree < 2)
+        got = oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def is_normal(sub: PermGroup, group: PermGroup) -> bool:

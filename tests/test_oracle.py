@@ -27,6 +27,7 @@ from transversals.groups import (
     _invert_rows,
     _normalizing,
     _perm_rows,
+    _row_keys,
     enumerate_transversals,
     generates,
     make_alt,
@@ -53,6 +54,7 @@ from oracles import (
     LoopTable,
     _right_transversals,
     candidate_relabelings_reference,
+    check_candidate_relabelings,
     classification_tuples,
     compose,
     conjugate,
@@ -774,28 +776,30 @@ NARROWING_INPUTS = {
 def test_narrowed_sweeps_match_full_width(name, monkeypatch):
     """The relabeling sweeps that test one coset, or one generator, at a
     time equal the full-width references in values, dtype and order, at
-    the default batch size and at 24 candidates per batch.  The normalizer
-    mask is also checked for the group whose generators are all of its
-    rows, for every candidate that does not normalize G (none passes), and
-    for the trivial group, which has no generator (all pass)."""
+    the default batch size and at 24 candidates per batch, and so does
+    the candidate set C, seeded or swept, with the seeds forced too.  The
+    normalizer mask is also checked for the group whose generators are
+    all of its rows, for every candidate that does not normalize G (none
+    passes), and for the trivial group, which has no generator (all pass)."""
     pair = NARROWING_INPUTS[name]()
     n, want = pair.degree, candidate_relabelings_reference(pair)
     sizes = []
     conjugating_into = oracle._conjugating_into
 
-    def counted(group, alphas, row_sets):
-        kept, index = conjugating_into(group, alphas, row_sets)
+    def counted(group, alphas, row_sets, index):
+        kept = conjugating_into(group, alphas, row_sets, index)
         sizes.append(len(kept))
-        return kept, index
+        return kept
 
     monkeypatch.setattr(oracle, "_conjugating_into", counted)
     for batch in (oracle.BATCH, 24 * pair.group.order):
         monkeypatch.setattr(oracle, "BATCH", batch)
-        got = oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
+        got = oracle._swept_relabelings(pair, CAP_STAB_ENUM)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     if -(-factorial(n - 1) // 24) > len(want):
         assert 0 in sizes  # more batches of 24 than survivors: one kept none
+    check_candidate_relabelings(pair, monkeypatch)  # in batches of 24 seeds too
 
     alphas = np.concatenate(list(stabilizer_candidates(n, size=NORMALIZER_CHUNK)))
     trivial = PermGroup.from_generators(np.empty((0, n), dtype=alphas.dtype))
@@ -809,6 +813,44 @@ def test_narrowed_sweeps_match_full_width(name, monkeypatch):
     assert not _normalizing(pair.group, outside).any()
     assert np.array_equal(_normalizing(pair.group, outside),
                           normalizing_reference(pair.group, outside))
+
+
+# |C| and |Gamma| of the pairs item 1's certificate |C| = |Gamma| is read
+# on, and whether C comes from seeds; degree 11 with the stabilizer cap
+# raised past 10!.
+CERTIFICATES = {
+    "psl25": (THEOREM6_INPUTS["psl25"], CAP_STAB_ENUM, 120, 20, False),
+    "pgl25": (lambda: pair_from_fixture(
+        "degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\ngen (2,3,5,4)\n"),
+        CAP_STAB_ENUM, 120, 20, False),
+    "psl32": (lambda: pair_from_fixture("degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)(3,6)\n"),
+              CAP_STAB_ENUM, 216, 24, False),
+    **{f"dihedral{n}": (lambda n=n: make_dihedral(n), CAP_STAB_ENUM, c, g, n > 6)
+       for n, c, g in ((6, 6, 2), (7, 6, 6), (8, 8, 4), (9, 6, 6), (10, 20, 4))},
+    "pq3_7": (lambda: make_pq(3, 7), CAP_STAB_ENUM, 6, 6, True),
+    "pq2_7": (lambda: make_pq(2, 7), CAP_STAB_ENUM, 6, 6, True),
+    "dihedral11": (lambda: make_dihedral(11), 10**7, 10, 10, True),
+    "pq2_11": (lambda: make_pq(2, 11), 10**7, 10, 10, True),
+    "pq5_11": (lambda: make_pq(5, 11), 10**7, 10, 10, True),
+}
+
+
+def test_candidate_sets_hold_the_normalizer():
+    """|C| and |Gamma| as pinned, Gamma inside C as sets of rows, and C
+    seeded exactly where the pin says; about a second in all."""
+    for name, (make, cap, c_order, gamma_order, seeded) in CERTIFICATES.items():
+        pair = make()
+        n = pair.degree
+        assert len(oracle._candidate_relabelings(pair, cap)) == c_order, name
+        gamma = normalizer_in_stab(pair, cap)
+        assert gamma.order == gamma_order, name
+        alphas = oracle._seeded_relabelings(pair)
+        assert (alphas is not None) == seeded, name
+        if alphas is None:
+            alphas = np.concatenate(list(stabilizer_candidates(n, cap, size=NORMALIZER_CHUNK)))
+        c_rows = alphas[groups._conjugating_into(pair.group, alphas, pair.cosets()[1:])]
+        assert len(c_rows) == c_order, name
+        assert set(_row_keys(gamma._rows).tolist()) <= set(_row_keys(c_rows).tolist()), name
 
 
 def test_narrowed_sweeps_locate_few_rows(monkeypatch):
@@ -826,7 +868,7 @@ def test_narrowed_sweeps_locate_few_rows(monkeypatch):
         return locate(self, rows)
 
     monkeypatch.setattr(PermGroup, "_locate", counted)
-    oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
+    oracle._swept_relabelings(pair, CAP_STAB_ENUM)
     assert sum(located) <= 1.25 * factorial(8) * h
     located.clear()
     normalizer_in_stab(fresh)
@@ -837,9 +879,10 @@ def test_narrowed_sweeps_locate_few_rows(monkeypatch):
 def test_sweeps_locate_each_conjugate_once(monkeypatch):
     """Every row the relabeling sweeps locate is located inside
     `_conjugating_into`: the survivors' conjugates are the ones its tests
-    located, not gathered a second time.  Checked on the coset sweep of
-    dihedral(9) and of a seeded relabeling of dihedral(8), and on the
-    union-find walk that classify_by_conjugation takes for alt(4)."""
+    located, not gathered a second time.  Checked on the coset sweep and
+    on the seeded candidates of dihedral(9) and of a seeded relabeling of
+    dihedral(8), and on the union-find walk that classify_by_conjugation
+    takes for alt(4)."""
     state = {"counting": False, "inside": False, "inside_rows": 0, "outside_rows": 0}
     locate, conjugating_into = PermGroup._locate, groups._conjugating_into
 
@@ -869,9 +912,10 @@ def test_sweeps_locate_each_conjugate_once(monkeypatch):
     monkeypatch.setattr(oracle, "_conjugating_into", counted_into)
     monkeypatch.setattr(oracle, "_walk_labels", counted(oracle._walk_labels))
     for pair in (make_dihedral(9), CANONICAL_INPUTS["dihedral8_relabeled"]()):
-        counted(oracle._candidate_relabelings)(pair, CAP_STAB_ENUM)
-        assert state["inside_rows"] > 0
-        assert state["outside_rows"] == 0
+        for candidates in (oracle._candidate_relabelings, oracle._swept_relabelings):
+            counted(candidates)(pair, CAP_STAB_ENUM)
+            assert state["inside_rows"] > 0
+            assert state["outside_rows"] == 0
     state.update(inside_rows=0, outside_rows=0)
     classify_by_conjugation(make_alt(4))
     assert state["inside_rows"] > 0  # the walk ran
