@@ -12,9 +12,11 @@ indices.  The rows sort by the image of 1, so the stabilizer of 1 and its
 cosets are slices.  Sym(n), Alt(n) and Sym(n)_1 come from one builder,
 _all_rows; stabilizer_candidates yields Sym(n)_1 in batches, which are what
 perfbench's groups.normalizer_candidates and oracle.relabelings_applied
-count.  normalizer_in_stab reads those batches only when they are fewer
-than the relabelings built from G's generator images, so
-groups.normalizer_candidates counts sweep batches only; an image-path
+count.  The identity-fixing relabelings that could conjugate given sets of
+elements into G come from one builder, _relabelings: by cycle matching where
+that spares enough of Sym(n)_1, from stabilizer_candidates otherwise.
+normalizer_in_stab and the conjugation oracle's candidate set both read it,
+so groups.normalizer_candidates counts sweep batches only; a cycle-matched
 normalizer adds none.  PermGroup.from_generators closes a (k, degree) array of
 generator rows into a group; fixture Permutations become rows once, in
 pair_from_fixture, and no Permutation is built from rows: callers read
@@ -33,13 +35,14 @@ them in array passes; an image outside 0..n-1 puts its row outside G.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import chain as _chain
 from math import factorial, isqrt, prod
 
 import numpy as np
 
 from .errors import CAP_GROUP_ORDER, CAP_STAB_ENUM, CAP_TRANSVERSALS, PRINT_LIMIT, CapExceeded
-from .perm import parse_cycles
+from .perm import _orbits, parse_cycles
 
 # Candidates per gather in the normalizer sweep, and element slots (items x
 # |G| x rows) per pass of `generates`: large enough to amortize numpy's
@@ -398,75 +401,103 @@ def stabilizer_candidates(n: int, cap: int = CAP_STAB_ENUM, *, size: int):
 
 
 def normalizer_in_stab(pair: PairGH, cap: int = CAP_STAB_ENUM) -> PermGroup:
-    """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}, from whichever
-    candidate set is smaller: the |G|^r relabelings that G's generator
-    images build (`_normalizer_from_images`, r the generators of its tree),
-    or a sweep over Sym(n)_1's (n-1)! rows.  Either set is filtered by
-    `_normalizing`, which conjugates each generator of G only by the
-    candidates that kept the earlier ones in G.
+    """{alpha in Sym(n) : alpha(1) = 1, alpha G alpha^-1 = G}: the candidates
+    of `_relabelings` that conjugate each generator of G into G, each a set
+    of one, filtered by `_normalizing`, which conjugates each generator only
+    by the candidates that kept the earlier ones in G.
 
     Gamma is found once per pair and kept on the pair; the cap bounds both
     paths and is checked on every call."""
-    n = pair.degree
-    _cap_factorial_order("stabilizer_enum", n - 1, 1, cap)
+    _cap_factorial_order("stabilizer_enum", pair.degree - 1, 1, cap)
     if pair._normalizer is None:
-        tree = _generator_tree(pair.group.generators)
-        if pair.group.order ** len({s for _, s, _ in tree}) <= factorial(n - 1):
-            rows = _normalizer_from_images(pair.group, tree)
-        else:
-            # the candidates come sorted, so the rows kept from them are too
-            rows = np.concatenate([alphas[_normalizing(pair.group, alphas)] for alphas
-                                   in stabilizer_candidates(n, cap, size=NORMALIZER_CHUNK)])
+        group = pair.group
+        gens = [[e] for e in group._locate(group.generators).tolist()]
+        # the candidates come sorted, so the rows kept from them are too
+        rows = np.concatenate([alphas[_normalizing(group, alphas)] for alphas
+                               in _relabelings(group, gens, cap, NORMALIZER_CHUNK)])
         object.__setattr__(pair, "_normalizer", PermGroup(rows))
     return pair._normalizer
 
 
-def _generator_tree(gens: np.ndarray) -> list:
-    """Edges (q, s, p) of a spanning tree of the orbit of 0 under these
-    generator rows, rooted at 0, each q already reached and p = gens[s][q]:
-    the path of the first generator whose cycle through 0 covers every
-    point when there is one, else breadth-first over the points, each
-    point's images in generator order."""
-    n = gens.shape[1]
-    order = range(len(gens))
-    for s in order:
-        q, length = gens[s][0], 1
-        while q:
-            q, length = gens[s][q], length + 1
-        if length == n:
-            order = [s]
-            break
-    edges, orbit, seen = [], [0], {0}
-    for q in orbit:  # breadth-first: orbit grows as it is swept
-        for s in order:
-            p = int(gens[s][q])
-            if p not in seen:
-                seen.add(p)
-                orbit.append(p)
-                edges.append((q, s, p))
-    return edges
+def _slot_layout(row: list) -> tuple:
+    """(key, points) of a 0-based row: its points cycle by cycle, the cycle
+    through 0 first and read from 0, then the others by length, each read
+    from its least point.  key is the cycle lengths in that order, so two
+    rows share a key exactly when they have one cycle type and cycles of one
+    length through 0."""
+    head, *rest = _orbits(row, 0)
+    rest.sort(key=len)
+    return (len(head), *map(len, rest)), list(_chain(head, *rest))
 
 
-def _normalizer_from_images(group: PermGroup, tree: list) -> np.ndarray:
-    """Sorted rows of G's normalizer in Sym(n)_1, from the tuples of
-    elements of G, one per generator that `tree` uses.
+def _slot_centralizer(key: tuple) -> np.ndarray:
+    """Rows of the permutations of the slots of a `_slot_layout` key that
+    fix the head cycle pointwise and commute with the cycles: each run of m
+    cycles of length l is permuted in the m! ways, and each of its cycles
+    turned in the l ways.  For a row t of the key, L its head length and
+    m_L its cycles of that length, these are |C_Sym(n)(t)| / (L m_L) rows."""
+    rows = np.arange(sum(key))[None]
+    lo = key[0]
+    for l, m in Counter(key[1:]).items():
+        moves = _all_rows(m)[0].astype(np.intp)[:, None, :, None] * l
+        turns = np.indices((l,) * m).reshape(m, -1).T[None, :, :, None]
+        local = (moves + (np.arange(l) + turns) % l + lo).reshape(-1, m * l)
+        rows = np.repeat(rows, len(local), axis=0)
+        rows[:, lo:lo + m * l] = np.tile(local, (len(rows) // len(local), 1))
+        lo += m * l
+    return rows
 
-    An alpha fixing 0 that normalizes G sends each generator a to
-    g_a = alpha a alpha^-1 in G, so alpha(a(q)) = g_a(alpha(q)): along the
-    tree's edges, alpha is fixed by the tuple (g_a).  Each tuple builds its
-    alpha in one gather per point; the rows that are permutations, once
-    each, are then filtered by `_normalizing`."""
-    n, rows, order = group.degree, group._rows, group.order
-    used = list(dict.fromkeys(s for _, s, _ in tree))
-    # axis i of alphas is the element chosen as the image of generator used[i]
-    alphas = np.zeros((order,) * len(used) + (n,), _row_dtype(n))
-    choice = {s: np.arange(order).reshape([-1 if t == s else 1 for t in used]) for s in used}
-    for q, s, p in tree:
-        alphas[..., p] = rows[choice[s], alphas[..., q]]
-    alphas = alphas.reshape(-1, n)
-    alphas = alphas[(np.sort(alphas, axis=1) == np.arange(n)).all(axis=1)]
-    alphas = alphas[np.unique(_row_keys(alphas), return_index=True)[1]]
-    return alphas[_normalizing(group, alphas)]
+
+# Rows of Sym(n)_1 that a filter reads in about the time it takes to lay
+# out G's elements and build the seeds: 0.1-0.2 ms at degrees 5-10, against
+# about 0.4 us a row (2-core VM, Python 3.11, numpy 2.4).  G is laid out, and
+# the seeds used, only when they spare more rows than this.
+SEED_COST_ROWS = 256
+
+
+def _relabelings(group: PermGroup, index_sets: list, cap: int, size: int):
+    """Sorted batches of `size` rows (the last may be shorter) that hold
+    every alpha in Sym(n)_1 conjugating, for each set of element indices in
+    `index_sets`, some element t of the set into G.
+
+    If alpha t alpha^-1 = g and alpha fixes 0, alpha maps each cycle of t
+    onto a cycle of g of the same length with some rotation, and t's cycle
+    through 0 onto g's point by point: t and g share a `_slot_layout` key,
+    and with the two layouts as rows alpha is g's after sigma after t's
+    inverse, for a slot move sigma of `_slot_centralizer`.  So each set's
+    count of such alphas is known from the keys before any is built.  The
+    set with the least count is built by this cycle matching when the count
+    is below (n-1)! by more than SEED_COST_ROWS, and so is |G| before G's
+    elements are laid out; Sym(n)_1 is swept otherwise
+    (`stabilizer_candidates`).  `cap` bounds (n-1)! before any alpha is
+    built, on either path."""
+    n = group.degree
+    _cap_factorial_order("stabilizer_enum", n - 1, 1, cap)
+    whole = factorial(n - 1)
+    # no set to match, no seed: every alpha passes
+    if index_sets and group.order + SEED_COST_ROWS < whole:
+        layouts = [_slot_layout(t) for t in group._rows.tolist()]
+        points = {}  # the layouts of each key's elements
+        for key, pts in layouts:
+            points.setdefault(key, []).append(pts)
+        # per element of a key: its matching g, times the slot moves of each
+        per_element = {key: len(pts) * prod(factorial(m) * l ** m
+                                            for l, m in Counter(key[1:]).items())
+                       for key, pts in points.items()}
+        counts = [sum(per_element[layouts[e][0]] for e in index) for index in index_sets]
+        best = min(counts)
+        if best + SEED_COST_ROWS < whole:
+            seeds = []
+            for e in index_sets[counts.index(best)]:
+                key, pts = layouts[e]
+                sigma = _slot_centralizer(key)[:, np.argsort(pts)]
+                seeds.append(np.array(points[key], _row_dtype(n))[:, sigma].reshape(-1, n))
+            seeds = np.concatenate(seeds)
+            seeds = seeds[np.unique(_row_keys(seeds), return_index=True)[1]]
+            for lo in range(0, len(seeds), size):
+                yield seeds[lo:lo + size]
+            return
+    yield from stabilizer_candidates(n, cap, size=size)
 
 
 def _conjugating_into(group: PermGroup, alphas: np.ndarray, row_sets, index=None):

@@ -414,9 +414,9 @@ def _validate_cyclic_pair(pair: PairGH, cap: int):
         raise HypothesisViolation("acting group must normalize the group")
     try:  # the (n-1)! cap is checked before any candidate is built
         brute = normalizer_in_stab(pair, cap=cap)
-    except CapExceeded:
+    except CapExceeded as refusal:
         brute_checked = False
-        notes.append("normalizer equality not brute-checked (degree too large)")
+        notes.append(f"normalizer equality not brute-checked ({refusal})")
     else:
         brute_checked = True
         if brute != gamma:

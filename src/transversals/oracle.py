@@ -9,23 +9,17 @@ Sym(n) over the stabilizer of 1.  Nothing here trusts the counting formulas.
 
 Conjugation reads only the candidate set C of identity-fixing alphas that
 conjugate some member of each coset into G, the only ones that can map a
-transversal back into the family.  If alpha t alpha^-1 = g and alpha fixes
-1, alpha maps each cycle of t onto a cycle of g of the same length with
-some rotation, and t's cycle through 1 onto g's point by point.  So a
-member t of a coset and a g in G of t's cycle type, with a cycle of t's
-length L through 1, give |C_Sym(n)(t)| / (L m_L) such alpha, m_L being t's
-number of L-cycles.  That count is known from cycle types before any alpha
-is built: the coset with the least sum over its members is built by cycle
-matching and filtered where it spares enough of Sym(n)_1's (n-1)! rows,
-which are swept otherwise.
+transversal back into the family.  Its candidates come from
+groups._relabelings, which also finds the normalizer's: the coset with the
+fewest solutions, counted from cycle types, is built by cycle matching
+where that spares enough of Sym(n)_1's (n-1)! rows, which are swept
+otherwise.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from math import factorial, prod
+from math import factorial
 
 import numpy as np
 
@@ -33,19 +27,18 @@ from .errors import CAP_RELABELINGS, CAP_STAB_ENUM, CAP_TRANSVERSALS, PRINT_LIMI
 from .groups import (
     PairGH,
     PermGroup,
-    _all_rows,
     _cap_factorial_order,
     _conjugating_into,
     _cycle_row,
     _invert_rows,
     _normalizing,
-    _row_dtype,
+    _relabelings,
     _row_keys,
     _section_rows,
     generates,
     stabilizer_candidates,
 )
-from .perm import _orbits, format_cycles
+from .perm import format_cycles
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,107 +229,18 @@ def _transversal_images(pair: PairGH, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slot_layout(row: list) -> tuple:
-    """(key, points) of a 0-based row that moves 0: its points cycle by
-    cycle, the cycle through 0 first and read from 0, then the others by
-    length, each read from its least point.  key is the cycle lengths in
-    that order, so two rows share a key exactly when they have one cycle
-    type and cycles of one length through 0."""
-    head, *rest = _orbits(row, 0)
-    rest.sort(key=len)
-    return (len(head), *map(len, rest)), list(chain(head, *rest))
-
-
-def _slot_centralizer(key: tuple) -> np.ndarray:
-    """Rows of the permutations of the slots of a `_slot_layout` key that
-    fix the head cycle pointwise and commute with the cycles: each run of m
-    cycles of length l is permuted in the m! ways, and each of its cycles
-    turned in the l ways.  For a row t of the key, L its head length and
-    m_L its cycles of that length, these are |C_Sym(n)(t)| / (L m_L) rows."""
-    rows = np.arange(sum(key))[None]
-    lo = key[0]
-    for l, m in Counter(key[1:]).items():
-        moves = _all_rows(m)[0].astype(np.intp)[:, None, :, None] * l
-        turns = np.indices((l,) * m).reshape(m, -1).T[None, :, :, None]
-        local = (moves + (np.arange(l) + turns) % l + lo).reshape(-1, m * l)
-        rows = np.repeat(rows, len(local), axis=0)
-        rows[:, lo:lo + m * l] = np.tile(local, (len(rows) // len(local), 1))
-        lo += m * l
-    return rows
-
-
-# Rows of Sym(n)_1 that the coset filter reads in about the time it takes
-# to lay out G's elements and build the seeds: 0.1-0.2 ms at degrees 5-10,
-# against about 0.4 us a row (2-core VM, Python 3.11, numpy 2.4).  The seeds
-# are used only when they spare more rows than this.
-SEED_COST_ROWS = 256
-
-
-def _seeded_relabelings(pair: PairGH):
-    """Sorted rows of the identity-fixing alphas that conjugate some member
-    t of one coset to some g in G (see `_candidate_relabelings`), or None
-    where sweeping Sym(n)_1 is cheaper.
-
-    g ranges over G outside H, the elements that move 0, with t's
-    `_slot_layout` key.  With the two layouts as rows, each such alpha is
-    g's after sigma after t's inverse, for the slot moves sigma of
-    `_slot_centralizer`.  The count per coset is known before any row is
-    built, and the least one is built when it is below (n-1)! by more than
-    SEED_COST_ROWS.  Every member matches itself, so no count is below
-    |H|: that settles the small degrees before any layout."""
-    n, cosets = pair.degree, pair.cosets()[1:]
-    # degree 1 has no coset to seed from
-    if not cosets or SEED_COST_ROWS + pair.subgroup_order >= factorial(n - 1):
-        return None
-    cosets = [[_slot_layout(t) for t in coset.tolist()] for coset in cosets]
-    points = {}  # the layouts of each key's elements
-    for key, pts in chain.from_iterable(cosets):
-        points.setdefault(key, []).append(pts)
-    # per member of a key: its matching g, times the slot moves of each
-    per_member = {key: len(pts) * prod(factorial(m) * l ** m for l, m in Counter(key[1:]).items())
-                  for key, pts in points.items()}
-    counts = [sum(per_member[key] for key, _ in coset) for coset in cosets]
-    best = min(counts)
-    if best + SEED_COST_ROWS >= factorial(n - 1):
-        return None
-    dtype, seeds = _row_dtype(n), []
-    for key, pts in cosets[counts.index(best)]:
-        sigma = _slot_centralizer(key)[:, np.argsort(pts)]
-        seeds.append(np.array(points[key], dtype)[:, sigma].reshape(-1, n))
-    seeds = np.concatenate(seeds)
-    return seeds[np.unique(_row_keys(seeds), return_index=True)[1]]
-
-
-def _swept_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
-    """`_coset_conjugates` of the alphas of Sym(n)_1 that pass, read in
-    sorted batches; `stab_cap` bounds the (n-1)! alphas before any is
-    built."""
-    return np.concatenate([_coset_conjugates(pair, alphas) for alphas in
-                           stabilizer_candidates(pair.degree, stab_cap,
-                                                 size=max(1, BATCH // pair.group.order))])
-
-
 def _candidate_relabelings(pair: PairGH, stab_cap: int) -> np.ndarray:
     """`_coset_conjugates` of C, the identity-fixing alphas that could map
     some transversal back into the family: those that conjugate some member
     of each coset into G.  The others are dropped before the per-transversal
-    sweep.  C lies among the alphas with alpha t alpha^-1 = g for a member t
-    of any one coset and some g in G, |C_Sym(n)(t)| / (L m_L) per (t, g) of
-    one cycle type and one length L of the cycle through 0 (m_L being t's
-    number of L-cycles; see the module notes).  They are built by cycle
-    matching where they spare enough of Sym(n)_1's (n-1)! rows
-    (`_seeded_relabelings`), which are swept otherwise
-    (`_swept_relabelings`).  Either set holds C and comes sorted, and is
-    tested slot by slot, each slot only on the alphas that passed the ones
-    before; the survivors keep the conjugates those tests located.
-    `stab_cap` bounds (n-1)! before any alpha is built, on either path."""
-    _cap_factorial_order("stabilizer_enum", pair.degree - 1, 1, stab_cap)
-    seeds = _seeded_relabelings(pair)
-    if seeds is None:
-        return _swept_relabelings(pair, stab_cap)
-    size = max(1, BATCH // pair.group.order)
-    return np.concatenate([_coset_conjugates(pair, seeds[lo:lo + size])
-                           for lo in range(0, len(seeds), size)])
+    sweep.  The candidates come from `_relabelings` on the cosets past H,
+    sorted, and are tested slot by slot, each slot only on the alphas that
+    passed the ones before; the survivors keep the conjugates those tests
+    located.  `stab_cap` bounds (n-1)! before any alpha is built."""
+    n, h = pair.degree, pair.subgroup_order
+    cosets = [range(i * h, (i + 1) * h) for i in range(1, n)]
+    return np.concatenate([_coset_conjugates(pair, alphas) for alphas in _relabelings(
+        pair.group, cosets, stab_cap, max(1, BATCH // pair.group.order))])
 
 
 def _sweep_labels(pair: PairGH, stab_cap: int) -> np.ndarray:
@@ -376,12 +280,9 @@ def classify_by_conjugation(pair: PairGH, cap: int = CAP_TRANSVERSALS,
     least index of its class.  When the whole relabeling group normalizes G
     (symmetric and alternating pairs), union-find over the images under two
     generators of that group finds it (`_walk_labels`); otherwise every
-    candidate relabeling, each alpha of the set C, is swept
-    (`_sweep_labels`).  C is built by cycle matching, |C_Sym(n)(t)| /
-    (L m_L) alphas per member t of one coset and g in G of t's cycle type
-    and length L of the cycle through 1, where that count spares enough of
-    Sym(n)_1 (`_candidate_relabelings`).  Classes come out in order of
-    first member.
+    candidate relabeling, each alpha of the set C
+    (`_candidate_relabelings`), is swept (`_sweep_labels`).  Classes come
+    out in order of first member.
     """
     n = pair.degree
     total = pair.transversal_count()

@@ -22,8 +22,8 @@ family builders and normalizer_in_stab: `ict --sym N` and `--alt N`
 (`--no-cache`) with `--method theorem6` up to N = 8 and `--method oracle`
 up to N = 5, `crosscheck` and `classes` on Sym and Alt up to degree 5,
 `census 1` to `census 4`, `ict --dihedral N` for N = 3..10 (auto and
-theorem6, whose normalizers come from the (n-1)! sweep for N = 3, 4 and
-from generator images above), `ict --pq` on
+theorem6, whose normalizers come from the (n-1)! sweep for N = 3..6 and
+by cycle matching above), `ict --pq` on
 (2, 3), (2, 5), (3, 7), (2, 7) and (2, 11), `crosscheck` on the same pq
 pairs and on `--dihedral N` for N = 3..10 (whose conjugation classifier
 sweeps Sym(n)_1 up to degree 6 and builds its candidates by cycle

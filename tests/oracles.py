@@ -38,7 +38,8 @@ width, every test on every alpha (conjugates_reference,
 candidate_relabelings_reference and normalizing_reference, the references
 for oracle._coset_conjugates, oracle._candidate_relabelings and
 groups._normalizing, which narrow, and check_candidate_relabelings, which
-holds the candidates to theirs with and without the seeds forced).
+holds the candidates to theirs at the natural choice and with the seeds
+or the sweep forced, spying on the sweeps through sweeps_spied).
 Import them as `from oracles import ...`; pytest puts this directory on
 the path.
 """
@@ -50,6 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import transversals.groups as groups
 import transversals.oracle as oracle
 from transversals.errors import (
     CAP_GROUP_ORDER,
@@ -674,19 +676,33 @@ def candidate_relabelings_reference(pair: PairGH, stab_cap: int = CAP_STAB_ENUM)
     return np.concatenate(kept)
 
 
+def sweeps_spied(monkeypatch) -> list:
+    """The degrees of the Sym(n)_1 sweeps that groups.stabilizer_candidates
+    starts from now on, spied through its groups binding, which
+    groups._relabelings reads: the normalizer's and the candidate set C's
+    sweeps both pass the spy, the canonical forms' do not."""
+    sweeps, candidates = [], groups.stabilizer_candidates
+    monkeypatch.setattr(groups, "stabilizer_candidates",
+                        lambda n, *a, **k: sweeps.append(n) or candidates(n, *a, **k))
+    return sweeps
+
+
 def check_candidate_relabelings(pair: PairGH, monkeypatch):
     """oracle._candidate_relabelings equals candidate_relabelings_reference
-    in values, dtype and order, both at its own choice between seeds and
-    sweep and with the seeds forced (SEED_COST_ROWS far below zero), which
-    seeds every pair with a coset to seed from."""
+    in values, dtype and order at its own choice between seeds and sweep,
+    with the seeds forced (groups.SEED_COST_ROWS far below zero), which
+    seeds every pair with a coset to seed from, and with the sweep forced
+    (SEED_COST_ROWS at 12!)."""
     want = candidate_relabelings_reference(pair)
     got = oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "SEED_COST_ROWS", -factorial(10))
-        assert (oracle._seeded_relabelings(pair) is None) == (pair.degree < 2)
-        got = oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for cost, seeded in ((-factorial(12), pair.degree > 1), (factorial(12), False)):
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "SEED_COST_ROWS", cost)
+            sweeps = sweeps_spied(patch)
+            got = oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert sweeps == ([] if seeded else [pair.degree])
 
 
 def is_normal(sub: PermGroup, group: PermGroup) -> bool:

@@ -29,7 +29,7 @@ from transversals.groups import make_dihedral, make_pq
 from transversals.ict_formulas import (ClassContribution, IctReport, ict_alt, ict_cyclic,
                                        ict_sym, ict_theorem6, report_to_text)
 
-from oracles import is_normal, report_to_text_reference
+from oracles import is_normal, report_to_text_reference, sweeps_spied
 
 
 def run(capsys, *argv):
@@ -967,34 +967,42 @@ def test_crosscheck_json(capsys, pair, closed, value):
 
 
 def _crosscheck_normalizer_builds(capsys, monkeypatch, n):
-    """Run `crosscheck --dihedral n` and return the degrees of its (n-1)!
-    sweeps and of its normalizers built from generator images.  The oracle
-    rows read Sym(n)_1 through their own binding of the row source, so only
-    the normalizer sweep passes the spy."""
+    """Run `crosscheck --dihedral n` and return, per normalizer it builds,
+    the candidates read and the degrees of the (n-1)! sweeps started.
+    groups._relabelings is spied through its groups binding, which only
+    normalizer_in_stab reads (oracle imports its own binding), and the
+    sweeps of either pass sweeps_spied."""
     import transversals.groups as groups
 
-    sweeps, builds = [], []
-    candidates, from_images = groups.stabilizer_candidates, groups._normalizer_from_images
-    monkeypatch.setattr(groups, "stabilizer_candidates",
-                        lambda n, *a, **k: sweeps.append(n) or candidates(n, *a, **k))
-    monkeypatch.setattr(groups, "_normalizer_from_images",
-                        lambda group, tree: builds.append(group.degree) or from_images(group, tree))
+    builds, relabelings = [], groups._relabelings
+    sweeps = sweeps_spied(monkeypatch)
+
+    def spied(*args):
+        start, read = len(sweeps), 0
+        for alphas in relabelings(*args):
+            read += len(alphas)
+            yield alphas
+        builds.append((read, sweeps[start:]))
+
+    monkeypatch.setattr(groups, "_relabelings", spied)
     code, out, _ = run(capsys, "crosscheck", "--dihedral", str(n))
     assert code == EXIT_OK
     assert "cyclic_closed" in out and "theorem6" in out
-    return sweeps, builds
+    return builds
 
 
 def test_crosscheck_sweeps_the_normalizer_once(capsys, monkeypatch):
     """The cyclic row's normalizer check and the theorem6 row share one
-    (n-1)! sweep where |G| > (n-1)!: dihedral(4) has order 8 > 3!."""
-    assert _crosscheck_normalizer_builds(capsys, monkeypatch, 4) == ([4], [])
+    sweep of the 3! rows of Sym(4)_1, where |G| > 3!: dihedral(4) has order
+    8."""
+    assert _crosscheck_normalizer_builds(capsys, monkeypatch, 4) == [(6, [4])]
 
 
-def test_crosscheck_builds_the_normalizer_from_images_once(capsys, monkeypatch):
-    """Where |G| <= (n-1)!, the two rows share one normalizer built from the
-    images of the n-cycle generator, and no row of Sym(n)_1 is swept."""
-    assert _crosscheck_normalizer_builds(capsys, monkeypatch, 8) == ([], [8])
+def test_crosscheck_builds_the_normalizer_by_cycle_matching_once(capsys, monkeypatch):
+    """Where |G| is well below (n-1)!, the two rows share one normalizer
+    built from the 4 relabelings that match the cycles of dihedral(8)'s
+    generators, and no row of Sym(8)_1 is swept."""
+    assert _crosscheck_normalizer_builds(capsys, monkeypatch, 8) == [(4, [])]
 
 
 def test_crosscheck_disagreement_exit(capsys, monkeypatch):

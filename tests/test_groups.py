@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import transversals.groups as groups
 from transversals.errors import CapExceeded
 from transversals.groups import (
     NORMALIZER_CHUNK,
@@ -51,6 +52,7 @@ from oracles import (
     stabilizer_of_1,
     stabilizer_rows_reference,
     subgroup_transversal_sets,
+    sweeps_spied,
 )
 
 
@@ -424,53 +426,66 @@ def _order18_pair(involution):
 
 PSL25 = "degree 6\ngen (1,2,3,4,5)\ngen (1,6)(2,5)\n"
 
-# Each pair and the path its normalizer takes: the generator images when
-# |G|^r <= (n-1)!, r the generators of the spanning tree, else the sweep
+# Each pair and the path its normalizer takes: cycle matching ("seeds")
+# where |G| and the least count of one generator's solutions are both below
+# (n-1)! by more than groups.SEED_COST_ROWS, else the sweep
 NORMALIZER_PATHS = {
     **{f"sym{n}": (lambda n=n: make_sym(n), "sweep") for n in range(3, 8)},
     **{f"alt{n}": (lambda n=n: make_alt(n), "sweep") for n in range(4, 8)},
-    **{f"dihedral{n}": (lambda n=n: make_dihedral(n), "sweep" if n < 5 else "images")
+    **{f"dihedral{n}": (lambda n=n: make_dihedral(n), "sweep" if n < 7 else "seeds")
        for n in range(3, 11)},
-    "pq2_3": (lambda: make_pq(2, 3), "sweep"),
-    **{f"pq{p}_{q}": (lambda p=p, q=q: make_pq(p, q), "images")
-       for p, q in ((2, 5), (2, 7), (3, 7))},
+    **{f"pq{p}_{q}": (lambda p=p, q=q: make_pq(p, q), "sweep" if q < 7 else "seeds")
+       for p, q in ((2, 3), (2, 5), (2, 7), (3, 7))},
     "psl25": (lambda: pair_from_fixture(PSL25), "sweep"),
     "pgl25": (lambda: pair_from_fixture(PSL25 + "gen (2,3,5,4)\n"), "sweep"),
     "psl32": (lambda: pair_from_fixture("degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)(3,6)\n"),
-              "images"),
+              "seeds"),
     "order18": (lambda: _order18_pair(False), "sweep"),
-    "order18_involution": (lambda: _order18_pair(True), "images"),
+    "order18_involution": (lambda: _order18_pair(True), "seeds"),
     **{f"dihedral{n}_relabeled{k}": (
-        lambda n=n, k=k: _relabeled(make_dihedral(n), random.Random(f"{n}/{k}")), "images")
+        lambda n=n, k=k: _relabeled(make_dihedral(n), random.Random(f"{n}/{k}")), "seeds")
        for n in (9, 10) for k in range(2)},
 }
 
 
 @pytest.mark.parametrize("name", NORMALIZER_PATHS)
 def test_normalizer_paths_match_the_full_width_reference(name, monkeypatch):
-    """Both ways of finding gamma give the rows of the full-width reference
-    (every generator of G conjugated by every row of Sym(n)_1), in the same
-    order and dtype, and each pair takes the path its |G|, r and n choose:
-    the image path reads no row of Sym(n)_1, the sweep builds no image."""
-    import transversals.groups as groups
-
+    """Gamma has the rows of the full-width reference (every generator of G
+    conjugated by every row of Sym(n)_1), in the same order and dtype, on
+    the path the pair's |G|, generators and n choose and on each path
+    forced through groups.SEED_COST_ROWS: the seeds read no row of
+    Sym(n)_1, the sweep reads them once."""
     build, path = NORMALIZER_PATHS[name]
     pair = build()
     alphas = np.concatenate(list(stabilizer_candidates(pair.degree, size=NORMALIZER_CHUNK)))
     want = alphas[normalizing_reference(pair.group, alphas)]
+    for cost, seeded in ((groups.SEED_COST_ROWS, path == "seeds"),
+                         (-factorial(12), True), (factorial(12), False)):
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "SEED_COST_ROWS", cost)
+            sweeps = sweeps_spied(patch)
+            got = normalizer_in_stab(build())._rows  # Gamma is kept on its pair
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert sweeps == ([] if seeded else [pair.degree])
 
-    sweeps, builds = [], []
-    candidates, from_images = groups.stabilizer_candidates, groups._normalizer_from_images
-    monkeypatch.setattr(groups, "stabilizer_candidates",
-                        lambda n, *a, **k: sweeps.append(n) or candidates(n, *a, **k))
-    monkeypatch.setattr(groups, "_normalizer_from_images",
-                        lambda group, tree: builds.append(len(tree)) or from_images(group, tree))
-    got = normalizer_in_stab(pair)._rows
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    if path == "images":
-        assert (sweeps, builds) == ([], [pair.degree - 1])
-    else:
-        assert (sweeps, builds) == ([pair.degree], [])
+
+@pytest.mark.parametrize("build", [
+    lambda: make_sym(7), lambda: make_alt(7),
+    lambda: _relabeled(make_sym(7), random.Random("sym7")),
+    lambda: _relabeled(make_alt(7), random.Random("alt7")),
+], ids=["sym7", "alt7", "sym7_relabeled", "alt7_relabeled"])
+def test_normalizer_lays_out_no_element_of_a_large_group(build, monkeypatch):
+    """Where |G| + SEED_COST_ROWS >= (n-1)!, as for Sym(7) and Alt(7) and
+    relabelings of them (burnside's theorem6 fixtures), Gamma is swept
+    without laying out one element of G: on Sym(7) the forced seeds take
+    about 25 times as long as the sweep they would spare."""
+    pair, layouts = build(), []
+    assert pair.group.order + groups.SEED_COST_ROWS >= factorial(pair.degree - 1)
+    slot_layout = groups._slot_layout
+    monkeypatch.setattr(groups, "_slot_layout", lambda row: layouts.append(row) or slot_layout(row))
+    sweeps = sweeps_spied(monkeypatch)
+    assert normalizer_in_stab(pair).order == factorial(pair.degree - 1)
+    assert (layouts, sweeps) == ([], [pair.degree])
 
 
 @pytest.mark.parametrize("p, q", [(0, 5), (1, 3), (2, 1), (2, 9), (4, 13), (3, 49)])

@@ -571,6 +571,17 @@ def test_cyclic_large_degree_skips_brute_normalizer():
     assert report.value == 108
 
 
+def test_cyclic_note_names_the_cap_refusal():
+    """A lowered cap, not the degree, refuses dihedral(5)'s 4! candidates:
+    the note quotes the refusal."""
+    report = ict_cyclic(make_dihedral(5), cap=1)
+    assert not report.validated
+    assert "degree too large" not in report.justification
+    assert ("normalizer equality not brute-checked (cap 'stabilizer_enum' exceeded: "
+            "requires 24, limit is 1)") in report.justification
+    assert report.value == ict_cyclic(make_dihedral(5)).value
+
+
 def test_cyclic_skipped_scan_is_unvalidated(monkeypatch):
     monkeypatch.setattr(ict_formulas, "NONGENERATOR_SCAN_CAP", 100)
     report = ict_cyclic(make_pq(3, 7))

@@ -260,11 +260,12 @@ def test_kernel_matches_reference_on_relabelings(name, data, monkeypatch):
     check_kernel(relabeled, random.Random(f"{name}{tail}"), monkeypatch)
 
 
-# Sym(7) and Alt(7) are left out: |H| >= 6!/2 leaves the seeds no room, so
+# Sym(7) and Alt(7) are left out: |G| > 6! leaves the seeds no room, so
 # they sweep, and the sweep and its full-width reference take 11 s there.
 @pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"sym7", "alt7"}))
 def test_candidate_relabelings_match_reference(name, monkeypatch):
-    """The candidate set C of the conjugation oracle, seeded or swept."""
+    """The candidate set C of the conjugation oracle, seeded or swept, at
+    its own choice and with each path forced."""
     check_candidate_relabelings(FIXTURES[name](), monkeypatch)
 
 

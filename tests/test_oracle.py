@@ -794,7 +794,9 @@ def test_narrowed_sweeps_match_full_width(name, monkeypatch):
     monkeypatch.setattr(oracle, "_conjugating_into", counted)
     for batch in (oracle.BATCH, 24 * pair.group.order):
         monkeypatch.setattr(oracle, "BATCH", batch)
-        got = oracle._swept_relabelings(pair, CAP_STAB_ENUM)
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "SEED_COST_ROWS", factorial(12))  # the sweep
+            got = oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     if -(-factorial(n - 1) // 24) > len(want):
@@ -844,10 +846,11 @@ def test_candidate_sets_hold_the_normalizer():
         assert len(oracle._candidate_relabelings(pair, cap)) == c_order, name
         gamma = normalizer_in_stab(pair, cap)
         assert gamma.order == gamma_order, name
-        alphas = oracle._seeded_relabelings(pair)
-        assert (alphas is not None) == seeded, name
-        if alphas is None:
-            alphas = np.concatenate(list(stabilizer_candidates(n, cap, size=NORMALIZER_CHUNK)))
+        h = pair.subgroup_order
+        cosets = [range(i * h, (i + 1) * h) for i in range(1, n)]
+        alphas = np.concatenate(list(groups._relabelings(pair.group, cosets, cap,
+                                                         NORMALIZER_CHUNK)))
+        assert (len(alphas) < factorial(n - 1)) == seeded, name
         c_rows = alphas[groups._conjugating_into(pair.group, alphas, pair.cosets()[1:])]
         assert len(c_rows) == c_order, name
         assert set(_row_keys(gamma._rows).tolist()) <= set(_row_keys(c_rows).tolist()), name
@@ -858,8 +861,10 @@ def test_narrowed_sweeps_locate_few_rows(monkeypatch):
     2's h members on every candidate and the later slots only on the few
     that pass (the full-width sweep locates 8!·(n-1)·h rows), and the
     normalizer sweep conjugates the second generator only by the
-    candidates that keep the first in G (full width: 2·8!)."""
+    candidates that keep the first in G (full width: 2·8!).  Both sweeps
+    are forced through groups.SEED_COST_ROWS."""
     pair, fresh = make_dihedral(9), make_dihedral(9)
+    monkeypatch.setattr(groups, "SEED_COST_ROWS", factorial(12))
     h, located = pair.subgroup_order, []
     locate = PermGroup._locate
 
@@ -868,7 +873,7 @@ def test_narrowed_sweeps_locate_few_rows(monkeypatch):
         return locate(self, rows)
 
     monkeypatch.setattr(PermGroup, "_locate", counted)
-    oracle._swept_relabelings(pair, CAP_STAB_ENUM)
+    oracle._candidate_relabelings(pair, CAP_STAB_ENUM)
     assert sum(located) <= 1.25 * factorial(8) * h
     located.clear()
     normalizer_in_stab(fresh)
@@ -879,10 +884,10 @@ def test_narrowed_sweeps_locate_few_rows(monkeypatch):
 def test_sweeps_locate_each_conjugate_once(monkeypatch):
     """Every row the relabeling sweeps locate is located inside
     `_conjugating_into`: the survivors' conjugates are the ones its tests
-    located, not gathered a second time.  Checked on the coset sweep and
-    on the seeded candidates of dihedral(9) and of a seeded relabeling of
-    dihedral(8), and on the union-find walk that classify_by_conjugation
-    takes for alt(4)."""
+    located, not gathered a second time.  Checked on the seeded candidates
+    of dihedral(9) and of a seeded relabeling of dihedral(8), and on their
+    coset sweeps, forced through groups.SEED_COST_ROWS, and on the
+    union-find walk that classify_by_conjugation takes for alt(4)."""
     state = {"counting": False, "inside": False, "inside_rows": 0, "outside_rows": 0}
     locate, conjugating_into = PermGroup._locate, groups._conjugating_into
 
@@ -912,8 +917,10 @@ def test_sweeps_locate_each_conjugate_once(monkeypatch):
     monkeypatch.setattr(oracle, "_conjugating_into", counted_into)
     monkeypatch.setattr(oracle, "_walk_labels", counted(oracle._walk_labels))
     for pair in (make_dihedral(9), CANONICAL_INPUTS["dihedral8_relabeled"]()):
-        for candidates in (oracle._candidate_relabelings, oracle._swept_relabelings):
-            counted(candidates)(pair, CAP_STAB_ENUM)
+        for cost in (groups.SEED_COST_ROWS, factorial(12)):
+            with monkeypatch.context() as patch:
+                patch.setattr(groups, "SEED_COST_ROWS", cost)
+                counted(oracle._candidate_relabelings)(pair, CAP_STAB_ENUM)
             assert state["inside_rows"] > 0
             assert state["outside_rows"] == 0
     state.update(inside_rows=0, outside_rows=0)
